@@ -58,7 +58,6 @@ from .noise import (
     TernaryFunction,
     closeness_to_sp,
     noise_operator,
-    noise_operator_direct,
     optimal_predictor,
     prediction_gain,
     stability_report,

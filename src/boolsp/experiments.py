@@ -172,10 +172,11 @@ def _scaled_predictor_values(tables, n, rho):
     p, q = rho.numerator, rho.denominator
     h = _hadamard(n)
     pc = popcounts(n)
-    weights = np.array([p**int(k) * q ** (n - int(k)) for k in pc], dtype=np.int64)
-    bound = (1 << n) * max(int(w) for w in weights) * (1 << n) * (1 << n)
+    by_level = [p**k * q ** (n - k) for k in range(n + 1)]
+    bound = (1 << n) * max(by_level) * (1 << n) * (1 << n)
     if bound >= 1 << 62:
         raise InvalidArgument("rho denominator too large for the int64 scan")
+    weights = np.array(by_level, dtype=np.int64)[pc]
     spectra = tables.astype(np.int64) @ h
     return (spectra * weights[None, :]) @ h
 

@@ -5,8 +5,8 @@ For correlation rho = p/q the scaled operator values
     int_v = 2^n * q^n * T_rho f(v) = sum_k C[v, k] * p^k * q^(n-k)
 
 are integers, so sign questions (prediction, SP checks) and the stability
-functionals are decided exactly.  The Fourier route is the workhorse; a
-direct O(4^n) summation oracle is retained for cross-checking.
+functionals are decided exactly.  Everything goes through the Fourier
+route; the tests check it against direct O(4^n) summation.
 """
 
 from dataclasses import dataclass
@@ -52,24 +52,6 @@ def noise_operator(f, rho):
     rho = check_rho(rho)
     scale = (1 << f.n) * rho.denominator**f.n
     return tuple(Fraction(int(v), scale) for v in scaled_t_values(f, rho))
-
-
-def noise_operator_direct(f, rho):
-    """O(4^n) direct-summation oracle for T_rho f (testing route)."""
-    rho = check_rho(rho)
-    n = f.n
-    stay = (1 + rho) / 2
-    flip = (1 - rho) / 2
-    by_dist = [flip**d * stay ** (n - d) for d in range(n + 1)]
-    vals = f.values.tolist()
-    pc = popcounts(n).tolist()
-    out = []
-    for y in range(1 << n):
-        acc = Fraction(0)
-        for x in range(1 << n):
-            acc += by_dist[pc[x ^ y]] * vals[x]
-        out.append(acc)
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ zeros (the zero polynomial is the empty tuple).  Every sign decision is an
 integer computation: p(a/b) is judged through b^deg(p) * p(a/b).
 
 Provides Sturm chains (via sign-tracked pseudo-remainders, so everything
-stays in Z), Yun square-free factorization, root counting, and root
+stays in Z), square-free parts, root counting, and root
 isolation/refinement on an interval.  Isolation reports each root either
 exactly (a rational hit) or as an open interval with a sign change of the
 square-free part.
@@ -71,12 +71,6 @@ def primitive(p):
         return p
     g = content(p)
     return tuple(c // g for c in p)
-
-
-def coeff_sign_variations(p):
-    """Descartes count: sign alternations in the coefficient list."""
-    signs = [(c > 0) - (c < 0) for c in p if c]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def pseudo_rem_tracked(a, b):
@@ -147,45 +141,6 @@ def square_free_part(p):
     return exact_div(p, g)
 
 
-def _sub(a, b):
-    m = max(len(a), len(b))
-    a = tuple(a) + (0,) * (m - len(a))
-    b = tuple(b) + (0,) * (m - len(b))
-    return trim(tuple(x - y for x, y in zip(a, b)))
-
-
-def yun_factorization(p):
-    """Square-free decomposition: list of (primitive factor, multiplicity).
-
-    Factors are pairwise coprime, square-free, positive-leading; p equals
-    their multiplicity-weighted product up to a rational constant.
-    """
-    p = primitive(p)
-    if degree(p) < 1:
-        return []
-    dp = derivative(p)
-    g = poly_gcd(p, dp)
-    if degree(g) == 0:
-        f = p if p[-1] > 0 else negate(p)
-        return [(f, 1)]
-    b = exact_div(p, g)
-    c = exact_div(dp, g)
-    d = _sub(c, derivative(b))
-    out = []
-    i = 1
-    while degree(b) > 0:
-        a = poly_gcd(b, d)
-        if degree(a) > 0:
-            out.append((a if a[-1] > 0 else negate(a), i))
-        b = exact_div(b, a)
-        c = exact_div(d, a)
-        d = _sub(c, derivative(b))
-        i += 1
-        if i > len(p) + 2:
-            raise RuntimeError("yun did not terminate")
-    return out
-
-
 def sturm_chain(p):
     p0 = primitive(p)
     if not p0:
@@ -219,14 +174,14 @@ def count_roots(chain, a, b):
     return variations_at(chain, a) - variations_at(chain, b)
 
 
-def isolate_roots(p, a=Fraction(0), b=Fraction(1)):
-    """Isolate the distinct real roots of p in (a, b).
+def isolate_roots(sf, a=Fraction(0), b=Fraction(1)):
+    """Isolate the real roots of the square-free polynomial sf in (a, b).
 
-    Returns a sorted list of ("exact", value) and ("interval", lo, hi)
-    entries; intervals carry a sign change of the square-free part of p and
-    are pairwise disjoint.  Endpoints a, b must not be roots.
+    sf must be square-free (pass square_free_part(p) to isolate the distinct
+    roots of any p).  Returns a sorted list of ("exact", value) and
+    ("interval", lo, hi) entries; intervals carry a sign change of sf and are
+    pairwise disjoint.  Endpoints a, b must not be roots.
     """
-    sf = square_free_part(p)
     if degree(sf) < 1:
         return []
     chain = sturm_chain(sf)

@@ -19,6 +19,7 @@ import re
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
+_HEX_RE = re.compile(r"[0-9a-fA-F]*\Z")
 
 from .errors import InvalidArgument
 from .functions import BooleanFunction, LtfSpec, PtfSpec, construct_ltf, construct_ptf
@@ -79,11 +80,10 @@ def _function_from_json(obj, cap=None):
         raise InvalidArgument(
             f"bad function file: table_hex must be {digits} hex digits for n = {n}"
         )
-    try:
-        nibbles = [int(c, 16) for c in hexstr]
-    except ValueError:
-        raise InvalidArgument("bad function file: table_hex is not hex") from None
-    bits = sum(v << (4 * k) for k, v in enumerate(nibbles))
+    # int() alone would also take "0x", "_", signs and whitespace
+    if not _HEX_RE.match(hexstr):
+        raise InvalidArgument("bad function file: table_hex is not hex")
+    bits = int(hexstr[::-1], 16)  # digit k holds bits 4k..4k+3
     if bits >= 1 << (1 << n):
         raise InvalidArgument("bad function file: stray bits beyond the table")
     return BooleanFunction(n, bits, cap=cap)

@@ -6,14 +6,18 @@ For each point v the scaled noise operator is a polynomial in rho:
 
 so with q_v(rho) := f(v) * sum_k C[v,k] rho^k the function is rho-SP at v
 exactly when q_v(rho) >= 0 (ties count as agreement) and rho-SP overall when
-all q_v are nonnegative.  Since q_v(1) = 2^n > 0, the SP region is a finite
-union of closed intervals of [0,1] whose endpoints are roots of the q_v;
-everything below is decided with integer Sturm-chain arithmetic, floats
-never touch a sign.
+all q_v are nonnegative.  The SP region is therefore [0,1] minus the union of
+the open sets {q_v < 0}.  Each distinct q_v's negative set comes from the
+isolated roots of its square-free part and one sign per gap between them;
+since q_v(1) = 2^n > 0 it is a finite union of intervals ending at roots in
+(0,1).  One sweep over all those intervals, sorted by an exact root
+comparator, yields the region as closed intervals.  Everything is decided
+with integer Sturm-chain arithmetic; floats never touch a sign.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from math import comb, factorial, log, sqrt
 
 import numpy as np
@@ -93,41 +97,15 @@ def is_sp(f, rho, fast_path=False):
     return SpDecision(True, None)
 
 
-def _signed_rows(f):
-    """Rows f(v) * C[v,:], one per point, as an int64 matrix."""
-    return point_matrix(f) * f.values.astype(np.int64)[:, None]
-
-
 def _distinct_point_polys(f):
-    """Deduplicated signed point polynomials with a representative point each."""
-    rows = _signed_rows(f)
+    """Deduplicated signed point polynomials f(v) * C[v,:], each with its least
+    point v as representative, in np.unique order."""
+    rows = point_matrix(f) * f.values.astype(np.int64)[:, None]
     uniq, reps = np.unique(rows, axis=0, return_index=True)
     out = []
     for row, rep in zip(uniq.tolist(), reps.tolist()):
         out.append((rt.trim(tuple(int(c) for c in row)), int(rep)))
     return out
-
-
-def _nonneg_on_01(q):
-    """Exact check that the integer polynomial q is >= 0 on all of [0,1].
-
-    Caller guarantees q(1) > 0.  Nonnegativity then reduces to q(0) >= 0 and
-    the absence of odd-multiplicity roots inside (0,1); cheap screens first.
-    """
-    if q[0] < 0:
-        return False
-    if all(c >= 0 for c in q):
-        return True
-    if rt.coeff_sign_variations(q) == 0:
-        return True  # no roots in (0, inf) at all, and q(1) > 0
-    j = next(i for i, c in enumerate(q) if c)
-    core = q[j:]  # strip the root at 0; sign on (0,1] unchanged
-    for factor, mult in rt.yun_factorization(core):
-        if mult % 2 == 0 or rt.degree(factor) < 1:
-            continue
-        if rt.count_roots(rt.sturm_chain(factor), Fraction(0), Fraction(1)) > 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -164,99 +142,114 @@ class SpRegion:
     intervals: tuple
 
 
-class _Event:
-    """One distinct root of some point polynomials in (0,1)."""
+def _endpoint(entry):
+    """Endpoint of a refine_root entry."""
+    if entry[0] == "exact":
+        return Endpoint("exact", value=entry[1])
+    return Endpoint("enclosure", lo=entry[1], hi=entry[2])
 
-    __slots__ = ("members", "kind", "value", "lo", "hi", "refpoly")
 
-    def __init__(self, members, kind, value=None, lo=None, hi=None, refpoly=None):
-        self.members = set(members)
-        self.kind = kind
-        self.value = value
-        self.lo = lo
-        self.hi = hi
-        self.refpoly = refpoly
+class _Root:
+    """A root in [0,1): exact when lo == hi, else the only root of the
+    square-free polynomial sf in the open interval (lo, hi)."""
 
-    def left(self):
-        return self.value if self.kind == "exact" else self.lo
+    __slots__ = ("sf", "lo", "hi")
 
-    def right(self):
-        return self.value if self.kind == "exact" else self.hi
+    def __init__(self, sf, entry):
+        self.sf = sf
+        self.lo, self.hi = entry[1], entry[-1]
+
+    def entry(self):
+        if self.lo == self.hi:
+            return ("exact", self.lo)
+        return ("interval", self.lo, self.hi)
 
     def halve(self):
-        """One refinement step (interval events only); may become exact."""
-        refined = rt.refine_root(
-            self.refpoly, ("interval", self.lo, self.hi), (self.hi - self.lo) / 2
-        )
-        if refined[0] == "exact":
-            self.kind, self.value = "exact", refined[1]
-            self.lo = self.hi = self.refpoly = None
-        else:
-            _, self.lo, self.hi = refined
+        refined = rt.refine_root(self.sf, self.entry(), (self.hi - self.lo) / 2)
+        self.lo, self.hi = refined[1], refined[-1]
+
+    def endpoint(self, epsilon):
+        return _endpoint(rt.refine_root(self.sf, self.entry(), epsilon))
 
 
-def _strictly_overlaps(e1, e2):
-    if e1.kind == "exact" and e2.kind == "exact":
-        return e1.value == e2.value
-    if e1.kind == "exact":
-        return e2.lo < e1.value < e2.hi
-    if e2.kind == "exact":
-        return e1.lo < e2.value < e1.hi
-    return max(e1.lo, e2.lo) < min(e1.hi, e2.hi)
+def _same_root(a, b):
+    """Do the overlapping brackets of a and b hold one common root?  If so,
+    both take their intersection, so either gives the endpoint."""
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    if lo == hi:  # one is exact, inside the other's bracket
+        same = rt.sign_at((a if a.lo < a.hi else b).sf, lo) == 0
+    else:
+        g = rt.poly_gcd(a.sf, b.sf)
+        same = rt.degree(g) >= 1 and rt.count_roots(rt.sturm_chain(g), lo, hi) >= 1
+    if same:
+        a.lo, a.hi, b.lo, b.hi = lo, hi, lo, hi
+    return same
 
 
-def _resolve_pair(e1, e2):
-    """Merge the two events if they hold the same root, else shrink them.
+def _compare(a, b):
+    """Exact order of two roots (-1, 0 or 1), halving only the wider bracket."""
+    if a is b or a.lo == a.hi == b.lo == b.hi:
+        return 0
+    if a.hi > b.lo and b.hi > a.lo and _same_root(a, b):
+        return 0
+    while a.hi > b.lo and b.hi > a.lo:
+        (a if a.hi - a.lo >= b.hi - b.lo else b).halve()
+    return -1 if a.hi <= b.lo else 1
 
-    Returns the merged event, or None if both remain (now or eventually
-    disjoint; caller re-scans).
+
+def _negative_set(q):
+    """The open set {rho in [0,1]: q(rho) < 0} as (left, right) root pairs.
+
+    q(1) > 0, so every interval ends at a root in (0,1); the first may start
+    at 0, and then also covers 0 itself exactly when q(0) < 0.  A root where q
+    touches 0 from below separates two intervals, as it is a tie.
     """
-    if e1.kind == "exact" and e2.kind == "exact":
-        if e1.value == e2.value:
-            e1.members |= e2.members
-            return e1
-        return None
-    if e1.kind == "exact" or e2.kind == "exact":
-        ex, iv = (e1, e2) if e1.kind == "exact" else (e2, e1)
-        if rt.sign_at(iv.refpoly, ex.value) == 0:
-            ex.members |= iv.members
-            return ex
-        while iv.kind == "interval" and iv.lo < ex.value < iv.hi:
-            iv.halve()
-        return None
-    g = rt.poly_gcd(e1.refpoly, e2.refpoly)
-    lo, hi = max(e1.lo, e2.lo), min(e1.hi, e2.hi)
-    if rt.degree(g) >= 1 and rt.count_roots(rt.sturm_chain(g), lo, hi) >= 1:
-        merged = _Event(e1.members | e2.members, "interval", lo=lo, hi=hi, refpoly=g)
-        return merged
-    e1.halve()
-    e2.halve()
-    return None
+    j = next(i for i, c in enumerate(q) if c)
+    core = q[j:]  # same sign as q on (0,1], and core(0) != 0
+    sf = rt.square_free_part(core)
+    out = []
+    left = _Root(None, ("exact", Fraction(0)))
+    for entry in rt.isolate_roots(sf, Fraction(0), Fraction(1)):
+        right = _Root(sf, entry)
+        gap = (left.hi + right.lo) / 2 if left.hi < right.lo else left.hi
+        if rt.sign_at(core, gap) < 0:
+            out.append((left, right))
+        left = right
+    return out
 
 
-def _merge_events(events):
-    while True:
-        events.sort(key=lambda e: e.left())
-        for i in range(len(events) - 1):
-            a, b = events[i], events[i + 1]
-            if _strictly_overlaps(a, b):
-                merged = _resolve_pair(a, b)
-                if merged is not None:
-                    events[i : i + 2] = [merged]
-                break
-        else:
-            return events
+def _region(n, polys, epsilon):
+    """SP region of an n-variable function, and the negative set of each of
+    its distinct point polynomials.
 
-
-def _event_endpoint(event, epsilon):
-    if event.kind == "exact":
-        return Endpoint("exact", value=event.value)
-    refined = rt.refine_root(
-        event.refpoly, ("interval", event.lo, event.hi), epsilon
+    The region is [0,1] minus the union of the negative sets.  One pass over
+    the negative intervals, sorted by left end, emits the closed gaps between
+    them; a left end equal to the reach so far leaves the single point [r, r].
+    """
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise InvalidArgument("epsilon must be positive")
+    if any(sum(q) != 1 << n for q, _ in polys):
+        raise AssertionError("point polynomial must equal 2^n at rho=1")
+    negative = [_negative_set(q) for q, _ in polys]
+    union = sorted(
+        (iv for ivs in negative for iv in ivs),
+        key=cmp_to_key(lambda s, t: _compare(s[0], t[0])),
     )
-    if refined[0] == "exact":
-        return Endpoint("exact", value=refined[1])
-    return Endpoint("enclosure", lo=refined[1], hi=refined[2])
+    reach = _Root(None, ("exact", Fraction(0)))
+    reach_in = all(q[0] >= 0 for q, _ in polys)
+    intervals = []
+    for left, right in union:
+        order = _compare(left, reach)
+        if order > 0 or (order == 0 and reach_in):
+            lo = reach.endpoint(epsilon)
+            hi = lo if order == 0 else left.endpoint(epsilon)
+            intervals.append(SpInterval(lo, hi, True, True))
+        if order >= 0 or _compare(right, reach) > 0:
+            reach, reach_in = right, True
+    one = Endpoint("exact", value=Fraction(1))
+    intervals.append(SpInterval(reach.endpoint(epsilon), one, True, True))
+    return SpRegion(n, epsilon, tuple(intervals)), negative
 
 
 def sp_region(f, epsilon=DEFAULT_EPSILON):
@@ -266,81 +259,7 @@ def sp_region(f, epsilon=DEFAULT_EPSILON):
     enclosures of width <= epsilon.  Degenerate single-point components
     (e.g. {0} for every balanced function) are reported as [x, x].
     """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise InvalidArgument("epsilon must be positive")
-    polys = _distinct_point_polys(f)
-    size_val = 1 << f.n
-    events = []
-    for pi, (q, _) in enumerate(polys):
-        if rt.evaluate(q, Fraction(1)) != size_val:
-            raise AssertionError("point polynomial must equal 2^n at rho=1")
-        j = next(i for i, c in enumerate(q) if c)
-        sf = rt.square_free_part(q[j:])
-        for root in rt.isolate_roots(sf, Fraction(0), Fraction(1)):
-            if root[0] == "exact":
-                events.append(_Event({pi}, "exact", value=root[1]))
-                continue
-            ev = _Event({pi}, "interval", lo=root[1], hi=root[2], refpoly=sf)
-            while ev.kind == "interval" and (ev.lo == 0 or ev.hi == 1):
-                ev.halve()
-            events.append(ev)
-    events = _merge_events(events)
-
-    # gap sample points strictly between consecutive events (and 0 / 1)
-    samples = []
-    prev = Fraction(0)
-    for ev in events:
-        left = ev.left()
-        samples.append((prev + left) / 2 if prev < left else prev)
-        prev = ev.right()
-    samples.append((prev + 1) / 2)
-
-    signs = []
-    for x in samples:
-        col = [rt.sign_at(q, x) for q, _ in polys]
-        if any(s == 0 for s in col):
-            raise AssertionError("gap sample hit a root")
-        signs.append(col)
-
-    gap_sp = [all(s > 0 for s in col) for col in signs]
-    event_sp = [
-        all(s > 0 for pi, s in enumerate(signs[gi]) if pi not in ev.members)
-        for gi, ev in enumerate(events)
-    ]
-    p0_sp = all(q[0] >= 0 for q, _ in polys)
-
-    # item sequence: point 0, gap 0, event 0, gap 1, ..., gap E, point 1
-    items = [("zero", p0_sp)]
-    for gi, ev in enumerate(events):
-        items.append(("gap", gap_sp[gi]))
-        items.append(("event", event_sp[gi], ev))
-    items.append(("gap", gap_sp[len(events)]))
-    items.append(("one", True))
-
-    intervals = []
-    run = []
-    for item in items + [("stop", False)]:
-        if item[1]:
-            run.append(item)
-            continue
-        if run:
-            first, last = run[0], run[-1]
-            if first[0] == "gap" or last[0] == "gap":
-                raise AssertionError("SP region component with open boundary")
-            lo = (
-                Endpoint("exact", value=Fraction(0))
-                if first[0] == "zero"
-                else _event_endpoint(first[2], epsilon)
-            )
-            hi = (
-                Endpoint("exact", value=Fraction(1))
-                if last[0] == "one"
-                else (lo if last is first else _event_endpoint(last[2], epsilon))
-            )
-            intervals.append(SpInterval(lo, hi, True, True))
-            run = []
-    return SpRegion(f.n, epsilon, tuple(intervals))
+    return _region(f.n, _distinct_point_polys(f), epsilon)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +280,13 @@ class SpClassification:
     witnesses: dict = field(default_factory=dict)
 
 
-def _lcsp_check(f):
-    """Lowest-order criterion: the first nonzero q_v coefficient is positive."""
-    rows = _signed_rows(f)
-    nz = rows != 0
-    first_idx = np.argmax(nz, axis=1)
-    first = rows[np.arange(len(rows)), first_idx]
-    bad = np.flatnonzero(first < 0)
-    return (len(bad) == 0), (int(bad[0]) if len(bad) else None)
+def _lcsp_check(polys):
+    """Lowest-order criterion: the first nonzero q_v coefficient is positive.
+
+    Returns (ok, least failing point or None).
+    """
+    bad = [rep for q, rep in polys if next(c for c in q if c) < 0]
+    return not bad, min(bad, default=None)
 
 
 def _wst_sst_check(f, lev):
@@ -388,19 +306,20 @@ def _wst_sst_check(f, lev):
 def classify(f, epsilon=DEFAULT_EPSILON):
     """Full SP taxonomy of f.
 
-    usp is decided per point polynomial (no region construction); the region
-    is computed independently and also returned.  monotonically_sp means the
-    region, ignoring the degenerate {0} component every balanced function
-    has, is a single interval reaching 1; rho0 is then its left endpoint.
+    The distinct point polynomials are built once.  One sweep over their
+    negative sets gives the region and usp (no polynomial is ever negative;
+    the witness is the representative of the first one that is), and lcsp
+    reads their lowest coefficients.  monotonically_sp means the region,
+    ignoring the degenerate {0} component every balanced function has, is a
+    single interval reaching 1; rho0 is then its left endpoint.
     """
+    polys = _distinct_point_polys(f)
+    region, negative = _region(f.n, polys, epsilon)
     witnesses = {}
-    usp = True
-    for q, rep in _distinct_point_polys(f):
-        if not _nonneg_on_01(q):
-            usp = False
-            witnesses["usp"] = rep
-            break
-    lcsp, lcsp_witness = _lcsp_check(f)
+    failing = next((rep for (_, rep), ivs in zip(polys, negative) if ivs), None)
+    if failing is not None:
+        witnesses["usp"] = failing
+    lcsp, lcsp_witness = _lcsp_check(polys)
     if lcsp_witness is not None:
         witnesses["lcsp"] = lcsp_witness
     lev = spectral_summary(f).level
@@ -409,7 +328,6 @@ def classify(f, epsilon=DEFAULT_EPSILON):
         witnesses["wst"] = wst_witness
     if zero_witness is not None:
         witnesses["lev_zero"] = zero_witness
-    region = sp_region(f, epsilon)
     solid = [
         iv
         for iv in region.intervals
@@ -420,7 +338,8 @@ def classify(f, epsilon=DEFAULT_EPSILON):
     )
     rho0 = solid[0].lo if monotone_sp else None
     return SpClassification(
-        usp, lcsp, wst, sst, monotone_sp, rho0, lev, zero_count, region, witnesses
+        failing is None, lcsp, wst, sst, monotone_sp, rho0, lev, zero_count, region,
+        witnesses,
     )
 
 
@@ -436,15 +355,13 @@ class SufficientThresholds:
 
 
 def _isolated_single_root(poly, epsilon):
-    roots = rt.isolate_roots(poly, Fraction(0), Fraction(1))
+    sf = rt.square_free_part(poly)
+    roots = rt.isolate_roots(sf, Fraction(0), Fraction(1))
     if not roots:
         return Endpoint("exact", value=Fraction(0))
     if len(roots) != 1:
         raise AssertionError("threshold polynomial must have a single root")
-    refined = rt.refine_root(rt.square_free_part(poly), roots[0], epsilon)
-    if refined[0] == "exact":
-        return Endpoint("exact", value=refined[1])
-    return Endpoint("enclosure", lo=refined[1], hi=refined[2])
+    return _endpoint(rt.refine_root(sf, roots[0], epsilon))
 
 
 def sufficient_thresholds(f, epsilon=DEFAULT_EPSILON):
@@ -658,7 +575,7 @@ def chow_gap_bound(f, g):
     wst, sst, *_ = _wst_sst_check(f, sf.level)
     if not (wst and sst):
         failures.append("f is not SST")
-    if not _lcsp_check(g)[0]:
+    if not _lcsp_check(_distinct_point_polys(g))[0]:
         failures.append("g is not LCSP")
     if any(x == 0 for x in influences(f)):
         failures.append("f does not depend on all variables")

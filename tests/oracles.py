@@ -1,11 +1,15 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is written the slow, obvious way (O(4^n) loops over the
-cube, exact Fractions) so the fast package code has something honest to be
-checked against.  No imports from boolsp beyond plain truth tables.
+cube, exact Fractions, sympy for polynomial sign questions) so the fast
+package code has something honest to be checked against.  No imports from
+boolsp beyond plain truth tables.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+
+import sympy
 
 
 def hamming(u, v):
@@ -90,3 +94,39 @@ def region_membership(region, x):
         if lo_hi < x < hi_lo:
             return True
     return False
+
+
+def point_polynomials(values, n):
+    """Coefficients (c_0..c_n) of f(v) * T_rho f(v) as a polynomial in rho,
+    one list per point v, from the correlation-sum Fourier coefficients."""
+    fhat = fourier(values, n)
+    out = []
+    for v in range(1 << n):
+        coeffs = [Fraction(0)] * (n + 1)
+        for m, c in enumerate(fhat):
+            chi = -1 if bin(v & m).count("1") % 2 else 1
+            coeffs[bin(m).count("1")] += chi * c
+        out.append([values[v] * c for c in coeffs])
+    return out
+
+
+@lru_cache(maxsize=None)
+def negative_on_01(coeffs):
+    """Is sum c_k rho^k negative somewhere on [0,1]?  Decided by sympy.
+
+    The polynomial must be positive at 1.  It is then negative somewhere on
+    [0,1] exactly when it is negative at 0 or changes sign inside (0,1), at a
+    real root of odd multiplicity.
+    """
+    x = sympy.Symbol("x")
+    p = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x)
+    if not p.eval(1) > 0:
+        raise ValueError("polynomial must be positive at 1")
+    if p.eval(0) < 0:
+        return True
+    return any(
+        0 < r < 1
+        for factor, mult in p.sqf_list()[1]
+        if mult % 2
+        for r in factor.real_roots()
+    )

@@ -348,6 +348,14 @@ def test_census_cap(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["census", "graph"])
+def test_whole_space_huge_rho_denominator(capsys, command):
+    # 3^20: the level weights overflow int64 before the scan's own bound
+    code, out, err = run(capsys, command, "--n", "4", "--rho", "1/3486784401")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # orbit / graph
 

