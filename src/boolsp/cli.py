@@ -62,7 +62,7 @@ def _parse_rational(text, what):
 def _parse_epsilon(text):
     try:
         eps = Fraction(text) if "/" in text else Fraction(Decimal(text))
-    except (ValueError, InvalidOperation, ZeroDivisionError):
+    except (ValueError, InvalidOperation, ZeroDivisionError, OverflowError):
         raise InvalidArgument(f"bad epsilon {text!r}") from None
     if not 0 < eps < 1:
         raise InvalidArgument("epsilon must lie in (0, 1)")

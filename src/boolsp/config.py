@@ -13,6 +13,12 @@ ENV_CAP_N = "BOOLSP_CAP_N"
 ENV_THREADS = "BOOLSP_THREADS"
 
 
+def _at_least_one(name, value):
+    if value < 1:
+        raise InvalidArgument(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def _env_int(name, default):
     raw = os.environ.get(name)
     if raw is None:
@@ -21,9 +27,7 @@ def _env_int(name, default):
         value = int(raw)
     except ValueError:
         raise InvalidArgument(f"{name} must be an integer, got {raw!r}")
-    if value < 1:
-        raise InvalidArgument(f"{name} must be >= 1, got {value}")
-    return value
+    return _at_least_one(name, value)
 
 
 def dense_cap(override=None):
@@ -36,7 +40,7 @@ def dense_cap(override=None):
 def thread_count(override=None):
     """Worker threads for the embarrassingly parallel scans (census)."""
     if override is not None:
-        return int(override)
+        return _at_least_one("threads", int(override))
     return _env_int(ENV_THREADS, 1)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .config import thread_count
 from .errors import InvalidArgument
 from .functions import BooleanFunction, popcounts
-from .noise import check_rho, optimal_predictor
+from .noise import _rho_weights, check_rho, disagreement, optimal_predictor
 
 
 def shell_bias(f, v, d):
@@ -169,10 +169,9 @@ def _all_tables(n, start, stop):
 
 def _scaled_predictor_values(tables, n, rho):
     """Scaled T_rho values (2^n q^n T) for a batch of truth tables."""
-    p, q = rho.numerator, rho.denominator
     h = _hadamard(n)
     pc = popcounts(n)
-    by_level = [p**k * q ** (n - k) for k in range(n + 1)]
+    by_level = _rho_weights(n, rho)
     bound = (1 << n) * max(by_level) * (1 << n) * (1 << n)
     if bound >= 1 << 62:
         raise InvalidArgument("rho denominator too large for the int64 scan")
@@ -182,8 +181,7 @@ def _scaled_predictor_values(tables, n, rho):
 
 
 def _sp_mask(tables, scaled):
-    agree = (scaled == 0) | ((scaled > 0) == (tables > 0))
-    return np.all(agree, axis=1)
+    return ~np.any(disagreement(tables, scaled), axis=1)
 
 
 @dataclass(frozen=True)
@@ -201,6 +199,8 @@ class SpFraction:
 
 def sp_fraction(n, rho, mode="exhaustive", samples=None, seed=None, threads=None):
     rho = check_rho(rho)
+    if n < 0:
+        raise InvalidArgument(f"n must be >= 0, got {n}")
     if mode == "exhaustive":
         if n > 4:
             raise InvalidArgument("exhaustive census is limited to n <= 4")
@@ -225,6 +225,8 @@ def sp_fraction(n, rho, mode="exhaustive", samples=None, seed=None, threads=None
             raise InvalidArgument("sample mode needs a positive sample count")
         if seed is None:
             raise InvalidArgument("sample mode needs a seed for reproducibility")
+        if seed < 0:
+            raise InvalidArgument(f"seed must be >= 0, got {seed}")
         from .sp import is_sp
 
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -287,8 +289,8 @@ class GraphScan:
 def graph_scan(n, rho):
     """Functional graph of the keep-rule predictor over all functions (n <= 4)."""
     rho = check_rho(rho)
-    if n > 4:
-        raise InvalidArgument("graph scan is limited to n <= 4")
+    if not 0 <= n <= 4:
+        raise InvalidArgument("graph scan is limited to 0 <= n <= 4")
     total = 1 << (1 << n)
     tables = _all_tables(n, 0, total)
     scaled = _scaled_predictor_values(tables, n, rho)

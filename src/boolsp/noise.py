@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidArgument
-from .functions import BooleanFunction, popcounts
-from .spectrum import point_matrix, wht
+from .functions import BooleanFunction
+from .spectrum import level_weights, point_matrix
 
 _INT64_SAFE = 1 << 62
 
@@ -34,7 +34,10 @@ def _rho_weights(n, rho):
 
 
 def scaled_t_values(f, rho):
-    """Integer vector 2^n q^n T_rho f over all points (int64 array or int list)."""
+    """Exact integers 2^n q^n T_rho f(v) at all points, as one ndarray.
+
+    The dtype is int64 when the entry bound proves every value fits, else
+    object (Python ints).  The bound is per entry: sum with dtype=object."""
     rho = check_rho(rho)
     mat = point_matrix(f)
     weights = _rho_weights(f.n, rho)
@@ -43,8 +46,12 @@ def scaled_t_values(f, rho):
     )
     if bound < _INT64_SAFE and max(weights) < _INT64_SAFE:
         return mat @ np.array(weights, dtype=np.int64)
-    rows = mat.tolist()
-    return [sum(c * w for c, w in zip(row, weights)) for row in rows]
+    return mat.astype(object) @ np.array(weights, dtype=object)
+
+
+def disagreement(values, scaled):
+    """Mask where scaled = 2^n q^n T_rho f is nonzero with a sign unlike f's."""
+    return (scaled != 0) & ((scaled > 0) != (values > 0))
 
 
 def noise_operator(f, rho):
@@ -81,11 +88,7 @@ def optimal_predictor(f, rho, tie_rule="zero"):
     """sgn T_rho f; ties resolved per tie_rule ("zero" keeps 0, "keep" copies f)."""
     if tie_rule not in ("zero", "keep"):
         raise InvalidArgument(f"unknown tie rule {tie_rule!r}")
-    scaled = scaled_t_values(f, rho)
-    if isinstance(scaled, np.ndarray):
-        signs = np.sign(scaled).astype(np.int8)
-    else:
-        signs = np.array([(v > 0) - (v < 0) for v in scaled], dtype=np.int8)
+    signs = np.sign(scaled_t_values(f, rho)).astype(np.int8)
     if tie_rule == "keep":
         signs = np.where(signs == 0, f.values, signs)
     signs.flags.writeable = False
@@ -101,19 +104,20 @@ class StabilityReport:
     ns_star: Fraction  # (1 - stab_star) / 2
 
 
-def stability_report(f, rho):
+def stability(f, rho):
+    """Stab_rho f = sum_k rho^k W^k, exact, from the level weights alone."""
     rho = check_rho(rho)
-    n = f.n
-    coeffs = wht(f).coeffs
-    pc = popcounts(n)
-    weights = _rho_weights(n, rho)
-    level_sq = [
-        sum(int(c) ** 2 for c in coeffs[pc == k].tolist()) for k in range(n + 1)
-    ]
-    denom = (1 << (2 * n)) * rho.denominator**n
-    stab = Fraction(sum(a * w for a, w in zip(level_sq, weights)), denom)
-    scaled = scaled_t_values(f, rho)
-    stab_star = Fraction(sum(abs(int(v)) for v in scaled), denom)
+    weights = _rho_weights(f.n, rho)
+    total = sum(w4 * w for w4, w in zip(level_weights(f).tolist(), weights))
+    return Fraction(total, (1 << (2 * f.n)) * rho.denominator**f.n)
+
+
+def stability_report(f, rho):
+    """Stab_rho from the level weights; Stab*_rho = E|T_rho f| summed as Python ints."""
+    rho = check_rho(rho)
+    stab = stability(f, rho)
+    total = np.abs(scaled_t_values(f, rho)).sum(dtype=object)
+    stab_star = Fraction(total, (1 << (2 * f.n)) * rho.denominator**f.n)
     return StabilityReport(
         rho, stab, stab_star, (1 - stab) / 2, (1 - stab_star) / 2
     )
@@ -132,16 +136,12 @@ def closeness_to_sp(f, rho, ties_agree=True):
     """
     rho = check_rho(rho)
     scaled = scaled_t_values(f, rho)
-    vals = f.values
-    bad = 0
-    for v, s in zip(vals.tolist(), scaled):
-        s = int(s)
-        if s == 0:
-            bad += 0 if ties_agree else 1
-        elif (s > 0) != (v > 0):
-            bad += 1
-    stab = stability_report(f, rho).stab
-    return ClosenessReport(Fraction(bad, 1 << f.n), 1 - stab)
+    bad = disagreement(f.values, scaled)
+    if not ties_agree:
+        bad |= scaled == 0
+    return ClosenessReport(
+        Fraction(int(np.count_nonzero(bad)), 1 << f.n), 1 - stability(f, rho)
+    )
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,6 @@ def prediction_gain(f, rho):
         raise InvalidArgument("stability is zero (balanced f at rho=0); no ratio")
     lev1 = point_matrix(f)[:, 1]
     l1 = Fraction(int(np.abs(lev1).sum()), 1 << (2 * f.n))
-    w1 = Fraction(
-        int(sum(int(v) ** 2 for v in lev1.tolist())), 1 << (3 * f.n)
-    )  # Parseval on the level-1 part: sum over points of value^2 = 2^n * W1 * 4^n
+    w1 = Fraction(int(level_weights(f)[1]), 1 << (2 * f.n))
     ok = 2 * l1**2 >= w1 and l1**2 <= w1
     return PredictionGain(report.stab_star / report.stab, l1, w1, ok)

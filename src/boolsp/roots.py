@@ -26,13 +26,6 @@ def degree(p):
     return len(p) - 1
 
 
-def evaluate(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def eval_scaled(p, num, den):
     """den^deg(p) * p(num/den): an integer sharing p(num/den)'s sign (den > 0)."""
     if not p:

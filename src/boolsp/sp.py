@@ -31,11 +31,12 @@ from .functions import (
     popcounts,
     properties,
 )
-from .noise import check_rho, scaled_t_values, stability_report
+from .noise import _rho_weights, check_rho, disagreement, scaled_t_values, stability
 from .spectrum import (
     chow_distance,
     influences,
     level_values,
+    level_weights,
     point_matrix,
     spectral_summary,
     wht,
@@ -57,9 +58,8 @@ class PointDecision:
 
 def is_sp_at(f, rho, v):
     rho = check_rho(rho)
-    p, q = rho.numerator, rho.denominator
     row = sp_polynomial(f, v)
-    val = sum(c * p**k * q ** (f.n - k) for k, c in enumerate(row))
+    val = sum(c * w for c, w in zip(row, _rho_weights(f.n, rho)))
     if val == 0:
         return PointDecision(True, True)
     return PointDecision((val > 0) == (f.value_at(v) > 0), False)
@@ -83,17 +83,9 @@ def is_sp(f, rho, fast_path=False):
             if not is_sp_at(f, rho, v).sp:
                 return SpDecision(False, v)
         return SpDecision(True, None)
-    scaled = scaled_t_values(f, rho)
-    vals = f.values
-    if isinstance(scaled, np.ndarray):
-        bad = (scaled != 0) & ((scaled > 0) != (vals > 0))
-        idx = np.flatnonzero(bad)
-        if len(idx):
-            return SpDecision(False, int(idx[0]))
-        return SpDecision(True, None)
-    for v, s in enumerate(scaled):
-        if s != 0 and (s > 0) != (vals[v] > 0):
-            return SpDecision(False, v)
+    idx = np.flatnonzero(disagreement(f.values, scaled_t_values(f, rho)))
+    if len(idx):
+        return SpDecision(False, int(idx[0]))
     return SpDecision(True, None)
 
 
@@ -322,7 +314,7 @@ def classify(f, epsilon=DEFAULT_EPSILON):
     lcsp, lcsp_witness = _lcsp_check(polys)
     if lcsp_witness is not None:
         witnesses["lcsp"] = lcsp_witness
-    lev = spectral_summary(f).level
+    lev = int(np.flatnonzero(level_weights(f))[0])
     wst, sst, wst_witness, zero_witness, zero_count = _wst_sst_check(f, lev)
     if wst_witness is not None:
         witnesses["wst"] = wst_witness
@@ -422,19 +414,14 @@ class NecessaryChecks:
 
 def necessary_checks(f, rho):
     rho = check_rho(rho)
-    stab = stability_report(f, rho).stab
-    coeffs = wht(f).coeffs
-    pc = popcounts(f.n)
-    max_term = Fraction(0)
-    for k in range(f.n + 1):
-        level = coeffs[pc == k]
-        peak = int(np.abs(level).max(initial=0))
-        if peak:
-            max_term = max(max_term, rho**k * Fraction(peak, 1 << f.n))
+    stab = stability(f, rho)
+    peaks = np.zeros(f.n + 1, dtype=np.int64)
+    np.maximum.at(peaks, popcounts(f.n), np.abs(wht(f).coeffs))
+    max_term = max(rho**k * Fraction(m, 1 << f.n) for k, m in enumerate(peaks.tolist()))
     basic_ok = stab >= max_term
 
-    d = spectral_summary(f).degree
-    stab2 = stability_report(f, rho * rho).stab
+    d = int(np.flatnonzero(peaks).max())
+    stab2 = stability(f, rho * rho)
     if d == 0:
         lo = hi = Fraction(1)
     else:

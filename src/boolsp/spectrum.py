@@ -80,6 +80,14 @@ def point_matrix(f):
     return mat
 
 
+def level_weights(f):
+    """4^n * W^k for k = 0..n as an int64 vector (the k-th entry sums coeffs^2
+    over level k; Parseval makes the total exactly 4^n)."""
+    out = np.zeros(f.n + 1, dtype=np.int64)
+    np.add.at(out, popcounts(f.n), wht(f).coeffs ** 2)
+    return out
+
+
 @dataclass(frozen=True)
 class SpectralSummary:
     weights: tuple  # Fractions W^0..W^n, sum 1
@@ -96,12 +104,8 @@ def spectral_summary(f):
 
     spec = wht(f)
     coeffs = spec.coeffs
-    pc = popcounts(f.n)
     denom_sq = 1 << (2 * f.n)
-    weights = tuple(
-        Fraction(sum(int(c) ** 2 for c in coeffs[pc == k]), denom_sq)
-        for k in range(f.n + 1)
-    )
+    weights = tuple(Fraction(w, denom_sq) for w in level_weights(f).tolist())
     nonzero_levels = [k for k in range(f.n + 1) if weights[k]]
     degree = max(nonzero_levels)
     level = min(nonzero_levels)

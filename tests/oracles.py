@@ -12,6 +12,14 @@ from functools import lru_cache
 import sympy
 
 
+def evaluate(p, x):
+    """p(x) for a coefficient tuple p (lowest power first), by Fraction Horner."""
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
 def hamming(u, v):
     return bin(u ^ v).count("1")
 

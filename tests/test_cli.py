@@ -356,6 +356,31 @@ def test_whole_space_huge_rho_denominator(capsys, command):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("region", "--fn", "FN", "--epsilon", "inf"),
+        ("census", "--n", "-1", "--rho", "1/2"),
+        ("graph", "--n", "-2", "--rho", "1/2"),
+        ("census", "--n", "2", "--rho", "1/2", "--mode", "sample",
+         "--samples", "4", "--seed", "-1"),
+        ("census", "--n", "2", "--rho", "1/2", "--threads", "0"),
+        ("census", "--n", "2", "--rho", "1/2", "--threads", "-3"),
+    ],
+)
+def test_bad_arguments_exit_cleanly(capsys, maj3, argv):
+    code, out, err = run(capsys, *(maj3 if a == "FN" else a for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["census", "graph"])
+def test_whole_space_n0_runs(capsys, command):
+    code, out, err = run(capsys, command, "--n", "0", "--rho", "1/2")
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]
+
+
 # ---------------------------------------------------------------------------
 # orbit / graph
 

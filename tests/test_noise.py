@@ -20,6 +20,8 @@ from boolsp import (
     properties,
     stability_report,
 )
+from boolsp.noise import scaled_t_values
+from boolsp.sp import SpDecision
 
 import oracles
 
@@ -74,6 +76,46 @@ def test_big_denominator_falls_back_to_exact():
     rho = Fraction(999999999999, 10**13)
     vals = noise_operator(f, rho)
     assert vals[0] == oracles.t_rho(oracles.table(f), 5, rho)[0]
+
+
+# q^n > 2^62 for every n >= 2 here, so scaled_t_values takes the object path
+BIG_DENOMINATOR_RHOS = [Fraction(999999999999, 10**13), Fraction(1, 3**40)]
+
+
+def test_object_path_consumers_match_oracles():
+    rng = random.Random(31)
+    fns = [random_fn(rng, n) for n in (2, 3, 4, 5, 5)]
+    fns.append(construct_named("majority", 5))
+    for f in fns:
+        n, tab = f.n, oracles.table(f)
+        for rho in BIG_DENOMINATOR_RHOS:
+            assert scaled_t_values(f, rho).dtype == object
+            ts = oracles.t_rho(tab, n, rho)
+            signs = [(t > 0) - (t < 0) for t in ts]
+            assert optimal_predictor(f, rho).values.tolist() == signs
+            keep = [s or v for s, v in zip(signs, tab)]
+            assert optimal_predictor(f, rho, tie_rule="keep").values.tolist() == keep
+            bad = [v for v, (s, x) in enumerate(zip(signs, tab)) if s and s != x]
+            assert is_sp(f, rho) == SpDecision(not bad, bad[0] if bad else None)
+            stab = oracles.stability(tab, n, rho)
+            ties = signs.count(0)
+            for ties_agree, extra in ((True, 0), (False, ties)):
+                rep = closeness_to_sp(f, rho, ties_agree=ties_agree)
+                assert rep.distance == Fraction(len(bad) + extra, 1 << n)
+                assert rep.bound == 1 - stab
+            rep = stability_report(f, rho)
+            assert rep.stab == stab
+            assert rep.stab_star == sum(abs(t) for t in ts) / (1 << n)
+
+
+def test_stab_star_sums_beyond_int64():
+    # every entry 16 * 16385^4 fits int64, their sum over 16 points does not
+    f = construct_named("character", 4, coords=[])
+    rho = Fraction(1, 16385)
+    assert scaled_t_values(f, rho).dtype == np.int64
+    rep = stability_report(f, rho)
+    assert rep.stab_star == 1
+    assert rep.stab == 1
 
 
 def test_predictor_tie_rules():
