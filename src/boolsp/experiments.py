@@ -201,11 +201,11 @@ def sp_fraction(n, rho, mode="exhaustive", samples=None, seed=None, threads=None
     rho = check_rho(rho)
     if n < 0:
         raise InvalidArgument(f"n must be >= 0, got {n}")
+    workers = thread_count(threads)  # validated in both modes
     if mode == "exhaustive":
         if n > 4:
             raise InvalidArgument("exhaustive census is limited to n <= 4")
         total = 1 << (1 << n)
-        workers = thread_count(threads)
         chunk = max(1024, total // (workers * 8) or total)
         spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
 
@@ -221,6 +221,8 @@ def sp_fraction(n, rho, mode="exhaustive", samples=None, seed=None, threads=None
         frac = Fraction(sp_count, total)
         return SpFraction(n, rho, mode, total, sp_count, frac, float(frac), 0.0, None)
     if mode == "sample":
+        if n < 1:
+            raise InvalidArgument(f"sample mode needs n >= 1, got {n}")
         if not samples or samples < 1:
             raise InvalidArgument("sample mode needs a positive sample count")
         if seed is None:

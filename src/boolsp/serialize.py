@@ -66,7 +66,7 @@ def parse_rational(obj, what="rational"):
 
 def function_to_json(f):
     digits = max(1, (1 << f.n) // 4)
-    hexstr = "".join(f"{(f.bits >> (4 * k)) & 0xF:x}" for k in range(digits))
+    hexstr = f"{f.bits:0{digits}x}"[::-1]  # digit k holds bits 4k..4k+3
     return {"format": FN_FORMAT, "n": f.n, "table_hex": hexstr}
 
 
@@ -165,7 +165,7 @@ def spectrum_to_json(spec):
     return {
         "format": SPECTRUM_FORMAT,
         "n": spec.n,
-        "scaled_coeffs": [int(c) for c in spec.coeffs],
+        "scaled_coeffs": spec.coeffs.tolist(),
     }
 
 

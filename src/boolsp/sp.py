@@ -23,7 +23,7 @@ from math import comb, factorial, log, sqrt
 import numpy as np
 
 from . import roots as rt
-from .errors import InvalidArgument, PreconditionError
+from .errors import CapacityError, InvalidArgument, PreconditionError
 from .functions import (
     LtfSpec,
     construct_ltf,
@@ -33,12 +33,12 @@ from .functions import (
 )
 from .noise import _rho_weights, check_rho, disagreement, scaled_t_values, stability
 from .spectrum import (
+    _level1_gap,
     chow_distance,
     influences,
     level_values,
     level_weights,
     point_matrix,
-    spectral_summary,
     wht,
 )
 
@@ -91,13 +91,43 @@ def is_sp(f, rho, fast_path=False):
 
 def _distinct_point_polys(f):
     """Deduplicated signed point polynomials f(v) * C[v,:], each with its least
-    point v as representative, in np.unique order."""
-    rows = point_matrix(f) * f.values.astype(np.int64)[:, None]
-    uniq, reps = np.unique(rows, axis=0, return_index=True)
-    out = []
-    for row, rep in zip(uniq.tolist(), reps.tolist()):
-        out.append((rt.trim(tuple(int(c) for c in row)), int(rep)))
-    return out
+    point v as representative, in np.unique(rows, axis=0) order.
+
+    The (2^n, n+1) point matrix is never built.  An exact partition
+    refinement runs over the levels k = 0..n: every point carries the int64
+    label of its class so far, and level k splits the classes by the signed
+    column col = f * (level-k values) through the key
+    label * span + (col - min col), with span = max col - min col + 1.  The
+    key is injective on (label, col) pairs, so after the last level two points
+    share a class exactly when their whole signed rows agree; no hashing, no
+    collisions.  np.unique of the keys gives the new labels (inverse) and the
+    least point of each class (index).  Key order is (label, col) order, so by
+    induction the labels follow the lexicographic order of the rows read so
+    far, and the final classes come out in np.unique(axis=0) order.  Only the
+    representatives' rows are kept, extended by one column per level.
+
+    The key is exact while count * span < 2^63, count being the number of
+    classes so far; this is checked in Python ints and raises CapacityError
+    otherwise.  By Cauchy-Schwarz and Parseval |col| <= 2^n sqrt(C(n,k)), so
+    count * span < 2^24 * 2^37 for n <= 24 (the default cap).
+    """
+    signs = f.values.astype(np.int64)
+    labels = np.zeros(len(signs), dtype=np.int64)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for k in range(f.n + 1):
+        col = level_values(f, k) * signs
+        low = int(col.min())
+        span = int(col.max()) - low + 1
+        if len(rows) * span >= 1 << 63:
+            raise CapacityError(
+                f"level {k} of n={f.n}: point polynomial keys would overflow int64"
+            )
+        _, reps, inverse = np.unique(
+            labels * span + (col - low), return_index=True, return_inverse=True
+        )
+        rows = np.column_stack([rows[labels[reps]], col[reps]])
+        labels = inverse
+    return [(rt.trim(tuple(row)), rep) for row, rep in zip(rows.tolist(), reps.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +397,14 @@ def sufficient_thresholds(f, epsilon=DEFAULT_EPSILON):
         else _isolated_single_root(noflip_poly, epsilon)
     )
 
-    summary = spectral_summary(f)
-    if summary.degree == 0:
+    coeffs = wht(f).coeffs
+    d = int(np.flatnonzero(level_weights(f)).max())
+    if d == 0:
         degree_bound = Fraction(0)
     else:
-        d = summary.degree
-        degree_bound = 1 - 1 / (d * min(Fraction(d), summary.spectral_norm))
+        spectral_norm = Fraction(int(np.abs(coeffs).sum()), 1 << n)
+        degree_bound = 1 - 1 / (d * min(Fraction(d), spectral_norm))
 
-    coeffs = wht(f).coeffs
     pc = popcounts(n)
     support_counts = [int(np.count_nonzero(coeffs[pc == k])) for k in range(n + 1)]
     s = sum(support_counts)
@@ -476,7 +506,7 @@ def ltf_approximation(f):
     m = sum(1 for c in w if c)
     if m == 0:
         raise InvalidArgument("level-1 spectrum vanishes; no LTF direction")
-    lev1 = point_matrix(f)[:, 1]
+    lev1 = level_values(f, 1)
     zero_set = np.flatnonzero(lev1 == 0)
     # perturbation: restricted Chow fit on the zero set, plus an offset shift
     d = [0] * f.n
@@ -554,12 +584,11 @@ def chow_gap_bound(f, g):
     SST, g LCSP, both fully dependent, Gap[f] > 0.
     """
     failures = []
-    sf, sg = spectral_summary(f), spectral_summary(g)
     if not properties(f).balanced:
         failures.append("f is not balanced")
     if not properties(g).balanced:
         failures.append("g is not balanced")
-    wst, sst, *_ = _wst_sst_check(f, sf.level)
+    wst, sst, *_ = _wst_sst_check(f, int(np.flatnonzero(level_weights(f))[0]))
     if not (wst and sst):
         failures.append("f is not SST")
     if not _lcsp_check(_distinct_point_polys(g))[0]:
@@ -568,11 +597,12 @@ def chow_gap_bound(f, g):
         failures.append("f does not depend on all variables")
     if any(x == 0 for x in influences(g)):
         failures.append("g does not depend on all variables")
-    if sf.gap == 0:
+    gap = _level1_gap(f)
+    if gap == 0:
         failures.append("Gap[f] is zero")
     if failures:
         raise PreconditionError("; ".join(failures))
     d2 = chow_distance(f, g)
     distance = Fraction(int(np.count_nonzero(f.values != g.values)), 1 << f.n)
-    bound = d2 / (2 * sf.gap)
-    return ChowGapBound(distance, d2, sf.gap, bound, distance <= bound)
+    bound = d2 / (2 * gap)
+    return ChowGapBound(distance, d2, gap, bound, distance <= bound)

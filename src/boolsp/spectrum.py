@@ -58,14 +58,15 @@ def function_from_scaled(n, coeffs):
     return BooleanFunction.from_values((vals // size).astype(np.int8))
 
 
-@lru_cache(maxsize=128)
 def level_values(f, k):
-    """2^n times the level-k part of f evaluated at every point (int64)."""
-    spec = wht(f)
-    keep = np.where(popcounts(f.n) == k, spec.coeffs, 0)
-    vals = _butterfly(keep.astype(np.int64))
-    vals.flags.writeable = False
-    return vals
+    """2^n times the level-k part of f evaluated at every point (int64).
+
+    Uncached: one butterfly over the level-k coefficients, returning a fresh
+    array the caller owns.  point_matrix, which stacks all levels, is the
+    cached form.
+    """
+    keep = np.where(popcounts(f.n) == k, wht(f).coeffs, 0)
+    return _butterfly(keep)
 
 
 @lru_cache(maxsize=64)
@@ -111,13 +112,18 @@ def spectral_summary(f):
     level = min(nonzero_levels)
     spectral_norm = Fraction(int(np.abs(coeffs).sum()), 1 << f.n)
     chow = (spec.fraction(0),) + tuple(spec.fraction(1 << i) for i in range(f.n))
-    lev1 = level_values(f, 1)
-    positive = lev1[lev1 > 0]
-    gap = Fraction(int(positive.min()), 1 << f.n) if len(positive) else Fraction(0)
     influences = chow[1:] if properties(f).monotone else None
     return SpectralSummary(
-        weights, degree, level, spectral_norm, chow, gap, influences
+        weights, degree, level, spectral_norm, chow, _level1_gap(f), influences
     )
+
+
+def _level1_gap(f):
+    """Gap[f]: least positive value of sum_i fhat_i x_i over the cube, 0 when
+    that level-1 form is never positive."""
+    lev1 = level_values(f, 1)
+    positive = lev1[lev1 > 0]
+    return Fraction(int(positive.min()), 1 << f.n) if len(positive) else Fraction(0)
 
 
 def influences(f):

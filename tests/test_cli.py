@@ -366,6 +366,10 @@ def test_whole_space_huge_rho_denominator(capsys, command):
          "--samples", "4", "--seed", "-1"),
         ("census", "--n", "2", "--rho", "1/2", "--threads", "0"),
         ("census", "--n", "2", "--rho", "1/2", "--threads", "-3"),
+        ("census", "--n", "0", "--mode", "sample", "--samples", "3",
+         "--seed", "1", "--rho", "1/2"),
+        ("census", "--n", "2", "--rho", "1/2", "--mode", "sample",
+         "--samples", "4", "--seed", "1", "--threads", "0"),
     ],
 )
 def test_bad_arguments_exit_cleanly(capsys, maj3, argv):

@@ -2,19 +2,24 @@
 
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolsp import (
     BooleanFunction,
+    CapacityError,
     Endpoint,
     classify,
+    construct_named,
     is_sp,
     negate_inputs,
     random_function,
     sp_region,
 )
-from boolsp.sp import _compare, _negative_set, _region
+from boolsp import sp
+from boolsp.sp import _compare, _distinct_point_polys, _negative_set, _region
 
 import oracles
 
@@ -84,6 +89,53 @@ def test_usp_matches_sympy_oracle_exhaustive_n3():
 
 
 # ---------------------------------------------------------------------------
+# the distinct point polynomials
+
+
+def oracle_distinct_polys(f):
+    """Distinct scaled rows of oracles.point_polynomials in sorted order,
+    trimmed of high zero coefficients, each with its least point."""
+    least = {}
+    for v, coeffs in enumerate(oracles.point_polynomials(oracles.table(f), f.n)):
+        least.setdefault(tuple(int(c * (1 << f.n)) for c in coeffs), v)
+    out = []
+    for row in sorted(least):
+        trimmed = list(row)
+        while trimmed[-1] == 0:
+            trimmed.pop()
+        out.append((tuple(trimmed), least[row]))
+    return out
+
+
+def named_negations():
+    for n in range(3, 8):
+        for name in ("majority", "or", "edic"):
+            if name == "majority" and n % 2 == 0:
+                continue
+            f = construct_named(name, n)
+            rng = np.random.Generator(np.random.PCG64(n))
+            for _ in range(3):
+                yield negate_inputs(f, [int(s) for s in rng.choice((-1, 1), size=n)])
+
+
+def test_distinct_polys_match_oracle_n3_and_named():
+    for f in [BooleanFunction(3, b) for b in range(256)] + list(named_negations()):
+        assert _distinct_point_polys(f) == oracle_distinct_polys(f), (f.n, f.bits)
+
+
+def test_distinct_polys_refuse_keys_beyond_int64(monkeypatch):
+    # signed columns 0, 2^60, ..., 7 * 2^60: level 0 splits the 8 points
+    # apart, and level 1 would need keys up to about 2^66
+    monkeypatch.setattr(
+        sp,
+        "level_values",
+        lambda f, k: np.arange(1 << f.n, dtype=np.int64) * (1 << 60) * f.values,
+    )
+    with pytest.raises(CapacityError):
+        _distinct_point_polys(construct_named("majority", 3))
+
+
+# ---------------------------------------------------------------------------
 # property suites on random n <= 7 functions
 
 
@@ -91,6 +143,12 @@ def test_usp_matches_sympy_oracle_exhaustive_n3():
 def functions(draw, max_n=7):
     n = draw(st.integers(1, max_n))
     return BooleanFunction(n, draw(st.integers(0, (1 << (1 << n)) - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(functions())
+def test_distinct_polys_match_oracle(f):
+    assert _distinct_point_polys(f) == oracle_distinct_polys(f)
 
 
 def permute_inputs(f, perm):

@@ -14,6 +14,7 @@ from boolsp import (
     construct_ltf,
     construct_named,
     construct_ptf,
+    random_function,
     sp_region,
     wht,
 )
@@ -162,6 +163,17 @@ def test_function_hex_round_trip_large_tables():
         assert sum(v << (4 * k) for k, v in enumerate(nibbles)) == bits
         upper = dict(obj, table_hex=obj["table_hex"].upper())
         assert function_from_obj(upper) == f
+
+
+def test_function_hex_matches_per_nibble_reference():
+    def per_nibble(f):
+        digits = max(1, (1 << f.n) // 4)
+        return "".join(f"{(f.bits >> (4 * k)) & 0xF:x}" for k in range(digits))
+
+    small = [BooleanFunction(n, b) for n in (1, 2, 3) for b in range(1 << (1 << n))]
+    rand = [random_function(n, s) for n in range(1, 15) for s in range(3)]
+    for f in small + rand:
+        assert function_to_json(f)["table_hex"] == per_nibble(f), (f.n, f.bits)
 
 
 def test_function_file_stray_bits_rejected():
