@@ -1,9 +1,10 @@
 """Shell biases, bad points, sharp-threshold constants, and whole-space scans.
 
-The n <= 4 scans enumerate every Boolean function at once: truth tables as a
-(2^2^n, 2^n) int8 matrix, one Hadamard matmul for all spectra, a diagonal
-rho-weighting, and a second matmul for all scaled noise-operator values.
-Everything stays in int64 (bounds: |values| <= 2^n * q^n * 2^n).
+The n <= 4 scans enumerate every Boolean function at once: truth tables as
+the columns of a (2^n, 2^2^n) int8 matrix, one butterfly along the points
+for all spectra, and the rho-weighted butterfly of scaled_t_values back
+for all scaled noise-operator values.  Everything stays in int64
+(bounds: |values| <= 2^n * q^n * 2^n).
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -17,6 +18,7 @@ from .config import thread_count
 from .errors import InvalidArgument
 from .functions import BooleanFunction, popcounts
 from .noise import _rho_weights, check_rho, disagreement, optimal_predictor
+from .spectrum import _butterfly, _weighted_transform
 
 
 def shell_bias(f, v, d):
@@ -155,33 +157,25 @@ def threshold_constants(alpha=None, delta=None):
 # whole-space scans (n <= 4)
 
 
-def _hadamard(n):
-    u = np.arange(1 << n, dtype=np.uint32)
-    parity = (np.bitwise_count(u[:, None] & u[None, :]) & 1).astype(np.int64)
-    return 1 - 2 * parity
-
-
 def _all_tables(n, start, stop):
+    """Truth tables of functions start..stop-1 as the columns of a (2^n, B) matrix."""
     ids = np.arange(start, stop, dtype=np.int64)
-    bits = (ids[:, None] >> np.arange(1 << n, dtype=np.int64)[None, :]) & 1
+    bits = (ids[None, :] >> np.arange(1 << n, dtype=np.int64)[:, None]) & 1
     return (2 * bits - 1).astype(np.int8)
 
 
 def _scaled_predictor_values(tables, n, rho):
-    """Scaled T_rho values (2^n q^n T) for a batch of truth tables."""
-    h = _hadamard(n)
-    pc = popcounts(n)
+    """Scaled T_rho values (2^n q^n T) for a batch of truth tables (columns)."""
     by_level = _rho_weights(n, rho)
     bound = (1 << n) * max(by_level) * (1 << n) * (1 << n)
     if bound >= 1 << 62:
         raise InvalidArgument("rho denominator too large for the int64 scan")
-    weights = np.array(by_level, dtype=np.int64)[pc]
-    spectra = tables.astype(np.int64) @ h
-    return (spectra * weights[None, :]) @ h
+    spectra = _butterfly(tables.astype(np.int64))
+    return _weighted_transform(spectra, np.array(by_level, dtype=np.int64))
 
 
 def _sp_mask(tables, scaled):
-    return ~np.any(disagreement(tables, scaled), axis=1)
+    return ~np.any(disagreement(tables, scaled), axis=0)
 
 
 @dataclass(frozen=True)
@@ -261,6 +255,8 @@ class OrbitReport:
 def predictor_orbit(f, rho, max_steps=256):
     """Iterate g -> sgn T_rho g (keep tie rule) until fixpoint/cycle/budget."""
     rho = check_rho(rho)
+    if max_steps < 0:
+        raise InvalidArgument(f"max_steps must be >= 0, got {max_steps}")
     seen = {f: 0}
     seq = [f]
     g = f
@@ -297,8 +293,8 @@ def graph_scan(n, rho):
     tables = _all_tables(n, 0, total)
     scaled = _scaled_predictor_values(tables, n, rho)
     pred = np.where(scaled != 0, np.sign(scaled), tables).astype(np.int8)
-    weights = (1 << np.arange(1 << n, dtype=np.int64))[None, :]
-    succ = ((pred > 0).astype(np.int64) * weights).sum(axis=1)
+    weights = (1 << np.arange(1 << n, dtype=np.int64))[:, None]
+    succ = ((pred > 0).astype(np.int64) * weights).sum(axis=0)
     succ = succ.tolist()
 
     state = [0] * total  # 0 new, 1 on current path, 2 finished

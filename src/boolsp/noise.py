@@ -2,11 +2,11 @@
 
 For correlation rho = p/q the scaled operator values
 
-    int_v = 2^n * q^n * T_rho f(v) = sum_k C[v, k] * p^k * q^(n-k)
+    int_v = 2^n * q^n * T_rho f(v) = sum_S p^|S| q^(n-|S|) * 2^n fhat_S * chi_S(v)
 
-are integers, so sign questions (prediction, SP checks) and the stability
-functionals are decided exactly.  Everything goes through the Fourier
-route; the tests check it against direct O(4^n) summation.
+are integers: one butterfly of the rho-weighted scaled spectrum.  So sign
+questions (prediction, SP checks) and the stability functionals are decided
+exactly; the tests check them against direct O(4^n) summation.
 """
 
 from dataclasses import dataclass
@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidArgument
-from .functions import BooleanFunction
-from .spectrum import level_weights, point_matrix
+from .functions import BooleanFunction, popcounts
+from .spectrum import _weighted_transform, level_values, level_weights, wht
 
 _INT64_SAFE = 1 << 62
 
@@ -36,17 +36,21 @@ def _rho_weights(n, rho):
 def scaled_t_values(f, rho):
     """Exact integers 2^n q^n T_rho f(v) at all points, as one ndarray.
 
-    The dtype is int64 when the entry bound proves every value fits, else
-    object (Python ints).  The bound is per entry: sum with dtype=object."""
+    The dtype is int64 when sum_k w_k * L1_k < 2^62 (and every w_k < 2^62),
+    with w_k = p^k q^(n-k) and L1_k the sum of |2^n fhat_S| over |S| = k;
+    else object (Python ints).  Every entry of every butterfly stage is a
+    signed sum of a subset of the weighted coefficients w_|S| 2^n fhat_S, so
+    this one bound covers all intermediates as well as the result."""
     rho = check_rho(rho)
-    mat = point_matrix(f)
+    coeffs = wht(f).coeffs
     weights = _rho_weights(f.n, rho)
-    bound = sum(
-        int(np.abs(mat[:, k]).max(initial=0)) * w for k, w in enumerate(weights)
+    l1 = np.zeros(f.n + 1, dtype=np.int64)
+    np.add.at(l1, popcounts(f.n), np.abs(coeffs))
+    bound = sum(a * w for a, w in zip(l1.tolist(), weights))
+    dtype = np.int64 if bound < _INT64_SAFE and max(weights) < _INT64_SAFE else object
+    return _weighted_transform(
+        coeffs.astype(dtype, copy=False), np.array(weights, dtype=dtype)
     )
-    if bound < _INT64_SAFE and max(weights) < _INT64_SAFE:
-        return mat @ np.array(weights, dtype=np.int64)
-    return mat.astype(object) @ np.array(weights, dtype=object)
 
 
 def disagreement(values, scaled):
@@ -157,7 +161,7 @@ def prediction_gain(f, rho):
     report = stability_report(f, rho)
     if report.stab == 0:
         raise InvalidArgument("stability is zero (balanced f at rho=0); no ratio")
-    lev1 = point_matrix(f)[:, 1]
+    lev1 = level_values(f, 1)
     l1 = Fraction(int(np.abs(lev1).sum()), 1 << (2 * f.n))
     w1 = Fraction(int(level_weights(f)[1]), 1 << (2 * f.n))
     ok = 2 * l1**2 >= w1 and l1**2 <= w1

@@ -64,6 +64,14 @@ def parse_rational(obj, what="rational"):
     raise InvalidArgument(f"bad {what}: {obj!r}")
 
 
+def _expect(value, kind, what):
+    """value when it is a genuine JSON int or list (kind); int() would truncate
+    2.7 and take True, and a string would pass for a list of digits."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise InvalidArgument(f"{what}: expected {kind.__name__}, got {value!r}")
+
+
 def function_to_json(f):
     digits = max(1, (1 << f.n) // 4)
     hexstr = f"{f.bits:0{digits}x}"[::-1]  # digit k holds bits 4k..4k+3
@@ -71,9 +79,9 @@ def function_to_json(f):
 
 
 def _function_from_json(obj, cap=None):
-    n = obj.get("n")
+    n = _expect(obj.get("n"), int, "bad function file: n")
     hexstr = obj.get("table_hex")
-    if not isinstance(n, int) or n < 1:
+    if n < 1:
         raise InvalidArgument(f"bad function file: n = {n!r}")
     digits = max(1, (1 << n) // 4)
     if not isinstance(hexstr, str) or len(hexstr) != digits:
@@ -95,7 +103,9 @@ def ltf_to_json(spec):
 
 def _ltf_from_json(obj):
     try:
-        return LtfSpec(int(obj["a0"]), tuple(int(c) for c in obj["a"]))
+        a0 = _expect(obj["a0"], int, "bad LTF file: a0")
+        a = _expect(obj["a"], list, "bad LTF file: a")
+        return LtfSpec(a0, tuple(_expect(c, int, "bad LTF file: a") for c in a))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgument(f"bad LTF file: {exc}") from None
 
@@ -110,13 +120,13 @@ def ptf_to_json(spec):
 
 def _ptf_from_json(obj):
     try:
-        n = int(obj["n"])
+        n = _expect(obj["n"], int, "bad PTF file: n")
         terms = []
-        for t in obj["terms"]:
+        for t in _expect(obj["terms"], list, "bad PTF file: terms"):
             mask = 0
-            for i in t["coords"]:
-                mask |= 1 << (int(i) - 1)
-            terms.append((mask, int(t["coeff"])))
+            for i in _expect(t["coords"], list, "bad PTF file: coords"):
+                mask |= 1 << (_expect(i, int, "bad PTF file: coords") - 1)
+            terms.append((mask, _expect(t["coeff"], int, "bad PTF file: coeff")))
         return PtfSpec(n, tuple(terms))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgument(f"bad PTF file: {exc}") from None
@@ -154,7 +164,11 @@ def load_plan(path):
     if not isinstance(obj, dict) or obj.get("format") != PLAN_FORMAT:
         raise InvalidArgument(f"{path} is not a {PLAN_FORMAT} file")
     try:
-        blocks = tuple(tuple(int(i) for i in b) for b in obj["blocks"])
+        what = "bad plan file: blocks"
+        blocks = tuple(
+            tuple(_expect(i, int, what) for i in _expect(b, list, what))
+            for b in _expect(obj["blocks"], list, what)
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgument(f"bad plan file: {exc}") from None
     outer = function_from_obj(obj.get("outer", {}))

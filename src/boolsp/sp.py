@@ -38,7 +38,6 @@ from .spectrum import (
     influences,
     level_values,
     level_weights,
-    point_matrix,
     wht,
 )
 
@@ -46,8 +45,16 @@ DEFAULT_EPSILON = Fraction(1, 10**9)
 
 
 def sp_polynomial(f, v):
-    """Coefficients (c_0..c_n) of 2^n T_rho f(v) as a polynomial in rho."""
-    return tuple(int(c) for c in point_matrix(f)[v])
+    """Coefficients (c_0..c_n) of 2^n T_rho f(v) as a polynomial in rho:
+    c_k sums the scaled coefficients 2^n fhat_S * chi_S(v) over |S| = k."""
+    size = 1 << f.n
+    if not 0 <= v < size:
+        raise InvalidArgument(f"point index must be in 0..{size - 1}, got {v}")
+    # bitwise_count gives uint8, where 1 - 2 * parity would wrap: go signed first
+    parity = (np.bitwise_count(np.arange(size) & v) & 1).astype(np.int64)
+    row = np.zeros(f.n + 1, dtype=np.int64)
+    np.add.at(row, popcounts(f.n), wht(f).coeffs * (1 - 2 * parity))
+    return tuple(row.tolist())
 
 
 @dataclass(frozen=True)
@@ -79,11 +86,9 @@ def is_sp(f, rho, fast_path=False):
     """
     rho = check_rho(rho)
     if fast_path:
-        for v in dominating_boundary_points(f):
-            if not is_sp_at(f, rho, v).sp:
-                return SpDecision(False, v)
-        return SpDecision(True, None)
-    idx = np.flatnonzero(disagreement(f.values, scaled_t_values(f, rho)))
+        points = np.array(dominating_boundary_points(f), dtype=np.int64)
+    bad = disagreement(f.values, scaled_t_values(f, rho))
+    idx = points[bad[points]] if fast_path else np.flatnonzero(bad)
     if len(idx):
         return SpDecision(False, int(idx[0]))
     return SpDecision(True, None)

@@ -17,17 +17,26 @@ from .functions import BooleanFunction, popcounts
 
 
 def _butterfly(arr):
-    """In-place Walsh-Hadamard transform with the (-1)^{popcount(u & m)} kernel."""
+    """In-place Walsh-Hadamard transform along axis 0 with the (-1)^{popcount(u & m)}
+    kernel: of one table (2^n,) or of each column of a contiguous (2^n, B) batch."""
     half = 1
     size = len(arr)
     while half < size:
-        view = arr.reshape(-1, 2, half)
-        low = view[:, 0, :].copy()
-        high = view[:, 1, :]
-        view[:, 0, :] = low + high
-        view[:, 1, :] = low - high
+        view = arr.reshape((-1, 2, half) + arr.shape[1:])
+        low = view[:, 0].copy()
+        high = view[:, 1]
+        view[:, 0] = low + high
+        view[:, 1] = low - high
         half *= 2
     return arr
+
+
+def _weighted_transform(spectra, weights):
+    """sum_S weights[|S|] * spectra[S] * chi_S at every point, along axis 0, in the
+    dtype of spectra * weights.  With scaled spectra 2^n fhat and weights[k] =
+    p^k q^(n-k) this is 2^n q^n T_rho, the one formula noise and the scans use."""
+    w = weights[popcounts(len(weights) - 1)]
+    return _butterfly(spectra * w.reshape(w.shape + (1,) * (spectra.ndim - 1)))
 
 
 @dataclass(frozen=True)
@@ -62,23 +71,11 @@ def level_values(f, k):
     """2^n times the level-k part of f evaluated at every point (int64).
 
     Uncached: one butterfly over the level-k coefficients, returning a fresh
-    array the caller owns.  point_matrix, which stacks all levels, is the
-    cached form.
+    array the caller owns.  Over k = 0..n they are the coefficients of the
+    one-point noise polynomial 2^n * T_rho f(v) = sum_k values_k[v] * rho^k.
     """
     keep = np.where(popcounts(f.n) == k, wht(f).coeffs, 0)
     return _butterfly(keep)
-
-
-@lru_cache(maxsize=64)
-def point_matrix(f):
-    """Matrix C with C[v, k] = 2^n * (level-k part of f)(point v), int64.
-
-    Row v collects the coefficients of the one-point noise polynomial:
-    2^n * T_rho f(v) = sum_k C[v, k] * rho^k.
-    """
-    mat = np.stack([level_values(f, k) for k in range(f.n + 1)], axis=1)
-    mat.flags.writeable = False
-    return mat
 
 
 def level_weights(f):

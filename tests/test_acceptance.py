@@ -34,7 +34,7 @@ from boolsp import (
     threshold_constants,
     wht,
 )
-from boolsp.spectrum import function_from_scaled, point_matrix
+from boolsp.spectrum import function_from_scaled
 from boolsp.noise import closeness_to_sp
 
 import oracles

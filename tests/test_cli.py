@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -50,7 +51,7 @@ def test_region_envelope_shape(capsys, maj3):
     assert obj["tool"] == "boolsp"
     assert obj["command"] == "region"
     assert obj["inputs"] == {
-        maj3: hashlib.sha256(open(maj3, "rb").read()).hexdigest()
+        maj3: hashlib.sha256(Path(maj3).read_bytes()).hexdigest()
     }
     iv = obj["result"]["region"]["intervals"]
     assert len(iv) == 1
@@ -327,7 +328,7 @@ def test_census_checkpoint_resume(capsys, tmp_path):
     ck = str(tmp_path / "ck.json")
     code, out1, _ = run(capsys, "census", "--n", "2", "--grid", "2", "--checkpoint", ck)
     assert code == 0
-    saved = json.loads(open(ck).read())
+    saved = json.loads(Path(ck).read_text())
     assert saved["format"] == "boolsp-census-checkpoint-v1"
     assert set(saved["rows"]) == {"0/1", "1/2", "1/1"}
     # resume: byte-identical output without recomputation
@@ -370,6 +371,7 @@ def test_whole_space_huge_rho_denominator(capsys, command):
          "--seed", "1", "--rho", "1/2"),
         ("census", "--n", "2", "--rho", "1/2", "--mode", "sample",
          "--samples", "4", "--seed", "1", "--threads", "0"),
+        ("orbit", "--fn", "FN", "--rho", "1/2", "--max-steps", "-3"),
     ],
 )
 def test_bad_arguments_exit_cleanly(capsys, maj3, argv):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import comb, isclose, sqrt
 
+import numpy as np
 import pytest
 
 from boolsp import (
@@ -20,7 +21,13 @@ from boolsp import (
     sp_fraction,
     threshold_constants,
 )
-from boolsp.experiments import _binary_divergence, _crossover_level
+from boolsp.experiments import (
+    _all_tables,
+    _binary_divergence,
+    _crossover_level,
+    _scaled_predictor_values,
+)
+from boolsp.noise import scaled_t_values
 
 import oracles
 
@@ -265,8 +272,30 @@ def test_orbit_fixpoint_iff_sp():
             assert is_sp(rep.terminal, rho).sp
 
 
+def test_orbit_budget_must_be_nonnegative():
+    f = construct_named("or", 3)
+    rep = predictor_orbit(f, Fraction(1, 4), max_steps=0)
+    assert rep.status == "budget_exhausted" and rep.trajectory_length == 1
+    with pytest.raises(InvalidArgument):
+        predictor_orbit(f, Fraction(1, 4), max_steps=-3)
+
+
 # ---------------------------------------------------------------------------
 # graph scans
+
+
+def test_batch_values_match_per_function_values():
+    # the census/graph batch runs the same weighted butterfly as scaled_t_values
+    for n in range(1, 4):
+        total = 1 << (1 << n)
+        tables = _all_tables(n, 0, total)
+        for rho in (Fraction(0), Fraction(1, 3), Fraction(3, 8), Fraction(1), Fraction(5, 7)):
+            batch = _scaled_predictor_values(tables, n, rho)
+            assert batch.shape == (1 << n, total) and batch.dtype == np.int64
+            for bits in range(total):
+                f = BooleanFunction(n, bits)
+                assert np.array_equal(tables[:, bits], f.values)
+                assert np.array_equal(batch[:, bits], scaled_t_values(f, rho))
 
 
 def test_graph_scan_n1_all_fixpoints():

@@ -14,11 +14,13 @@ from boolsp import (
     construct_ltf,
     construct_named,
     is_sp,
+    level_values,
     noise_operator,
     optimal_predictor,
     prediction_gain,
     properties,
     stability_report,
+    wht,
 )
 from boolsp.noise import scaled_t_values
 from boolsp.sp import SpDecision
@@ -76,6 +78,43 @@ def test_big_denominator_falls_back_to_exact():
     rho = Fraction(999999999999, 10**13)
     vals = noise_operator(f, rho)
     assert vals[0] == oracles.t_rho(oracles.table(f), 5, rho)[0]
+
+
+def test_scaled_values_are_weighted_level_sums():
+    # 2^n q^n T_rho f = sum_k p^k q^(n-k) * (2^n level-k part of f), in Python ints;
+    # int64 exactly when sum_k w_k * L1_k < 2^62 and every w_k < 2^62
+    rng = random.Random(47)
+    fns = [random_fn(rng, n) for n in range(1, 9) for _ in range(2)]
+    fns.append(construct_named("majority", 5))
+    seen = set()
+    for f in fns:
+        n = f.n
+        levels = [level_values(f, k).tolist() for k in range(n + 1)]
+        coeffs = wht(f).coeffs.tolist()
+        l1 = [sum(abs(c) for m, c in enumerate(coeffs) if m.bit_count() == k) for k in range(n + 1)]
+
+        def weights(rho):
+            return [rho.numerator**k * rho.denominator ** (n - k) for k in range(n + 1)]
+
+        def fits(rho):
+            w = weights(rho)
+            return sum(a * b for a, b in zip(w, l1)) < 2**62 and max(w) < 2**62
+
+        # the last 1/q on the int64 side and the first on the object side
+        lo, hi = 1, 2**62
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fits(Fraction(1, mid)) else (lo, mid)
+        rhos = [Fraction(1, 16), Fraction(3, 8), Fraction(1, 16385), Fraction(1, 3**40),
+                Fraction(1, lo), Fraction(1, hi)]
+        for rho in rhos:
+            w = weights(rho)
+            want = [sum(w[k] * levels[k][v] for k in range(n + 1)) for v in range(1 << n)]
+            got = scaled_t_values(f, rho)
+            assert got.dtype == (np.int64 if fits(rho) else object), (n, rho)
+            assert [int(x) for x in got.tolist()] == want
+            seen.add(got.dtype)
+    assert seen == {np.dtype(np.int64), np.dtype(object)}
 
 
 # q^n > 2^62 for every n >= 2 here, so scaled_t_values takes the object path

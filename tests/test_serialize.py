@@ -176,6 +176,12 @@ def test_function_hex_matches_per_nibble_reference():
         assert function_to_json(f)["table_hex"] == per_nibble(f), (f.n, f.bits)
 
 
+def test_function_file_rejects_bool_n():
+    # True == 1 in Python; it used to run as n=1 and be echoed as "n": true
+    with pytest.raises(InvalidArgument, match="expected int"):
+        function_from_obj({"format": FN_FORMAT, "n": True, "table_hex": "1"})
+
+
 def test_function_file_stray_bits_rejected():
     with pytest.raises(InvalidArgument):
         function_from_obj({"format": FN_FORMAT, "n": 1, "table_hex": "f"})
@@ -211,6 +217,35 @@ def test_ltf_file_validation():
         function_from_obj({"format": PTF_FORMAT, "n": 2, "terms": [{"coeff": 1}]})
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"a0": 0.9, "a": [2.7, 1, 1, 1]},  # int() would truncate to (0, (2,1,1,1))
+        {"a0": 0, "a": "2111"},  # would be read digit by digit
+        {"a0": True, "a": [2, 1, 1, 1]},
+        {"a0": 0, "a": [2, 1, 1, "1"]},
+    ],
+)
+def test_ltf_file_rejects_non_integers(obj):
+    with pytest.raises(InvalidArgument, match="expected"):
+        function_from_obj(dict(obj, format=LTF_FORMAT))
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": 2, "terms": [{"coords": "12", "coeff": 1}]},
+        {"n": 2, "terms": [{"coords": [1, 2], "coeff": 1.5}]},
+        {"n": 2, "terms": [{"coords": [1, 2.0], "coeff": 1}]},
+        {"n": "2", "terms": [{"coords": [1, 2], "coeff": 1}]},
+        {"n": 2, "terms": [{"coords": [1, 2], "coeff": True}]},
+    ],
+)
+def test_ptf_file_rejects_non_integers(obj):
+    with pytest.raises(InvalidArgument, match="expected"):
+        function_from_obj(dict(obj, format=PTF_FORMAT))
+
+
 # ---------------------------------------------------------------------------
 # path loading
 
@@ -234,6 +269,19 @@ def test_load_function_and_plan(tmp_path):
     outer, plan = load_plan(plan_path)
     assert outer == construct_named("or", 2)
     assert plan.blocks == ((1, 3), (2,))
+
+
+@pytest.mark.parametrize("blocks", ["12", [[1, 3.0], [2]], ["13", [2]], [[1, True], [2]]])
+def test_plan_file_rejects_non_integers(tmp_path, blocks):
+    plan_path = tmp_path / "plan.json"
+    obj = {
+        "format": "boolsp-plan-v1",
+        "outer": function_to_json(construct_named("or", 2)),
+        "blocks": blocks,
+    }
+    plan_path.write_text(json.dumps(obj))
+    with pytest.raises(InvalidArgument, match="expected"):
+        load_plan(plan_path)
 
 
 def test_load_json_errors(tmp_path):

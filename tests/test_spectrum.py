@@ -14,10 +14,10 @@ from boolsp import (
     function_from_scaled,
     influences,
     level_values,
+    sp_polynomial,
     spectral_summary,
     wht,
 )
-from boolsp.spectrum import point_matrix
 
 from oracles import fourier
 
@@ -80,13 +80,20 @@ def test_level_values_sum_to_function():
         assert np.array_equal(total, f.values.astype(object) * (1 << n))
 
 
-def test_point_matrix_columns_are_levels():
-    f = construct_named("majority", 3)
-    mat = point_matrix(f)
-    for k in range(4):
-        assert np.array_equal(mat[:, k], level_values(f, k))
-    assert mat[0].tolist() == [0, 12, 0, -4]
-    assert mat[4].tolist() == [0, 4, 0, 4]
+def test_sp_polynomial_rows_are_levels():
+    rng = random.Random(15)
+    fns = [construct_named("majority", 3)]
+    fns += [BooleanFunction.from_values(random_function_list(rng, n)) for n in (1, 2, 4, 5)]
+    for f in fns:
+        levels = [level_values(f, k).tolist() for k in range(f.n + 1)]
+        for v in range(1 << f.n):
+            assert sp_polynomial(f, v) == tuple(col[v] for col in levels)
+    maj = fns[0]
+    assert list(sp_polynomial(maj, 0)) == [0, 12, 0, -4]
+    assert list(sp_polynomial(maj, 4)) == [0, 4, 0, 4]
+    for v in (-1, 8):  # the parity of S & v would silently read another point
+        with pytest.raises(InvalidArgument):
+            sp_polynomial(maj, v)
 
 
 def test_summary_majority3():
