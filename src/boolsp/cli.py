@@ -483,7 +483,8 @@ def _add_function_args(sp):
 def _add_common(sp, formats=("json", "text")):
     sp.add_argument("--format", choices=formats, default="json")
     sp.add_argument("--cap-n", dest="cap_n", type=int, default=None,
-                    help="dense-table cap override (default: BOOLSP_CAP_N or 24)")
+                    help="dense-table cap override, at most 31 "
+                         "(default: BOOLSP_CAP_N or 24)")
 
 
 def _build_parser():

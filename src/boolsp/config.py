@@ -9,6 +9,9 @@ from .errors import CapacityError, InvalidArgument
 
 VERSION = "0.1.0"
 DEFAULT_CAP_N = 24
+# From n = 32 on, the int64 Parseval total 4^n of level_weights wraps and the
+# uint32 point indices of popcounts overflow.
+MAX_CAP_N = 31
 ENV_CAP_N = "BOOLSP_CAP_N"
 ENV_THREADS = "BOOLSP_THREADS"
 
@@ -16,6 +19,12 @@ ENV_THREADS = "BOOLSP_THREADS"
 def _at_least_one(name, value):
     if value < 1:
         raise InvalidArgument(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def _at_most_max_cap(name, value):
+    if value > MAX_CAP_N:
+        raise InvalidArgument(f"{name} must be <= {MAX_CAP_N}, got {value}")
     return value
 
 
@@ -31,10 +40,10 @@ def _env_int(name, default):
 
 
 def dense_cap(override=None):
-    """Largest n for which dense 2^n tables may be materialized."""
+    """Largest n for which dense 2^n tables may be materialized (<= MAX_CAP_N)."""
     if override is not None:
-        return int(override)
-    return _env_int(ENV_CAP_N, DEFAULT_CAP_N)
+        return _at_most_max_cap("cap", int(override))
+    return _at_most_max_cap(ENV_CAP_N, _env_int(ENV_CAP_N, DEFAULT_CAP_N))
 
 
 def thread_count(override=None):

@@ -5,10 +5,10 @@ zeros (the zero polynomial is the empty tuple).  Every sign decision is an
 integer computation: p(a/b) is judged through b^deg(p) * p(a/b).
 
 Provides Sturm chains (via sign-tracked pseudo-remainders, so everything
-stays in Z), square-free parts, root counting, and root
-isolation/refinement on an interval.  Isolation reports each root either
-exactly (a rational hit) or as an open interval with a sign change of the
-square-free part.
+stays in Z), which start with the square-free part, and on an interval root
+counting, isolation and refinement, all from one chain per polynomial.  A
+root is a pair (lo, hi) of Fractions: exact when lo == hi, else an open
+interval over which the square-free part changes sign.
 """
 
 from fractions import Fraction
@@ -124,17 +124,12 @@ def exact_div(a, b):
     return trim(q)
 
 
-def square_free_part(p):
-    p = primitive(p)
-    if degree(p) < 1:
-        return p
-    g = poly_gcd(p, derivative(p))
-    if degree(g) == 0:
-        return p
-    return exact_div(p, g)
-
-
 def sturm_chain(p):
+    """Sturm chain of any nonzero p.  The remainder sequence of p, p' ends in
+    g = gcd(p, p'); dividing every element by g leaves chain[0] = +/- the
+    primitive square-free part of p, and the chain still counts p's distinct
+    real roots (Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry, ch. 2).
+    """
     p0 = primitive(p)
     if not p0:
         raise ValueError("zero polynomial has no Sturm chain")
@@ -148,6 +143,8 @@ def sturm_chain(p):
         if not r:
             break
         chain.append(primitive(r if neg else negate(r)))
+    if degree(chain[-1]) > 0:
+        chain = [exact_div(q, chain[-1]) for q in chain]
     return chain
 
 
@@ -167,17 +164,16 @@ def count_roots(chain, a, b):
     return variations_at(chain, a) - variations_at(chain, b)
 
 
-def isolate_roots(sf, a=Fraction(0), b=Fraction(1)):
-    """Isolate the real roots of the square-free polynomial sf in (a, b).
+def isolate_roots(chain, a=Fraction(0), b=Fraction(1)):
+    """Isolate the distinct real roots of chain[0] in (a, b).
 
-    sf must be square-free (pass square_free_part(p) to isolate the distinct
-    roots of any p).  Returns a sorted list of ("exact", value) and
-    ("interval", lo, hi) entries; intervals carry a sign change of sf and are
-    pairwise disjoint.  Endpoints a, b must not be roots.
+    chain is a sturm_chain, so chain[0] is square-free.  Returns the roots
+    as sorted, pairwise disjoint (lo, hi) pairs.  Endpoints a, b must not be
+    roots.
     """
+    sf = chain[0]
     if degree(sf) < 1:
         return []
-    chain = sturm_chain(sf)
     if sign_at(sf, a) == 0 or sign_at(sf, b) == 0:
         raise ValueError("isolation endpoints must not be roots")
     out = []
@@ -186,7 +182,7 @@ def isolate_roots(sf, a=Fraction(0), b=Fraction(1)):
         if k == 0:
             return
         if k == 1:
-            out.append(("interval", lo, hi))
+            out.append((lo, hi))
             return
         mid = (lo + hi) / 2
         if sign_at(sf, mid) != 0:
@@ -208,31 +204,31 @@ def isolate_roots(sf, a=Fraction(0), b=Fraction(1)):
                 break
             h /= 2
         rec(lo, left, count_roots(chain, lo, left))
-        out.append(("exact", mid))
+        out.append((mid, mid))
         rec(right, hi, count_roots(chain, right, hi))
 
     rec(a, b, count_roots(chain, a, b))
     return out
 
 
-def refine_root(p, root, eps):
-    """Shrink an isolated root to width <= eps (may upgrade it to exact).
+def refine_root(sf, lo, hi, eps):
+    """Shrink the root (lo, hi) of the square-free sf to width <= eps.
 
-    p must be square-free on the interval (a sign change is required).
+    An exact root (lo == hi) comes back as it is; bisection may hit the root
+    and return it exactly.
     """
-    if root[0] == "exact":
-        return root
-    _, lo, hi = root
-    s_lo = sign_at(p, lo)
-    if s_lo == 0 or s_lo == sign_at(p, hi):
+    if lo == hi:
+        return lo, hi
+    s_lo = sign_at(sf, lo)
+    if s_lo == 0 or s_lo == sign_at(sf, hi):
         raise ValueError("refine_root needs a sign change over the interval")
     while hi - lo > eps:
         mid = (lo + hi) / 2
-        sm = sign_at(p, mid)
+        sm = sign_at(sf, mid)
         if sm == 0:
-            return ("exact", mid)
+            return mid, mid
         if sm == s_lo:
             lo = mid
         else:
             hi = mid
-    return ("interval", lo, hi)
+    return lo, hi

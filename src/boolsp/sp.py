@@ -7,10 +7,10 @@ For each point v the scaled noise operator is a polynomial in rho:
 so with q_v(rho) := f(v) * sum_k C[v,k] rho^k the function is rho-SP at v
 exactly when q_v(rho) >= 0 (ties count as agreement) and rho-SP overall when
 all q_v are nonnegative.  The SP region is therefore [0,1] minus the union of
-the open sets {q_v < 0}.  Each distinct q_v's negative set comes from the
-isolated roots of its square-free part and one sign per gap between them;
-since q_v(1) = 2^n > 0 it is a finite union of intervals ending at roots in
-(0,1).  One sweep over all those intervals, sorted by an exact root
+the open sets {q_v < 0}.  Each distinct q_v's negative set comes from its
+distinct roots, isolated with one Sturm chain, and one sign per gap between
+them; since q_v(1) = 2^n > 0 it is a finite union of intervals ending at
+roots in (0,1).  One sweep over all those intervals, sorted by an exact root
 comparator, yields the region as closed intervals.  Everything is decided
 with integer Sturm-chain arithmetic; floats never touch a sign.
 """
@@ -169,45 +169,47 @@ class SpRegion:
     intervals: tuple
 
 
-def _endpoint(entry):
-    """Endpoint of a refine_root entry."""
-    if entry[0] == "exact":
-        return Endpoint("exact", value=entry[1])
-    return Endpoint("enclosure", lo=entry[1], hi=entry[2])
+def _endpoint(lo, hi):
+    """Endpoint of a root pair: exact when lo == hi."""
+    if lo == hi:
+        return Endpoint("exact", value=lo)
+    return Endpoint("enclosure", lo=lo, hi=hi)
 
 
 class _Root:
-    """A root in [0,1): exact when lo == hi, else the only root of the
-    square-free polynomial sf in the open interval (lo, hi)."""
+    """A root in [0,1) in the roots-layer format: exact when lo == hi, else
+    the only root of the square-free sf (a Sturm chain's chain[0]) in the
+    open interval (lo, hi)."""
 
     __slots__ = ("sf", "lo", "hi")
 
-    def __init__(self, sf, entry):
-        self.sf = sf
-        self.lo, self.hi = entry[1], entry[-1]
-
-    def entry(self):
-        if self.lo == self.hi:
-            return ("exact", self.lo)
-        return ("interval", self.lo, self.hi)
+    def __init__(self, sf, lo, hi):
+        self.sf, self.lo, self.hi = sf, lo, hi
 
     def halve(self):
-        refined = rt.refine_root(self.sf, self.entry(), (self.hi - self.lo) / 2)
-        self.lo, self.hi = refined[1], refined[-1]
+        lo, hi = self.lo, self.hi
+        self.lo, self.hi = rt.refine_root(self.sf, lo, hi, (hi - lo) / 2)
 
     def endpoint(self, epsilon):
-        return _endpoint(rt.refine_root(self.sf, self.entry(), epsilon))
+        return _endpoint(*rt.refine_root(self.sf, self.lo, self.hi, epsilon))
 
 
 def _same_root(a, b):
     """Do the overlapping brackets of a and b hold one common root?  If so,
-    both take their intersection, so either gives the endpoint."""
+    both take their intersection, so either gives the endpoint.
+
+    For two open brackets the test is a sign change of g = gcd(a.sf, b.sf)
+    over their intersection (lo, hi), which is exact: g divides both
+    square-free cores, so on (lo, hi), inside one isolating bracket of each,
+    it has at most one root and that root is simple; and lo, hi are bracket
+    endpoints, where the cores and hence g are nonzero.
+    """
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo == hi:  # one is exact, inside the other's bracket
         same = rt.sign_at((a if a.lo < a.hi else b).sf, lo) == 0
     else:
         g = rt.poly_gcd(a.sf, b.sf)
-        same = rt.degree(g) >= 1 and rt.count_roots(rt.sturm_chain(g), lo, hi) >= 1
+        same = rt.sign_at(g, lo) != rt.sign_at(g, hi)
     if same:
         a.lo, a.hi, b.lo, b.hi = lo, hi, lo, hi
     return same
@@ -233,11 +235,11 @@ def _negative_set(q):
     """
     j = next(i for i, c in enumerate(q) if c)
     core = q[j:]  # same sign as q on (0,1], and core(0) != 0
-    sf = rt.square_free_part(core)
+    chain = rt.sturm_chain(core)
     out = []
-    left = _Root(None, ("exact", Fraction(0)))
-    for entry in rt.isolate_roots(sf, Fraction(0), Fraction(1)):
-        right = _Root(sf, entry)
+    left = _Root(None, Fraction(0), Fraction(0))
+    for lo, hi in rt.isolate_roots(chain):
+        right = _Root(chain[0], lo, hi)
         gap = (left.hi + right.lo) / 2 if left.hi < right.lo else left.hi
         if rt.sign_at(core, gap) < 0:
             out.append((left, right))
@@ -263,7 +265,7 @@ def _region(n, polys, epsilon):
         (iv for ivs in negative for iv in ivs),
         key=cmp_to_key(lambda s, t: _compare(s[0], t[0])),
     )
-    reach = _Root(None, ("exact", Fraction(0)))
+    reach = _Root(None, Fraction(0), Fraction(0))
     reach_in = all(q[0] >= 0 for q, _ in polys)
     intervals = []
     for left, right in union:
@@ -382,13 +384,13 @@ class SufficientThresholds:
 
 
 def _isolated_single_root(poly, epsilon):
-    sf = rt.square_free_part(poly)
-    roots = rt.isolate_roots(sf, Fraction(0), Fraction(1))
+    chain = rt.sturm_chain(poly)
+    roots = rt.isolate_roots(chain)
     if not roots:
         return Endpoint("exact", value=Fraction(0))
     if len(roots) != 1:
         raise AssertionError("threshold polynomial must have a single root")
-    return _endpoint(rt.refine_root(sf, roots[0], epsilon))
+    return _endpoint(*rt.refine_root(chain[0], *roots[0], epsilon))
 
 
 def sufficient_thresholds(f, epsilon=DEFAULT_EPSILON):
@@ -551,9 +553,39 @@ def _dot_point(d, v):
 
 @dataclass(frozen=True)
 class LtfRatioCheck:
-    ratio: float  # largest |a_i| over second largest
-    bound: float  # sqrt(2 n ln(2n)) + 1
-    violates: bool  # ratio >= bound (then the LTF cannot be LCSP)
+    ratio: float  # largest |a_i| over second largest (rendering only)
+    bound: float  # sqrt(2 n ln(2n)) + 1 (rendering only)
+    violates: bool  # ratio >= bound, decided exactly (then the LTF cannot be LCSP)
+
+
+def _ln_enclosure(m, terms):
+    """Rational lo < ln(m) < hi for an integer m >= 2.
+
+    ln x = 2 atanh((x-1)/(x+1)) = 2 sum_k y^(2k+1)/(2k+1), summed to terms
+    terms for x = 2 and for x = m/2^e in [1, 2), so y <= 1/3.  The tail after
+    the last term is below 2 y^(2 terms+1) / ((2 terms+1)(1 - y^2)).
+    """
+
+    def two_atanh(x):
+        y = (x - 1) / (x + 1)
+        head = 2 * sum(y ** (2 * k + 1) / (2 * k + 1) for k in range(terms))
+        return head, head + 2 * y ** (2 * terms + 1) / ((2 * terms + 1) * (1 - y * y))
+
+    e = m.bit_length() - 1
+    lo2, hi2 = two_atanh(Fraction(2))
+    lo, hi = two_atanh(Fraction(m, 1 << e))
+    return e * lo2 + lo, e * hi2 + hi
+
+
+def _at_least_ln(x, m):
+    """Is the rational x >= ln(m), for an integer m >= 2?  ln(m) is
+    irrational, so x != ln(m) and refining the enclosure always decides."""
+    terms = 8
+    while True:
+        lo, hi = _ln_enclosure(m, terms)
+        if x >= hi or x <= lo:
+            return x >= hi
+        terms *= 2
 
 
 def ltf_ratio_check(spec, cap=None):
@@ -568,9 +600,11 @@ def ltf_ratio_check(spec, cap=None):
     if dead:
         raise PreconditionError(f"LTF does not depend on coordinates {dead}")
     mags = sorted((abs(c) for c in spec.a), reverse=True)
-    ratio = mags[0] / mags[1]
+    ratio = Fraction(mags[0], mags[1])
+    # ratio >= sqrt(2n ln 2n) + 1  <=>  ratio >= 1 and (ratio-1)^2 >= 2n ln 2n
+    violates = ratio >= 1 and _at_least_ln((ratio - 1) ** 2 / (2 * n), 2 * n)
     bound = sqrt(2 * n * log(2 * n)) + 1
-    return LtfRatioCheck(float(ratio), bound, float(ratio) >= bound)
+    return LtfRatioCheck(float(ratio), bound, violates)
 
 
 @dataclass(frozen=True)

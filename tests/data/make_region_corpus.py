@@ -1,0 +1,61 @@
+"""Write region_corpus.json: exact reprs of the region-layer results.
+
+For every case the corpus stores repr() of sp_region(f),
+sp_region(f, 1/1000), classify(f) and sufficient_thresholds(f).  The cases
+are all 256 tables at n=3, random_function(n, s) for n = 4..7 and s < 4, and
+majority, or and edic for n = 3..9.  tests/test_region_corpus.py recomputes
+every case and compares the strings exactly, so any change to the root or
+region code that alters a single endpoint fails the suite.
+
+Regenerate only when an output change is intended:
+
+    PYTHONPATH=src python tests/data/make_region_corpus.py
+"""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+from boolsp import (
+    BooleanFunction,
+    classify,
+    construct_named,
+    random_function,
+    sp_region,
+    sufficient_thresholds,
+)
+
+CORPUS = Path(__file__).with_name("region_corpus.json")
+
+
+def cases():
+    """(label, function) pairs in a fixed order."""
+    for bits in range(256):
+        yield f"table3-{bits}", BooleanFunction(3, bits)
+    for n in range(4, 8):
+        for seed in range(4):
+            yield f"random{n}-{seed}", random_function(n, seed)
+    for n in range(3, 10):
+        for name in ("majority", "or", "edic"):
+            if name == "majority" and n % 2 == 0:
+                continue
+            yield f"{name}{n}", construct_named(name, n)
+
+
+def record(f):
+    return {
+        "sp_region": repr(sp_region(f)),
+        "sp_region_1e-3": repr(sp_region(f, Fraction(1, 1000))),
+        "classify": repr(classify(f)),
+        "sufficient_thresholds": repr(sufficient_thresholds(f)),
+    }
+
+
+def main():
+    corpus = {label: record(f) for label, f in cases()}
+    CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(corpus)} cases to {CORPUS}")
+
+
+if __name__ == "__main__":
+    main()

@@ -468,6 +468,19 @@ def test_cap_env_and_flag_precedence(capsys, tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_cap_above_ceiling_refused_before_any_table(capsys, maj3, monkeypatch):
+    # 2^40 entries would be attempted; main validates the cap first
+    code, out, err = run(capsys, "region", "--fn", maj3, "--cap-n", "40")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "31" in err
+    monkeypatch.setenv("BOOLSP_CAP_N", "32")
+    code, out, err = run(capsys, "region", "--fn", maj3)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "BOOLSP_CAP_N must be <= 31" in err
+    code, _, _ = run(capsys, "region", "--fn", maj3, "--cap-n", "31")
+    assert code == 0
+
+
 def test_threads_env_equivalent(capsys, monkeypatch):
     code, out1, _ = run(capsys, "census", "--n", "3", "--rho", "1/3", "--threads", "1")
     monkeypatch.setenv("BOOLSP_THREADS", "4")

@@ -16,6 +16,7 @@ from boolsp import (
     construct_ltf,
     construct_named,
     construct_ptf,
+    dense_cap,
     dominating_boundary_points,
     friendly_neighborhood,
     index_of_point,
@@ -82,6 +83,15 @@ def test_cap_env_override(monkeypatch):
     construct_named("majority", 3)
     # explicit argument wins over the environment
     construct_named("majority", 5, cap=5)
+
+
+def test_cap_ceiling(monkeypatch):
+    assert dense_cap(31) == 31
+    with pytest.raises(InvalidArgument, match="31"):
+        dense_cap(32)
+    monkeypatch.setenv("BOOLSP_CAP_N", "40")
+    with pytest.raises(InvalidArgument, match="BOOLSP_CAP_N must be <= 31"):
+        dense_cap()
 
 
 def test_majority_table():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import sympy
 
 from boolsp import roots as rt
+from boolsp import sp
 
 import oracles
 
@@ -34,6 +35,28 @@ def random_poly(rng, max_deg=6, span=9):
         p = rt.trim(p)
         if rt.degree(p) >= 1:
             return p
+
+
+def to_rational(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def assert_isolates_distinct_roots(p):
+    """isolate_roots on sturm_chain(p) brackets each distinct root of p in
+    (0,1) exactly once, in order, and refinement narrows every bracket."""
+    chain = rt.sturm_chain(p)
+    roots = rt.isolate_roots(chain, Fraction(0), Fraction(1))
+    expected = real_roots_in(p, Fraction(0), Fraction(1))
+    assert len(roots) == len(expected)
+    prev_hi = Fraction(0)
+    for (lo, hi), true_root in zip(roots, expected):
+        assert prev_hi <= lo <= hi
+        assert to_rational(lo) <= true_root <= to_rational(hi)
+        prev_hi = hi
+        eps = (hi - lo) / 64
+        rlo, rhi = rt.refine_root(chain[0], lo, hi, eps)
+        assert lo <= rlo <= rhi <= hi and rhi - rlo <= eps
+        assert to_rational(rlo) <= true_root <= to_rational(rhi)
 
 
 def test_evaluate_matches_horner_free_form():
@@ -66,15 +89,16 @@ def test_derivative():
 def test_known_quartic_roots():
     # (3x-1)(2x-1)(x^2+1): exactly 1/3 and 1/2 inside (0,1)
     p = (1, -5, 7, -5, 6)
-    isolated = rt.isolate_roots(p, Fraction(0), Fraction(1))
+    chain = rt.sturm_chain(p)
+    isolated = rt.isolate_roots(chain, Fraction(0), Fraction(1))
     assert len(isolated) == 2
-    refined = [rt.refine_root(rt.square_free_part(p), r, Fraction(1, 10**12)) for r in isolated]
-    for target, res in zip((Fraction(1, 3), Fraction(1, 2)), refined):
-        if res[0] == "exact":
-            assert res[1] == target
+    refined = [rt.refine_root(chain[0], lo, hi, Fraction(1, 10**12)) for lo, hi in isolated]
+    for target, (lo, hi) in zip((Fraction(1, 3), Fraction(1, 2)), refined):
+        if lo == hi:
+            assert lo == target
         else:
-            assert res[1] < target < res[2]
-            assert res[2] - res[1] <= Fraction(1, 10**12)
+            assert lo < target < hi
+            assert hi - lo <= Fraction(1, 10**12)
 
 
 def test_sturm_count_against_sympy():
@@ -86,8 +110,7 @@ def test_sturm_count_against_sympy():
         b = a + Fraction(rng.randint(1, 8), rng.randint(1, 4))
         if oracles.evaluate(p, a) == 0 or oracles.evaluate(p, b) == 0:
             continue
-        sf = rt.square_free_part(p)
-        chain = rt.sturm_chain(sf)
+        chain = rt.sturm_chain(p)
         assert rt.count_roots(chain, a, b) == len(real_roots_in(p, a, b))
         checked += 1
 
@@ -99,29 +122,15 @@ def test_isolation_brackets_each_root_once():
         p = random_poly(rng)
         if oracles.evaluate(p, Fraction(0)) == 0 or oracles.evaluate(p, Fraction(1)) == 0:
             continue
-        roots = rt.isolate_roots(rt.square_free_part(p), Fraction(0), Fraction(1))
-        expected = real_roots_in(p, Fraction(0), Fraction(1))
-        assert len(roots) == len(expected)
-        prev_hi = Fraction(0)
-        for item, true_root in zip(roots, expected):
-            if item[0] == "exact":
-                lo = hi = item[1]
-            else:
-                lo, hi = item[1], item[2]
-            assert prev_hi <= lo <= hi
-            srl = sympy.Rational(lo.numerator, lo.denominator)
-            srh = sympy.Rational(hi.numerator, hi.denominator)
-            assert srl <= true_root <= srh
-            prev_hi = hi
+        assert_isolates_distinct_roots(p)
         checked += 1
 
 
 def test_refine_root_narrows():
     p = (-1, 0, 0, 2)  # 2x^3 = 1, root (1/2)^(1/3) ~ 0.7937
-    (root,) = rt.isolate_roots(p, Fraction(0), Fraction(1))
-    res = rt.refine_root(p, root, Fraction(1, 10**9))
-    assert res[0] == "interval"
-    lo, hi = res[1], res[2]
+    (root,) = rt.isolate_roots(rt.sturm_chain(p), Fraction(0), Fraction(1))
+    lo, hi = rt.refine_root(p, *root, Fraction(1, 10**9))
+    assert lo < hi
     assert hi - lo <= Fraction(1, 10**9)
     assert oracles.evaluate(p, lo) < 0 < oracles.evaluate(p, hi)
 
@@ -144,11 +153,78 @@ def test_gcd_of_known_share():
 
 def test_exact_hit_at_isolation_is_reported():
     p = _mul((1, -2), (1, -3))  # roots 1/2 and 1/3
-    roots = rt.isolate_roots(p, Fraction(0), Fraction(1))
+    roots = rt.isolate_roots(rt.sturm_chain(p), Fraction(0), Fraction(1))
     # both roots rational: refinement may collapse to exact values
-    refined = [rt.refine_root(p, r, Fraction(1, 1000)) for r in roots]
-    values = []
-    for res in refined:
-        values.append(res[1] if res[0] == "exact" else (res[1] + res[2]) / 2)
+    refined = [rt.refine_root(p, lo, hi, Fraction(1, 1000)) for lo, hi in roots]
+    values = [(lo + hi) / 2 for lo, hi in refined]
     assert abs(values[0] - Fraction(1, 3)) <= Fraction(1, 1000)
     assert abs(values[1] - Fraction(1, 2)) <= Fraction(1, 1000)
+
+
+# Repeated roots: the random polynomials above are square-free almost surely.
+RATIONAL_FACTORS = ((-1, 3), (-1, 2), (-2, 5))  # 3x-1, 2x-1, 5x-2
+IRRATIONAL_FACTORS = ((-1, 0, 2), (1, -5, 5))  # 2x^2-1, 5x^2-5x+1: roots in (0,1)
+
+
+def repeated_root_polys(rng, count):
+    """Products of squared or cubed factors with roots in (0,1) and a random
+    cofactor; paired with a random interval (a, b) whose ends are not roots."""
+    factors = RATIONAL_FACTORS + IRRATIONAL_FACTORS
+    made = 0
+    while made < count:
+        p = random_poly(rng, max_deg=3)
+        for factor in rng.sample(factors, rng.randint(1, 2)):
+            for _ in range(rng.randint(2, 3)):
+                p = _mul(p, factor)
+        a = Fraction(rng.randint(-3, 2), rng.randint(1, 4))
+        b = a + Fraction(rng.randint(1, 8), rng.randint(1, 4))
+        if any(oracles.evaluate(p, x) == 0 for x in (a, b, Fraction(0), Fraction(1))):
+            continue
+        made += 1
+        yield p, a, b
+
+
+def test_repeated_roots_against_sympy():
+    cube = _mul(_mul((-1, 0, 2), (-1, 0, 2)), (-1, 0, 2))  # (2x^2-1)^3
+    unit = (Fraction(0), Fraction(1))
+    pure_powers = [(_mul((-1, 3), (-1, 3)), *unit), (cube, *unit)]  # (3x-1)^2, cube
+    for p, a, b in pure_powers + list(repeated_root_polys(random.Random(6), 60)):
+        chain = rt.sturm_chain(p)
+        _, sqf = to_sympy(p).sqf_part().primitive()
+        head = to_sympy(chain[0])
+        assert head in (sqf, -sqf)
+        assert rt.count_roots(chain, a, b) == len(real_roots_in(p, a, b))
+        assert_isolates_distinct_roots(p)
+
+
+def _root_near(p, x):
+    """The isolated root of p whose bracket holds x, as an sp._Root."""
+    chain = rt.sturm_chain(p)
+    for lo, hi in rt.isolate_roots(chain):
+        if lo <= x <= hi:
+            return sp._Root(chain[0], lo, hi)
+    raise AssertionError(f"no root of {p} near {x}")
+
+
+def test_compare_decides_shared_and_close_irrational_roots():
+    half_sqrt2 = Fraction(7071067811865476, 10**16)  # 1/sqrt(2) to 1e-16
+    # both share the root 1/sqrt(2); their other roots differ
+    a = _root_near(_mul((-1, 0, 2), (-1, 3)), half_sqrt2)
+    b = _root_near(_mul((-1, 0, 2), (-4, 5)), half_sqrt2)
+    assert a.lo < a.hi and b.lo < b.hi  # not exact: the gcd test decides
+    assert sp._compare(a, b) == 0 and sp._compare(b, a) == 0
+    assert (a.lo, a.hi) == (b.lo, b.hi)  # both now hold the intersection
+    # a common factor whose root lies outside the overlap decides nothing
+    a = sp._Root(_mul((-1, 0, 2), (-1, 3)), Fraction(1, 2), Fraction(1))  # 1/sqrt(2)
+    b = sp._Root(_mul((-1, 0, 2), (-4, 5)), Fraction(3, 4), Fraction(1))  # 4/5
+    assert sp._compare(a, b) == -1 and a.hi <= b.lo
+    # 2(x - d)^2 - 1 has the root 1/sqrt(2) + d with d = 10^-13
+    d = 10**13
+    shifted = (2 - d * d, -4 * d, 2 * d * d)
+    lo_root = _root_near((-1, 0, 2), half_sqrt2)
+    hi_root = _root_near(shifted, half_sqrt2)
+    assert sp._compare(lo_root, hi_root) == -1
+    lo_root = _root_near((-1, 0, 2), half_sqrt2)
+    hi_root = _root_near(shifted, half_sqrt2)
+    assert sp._compare(hi_root, lo_root) == 1
+    assert lo_root.hi <= hi_root.lo

@@ -500,6 +500,39 @@ def test_ratio_check_detects_functionally_dead_coordinate():
     assert "1" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "big, small",
+    [
+        (586920495, 67149878),  # convergent just below sqrt(20 ln 20) + 1
+        (1839493879, 210457448),  # the next convergent below
+        (626286692, 71653785),  # a convergent just above
+    ],
+)
+def test_ratio_violation_decided_exactly_near_the_bound(big, small):
+    # n = 10: the ratios are continued-fraction convergents of the bound, all
+    # within 2e-16 of it, where comparing floats used to misjudge
+    import sympy
+
+    bound = sympy.sqrt(20 * sympy.log(20)) + 1
+    diff = sympy.N(sympy.Rational(big, small) - bound, 60)
+    r = ltf_ratio_check(LtfSpec(0, (big,) + (small,) * 9))
+    assert r.violates == bool(diff >= 0)
+    assert abs(r.ratio - r.bound) < 1e-15  # renderings only
+
+
+def test_ln_enclosure_brackets_ln():
+    import sympy
+
+    from boolsp.sp import _ln_enclosure
+
+    for m in (2, 3, 4, 6, 20, 97, 1024, 10**9 + 7):
+        lo, hi = _ln_enclosure(m, 8)
+        exact = sympy.log(m)
+        assert sympy.Rational(lo.numerator, lo.denominator) < exact
+        assert exact < sympy.Rational(hi.numerator, hi.denominator)
+        assert hi - lo < Fraction(1, 10**7)
+
+
 def test_non_violating_ratio_on_fully_dependent_ltf():
     r = ltf_ratio_check(LtfSpec(0, (1, 1, 3, 3, 5)))
     assert r.ratio == pytest.approx(5 / 3)
