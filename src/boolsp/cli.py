@@ -339,7 +339,7 @@ def _save_checkpoint(path, meta, rows):
 
 def _cmd_census(args):
     rhos = []
-    if args.grid:
+    if args.grid is not None:
         if args.grid < 1:
             raise InvalidArgument("--grid must be >= 1")
         rhos.extend(Fraction(k, args.grid) for k in range(args.grid + 1))

@@ -2,9 +2,9 @@
 
 The n <= 4 scans enumerate every Boolean function at once: truth tables as
 the columns of a (2^n, 2^2^n) int8 matrix, one butterfly along the points
-for all spectra, and the rho-weighted butterfly of scaled_t_values back
-for all scaled noise-operator values.  Everything stays in int64
-(bounds: |values| <= 2^n * q^n * 2^n).
+for all spectra, and the rho-weighted butterfly back for the signs of all
+scaled noise-operator values, streamed over int64 limbs when q^n is large
+(spectrum._weighted_signs), so any rho scans in int64.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +18,7 @@ from .config import thread_count
 from .errors import InvalidArgument
 from .functions import BooleanFunction, popcounts
 from .noise import _rho_weights, check_rho, disagreement, optimal_predictor
-from .spectrum import _butterfly, _weighted_transform
+from .spectrum import _butterfly, _weighted_signs
 
 
 def shell_bias(f, v, d):
@@ -165,13 +165,11 @@ def _all_tables(n, start, stop):
 
 
 def _scaled_predictor_values(tables, n, rho):
-    """Scaled T_rho values (2^n q^n T) for a batch of truth tables (columns)."""
-    by_level = _rho_weights(n, rho)
-    bound = (1 << n) * max(by_level) * (1 << n) * (1 << n)
-    if bound >= 1 << 62:
-        raise InvalidArgument("rho denominator too large for the int64 scan")
+    """Scaled T_rho values (2^n q^n T) for a batch of truth tables (columns), as
+    an int64 array with their signs: the values themselves while one limb holds
+    them, for any rho (see spectrum._weighted_signs)."""
     spectra = _butterfly(tables.astype(np.int64))
-    return _weighted_transform(spectra, np.array(by_level, dtype=np.int64))
+    return _weighted_signs(spectra, _rho_weights(n, rho))
 
 
 def _sp_mask(tables, scaled):

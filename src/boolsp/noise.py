@@ -4,9 +4,13 @@ For correlation rho = p/q the scaled operator values
 
     int_v = 2^n * q^n * T_rho f(v) = sum_S p^|S| q^(n-|S|) * 2^n fhat_S * chi_S(v)
 
-are integers: one butterfly of the rho-weighted scaled spectrum.  So sign
-questions (prediction, SP checks) and the stability functionals are decided
-exactly; the tests check them against direct O(4^n) summation.
+are integers: one butterfly of the rho-weighted scaled spectrum.  When q^n
+outgrows int64 the weights are split into base-2^s digits and the values
+into as many int64 butterflies (limbs), streamed from low to high with a
+carry (spectrum._weighted_signs).  Sign questions (prediction, SP checks,
+closeness) read the signs off that stream, and Stab*_rho = <T_rho f, sgn>
+comes from the spectrum of the signs.  All of it is exact and O(2^n) in
+memory whatever rho; the tests check it against direct O(4^n) summation.
 """
 
 from dataclasses import dataclass
@@ -16,9 +20,15 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .functions import BooleanFunction, popcounts
-from .spectrum import _weighted_transform, level_values, level_weights, wht
-
-_INT64_SAFE = 1 << 62
+from .spectrum import (
+    _butterfly,
+    _limb_plan,
+    _weighted_signs,
+    _weighted_transform,
+    level_values,
+    level_weights,
+    wht,
+)
 
 
 def check_rho(rho):
@@ -36,25 +46,30 @@ def _rho_weights(n, rho):
 def scaled_t_values(f, rho):
     """Exact integers 2^n q^n T_rho f(v) at all points, as one ndarray.
 
-    The dtype is int64 when sum_k w_k * L1_k < 2^62 (and every w_k < 2^62),
-    with w_k = p^k q^(n-k) and L1_k the sum of |2^n fhat_S| over |S| = k;
-    else object (Python ints).  Every entry of every butterfly stage is a
-    signed sum of a subset of the weighted coefficients w_|S| 2^n fhat_S, so
-    this one bound covers all intermediates as well as the result."""
+    The dtype is int64 when one limb holds them, that is when
+    sum_k w_k * L1_k < 2^62 (and every w_k < 2^62), with w_k = p^k q^(n-k) and
+    L1_k the sum of |2^n fhat_S| over |S| = k; else object, Python ints
+    assembled from the limbs.  The library's own consumers read signs through
+    spectrum._weighted_signs instead."""
     rho = check_rho(rho)
     coeffs = wht(f).coeffs
-    weights = _rho_weights(f.n, rho)
-    l1 = np.zeros(f.n + 1, dtype=np.int64)
-    np.add.at(l1, popcounts(f.n), np.abs(coeffs))
-    bound = sum(a * w for a, w in zip(l1.tolist(), weights))
-    dtype = np.int64 if bound < _INT64_SAFE and max(weights) < _INT64_SAFE else object
-    return _weighted_transform(
-        coeffs.astype(dtype, copy=False), np.array(weights, dtype=dtype)
-    )
+    width, count, limbs = _limb_plan(coeffs, _rho_weights(f.n, rho))
+    if count == 1:
+        return _weighted_transform(coeffs, next(limbs))
+    out = np.zeros(len(coeffs), dtype=object)
+    for j, digits in enumerate(limbs):
+        out += _weighted_transform(coeffs, digits).astype(object) << (width * j)
+    return out
+
+
+def _scaled_signs(f, rho):
+    """int64 array with the signs of 2^n q^n T_rho f (see _weighted_signs)."""
+    return _weighted_signs(wht(f).coeffs, _rho_weights(f.n, rho))
 
 
 def disagreement(values, scaled):
-    """Mask where scaled = 2^n q^n T_rho f is nonzero with a sign unlike f's."""
+    """Mask where scaled (2^n q^n T_rho f, or any array with its signs) is nonzero
+    with a sign unlike f's."""
     return (scaled != 0) & ((scaled > 0) != (values > 0))
 
 
@@ -92,7 +107,8 @@ def optimal_predictor(f, rho, tie_rule="zero"):
     """sgn T_rho f; ties resolved per tie_rule ("zero" keeps 0, "keep" copies f)."""
     if tie_rule not in ("zero", "keep"):
         raise InvalidArgument(f"unknown tie rule {tie_rule!r}")
-    signs = np.sign(scaled_t_values(f, rho)).astype(np.int8)
+    rho = check_rho(rho)
+    signs = np.sign(_scaled_signs(f, rho)).astype(np.int8)
     if tie_rule == "keep":
         signs = np.where(signs == 0, f.values, signs)
     signs.flags.writeable = False
@@ -117,10 +133,22 @@ def stability(f, rho):
 
 
 def stability_report(f, rho):
-    """Stab_rho from the level weights; Stab*_rho = E|T_rho f| summed as Python ints."""
+    """Stab_rho from the level weights; Stab*_rho = E|T_rho f| exactly.
+
+    Stab*_rho = <T_rho f, g> with g = sgn T_rho f, which by Plancherel is
+    sum_S rho^|S| fhat_S ghat_S: the same level sums as Stab_rho with
+    c_S * b_S in place of c_S^2, where c = 2^n fhat and b = 2^n ghat is one
+    butterfly of the signs.  Those sums fit int64 (by Cauchy-Schwarz and
+    Parseval, sum |c_S b_S| <= 4^n); only their weighted total is a Python
+    int."""
     rho = check_rho(rho)
     stab = stability(f, rho)
-    total = np.abs(scaled_t_values(f, rho)).sum(dtype=object)
+    coeffs = wht(f).coeffs
+    weights = _rho_weights(f.n, rho)
+    signs = np.sign(_weighted_signs(coeffs, weights))
+    cross = np.zeros(f.n + 1, dtype=np.int64)
+    np.add.at(cross, popcounts(f.n), coeffs * _butterfly(signs))
+    total = sum(w * c for w, c in zip(weights, cross.tolist()))
     stab_star = Fraction(total, (1 << (2 * f.n)) * rho.denominator**f.n)
     return StabilityReport(
         rho, stab, stab_star, (1 - stab) / 2, (1 - stab_star) / 2
@@ -139,7 +167,7 @@ def closeness_to_sp(f, rho, ties_agree=True):
     Ties (T_rho f = 0) count as agreement unless ties_agree is False.
     """
     rho = check_rho(rho)
-    scaled = scaled_t_values(f, rho)
+    scaled = _scaled_signs(f, rho)
     bad = disagreement(f.values, scaled)
     if not ties_agree:
         bad |= scaled == 0

@@ -16,12 +16,13 @@ Rationals are written as {"num", "den"}; region endpoints carry their kind
 import hashlib
 import json
 import re
+import sys
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
 _HEX_RE = re.compile(r"[0-9a-fA-F]*\Z")
 
-from .errors import InvalidArgument
+from .errors import CapacityError, InvalidArgument
 from .functions import BooleanFunction, LtfSpec, PtfSpec, construct_ltf, construct_ptf
 from .constructs import CompositionPlan
 
@@ -43,8 +44,20 @@ def file_digest(path):
 
 
 def rational(x):
-    """Exact rational plus a float rendering, side by side."""
+    """Exact rational plus a float rendering, side by side.
+
+    Raises CapacityError when the numerator or denominator has more decimal
+    digits than Python renders (sys.get_int_max_str_digits(); Pythons before
+    3.10.7 have no such limit)."""
     x = Fraction(x)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for part in (x.numerator, x.denominator):
+        # 10^limit has more than 3 * limit bits, so shorter parts always render
+        if limit and part.bit_length() > 3 * limit and abs(part) >= 10**limit:
+            raise CapacityError(
+                f"exact result has more than {limit} decimal digits; "
+                "too large to write"
+            )
     return {"num": x.numerator, "den": x.denominator, "approx": float(x)}
 
 

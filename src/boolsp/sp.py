@@ -31,7 +31,7 @@ from .functions import (
     popcounts,
     properties,
 )
-from .noise import _rho_weights, check_rho, disagreement, scaled_t_values, stability
+from .noise import _rho_weights, _scaled_signs, check_rho, disagreement, stability
 from .spectrum import (
     _level1_gap,
     chow_distance,
@@ -87,7 +87,7 @@ def is_sp(f, rho, fast_path=False):
     rho = check_rho(rho)
     if fast_path:
         points = np.array(dominating_boundary_points(f), dtype=np.int64)
-    bad = disagreement(f.values, scaled_t_values(f, rho))
+    bad = disagreement(f.values, _scaled_signs(f, rho))
     idx = points[bad[points]] if fast_path else np.flatnonzero(bad)
     if len(idx):
         return SpDecision(False, int(idx[0]))

@@ -39,6 +39,69 @@ def _weighted_transform(spectra, weights):
     return _butterfly(spectra * w.reshape(w.shape + (1,) * (spectra.ndim - 1)))
 
 
+_INT64_SAFE = 1 << 62
+
+
+def _limb_plan(spectra, weights):
+    """Split the Python-int weights into int64 digit vectors: (width, count, limbs)
+    with limbs a generator of count vectors, low to high, such that weights[k] =
+    sum_j limb_j[k] << (width * j).  So the exact weighted transform is
+    sum_j _weighted_transform(spectra, limb_j) << (width * j).
+
+    Every entry of every butterfly stage is a signed sum of a subset of the
+    weighted coefficients, so a limb fits int64 when sum_k limb[k] * L1_k < 2^62,
+    L1_k being the sum of |spectra| on level k (for a batch, the sum over level k
+    of each row's largest |entry|, which bounds every column's sum and costs
+    one pass).  One limb holding the weights themselves (width 0) is used when
+    that bound holds for them and every weight is below 2^62; otherwise the
+    digits are base 2^width with (2^width - 1) * sum_k L1_k < 2^62, as few as
+    cover the largest weight.  The digits are cut as they are consumed, so only
+    one limb is held at a time."""
+    n = len(weights) - 1
+    if spectra.ndim == 1:
+        peak = np.abs(spectra)
+    else:
+        peak = np.maximum(spectra.max(axis=1), -spectra.min(axis=1))
+    l1 = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(l1, popcounts(n), peak)
+    l1 = l1.tolist()
+    top = max(weights)
+    if top < _INT64_SAFE and sum(w * a for w, a in zip(weights, l1)) < _INT64_SAFE:
+        return 0, 1, iter([np.array(weights, dtype=np.int64)])
+    width = (_INT64_SAFE // max(sum(l1), 1)).bit_length() - 1
+    mask = (1 << width) - 1
+    shifts = range(0, top.bit_length(), width)
+    limbs = (
+        np.array([(w >> shift) & mask for w in weights], dtype=np.int64)
+        for shift in shifts
+    )
+    return width, len(shifts), limbs
+
+
+def _weighted_signs(spectra, weights):
+    """int64 array with the sign of the exact sum_S weights[|S|] spectra[S] chi_S
+    at every entry (Python-int weights of any size), in O(spectra.size) memory
+    whatever the number of limbs.  On one limb it is that transform itself.
+
+    The limbs are streamed from low to high with a carry: cur = limb + carry is
+    split into its low digit cur & mask and carry = cur >> width.  The exact
+    value is then top * 2^(width * (count-1)) plus the lower digits, which lie
+    in [0, 2^(width * (count-1))), so its sign is that of top, or +1 where top
+    is 0 and some lower digit is not.  Carries stay below sum L1 + 2, so
+    limb + carry < 2^width * sum L1 + 2 < 2^63."""
+    width, count, limbs = _limb_plan(spectra, weights)
+    if count == 1:
+        return _weighted_transform(spectra, next(limbs))
+    mask = (1 << width) - 1
+    carry, nonzero = 0, False
+    for _ in range(count - 1):
+        cur = _weighted_transform(spectra, next(limbs)) + carry
+        nonzero = nonzero | ((cur & mask) != 0)
+        carry = cur >> width
+    top = _weighted_transform(spectra, next(limbs)) + carry
+    return np.where(top != 0, top, nonzero)
+
+
 @dataclass(frozen=True)
 class ScaledSpectrum:
     n: int

@@ -16,6 +16,8 @@ from boolsp.serialize import (
     ptf_to_json,
 )
 
+import oracles
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -349,12 +351,59 @@ def test_census_cap(capsys):
     assert code == 1
 
 
+def oracle_graph(succ):
+    """(fixpoints, components, max depth, cycles rotated to their least member)
+    of a functional graph given as a successor list, by brute-force iteration."""
+    size = len(succ)
+
+    def walk(v, steps):
+        for _ in range(steps):
+            v = succ[v]
+        return v
+
+    on_cycle = {v for v in range(size) if any(walk(v, k) == v for k in range(1, size + 1))}
+    cycles = set()
+    for v in on_cycle:
+        cyc = [v]
+        while succ[cyc[-1]] != v:
+            cyc.append(succ[cyc[-1]])
+        i = cyc.index(min(cyc))
+        cycles.add(tuple(cyc[i:] + cyc[:i]))
+    depth = max(next(t for t in range(size) if walk(v, t) in on_cycle) for v in range(size))
+    fixpoints = sum(1 for v in range(size) if succ[v] == v)
+    return fixpoints, len(cycles), depth, sorted(c for c in cycles if len(c) > 1)
+
+
 @pytest.mark.parametrize("command", ["census", "graph"])
 def test_whole_space_huge_rho_denominator(capsys, command):
-    # 3^20: the level weights overflow int64 before the scan's own bound
+    # q^n = 3^80 > 2^62: the scan streams its values over int64 limbs
     code, out, err = run(capsys, command, "--n", "4", "--rho", "1/3486784401")
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert code == 0 and err == ""
+    assert json.loads(out)["command"] == command  # one JSON document
+    # at n=3 (3^60 > 2^62 as well) count and successors match a per-table oracle
+    rho = Fraction(1, 3486784401)
+    succ, sp_count = [], 0
+    for bits in range(256):
+        tab = [1 if bits >> u & 1 else -1 for u in range(8)]
+        ts = oracles.t_rho(tab, 3, rho)
+        pred = [(t > 0) - (t < 0) or v for t, v in zip(ts, tab)]
+        succ.append(sum(1 << u for u, v in enumerate(pred) if v > 0))
+        sp_count += all(t == 0 or (t > 0) == (v > 0) for t, v in zip(ts, tab))
+    code, out, _ = run(capsys, "census", "--n", "3", "--rho", "1/3486784401")
+    assert code == 0
+    assert json.loads(out)["result"]["rows"][0]["sp_count"] == sp_count
+    code, out, _ = run(capsys, "graph", "--n", "3", "--rho", "1/3486784401")
+    assert code == 0
+    res = json.loads(out)["result"]
+    fixpoints, components, depth, cycles = oracle_graph(succ)
+    assert res["num_fixpoints"] == fixpoints == sp_count
+    assert res["num_components"] == components
+    assert res["max_depth"] == depth
+    got = []
+    for cyc in res["cycles"]:
+        i = cyc.index(min(cyc))
+        got.append(tuple(cyc[i:] + cyc[:i]))
+    assert sorted(got) == cycles
 
 
 @pytest.mark.parametrize(
@@ -372,12 +421,31 @@ def test_whole_space_huge_rho_denominator(capsys, command):
         ("census", "--n", "2", "--rho", "1/2", "--mode", "sample",
          "--samples", "4", "--seed", "1", "--threads", "0"),
         ("orbit", "--fn", "FN", "--rho", "1/2", "--max-steps", "-3"),
+        ("census", "--n", "2", "--grid", "0"),
     ],
 )
 def test_bad_arguments_exit_cleanly(capsys, maj3, argv):
     code, out, err = run(capsys, *(maj3 if a == "FN" else a for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_census_grid_zero_is_named(capsys):
+    code, _, err = run(capsys, "census", "--n", "2", "--grid", "0")
+    assert code == 1 and "--grid must be >= 1" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_unprintable_rational_exits_cleanly(capsys, tmp_path, fmt):
+    # Stab at rho = 1/10^1100 and n = 4 has a denominator of over 4400 digits,
+    # more than Python renders by default
+    fn = write_fn(tmp_path, "or4.json", construct_named("or", 4))
+    rho = "1/1" + "0" * 1100
+    code, out, err = run(capsys, "stability", "--fn", fn, "--rho", rho, "--format", fmt)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, err = run(capsys, "predict", "--fn", fn, "--rho", rho, "--format", fmt)
+    assert code == 0 and err == ""
 
 
 @pytest.mark.parametrize("command", ["census", "graph"])

@@ -298,6 +298,19 @@ def test_batch_values_match_per_function_values():
                 assert np.array_equal(batch[:, bits], scaled_t_values(f, rho))
 
 
+def test_batch_signs_match_per_function_values_beyond_int64():
+    # from n = 2 (n = 1 for 1/3^40) q^n > 2^62: the batch streams its limbs
+    for n in range(1, 4):
+        total = 1 << (1 << n)
+        tables = _all_tables(n, 0, total)
+        for rho in (Fraction(1, 3**40), Fraction(999999999999, 10**13), Fraction(2**70 - 1, 2**70)):
+            batch = np.sign(_scaled_predictor_values(tables, n, rho))
+            for bits in range(total):
+                values = scaled_t_values(BooleanFunction(n, bits), rho).tolist()
+                want = [(x > 0) - (x < 0) for x in values]
+                assert batch[:, bits].tolist() == want, (n, rho, bits)
+
+
 def test_graph_scan_n1_all_fixpoints():
     for rho in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
         g = graph_scan(1, rho)

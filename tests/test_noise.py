@@ -1,10 +1,13 @@
 """Noise operator, optimal prediction, stability — exact, against slow oracles."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolsp import (
     BooleanFunction,
@@ -24,6 +27,7 @@ from boolsp import (
 )
 from boolsp.noise import scaled_t_values
 from boolsp.sp import SpDecision
+from boolsp.spectrum import _limb_plan, _weighted_signs
 
 import oracles
 
@@ -73,7 +77,7 @@ def test_rho_endpoints():
 
 
 def test_big_denominator_falls_back_to_exact():
-    # q^n alone overflows int64: the python-int path must kick in silently
+    # q^n alone overflows int64: the multi-limb path must kick in silently
     f = construct_named("majority", 5)
     rho = Fraction(999999999999, 10**13)
     vals = noise_operator(f, rho)
@@ -117,7 +121,8 @@ def test_scaled_values_are_weighted_level_sums():
     assert seen == {np.dtype(np.int64), np.dtype(object)}
 
 
-# q^n > 2^62 for every n >= 2 here, so scaled_t_values takes the object path
+# q^n > 2^62 for every n >= 2 here, so the values take several int64 limbs and
+# scaled_t_values returns Python ints
 BIG_DENOMINATOR_RHOS = [Fraction(999999999999, 10**13), Fraction(1, 3**40)]
 
 
@@ -145,6 +150,110 @@ def test_object_path_consumers_match_oracles():
             rep = stability_report(f, rho)
             assert rep.stab == stab
             assert rep.stab_star == sum(abs(t) for t in ts) / (1 << n)
+
+
+def rho_weights(n, rho):
+    return [rho.numerator**k * rho.denominator ** (n - k) for k in range(n + 1)]
+
+
+def level_sums(f, rho):
+    """2^n q^n T_rho f in Python ints, as sum_k w_k * (2^n level-k part of f)."""
+    n, w = f.n, rho_weights(f.n, rho)
+    levels = [level_values(f, k).tolist() for k in range(n + 1)]
+    return [sum(w[k] * levels[k][v] for k in range(n + 1)) for v in range(1 << n)]
+
+
+def int64_rule(f, rho):
+    """The one-limb rule: sum_k w_k * L1_k < 2^62 and every w_k < 2^62."""
+    n, coeffs, w = f.n, wht(f).coeffs.tolist(), rho_weights(f.n, rho)
+    l1 = [sum(abs(c) for m, c in enumerate(coeffs) if m.bit_count() == k) for k in range(n + 1)]
+    return sum(a * b for a, b in zip(w, l1)) < 2**62 and max(w) < 2**62
+
+
+@st.composite
+def rho_near_ends(draw):
+    """p/q with q up to 2^200 and p within 3 of 0 or of q."""
+    q = draw(st.integers(1, 2**200))
+    d = draw(st.integers(0, min(3, q)))
+    return Fraction(q - d if draw(st.booleans()) else d, q)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 8), st.data(), rho_near_ends())
+def test_limb_stream_matches_python_ints(n, data, rho):
+    f = BooleanFunction(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
+    want = level_sums(f, rho)
+    signs = [(x > 0) - (x < 0) for x in want]
+    coeffs, w = wht(f).coeffs, rho_weights(n, rho)
+    assert (_limb_plan(coeffs, w)[1] == 1) == int64_rule(f, rho)
+    assert np.sign(_weighted_signs(coeffs, w)).tolist() == signs
+    assert [int(x) for x in scaled_t_values(f, rho).tolist()] == want
+    assert optimal_predictor(f, rho).values.tolist() == signs
+    keep = [s or v for s, v in zip(signs, f.values.tolist())]
+    assert optimal_predictor(f, rho, tie_rule="keep").values.tolist() == keep
+    bad = [v for v, (s, x) in enumerate(zip(signs, f.values.tolist())) if s and s != x]
+    assert is_sp(f, rho) == SpDecision(not bad, bad[0] if bad else None)
+    strict = closeness_to_sp(f, rho, ties_agree=False).distance
+    assert strict == Fraction(len(bad) + signs.count(0), 1 << n)
+    scale = (1 << n) * rho.denominator**n
+    assert stability_report(f, rho).stab_star == Fraction(sum(abs(x) for x in want), scale << n)
+    if n <= 5:
+        assert [Fraction(x, scale) for x in want] == oracles.t_rho(oracles.table(f), n, rho)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_limb_signs_across_cancelling_limbs(n, data):
+    # weights a_k 2^e + r with small a_k and one shared r < 2^(e+3), on spectra of
+    # tables in {-1,0,1}: where the table is 0 the r part cancels and the value
+    # is 2^e times a small integer (often 0); elsewhere both parts are of one
+    # size and cancel partly, so every sign hangs on the carries between limbs
+    table = data.draw(st.lists(st.integers(-1, 1), min_size=1 << n, max_size=1 << n))
+    coeffs = [sum(t * (-1) ** (m & u).bit_count() for u, t in enumerate(table)) for m in range(1 << n)]
+    e = data.draw(st.integers(0, 200))
+    r = data.draw(st.integers(0, 2 ** (e + 3)))
+    weights = [(data.draw(st.integers(0, 3)) << e) + r for _ in range(n + 1)]
+    exact = [
+        sum(weights[m.bit_count()] * c * (-1) ** (m & v).bit_count() for m, c in enumerate(coeffs))
+        for v in range(1 << n)
+    ]
+    got = _weighted_signs(np.array(coeffs, dtype=np.int64), weights)
+    assert np.sign(got).tolist() == [(x > 0) - (x < 0) for x in exact]
+
+
+def test_one_limb_iff_int64_rule():
+    # at the last 1/q inside the int64 rule and the first outside it
+    rng = random.Random(48)
+    fns = [random_fn(rng, n) for n in range(1, 9)] + [construct_named("majority", 7)]
+    for f in fns:
+        coeffs = wht(f).coeffs
+        lo, hi = 1, 2**62
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if int64_rule(f, Fraction(1, mid)) else (lo, mid)
+        for q, limbs in ((lo, 1), (hi, 2)):
+            rho = Fraction(1, q)
+            assert _limb_plan(coeffs, rho_weights(f.n, rho))[1] == limbs, (f.n, q)
+            want = [(x > 0) - (x < 0) for x in level_sums(f, rho)]
+            assert optimal_predictor(f, rho).values.tolist() == want
+
+
+def test_many_limbs_stay_in_linear_memory():
+    # the limb stream keeps O(2^n) int64 arrays alive whatever the limb count
+    f = construct_ltf(LtfSpec(0, (9, 7, 6, 5, 4, 4, 3, 2, 2, 1, 1, 1)))
+    coeffs = wht(f).coeffs
+    peaks = []
+    for digits in (120, 240):
+        rho = Fraction(1, 10**digits)
+        assert _limb_plan(coeffs, rho_weights(f.n, rho))[1] > 100
+        tracemalloc.start()
+        stability_report(f, rho)
+        closeness_to_sp(f, rho)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    array = (1 << f.n) * 8
+    assert max(peaks) < 8 * array
+    assert peaks[1] < peaks[0] + array // 2
 
 
 def test_stab_star_sums_beyond_int64():
