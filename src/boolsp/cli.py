@@ -25,10 +25,12 @@ from .errors import BoolspError, InvalidArgument
 from .experiments import graph_scan, predictor_orbit, sp_fraction, threshold_constants
 from .functions import dominating_boundary_points, properties
 from .noise import (
-    closeness_to_sp,
+    _closeness_to_sp,
+    _prediction_gain,
+    _scaled_signs,
+    _stability_report,
+    check_rho,
     optimal_predictor,
-    prediction_gain,
-    stability_report,
 )
 from .sp import (
     DEFAULT_EPSILON,
@@ -225,9 +227,10 @@ def _cmd_classify(args):
 def _cmd_stability(args):
     inputs = {}
     f = _load_function(args, inputs)
-    rho = _parse_rational(args.rho, "rho")
-    rep = stability_report(f, rho)
-    close = closeness_to_sp(f, rho)
+    rho = check_rho(_parse_rational(args.rho, "rho"))
+    signs = _scaled_signs(f, rho)  # one T_rho sign stream serves all three reports
+    rep = _stability_report(f, rho, signs)
+    close = _closeness_to_sp(f, rho, signs, ties_agree=True)
     result = {
         "n": f.n,
         "rho": ser.rational(rho),
@@ -239,7 +242,7 @@ def _cmd_stability(args):
         "necessary": _necessary_json(necessary_checks(f, rho)),
     }
     if rep.stab != 0:
-        gain = prediction_gain(f, rho)
+        gain = _prediction_gain(f, rep)
         result["gain"] = {
             "ratio": ser.rational(gain.ratio),
             "l1_level1": ser.rational(gain.l1_level1),

@@ -142,13 +142,15 @@ def stability_report(f, rho):
     Parseval, sum |c_S b_S| <= 4^n); only their weighted total is a Python
     int."""
     rho = check_rho(rho)
+    return _stability_report(f, rho, _scaled_signs(f, rho))
+
+
+def _stability_report(f, rho, signs):
+    """stability_report of f at a checked rho, given _scaled_signs(f, rho)."""
     stab = stability(f, rho)
-    coeffs = wht(f).coeffs
-    weights = _rho_weights(f.n, rho)
-    signs = np.sign(_weighted_signs(coeffs, weights))
     cross = np.zeros(f.n + 1, dtype=np.int64)
-    np.add.at(cross, popcounts(f.n), coeffs * _butterfly(signs))
-    total = sum(w * c for w, c in zip(weights, cross.tolist()))
+    np.add.at(cross, popcounts(f.n), wht(f).coeffs * _butterfly(np.sign(signs)))
+    total = sum(w * c for w, c in zip(_rho_weights(f.n, rho), cross.tolist()))
     stab_star = Fraction(total, (1 << (2 * f.n)) * rho.denominator**f.n)
     return StabilityReport(
         rho, stab, stab_star, (1 - stab) / 2, (1 - stab_star) / 2
@@ -167,10 +169,14 @@ def closeness_to_sp(f, rho, ties_agree=True):
     Ties (T_rho f = 0) count as agreement unless ties_agree is False.
     """
     rho = check_rho(rho)
-    scaled = _scaled_signs(f, rho)
-    bad = disagreement(f.values, scaled)
+    return _closeness_to_sp(f, rho, _scaled_signs(f, rho), ties_agree)
+
+
+def _closeness_to_sp(f, rho, signs, ties_agree):
+    """closeness_to_sp of f at a checked rho, given _scaled_signs(f, rho)."""
+    bad = disagreement(f.values, signs)
     if not ties_agree:
-        bad |= scaled == 0
+        bad |= signs == 0
     return ClosenessReport(
         Fraction(int(np.count_nonzero(bad)), 1 << f.n), 1 - stability(f, rho)
     )
@@ -186,7 +192,11 @@ class PredictionGain:
 
 def prediction_gain(f, rho):
     rho = check_rho(rho)
-    report = stability_report(f, rho)
+    return _prediction_gain(f, stability_report(f, rho))
+
+
+def _prediction_gain(f, report):
+    """prediction_gain of f given its stability_report."""
     if report.stab == 0:
         raise InvalidArgument("stability is zero (balanced f at rho=0); no ratio")
     lev1 = level_values(f, 1)

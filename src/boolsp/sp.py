@@ -7,12 +7,23 @@ For each point v the scaled noise operator is a polynomial in rho:
 so with q_v(rho) := f(v) * sum_k C[v,k] rho^k the function is rho-SP at v
 exactly when q_v(rho) >= 0 (ties count as agreement) and rho-SP overall when
 all q_v are nonnegative.  The SP region is therefore [0,1] minus the union of
-the open sets {q_v < 0}.  Each distinct q_v's negative set comes from its
-distinct roots, isolated with one Sturm chain, and one sign per gap between
-them; since q_v(1) = 2^n > 0 it is a finite union of intervals ending at
-roots in (0,1).  One sweep over all those intervals, sorted by an exact root
-comparator, yields the region as closed intervals.  Everything is decided
-with integer Sturm-chain arithmetic; floats never touch a sign.
+the open sets {q_v < 0}.
+
+Only the distinct q_v matter, and they are found over orbits, not points.
+Coordinates that f lets swap (plainly, or both negated) form blocks; points
+with the same per-block weights (after the blocks' negations) share q_v,
+and its coefficients are products of binary Krawtchouk polynomials, one
+transform per block axis over prod (|B_i| + 1) orbits instead of one
+butterfly over 2^n points.  A block of one coordinate is one butterfly
+stage, so a function without symmetry runs the plain level-by-level
+transform.  Majority n=21 has 22 orbits; edic n=18 has 2 * 18 = 36.
+
+Each distinct q_v's negative set comes from its distinct roots, isolated
+with one Sturm chain, and one sign per gap between them; since
+q_v(1) = 2^n > 0 it is a finite union of intervals ending at roots in (0,1).
+One sweep over all those intervals, sorted by an exact root comparator,
+yields the region as closed intervals.  Everything is decided with integer
+Sturm-chain arithmetic; floats never touch a sign.
 """
 
 from dataclasses import dataclass, field
@@ -94,44 +105,175 @@ def is_sp(f, rho, fast_path=False):
     return SpDecision(True, None)
 
 
+def _coordinate_blocks(f):
+    """Blocks of interchangeable coordinates of f, and their negation mask.
+
+    Coordinates i < j are interchangeable when f is invariant under swapping
+    x_i and x_j, plainly or with both negated.  Either map is a signed
+    transposition, and the conjugate of one by another is again one, so
+    interchangeability is an equivalence and j need only be tried against
+    the least coordinate (root) of each block found so far.  A plain swap
+    keeps 2^n fhat_{i} = 2^n fhat_{j} and a negated one flips its sign, so
+    only a pair whose level-1 coefficients agree (up to that sign) is
+    compared: one equality of two table views, no index arrays.
+
+    Returns (blocks, mask): coordinate lists by root, each ascending, and
+    bit j of mask set when x_j swaps with its root negated.  Then
+    g(u) = f(u ^ mask) is invariant under every permutation within a block,
+    so f's point polynomial at v depends only on the per-block weights of
+    v ^ mask.
+    """
+    values = f.values
+    level1 = wht(f).coeffs[1 << np.arange(f.n)].tolist()
+    blocks, mask = [], 0
+    for j in range(f.n):
+        for block in blocks:
+            i = block[0]
+            view = values.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
+            if level1[i] == level1[j] and np.array_equal(
+                view[:, 0, :, 1], view[:, 1, :, 0]
+            ):
+                block.append(j)
+                break
+            if level1[i] == -level1[j] and np.array_equal(
+                view[:, 0, :, 0], view[:, 1, :, 1]
+            ):
+                block.append(j)
+                mask |= 1 << j
+                break
+        else:
+            blocks.append([j])
+    return blocks, mask
+
+
+def _krawtchouk_transform(arr, sizes):
+    """The flat orbit tensor arr transformed along every block axis (block 0
+    is the last, fastest axis) by its binary Krawtchouk matrix: entry k of the
+    axis of a block of size b goes to entry w with weight
+
+        K[k, w] = sum_j (-1)^j C(w, j) C(b-w, k-j)
+                = [z^k] (1-z)^w (1+z)^(b-w),
+
+    the sum of chi_S(u) over the size-k subsets S of the block, at any u
+    with w of its coordinates at -1.  So entry w is the functional
+    L(z^k) = entry k applied to (1-z)^w (1+z)^(b-w), built one factor at a
+    time: multiplying by (1+z) or (1-z) maps L to the functional
+    z^k -> L(z^k) +- L(z^(k+1)) on one degree less.  After t steps the state
+    holds, for each i <= t, the functional with i factors (1-z); one step
+    adds a (1+z) to each and a (1-z) to the last.  For a block of size 1,
+    K = [[1, 1], [1, -1]] and this is one stage of the Walsh-Hadamard
+    butterfly: entries a0 + a1 and a0 - a1."""
+    inner = 1
+    for b in sizes:
+        state = arr.reshape(-1, 1, b + 1, inner)
+        for t in range(b):
+            step = np.empty((len(state), t + 2, b - t, inner), dtype=np.int64)
+            np.add(state[:, :, :-1], state[:, :, 1:], out=step[:, :-1])
+            np.subtract(state[:, -1:, :-1], state[:, -1:, 1:], out=step[:, -1:])
+            state = step
+        arr = state.ravel()
+        inner *= b + 1
+    return arr
+
+
+def _orbit_grid(per_block):
+    """Flat orbit tensor holding sum_i per_block[i][index on block i's axis]."""
+    out = np.zeros(1, dtype=np.int64)
+    for vec in per_block:
+        out = (np.array(vec, dtype=np.int64)[:, None] + out).ravel()
+    return out
+
+
+def _least_points(block, mask):
+    """For w = 0..len(block): the least v restricted to the block's bits among
+    points where v ^ mask has w of them set (greedily, from the top bit)."""
+    out = []
+    for w in range(len(block) + 1):
+        v, left = 0, w
+        for below, c in reversed(list(enumerate(block))):
+            m = (mask >> c) & 1
+            if not 0 <= left - m <= below:  # bit c cannot stay clear
+                v |= 1 << c
+                m = 1 - m
+            left -= m
+        out.append(v)
+    return out
+
+
 def _distinct_point_polys(f):
     """Deduplicated signed point polynomials f(v) * C[v,:], each with its least
     point v as representative, in np.unique(rows, axis=0) order.
 
-    The (2^n, n+1) point matrix is never built.  An exact partition
-    refinement runs over the levels k = 0..n: every point carries the int64
-    label of its class so far, and level k splits the classes by the signed
-    column col = f * (level-k values) through the key
+    The work runs over orbits of f's coordinate-block symmetry, not over the
+    2^n points (_coordinate_blocks).  With g(u) = f(u ^ mask), invariant under
+    permutations within each block, the signed point polynomial of an orbit
+    with per-block weights (w_1..w_m) has level-k coefficient
+
+        g(orbit) * sum over (k_1..k_m), sum k_i = k, of
+                   ghat(k_1..k_m) * prod_i K_i[k_i, w_i],
+
+    K_i the binary Krawtchouk matrix of block i (_krawtchouk_transform) and
+    ghat(k_1..k_m) = 2^n fhat_S * chi_S(mask) at one S with k_i coordinates
+    in block i (its least ones).  So each level is one transform of the
+    level-k slice of that dual tensor along each block axis, over
+    prod (|B_i| + 1) orbits.  A function with no symmetry has n singleton
+    blocks, 2^n orbits indexed by the points themselves, and per level the
+    n butterfly stages of the plain level-k transform.
+
+    An exact partition refinement runs over the levels k = 0..n: every orbit
+    carries the int64 label of its class so far, and level k splits the
+    classes by the signed column col through the key
     label * span + (col - min col), with span = max col - min col + 1.  The
-    key is injective on (label, col) pairs, so after the last level two points
+    key is injective on (label, col) pairs, so after the last level two orbits
     share a class exactly when their whole signed rows agree; no hashing, no
-    collisions.  np.unique of the keys gives the new labels (inverse) and the
-    least point of each class (index).  Key order is (label, col) order, so by
-    induction the labels follow the lexicographic order of the rows read so
-    far, and the final classes come out in np.unique(axis=0) order.  Only the
-    representatives' rows are kept, extended by one column per level.
+    collisions.  np.unique of the keys gives the new labels (inverse) and one
+    orbit of each class (index), whose row is kept, extended by one column
+    per level.  Key order is (label, col) order, so by induction the labels
+    follow the lexicographic order of the rows read so far, and the final
+    classes come out in np.unique(axis=0) order.  Once every class is a
+    single orbit (after four or five levels for random functions of 9 to 16
+    variables) no level can split one, so the later levels only extend the
+    rows, with no key and no np.unique.  A class's representative is
+    the least of its orbits' least points; blocks own disjoint bits, so an
+    orbit's least point is the sum of per-block least parts (_least_points).
 
     The key is exact while count * span < 2^63, count being the number of
     classes so far; this is checked in Python ints and raises CapacityError
     otherwise.  By Cauchy-Schwarz and Parseval |col| <= 2^n sqrt(C(n,k)), so
-    count * span < 2^24 * 2^37 for n <= 24 (the default cap).
+    count * span < 2^24 * 2^37 for n <= 24 (the default cap).  Every
+    intermediate entry of a transform is a signed sum of distinct level-k
+    coefficients, so it obeys the same bound.
     """
-    signs = f.values.astype(np.int64)
+    blocks, mask = _coordinate_blocks(f)
+    sizes = [len(block) for block in blocks]
+    subsets = _orbit_grid(  # per block, its least k coordinates for k = 0..|block|
+        [[sum(1 << c for c in block[:k]) for k in range(len(block) + 1)]
+         for block in blocks]
+    )
+    least = _orbit_grid([_least_points(block, mask) for block in blocks])
+    levels = np.bitwise_count(subsets)
+    parity = (np.bitwise_count(subsets & mask) & 1).astype(np.int64)
+    dual = wht(f).coeffs[subsets] * (1 - 2 * parity)
+    signs = f.values[least]
     labels = np.zeros(len(signs), dtype=np.int64)
     rows = np.zeros((1, 0), dtype=np.int64)
     for k in range(f.n + 1):
-        col = level_values(f, k) * signs
-        low = int(col.min())
-        span = int(col.max()) - low + 1
-        if len(rows) * span >= 1 << 63:
-            raise CapacityError(
-                f"level {k} of n={f.n}: point polynomial keys would overflow int64"
+        col = _krawtchouk_transform(np.where(levels == k, dual, 0), sizes) * signs
+        if len(rows) < len(col):  # some class still holds several orbits
+            low = int(col.min())
+            span = int(col.max()) - low + 1
+            if len(rows) * span >= 1 << 63:
+                raise CapacityError(
+                    f"level {k} of n={f.n}: point polynomial keys would overflow int64"
+                )
+            _, first, inverse = np.unique(
+                labels * span + (col - low), return_index=True, return_inverse=True
             )
-        _, reps, inverse = np.unique(
-            labels * span + (col - low), return_index=True, return_inverse=True
-        )
-        rows = np.column_stack([rows[labels[reps]], col[reps]])
-        labels = inverse
+            rows = rows[labels[first]]
+            labels = inverse
+        rows = np.column_stack([rows, col[first]])
+    reps = np.full(len(rows), 1 << f.n, dtype=np.int64)
+    np.minimum.at(reps, labels, least)
     return [(rt.trim(tuple(row)), rep) for row, rep in zip(rows.tolist(), reps.tolist())]
 
 

@@ -176,6 +176,21 @@ def test_stability_majority_values(capsys, maj3):
     assert res["necessary"]["basic_ok"] is True
 
 
+def test_stability_computes_the_sign_stream_once(capsys, maj3, monkeypatch):
+    from boolsp import noise
+
+    calls = []
+
+    def counted(spectra, weights):
+        calls.append(len(weights))
+        return real(spectra, weights)
+
+    real = noise._weighted_signs
+    monkeypatch.setattr(noise, "_weighted_signs", counted)
+    code, _, _ = run(capsys, "stability", "--fn", maj3, "--rho", "1/2")
+    assert code == 0 and calls == [4]
+
+
 def test_stability_zero_rho_gain_absent(capsys, tmp_path):
     chi = write_fn(tmp_path, "chi.json", construct_named("character", 2, coords=[1, 2]))
     code, out, _ = run(capsys, "stability", "--fn", chi, "--rho", "0")

@@ -1,6 +1,7 @@
 """The SP-region sweep: negative sets, their union, and independent checks."""
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from boolsp import (
 )
 from boolsp import sp
 from boolsp.sp import _compare, _distinct_point_polys, _negative_set, _region
+from boolsp.spectrum import ScaledSpectrum
 
 import oracles
 
@@ -124,15 +126,50 @@ def test_distinct_polys_match_oracle_n3_and_named():
 
 
 def test_distinct_polys_refuse_keys_beyond_int64(monkeypatch):
-    # signed columns 0, 2^60, ..., 7 * 2^60: level 0 splits the 8 points
-    # apart, and level 1 would need keys up to about 2^66
+    # every scaled coefficient 2^61: majority 3 is one block of 4 orbits
+    # (weights w = 0..3, signs + + - -).  Level 0 gives the columns
+    # +-2^61, two classes; level 1 gives (3 - 2w) * 2^61 * sign, that is
+    # 3 * 2^61 or 2^61, so its keys would need 2 * (2^62 + 1) >= 2^63
     monkeypatch.setattr(
-        sp,
-        "level_values",
-        lambda f, k: np.arange(1 << f.n, dtype=np.int64) * (1 << 60) * f.values,
+        sp, "wht", lambda f: ScaledSpectrum(f.n, np.full(1 << f.n, 1 << 61))
     )
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="level 1 of n=3"):
         _distinct_point_polys(construct_named("majority", 3))
+
+
+def krawtchouk(b):
+    """K[k][w] = sum_j (-1)^j C(w, j) C(b-w, k-j), summed the obvious way."""
+    return [
+        [sum((-1) ** j * comb(w, j) * comb(b - w, k - j) for j in range(k + 1))
+         for w in range(b + 1)]
+        for k in range(b + 1)
+    ]
+
+
+def test_krawtchouk_transform_matches_formula():
+    for sizes in [[b] for b in range(13)] + [[3, 1, 2], [1, 1, 1], [2, 5]]:
+        # block 0 is the fastest axis, so the flat tensor is transformed by
+        # the Kronecker product of the blocks' matrices, last block first
+        matrix = np.ones((1, 1), dtype=np.int64)
+        for b in sizes:
+            matrix = np.kron(np.array(krawtchouk(b), dtype=np.int64), matrix)
+        basis = np.eye(len(matrix), dtype=np.int64)
+        got = [sp._krawtchouk_transform(row.copy(), sizes) for row in basis]
+        assert np.array_equal(np.array(got), matrix), sizes
+
+
+def test_coordinate_blocks_of_masked_named_functions():
+    rng = np.random.Generator(np.random.PCG64(8))
+    for name, n in [("edic", 5), ("edic", 8), ("majority", 5), ("majority", 9),
+                    ("or", 4), ("or", 8)]:
+        signs = [int(s) for s in rng.choice((-1, 1), size=n)]
+        f = negate_inputs(construct_named(name, n), signs)
+        blocks, mask = sp._coordinate_blocks(f)
+        expected = [[0], list(range(1, n))] if name == "edic" else [list(range(n))]
+        assert blocks == expected, name
+        # a coordinate swaps with its block's root negated when their signs differ
+        root = {j: block[0] for block in expected for j in block}
+        assert mask == sum(1 << j for j in range(n) if signs[j] != signs[root[j]]), name
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +194,42 @@ def permute_inputs(f, perm):
         sum(((u >> i) & 1) << perm[i] for i in range(f.n)) for u in range(1 << f.n)
     ]
     return BooleanFunction.from_values(f.values[idx])
+
+
+@st.composite
+def block_symmetric(draw, max_n=8):
+    """(f, planted blocks): a function of the per-block weights of blocks of
+    consecutive coordinates, with inputs then permuted and negated."""
+    n = draw(st.integers(1, max_n))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, n - sum(sizes))))
+    shape = [b + 1 for b in sizes]
+    table = draw(st.lists(st.sampled_from((-1, 1)), min_size=int(np.prod(shape)),
+                          max_size=int(np.prod(shape))))
+    u = np.arange(1 << n)
+    weights, low = [], 0
+    for b in sizes:
+        weights.append(np.bitwise_count((u >> low) & ((1 << b) - 1)))
+        low += b
+    values = np.array(table)[np.ravel_multi_index(weights, shape)]
+    f = BooleanFunction.from_values(values)
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    blocks, low = [], 0
+    for b in sizes:  # coordinate i of the permuted function is f's perm[i]
+        blocks.append({i for i in range(n) if low <= perm[i] < low + b})
+        low += b
+    return negate_inputs(permute_inputs(f, perm), signs), blocks
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_symmetric())
+def test_orbit_polys_match_oracle_on_block_symmetric(case):
+    f, planted = case
+    found = sp._coordinate_blocks(f)[0]
+    assert all(any(b <= set(block) for block in found) for b in planted)
+    assert _distinct_point_polys(f) == oracle_distinct_polys(f)
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolsp import (
     BooleanFunction,
@@ -86,6 +88,51 @@ def test_canonical_json_is_stable():
 def test_canonical_json_refuses_nan():
     with pytest.raises(ValueError):
         canonical_json({"x": float("nan")})
+
+
+def stdlib_canonical(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+class LoudInt(int):
+    """json prints int subclasses through int.__repr__, not their own."""
+
+    def __repr__(self):
+        return "loud"
+
+    __str__ = __repr__
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        1, "a", None, True, 1.5, [], {}, [[]], {"a": [], "b": {}},
+        [1, 2, 3], [True, 1], [1, False], [1, 2.0], [1, None],
+        (1, 2), [(1, 2), (True,)],
+        [2**200, -(2**70), 0], {"z": [[1, 2], [3, [4, 5]]], "a": {"é": "x\ny"}},
+        {1: [1, 2], 2: "x"}, {"k": [1, {"c": [3, 4]}, "s"]},
+        [LoudInt(3), 4], {"k": LoudInt(5)},
+        {"spectrum": spectrum_to_json(wht(construct_named("or", 3)))},
+    ],
+)
+def test_canonical_json_bytes_match_stdlib(obj):
+    assert canonical_json(obj) == stdlib_canonical(obj)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(st.integers(), max_size=5)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+def test_canonical_json_bytes_match_stdlib_on_random_values(obj):
+    assert canonical_json(obj) == stdlib_canonical(obj)
 
 
 def test_file_digest(tmp_path):

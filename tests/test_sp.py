@@ -1,8 +1,10 @@
 """SP decisions, regions, taxonomy, thresholds — frozen values and oracles."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from boolsp import (
@@ -306,6 +308,19 @@ def test_monotonically_sp_ignores_origin_component():
     c = classify(g)
     assert c.monotonically_sp
     assert (1 + c.rho0.lo) ** 2 <= 2 <= (1 + c.rho0.hi) ** 2
+
+
+@pytest.mark.parametrize("name", ["majority", "edic"])
+def test_classification_invariant_under_input_negation_n21(name):
+    # 2^21 points but few orbits: majority is one block, edic the blocks
+    # {1} and {2..21}; the seeded negations only move the orbits around.
+    # Witnesses are points, so only their names must agree.
+    f = construct_named(name, 21)
+    rng = np.random.Generator(np.random.PCG64(21))
+    masked = classify(negate_inputs(f, [int(s) for s in rng.choice((-1, 1), size=21)]))
+    plain = classify(f)
+    assert sorted(masked.witnesses) == sorted(plain.witnesses)
+    assert replace(masked, witnesses={}) == replace(plain, witnesses={})
 
 
 # ---------------------------------------------------------------------------
