@@ -15,6 +15,7 @@ Conventions
 
 import argparse
 import sys
+from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -39,7 +40,7 @@ from .sp import (
     sp_region,
     sufficient_thresholds,
 )
-from .spectrum import spectral_summary, wht
+from .spectrum import _spectral_summary, wht
 
 _EPILOG = """\
 file formats (all JSON):
@@ -63,12 +64,13 @@ def _parse_rational(text, what):
 
 def _parse_epsilon(text):
     try:
-        eps = Fraction(text) if "/" in text else Fraction(Decimal(text))
-    except (ValueError, InvalidOperation, ZeroDivisionError, OverflowError):
+        eps = Fraction(text) if "/" in text else Decimal(text)
+        if not 0 < eps < 1:
+            raise InvalidArgument("epsilon must lie in (0, 1)")
+    except (ValueError, InvalidOperation, ZeroDivisionError):
         raise InvalidArgument(f"bad epsilon {text!r}") from None
-    if not 0 < eps < 1:
-        raise InvalidArgument("epsilon must lie in (0, 1)")
-    return eps
+    ser.check_renderable(eps)  # the output is written with it: refuse before the work
+    return Fraction(eps)
 
 
 def _load_function(args, inputs):
@@ -100,17 +102,6 @@ def _write_function(path, f):
 
 # ---------------------------------------------------------------------------
 # payload builders
-
-
-def _properties_json(f):
-    rec = properties(f)
-    return {
-        "balanced": rec.balanced,
-        "monotone": rec.monotone,
-        "odd": rec.odd,
-        "even": rec.even,
-        "symmetric": rec.symmetric,
-    }
 
 
 def _summary_json(s):
@@ -194,11 +185,11 @@ def _constants_json(tc):
 def _cmd_analyze(args):
     inputs = {}
     f = _load_function(args, inputs)
-    props = _properties_json(f)
+    props = asdict(properties(f))
     result = {
         "n": f.n,
         "properties": props,
-        "summary": _summary_json(spectral_summary(f)),
+        "summary": _summary_json(_spectral_summary(f, props["monotone"])),
         "spectrum": ser.spectrum_to_json(wht(f)),
     }
     if props["monotone"]:
@@ -308,7 +299,7 @@ def _cmd_compose(args):
         "kind": kind,
         "n": g.n,
         "function": ser.function_to_json(g),
-        "properties": _properties_json(g),
+        "properties": asdict(properties(g)),
     }, inputs
 
 

@@ -138,6 +138,15 @@ class PtfSpec:
             seen.add(mask)
 
 
+def linear_values(a0, a):
+    """a0 + sum_i a_i x_i at every point as int64 (the caller keeps
+    |a0| + sum |a_i| < 2^63), by one doubling per coefficient."""
+    vals = np.array([a0], dtype=np.int64)
+    for c in a:
+        vals = np.concatenate([vals + c, vals - c])
+    return vals
+
+
 def _sign_table_to_function(vals, n, cap, what):
     """Turn an integer sign-form table into a BooleanFunction, rejecting zeros."""
     zeros = np.flatnonzero(vals == 0)
@@ -158,10 +167,7 @@ def construct_ltf(spec, cap=None):
     check_cap(n, cap)
     if abs(spec.a0) + sum(abs(c) for c in spec.a) >= _SIGN_FORM_BOUND:
         raise InvalidArgument("LTF coefficients too large for exact evaluation")
-    vals = np.array([spec.a0], dtype=np.int64)
-    for c in spec.a:
-        vals = np.concatenate([vals + c, vals - c])
-    return _sign_table_to_function(vals, n, cap, "LTF form")
+    return _sign_table_to_function(linear_values(spec.a0, spec.a), n, cap, "LTF form")
 
 
 def construct_ptf(spec, cap=None):
@@ -236,26 +242,10 @@ def properties(f):
             break
     odd = bool(np.all(vals == -vals[::-1]))
     even = bool(np.all(vals == vals[::-1]))
-    pc = popcounts(f.n)
-    symmetric = all(
-        bool(np.all(vals[pc == k] == vals[pc == k][0])) for k in range(f.n + 1)
-    )
+    # (1 << w) - 1 is the least point of weight w: one gather compares every
+    # point with the value of its weight class
+    symmetric = bool(np.array_equal(vals, vals[(1 << popcounts(f.n)) - 1]))
     return PropertyRecord(balanced, monotone, odd, even, symmetric)
-
-
-def _or_reduce_superset(arr, n):
-    """arr[u] |= arr[v] over all supersets v of u (in-place zeta transform)."""
-    for j in range(n):
-        view = arr.reshape(-1, 2, 1 << j)
-        view[:, 0, :] |= view[:, 1, :]
-    return arr
-
-
-def _or_reduce_subset(arr, n):
-    for j in range(n):
-        view = arr.reshape(-1, 2, 1 << j)
-        view[:, 1, :] |= view[:, 0, :]
-    return arr
 
 
 def dominating_boundary_points(f):
@@ -263,29 +253,24 @@ def dominating_boundary_points(f):
 
     Minimal/maximal is in the coordinatewise order (-1 below +1); for a
     monotone function these are exactly the points where the sign is decided
-    with no slack.  Precondition: f monotone.
+    with no slack.  Precondition: f monotone, tested in the same pass.
+
+    For monotone f it suffices to look at immediate neighbours: an equal pair
+    across x_{j+1} leaves its upper point (bit j clear) not minimal when both
+    are +1, and its lower point not maximal when both are -1.
     """
-    if not properties(f).monotone:
-        raise PreconditionError("dominating boundary is defined for monotone f only")
-    size = 1 << f.n
-    plus = (f.values > 0).astype(np.uint8)
-    sup = _or_reduce_superset(plus.copy(), f.n)
-    strict_sup = np.zeros(size, dtype=np.uint8)
-    u = np.arange(size)
+    vals = f.values
+    slack = np.zeros(1 << f.n, dtype=bool)
     for j in range(f.n):
-        clear = (u >> j) & 1 == 0
-        strict_sup[clear] |= sup[u[clear] | (1 << j)]
-    minimal_plus = (plus == 1) & (strict_sup == 0)
-
-    minus = (f.values < 0).astype(np.uint8)
-    sub = _or_reduce_subset(minus.copy(), f.n)
-    strict_sub = np.zeros(size, dtype=np.uint8)
-    for j in range(f.n):
-        bit_set = (u >> j) & 1 == 1
-        strict_sub[bit_set] |= sub[u[bit_set] ^ (1 << j)]
-    maximal_minus = (minus == 1) & (strict_sub == 0)
-
-    return sorted(np.flatnonzero(minimal_plus | maximal_minus).tolist())
+        pair = vals.reshape(-1, 2, 1 << j)
+        upper, lower = pair[:, 0, :], pair[:, 1, :]
+        if np.any(lower > upper):
+            raise PreconditionError("dominating boundary is defined for monotone f only")
+        same = upper == lower
+        out = slack.reshape(-1, 2, 1 << j)
+        out[:, 0, :] |= same & (upper > 0)
+        out[:, 1, :] |= same & (lower < 0)
+    return np.flatnonzero(~slack).tolist()
 
 
 def friendly_neighborhood(f, d):

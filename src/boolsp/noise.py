@@ -22,10 +22,10 @@ from .errors import InvalidArgument
 from .functions import BooleanFunction, popcounts
 from .spectrum import (
     _butterfly,
+    _level1_values,
     _limb_plan,
     _weighted_signs,
     _weighted_transform,
-    level_values,
     level_weights,
     wht,
 )
@@ -199,8 +199,7 @@ def _prediction_gain(f, report):
     """prediction_gain of f given its stability_report."""
     if report.stab == 0:
         raise InvalidArgument("stability is zero (balanced f at rho=0); no ratio")
-    lev1 = level_values(f, 1)
-    l1 = Fraction(int(np.abs(lev1).sum()), 1 << (2 * f.n))
+    l1 = Fraction(int(np.abs(_level1_values(f)).sum()), 1 << (2 * f.n))
     w1 = Fraction(int(level_weights(f)[1]), 1 << (2 * f.n))
     ok = 2 * l1**2 >= w1 and l1**2 <= w1
     return PredictionGain(report.stab_star / report.stab, l1, w1, ok)

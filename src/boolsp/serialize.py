@@ -17,6 +17,7 @@ import hashlib
 import json
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -84,14 +85,15 @@ def file_digest(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def rational(x):
-    """Exact rational plus a float rendering, side by side.
-
-    Raises CapacityError when the numerator or denominator has more decimal
-    digits than Python renders (sys.get_int_max_str_digits(); Pythons before
-    3.10.7 have no such limit)."""
-    x = Fraction(x)
+def check_renderable(x):
+    """Raise CapacityError when the rational x has a numerator or denominator
+    with more decimal digits than Python renders (sys.get_int_max_str_digits();
+    none before 3.10.7).  A Decimal outside 10^-limit <= |x| < 10^limit has
+    such a part, and is refused before Fraction(x) builds 10^|exponent|."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if isinstance(x, Decimal) and x and not -limit <= x.adjusted() < limit:
+        x = 10**limit  # a stand-in with as many digits as the limit allows
+    x = Fraction(x)
     for part in (x.numerator, x.denominator):
         # 10^limit has more than 3 * limit bits, so shorter parts always render
         if limit and part.bit_length() > 3 * limit and abs(part) >= 10**limit:
@@ -99,6 +101,12 @@ def rational(x):
                 f"exact result has more than {limit} decimal digits; "
                 "too large to write"
             )
+
+
+def rational(x):
+    """Exact rational plus a float rendering, side by side (check_renderable)."""
+    x = Fraction(x)
+    check_renderable(x)
     return {"num": x.numerator, "den": x.denominator, "approx": float(x)}
 
 

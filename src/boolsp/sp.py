@@ -24,6 +24,11 @@ q_v(1) = 2^n > 0 it is a finite union of intervals ending at roots in (0,1).
 One sweep over all those intervals, sorted by an exact root comparator,
 yields the region as closed intervals.  Everything is decided with integer
 Sturm-chain arithmetic; floats never touch a sign.
+
+The same classes, with their sizes, give classify's other flags with no
+pass over 2^n points: column k of q_v is f(v) 2^n times the level-k part of
+f at v (lowest nonzero level, WST, SST), and LCSP reads each row's first
+nonzero entry.
 """
 
 from dataclasses import dataclass, field
@@ -39,6 +44,7 @@ from .functions import (
     LtfSpec,
     construct_ltf,
     dominating_boundary_points,
+    linear_values,
     popcounts,
     properties,
 )
@@ -47,8 +53,6 @@ from .spectrum import (
     _level1_gap,
     chow_distance,
     influences,
-    level_values,
-    level_weights,
     wht,
 )
 
@@ -176,11 +180,12 @@ def _krawtchouk_transform(arr, sizes):
     return arr
 
 
-def _orbit_grid(per_block):
-    """Flat orbit tensor holding sum_i per_block[i][index on block i's axis]."""
-    out = np.zeros(1, dtype=np.int64)
+def _orbit_grid(per_block, ufunc=np.add):
+    """Flat orbit tensor holding the ufunc (sum, or np.multiply for product)
+    over i of per_block[i][index on block i's axis]."""
+    out = np.array([ufunc.identity], dtype=np.int64)
     for vec in per_block:
-        out = (np.array(vec, dtype=np.int64)[:, None] + out).ravel()
+        out = ufunc.outer(np.array(vec, dtype=np.int64), out).ravel()
     return out
 
 
@@ -201,8 +206,9 @@ def _least_points(block, mask):
 
 
 def _distinct_point_polys(f):
-    """Deduplicated signed point polynomials f(v) * C[v,:], each with its least
-    point v as representative, in np.unique(rows, axis=0) order.
+    """Deduplicated signed point polynomials f(v) * C[v,:] as classes
+    (row, rep, size): the trimmed row, its least point v as representative
+    and the number of points that have it, in np.unique(rows, axis=0) order.
 
     The work runs over orbits of f's coordinate-block symmetry, not over the
     2^n points (_coordinate_blocks).  With g(u) = f(u ^ mask), invariant under
@@ -236,6 +242,8 @@ def _distinct_point_polys(f):
     rows, with no key and no np.unique.  A class's representative is
     the least of its orbits' least points; blocks own disjoint bits, so an
     orbit's least point is the sum of per-block least parts (_least_points).
+    Its size is the sum of its orbits' sizes prod_i C(|B_i|, w_i).  The rows
+    and sizes carry classify's per-point flags too (_level_flags).
 
     The key is exact while count * span < 2^63, count being the number of
     classes so far; this is checked in Python ints and raises CapacityError
@@ -251,6 +259,8 @@ def _distinct_point_polys(f):
          for block in blocks]
     )
     least = _orbit_grid([_least_points(block, mask) for block in blocks])
+    binomials = [[comb(len(b), w) for w in range(len(b) + 1)] for b in blocks]
+    counts = _orbit_grid(binomials, np.multiply)  # points per orbit
     levels = np.bitwise_count(subsets)
     parity = (np.bitwise_count(subsets & mask) & 1).astype(np.int64)
     dual = wht(f).coeffs[subsets] * (1 - 2 * parity)
@@ -274,7 +284,10 @@ def _distinct_point_polys(f):
         rows = np.column_stack([rows, col[first]])
     reps = np.full(len(rows), 1 << f.n, dtype=np.int64)
     np.minimum.at(reps, labels, least)
-    return [(rt.trim(tuple(row)), rep) for row, rep in zip(rows.tolist(), reps.tolist())]
+    members = np.zeros(len(rows), dtype=np.int64)
+    np.add.at(members, labels, counts)
+    rows = [rt.trim(tuple(row)) for row in rows.tolist()]
+    return list(zip(rows, reps.tolist(), members.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +413,15 @@ def _region(n, polys, epsilon):
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise InvalidArgument("epsilon must be positive")
-    if any(sum(q) != 1 << n for q, _ in polys):
+    if any(sum(q) != 1 << n for q, *_ in polys):
         raise AssertionError("point polynomial must equal 2^n at rho=1")
-    negative = [_negative_set(q) for q, _ in polys]
+    negative = [_negative_set(q) for q, *_ in polys]
     union = sorted(
         (iv for ivs in negative for iv in ivs),
         key=cmp_to_key(lambda s, t: _compare(s[0], t[0])),
     )
     reach = _Root(None, Fraction(0), Fraction(0))
-    reach_in = all(q[0] >= 0 for q, _ in polys)
+    reach_in = all(q[0] >= 0 for q, *_ in polys)
     intervals = []
     for left, right in union:
         order = _compare(left, reach)
@@ -451,27 +464,23 @@ class SpClassification:
     witnesses: dict = field(default_factory=dict)
 
 
-def _lcsp_check(polys):
-    """Lowest-order criterion: the first nonzero q_v coefficient is positive.
-
-    Returns (ok, least failing point or None).
-    """
-    bad = [rep for q, rep in polys if next(c for c in q if c) < 0]
-    return not bad, min(bad, default=None)
-
-
-def _wst_sst_check(f, lev):
-    signed = level_values(f, lev) * f.values.astype(np.int64)
-    neg = np.flatnonzero(signed < 0)
-    zero = np.flatnonzero(signed == 0)
-    wst = len(neg) == 0
-    return (
-        wst,
-        wst and len(zero) == 0,
-        int(neg[0]) if len(neg) else None,
-        int(zero[0]) if len(zero) else None,
-        len(zero),
-    )
+def _level_flags(classes):
+    """(lev, lev_zero_count, witnesses) read off the classes (row, rep, size)
+    of _distinct_point_polys.  lev is the least first-nonzero index over the
+    rows; column lev (0 past a row's end) is f(v) 2^n times the level-lev part
+    of f at v.  The witness of "lcsp" (a row's first nonzero entry < 0), "wst"
+    (column lev < 0) and "lev_zero" (column lev == 0) is the least
+    representative of the classes that fail it."""
+    lead = [next(k for k, c in enumerate(q) if c) for q, _, _ in classes]
+    lev = min(lead)
+    col = [q[lev] if lev < len(q) else 0 for q, _, _ in classes]
+    failing = {
+        "lcsp": [rep for (q, rep, _), k in zip(classes, lead) if q[k] < 0],
+        "wst": [rep for (_, rep, _), c in zip(classes, col) if c < 0],
+        "lev_zero": [rep for (_, rep, _), c in zip(classes, col) if c == 0],
+    }
+    zero_count = sum(size for (_, _, size), c in zip(classes, col) if c == 0)
+    return lev, zero_count, {key: min(reps) for key, reps in failing.items() if reps}
 
 
 def classify(f, epsilon=DEFAULT_EPSILON):
@@ -479,26 +488,21 @@ def classify(f, epsilon=DEFAULT_EPSILON):
 
     The distinct point polynomials are built once.  One sweep over their
     negative sets gives the region and usp (no polynomial is ever negative;
-    the witness is the representative of the first one that is), and lcsp
-    reads their lowest coefficients.  monotonically_sp means the region,
-    ignoring the degenerate {0} component every balanced function has, is a
-    single interval reaching 1; rho0 is then its left endpoint.
+    the witness is the representative of the first one that is), and every
+    other per-point flag is read off their rows (_level_flags).
+    monotonically_sp means the region, ignoring the degenerate {0} component
+    every balanced function has, is a single interval reaching 1; rho0 is
+    then its left endpoint.
     """
     polys = _distinct_point_polys(f)
     region, negative = _region(f.n, polys, epsilon)
     witnesses = {}
-    failing = next((rep for (_, rep), ivs in zip(polys, negative) if ivs), None)
+    failing = next((rep for (_, rep, _), ivs in zip(polys, negative) if ivs), None)
     if failing is not None:
         witnesses["usp"] = failing
-    lcsp, lcsp_witness = _lcsp_check(polys)
-    if lcsp_witness is not None:
-        witnesses["lcsp"] = lcsp_witness
-    lev = int(np.flatnonzero(level_weights(f))[0])
-    wst, sst, wst_witness, zero_witness, zero_count = _wst_sst_check(f, lev)
-    if wst_witness is not None:
-        witnesses["wst"] = wst_witness
-    if zero_witness is not None:
-        witnesses["lev_zero"] = zero_witness
+    lev, zero_count, flags = _level_flags(polys)
+    witnesses.update(flags)
+    wst = "wst" not in flags
     solid = [
         iv
         for iv in region.intervals
@@ -509,8 +513,8 @@ def classify(f, epsilon=DEFAULT_EPSILON):
     )
     rho0 = solid[0].lo if monotone_sp else None
     return SpClassification(
-        failing is None, lcsp, wst, sst, monotone_sp, rho0, lev, zero_count, region,
-        witnesses,
+        failing is None, "lcsp" not in flags, wst, wst and zero_count == 0,
+        monotone_sp, rho0, lev, zero_count, region, witnesses,
     )
 
 
@@ -547,18 +551,16 @@ def sufficient_thresholds(f, epsilon=DEFAULT_EPSILON):
     )
 
     coeffs = wht(f).coeffs
-    d = int(np.flatnonzero(level_weights(f)).max())
+    support_counts = np.bincount(popcounts(n)[coeffs != 0], minlength=n + 1).tolist()
+    d = max(k for k, c in enumerate(support_counts) if c)
     if d == 0:
         degree_bound = Fraction(0)
     else:
         spectral_norm = Fraction(int(np.abs(coeffs).sum()), 1 << n)
         degree_bound = 1 - 1 / (d * min(Fraction(d), spectral_norm))
 
-    pc = popcounts(n)
-    support_counts = [int(np.count_nonzero(coeffs[pc == k])) for k in range(n + 1)]
-    s = sum(support_counts)
     sparsity_poly = list(support_counts)
-    sparsity_poly[0] -= s - 1
+    sparsity_poly[0] -= sum(support_counts) - 1
     sparsity_poly = rt.trim(tuple(sparsity_poly))
     if not sparsity_poly or sparsity_poly[0] >= 0:
         sparsity_bound = Endpoint("exact", value=Fraction(0))
@@ -655,8 +657,7 @@ def ltf_approximation(f):
     m = sum(1 for c in w if c)
     if m == 0:
         raise InvalidArgument("level-1 spectrum vanishes; no LTF direction")
-    lev1 = level_values(f, 1)
-    zero_set = np.flatnonzero(lev1 == 0)
+    zero_set = np.flatnonzero(linear_values(0, w) == 0)
     # perturbation: restricted Chow fit on the zero set, plus an offset shift
     d = [0] * f.n
     d0 = 0
@@ -769,10 +770,9 @@ def chow_gap_bound(f, g):
         failures.append("f is not balanced")
     if not properties(g).balanced:
         failures.append("g is not balanced")
-    wst, sst, *_ = _wst_sst_check(f, int(np.flatnonzero(level_weights(f))[0]))
-    if not (wst and sst):
+    if {"wst", "lev_zero"} & _level_flags(_distinct_point_polys(f))[2].keys():
         failures.append("f is not SST")
-    if not _lcsp_check(_distinct_point_polys(g))[0]:
+    if "lcsp" in _level_flags(_distinct_point_polys(g))[2]:
         failures.append("g is not LCSP")
     if any(x == 0 for x in influences(f)):
         failures.append("f does not depend on all variables")

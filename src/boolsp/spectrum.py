@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgument
-from .functions import BooleanFunction, popcounts
+from .functions import BooleanFunction, linear_values, popcounts, properties
 
 
 def _butterfly(arr):
@@ -161,8 +161,11 @@ class SpectralSummary:
 
 
 def spectral_summary(f):
-    from .functions import properties  # local import to avoid cycle at module load
+    return _spectral_summary(f, properties(f).monotone)
 
+
+def _spectral_summary(f, monotone):
+    """spectral_summary of f, given whether f is monotone."""
     spec = wht(f)
     coeffs = spec.coeffs
     denom_sq = 1 << (2 * f.n)
@@ -172,16 +175,22 @@ def spectral_summary(f):
     level = min(nonzero_levels)
     spectral_norm = Fraction(int(np.abs(coeffs).sum()), 1 << f.n)
     chow = (spec.fraction(0),) + tuple(spec.fraction(1 << i) for i in range(f.n))
-    influences = chow[1:] if properties(f).monotone else None
+    influences = chow[1:] if monotone else None
     return SpectralSummary(
         weights, degree, level, spectral_norm, chow, _level1_gap(f), influences
     )
 
 
+def _level1_values(f):
+    """2^n times the level-1 part sum_i fhat_i x_i at every point (int64), the
+    same array as level_values(f, 1) by n doublings instead of a butterfly."""
+    return linear_values(0, wht(f).coeffs[1 << np.arange(f.n)].tolist())
+
+
 def _level1_gap(f):
     """Gap[f]: least positive value of sum_i fhat_i x_i over the cube, 0 when
     that level-1 form is never positive."""
-    lev1 = level_values(f, 1)
+    lev1 = _level1_values(f)
     positive = lev1[lev1 > 0]
     return Fraction(int(positive.min()), 1 << f.n) if len(positive) else Fraction(0)
 

@@ -1,7 +1,9 @@
 """Write region_corpus.json: exact reprs of the region-layer results.
 
 For every case the corpus stores repr() of sp_region(f),
-sp_region(f, 1/1000), classify(f) and sufficient_thresholds(f).  The cases
+sp_region(f, 1/1000), classify(f), sufficient_thresholds(f), properties(f)
+and spectral_summary(f); for monotone f also dominating_boundary_points(f),
+and where the level-1 spectrum is nonzero ltf_approximation(f).  The cases
 are all 256 tables at n=3, random_function(n, s) for n = 4..7 and s < 4, and
 majority, or and edic for n = 3..9.  tests/test_region_corpus.py recomputes
 every case and compares the strings exactly, so any change to the root or
@@ -20,8 +22,12 @@ from boolsp import (
     BooleanFunction,
     classify,
     construct_named,
+    dominating_boundary_points,
+    ltf_approximation,
+    properties,
     random_function,
     sp_region,
+    spectral_summary,
     sufficient_thresholds,
 )
 
@@ -43,12 +49,21 @@ def cases():
 
 
 def record(f):
-    return {
+    props = properties(f)
+    summary = spectral_summary(f)
+    out = {
         "sp_region": repr(sp_region(f)),
         "sp_region_1e-3": repr(sp_region(f, Fraction(1, 1000))),
         "classify": repr(classify(f)),
         "sufficient_thresholds": repr(sufficient_thresholds(f)),
+        "properties": repr(props),
+        "spectral_summary": repr(summary),
     }
+    if props.monotone:
+        out["dominating_boundary_points"] = repr(dominating_boundary_points(f))
+    if any(summary.chow[1:]):
+        out["ltf_approximation"] = repr(ltf_approximation(f))
+    return out
 
 
 def main():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from boolsp import construct_ltf, construct_named, LtfSpec, PtfSpec
+from boolsp import cli, functions, sp, spectrum
 from boolsp.cli import main
 from boolsp.serialize import (
     canonical_json,
@@ -143,6 +144,24 @@ def test_analyze_majority(capsys, maj3):
     assert res["spectrum"]["scaled_coeffs"] == [0, 4, 4, 0, 4, 0, 0, -4]
     assert res["dominating_boundary"] == [1, 2, 3, 4, 5, 6]
     assert res["summary"]["degree"] == 3
+
+
+def test_analyze_evaluates_properties_once(capsys, monkeypatch, tmp_path):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return functions.properties(f)
+
+    for mod in (cli, spectrum, sp):
+        monkeypatch.setattr(mod, "properties", counted)
+    fn = write_fn(tmp_path, "or5.json", construct_named("or", 5))
+    code, out, _ = run(capsys, "analyze", "--fn", fn)
+    assert code == 0 and len(calls) == 1
+    res = json.loads(out)["result"]
+    assert res["properties"]["monotone"]
+    assert res["summary"]["influences"] is not None
+    assert res["dominating_boundary"] == [0, 1, 2, 4, 8, 16]
 
 
 def test_classify_ltf_input(capsys, tmp_path):
@@ -437,12 +456,28 @@ def test_whole_space_huge_rho_denominator(capsys, command):
          "--samples", "4", "--seed", "1", "--threads", "0"),
         ("orbit", "--fn", "FN", "--rho", "1/2", "--max-steps", "-3"),
         ("census", "--n", "2", "--grid", "0"),
+        ("region", "--fn", "FN", "--epsilon", "1e-5000"),
+        ("classify", "--fn", "FN", "--epsilon", "1e-99999999"),
+        ("thresholds", "--fn", "FN", "--epsilon", "1e-99999999"),
     ],
 )
 def test_bad_arguments_exit_cleanly(capsys, maj3, argv):
     code, out, err = run(capsys, *(maj3 if a == "FN" else a for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["region", "classify", "thresholds"])
+def test_unwritable_epsilon_refused_before_work(capsys, monkeypatch, maj3, command):
+    # 1e-4300 has a denominator of 4301 digits, one more than Python renders
+    def refuse(*_):
+        raise AssertionError("ran with an unwritable epsilon")
+
+    for name in ("sp_region", "classify", "sufficient_thresholds"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run(capsys, command, "--fn", maj3, "--epsilon", "1e-4300")
+    assert code == 1 and out == ""
+    assert "decimal digits" in err and err.count("\n") == 1
 
 
 def test_census_grid_zero_is_named(capsys):

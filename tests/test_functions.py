@@ -223,7 +223,7 @@ def test_dominating_boundary_definition_random():
     rng = random.Random(3)
     seen = 0
     while seen < 25:
-        n = rng.randint(2, 4)
+        n = rng.randint(2, 8)
         # monotone sample: majority vote over random positive-weight forms
         a = tuple(2 * rng.randint(0, 3) + 1 for _ in range(n))
         f = construct_ltf(LtfSpec((n % 2 + 1) % 2, a))

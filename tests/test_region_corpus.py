@@ -1,7 +1,9 @@
 """Region-layer results stay byte-identical to the committed corpus.
 
 tests/data/region_corpus.json holds repr() of sp_region (two epsilons),
-classify and sufficient_thresholds for 290 functions; see
+classify, sufficient_thresholds, properties and spectral_summary for 290
+functions, plus dominating_boundary_points for the monotone ones and
+ltf_approximation where the level-1 spectrum is nonzero; see
 tests/data/make_region_corpus.py for the cases and how to regenerate it.
 """
 

@@ -17,9 +17,10 @@ from boolsp import (
     is_sp,
     negate_inputs,
     random_function,
+    level_values,
     sp_region,
 )
-from boolsp import sp
+from boolsp import sp, spectrum
 from boolsp.sp import _compare, _distinct_point_polys, _negative_set, _region
 from boolsp.spectrum import ScaledSpectrum
 
@@ -96,16 +97,17 @@ def test_usp_matches_sympy_oracle_exhaustive_n3():
 
 def oracle_distinct_polys(f):
     """Distinct scaled rows of oracles.point_polynomials in sorted order,
-    trimmed of high zero coefficients, each with its least point."""
-    least = {}
+    trimmed of high zero coefficients, each with its least point and the
+    number of points that have it."""
+    points = {}
     for v, coeffs in enumerate(oracles.point_polynomials(oracles.table(f), f.n)):
-        least.setdefault(tuple(int(c * (1 << f.n)) for c in coeffs), v)
+        points.setdefault(tuple(int(c * (1 << f.n)) for c in coeffs), []).append(v)
     out = []
-    for row in sorted(least):
+    for row in sorted(points):
         trimmed = list(row)
         while trimmed[-1] == 0:
             trimmed.pop()
-        out.append((tuple(trimmed), least[row]))
+        out.append((tuple(trimmed), points[row][0], len(points[row])))
     return out
 
 
@@ -223,13 +225,54 @@ def block_symmetric(draw, max_n=8):
     return negate_inputs(permute_inputs(f, perm), signs), blocks
 
 
+def dense_level_flags(f):
+    """classify's lev, wst, sst, lev_zero_count and witnesses (all but usp)
+    from the dense level_values tables: row v of the signed level table is
+    f(v) times the point polynomial's coefficients."""
+    signed = np.array([level_values(f, k) for k in range(f.n + 1)]) * f.values
+    lev = next(k for k in range(f.n + 1) if signed[k].any())
+    lead = np.zeros(1 << f.n, dtype=np.int64)
+    for row in signed:
+        lead = np.where(lead == 0, np.sign(row), lead)
+    witnesses = {}
+    for key, bad in (
+        ("lcsp", lead < 0), ("wst", signed[lev] < 0), ("lev_zero", signed[lev] == 0)
+    ):
+        if bad.any():
+            witnesses[key] = int(np.flatnonzero(bad)[0])
+    zero_count = int(np.count_nonzero(signed[lev] == 0))
+    wst = "wst" not in witnesses
+    return lev, wst, wst and zero_count == 0, zero_count, witnesses
+
+
 @settings(max_examples=40, deadline=None)
 @given(block_symmetric())
 def test_orbit_polys_match_oracle_on_block_symmetric(case):
     f, planted = case
     found = sp._coordinate_blocks(f)[0]
     assert all(any(b <= set(block) for block in found) for b in planted)
-    assert _distinct_point_polys(f) == oracle_distinct_polys(f)
+    classes = _distinct_point_polys(f)
+    assert classes == oracle_distinct_polys(f)
+    assert sum(size for _, _, size in classes) == 1 << f.n
+    c = classify(f)
+    witnesses = {k: v for k, v in c.witnesses.items() if k != "usp"}
+    assert (c.lev, c.wst, c.sst, c.lev_zero_count, witnesses) == dense_level_flags(f)
+    assert c.lcsp == ("lcsp" not in witnesses)
+
+
+def test_classify_reads_no_dense_level_table(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("dense level pass")
+
+    cases = [construct_named("majority", 9), construct_named("edic", 8)]
+    expected = [dense_level_flags(f) for f in cases]
+    for mod in (sp, spectrum):
+        for name in ("level_values", "level_weights"):
+            monkeypatch.setattr(mod, name, refuse, raising=False)
+    for f, want in zip(cases, expected):
+        c = classify(f)
+        witnesses = {k: v for k, v in c.witnesses.items() if k != "usp"}
+        assert (c.lev, c.wst, c.sst, c.lev_zero_count, witnesses) == want
 
 
 @settings(max_examples=150, deadline=None)
