@@ -4,11 +4,15 @@ Polynomials are tuples of Python ints, lowest power first, no high-order
 zeros (the zero polynomial is the empty tuple).  Every sign decision is an
 integer computation: p(a/b) is judged through b^deg(p) * p(a/b).
 
-Provides Sturm chains (via sign-tracked pseudo-remainders, so everything
-stays in Z), which start with the square-free part, and on an interval root
-counting, isolation and refinement, all from one chain per polynomial.  A
-root is a pair (lo, hi) of Fractions: exact when lo == hi, else an open
-interval over which the square-free part changes sign.
+Roots in (0,1) are isolated by _unit_roots.  Descartes' rule of signs on
+(1+x)^d p(1/(1+x)) settles most polynomials with a Taylor shift: no sign
+variation means no root, one means exactly one simple root.  Only the rest
+get a Sturm chain (via sign-tracked pseudo-remainders, so everything stays
+in Z), which starts with the square-free part and gives root counting and
+isolation on an interval, all from one chain per polynomial.  A root is a
+pair (lo, hi) of Fractions: exact when lo == hi, else an open interval
+holding one root of the polynomial, which is simple, so it changes sign
+over the interval and bisection refines it.
 """
 
 from fractions import Fraction
@@ -211,8 +215,46 @@ def isolate_roots(chain, a=Fraction(0), b=Fraction(1)):
     return out
 
 
+def coeff_sign_variations(p):
+    """Sign variations of the coefficients of (1+x)^d p(1/(1+x)), d = deg p.
+
+    x -> 1/(1+x) maps (0, inf) onto (0, 1), so by Descartes' rule this
+    bounds the roots of p in (0,1), counted with multiplicity, and has their
+    parity.  Reversing the coefficients gives x^d p(1/x); one Taylor shift
+    by 1 (d^2 / 2 integer additions) then gives the polynomial.
+    """
+    a = list(reversed(p))
+    d = len(a) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            a[j] += a[j + 1]
+    signs = [c > 0 for c in a if c]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def _unit_roots(p):
+    """The distinct roots of p in (0,1) as (sf, roots), p(0) != 0 != p(1).
+
+    roots are sorted, pairwise disjoint (lo, hi) pairs, and sf has exactly
+    one root in each open bracket, which is simple.  With fewer than two
+    sign variations (coeff_sign_variations) that is p itself, with no root
+    or with the one bracket (0, 1), as Sturm isolation would return it;
+    otherwise sf is the square-free chain[0] of p's Sturm chain.
+    """
+    if not p[0] or not sum(p):
+        raise ValueError("0 and 1 must not be roots")
+    variations = coeff_sign_variations(p)
+    if variations == 0:
+        return p, []
+    if variations == 1:
+        return p, [(Fraction(0), Fraction(1))]
+    chain = sturm_chain(p)
+    return chain[0], isolate_roots(chain)
+
+
 def refine_root(sf, lo, hi, eps):
-    """Shrink the root (lo, hi) of the square-free sf to width <= eps.
+    """Shrink the root (lo, hi) of sf to width <= eps; sf has one root in
+    (lo, hi), and it is simple.
 
     An exact root (lo == hi) comes back as it is; bisection may hit the root
     and return it exactly.

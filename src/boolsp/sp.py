@@ -18,12 +18,15 @@ butterfly over 2^n points.  A block of one coordinate is one butterfly
 stage, so a function without symmetry runs the plain level-by-level
 transform.  Majority n=21 has 22 orbits; edic n=18 has 2 * 18 = 36.
 
-Each distinct q_v's negative set comes from its distinct roots, isolated
-with one Sturm chain, and one sign per gap between them; since
-q_v(1) = 2^n > 0 it is a finite union of intervals ending at roots in (0,1).
-One sweep over all those intervals, sorted by an exact root comparator,
-yields the region as closed intervals.  Everything is decided with integer
-Sturm-chain arithmetic; floats never touch a sign.
+Each distinct q_v's negative set comes from its distinct roots in (0,1)
+and one sign per gap between them; since q_v(1) = 2^n > 0 it is a finite
+union of intervals ending at such roots.  Descartes' rule settles most q_v
+(no root, or one simple root bracketed by (0,1)); the others get one Sturm
+chain.  One sweep over all those intervals, sorted by an exact root
+comparator, yields the region as closed intervals.  The comparator halves
+brackets until they part, and tests for a common root (a gcd) only once
+they overlap at epsilon width.  Everything is decided with integer
+arithmetic; floats never touch a sign.
 
 The same classes, with their sizes, give classify's other flags with no
 pass over 2^n points: column k of q_v is f(v) 2^n times the level-k part of
@@ -43,7 +46,6 @@ from .errors import CapacityError, InvalidArgument, PreconditionError
 from .functions import (
     LtfSpec,
     construct_ltf,
-    dominating_boundary_points,
     linear_values,
     popcounts,
     properties,
@@ -93,17 +95,10 @@ class SpDecision:
     witness: int  # least failing input index, or None
 
 
-def is_sp(f, rho, fast_path=False):
-    """Is f rho-SP (ties count as agreement)?  witness = least failing index.
-
-    fast_path restricts the check to the dominating boundary points, which
-    is equivalent for monotone f (and rejects non-monotone input).
-    """
+def is_sp(f, rho):
+    """Is f rho-SP (ties count as agreement)?  witness = least failing index."""
     rho = check_rho(rho)
-    if fast_path:
-        points = np.array(dominating_boundary_points(f), dtype=np.int64)
-    bad = disagreement(f.values, _scaled_signs(f, rho))
-    idx = points[bad[points]] if fast_path else np.flatnonzero(bad)
+    idx = np.flatnonzero(disagreement(f.values, _scaled_signs(f, rho)))
     if len(idx):
         return SpDecision(False, int(idx[0]))
     return SpDecision(True, None)
@@ -333,8 +328,7 @@ def _endpoint(lo, hi):
 
 class _Root:
     """A root in [0,1) in the roots-layer format: exact when lo == hi, else
-    the only root of the square-free sf (a Sturm chain's chain[0]) in the
-    open interval (lo, hi)."""
+    the only root of sf in the open interval (lo, hi), and a simple one."""
 
     __slots__ = ("sf", "lo", "hi")
 
@@ -355,9 +349,10 @@ def _same_root(a, b):
 
     For two open brackets the test is a sign change of g = gcd(a.sf, b.sf)
     over their intersection (lo, hi), which is exact: g divides both
-    square-free cores, so on (lo, hi), inside one isolating bracket of each,
-    it has at most one root and that root is simple; and lo, hi are bracket
-    endpoints, where the cores and hence g are nonzero.
+    polynomials, and on (lo, hi), inside one bracket of each, a.sf has at
+    most one root, a simple one, so g has at most one root there and that
+    root is simple; and lo, hi are bracket endpoints, where a.sf or b.sf and
+    hence g are nonzero.
     """
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo == hi:  # one is exact, inside the other's bracket
@@ -370,15 +365,29 @@ def _same_root(a, b):
     return same
 
 
-def _compare(a, b):
-    """Exact order of two roots (-1, 0 or 1), halving only the wider bracket."""
-    if a is b or a.lo == a.hi == b.lo == b.hi:
+def _compare(a, b, epsilon):
+    """Exact order of two roots (-1, 0 or 1), halving only the wider bracket.
+
+    Distinct roots part by halving alone, so the common-root test
+    (_same_root) runs once, and late: as soon as one root is exact inside
+    the other's bracket (one sign), else only if the brackets still overlap
+    once the wider is at most epsilon wide (a gcd).  A bracket is halved only
+    while it is wider than epsilon or while the test has said no, so a
+    common root is never enclosed more narrowly than endpoint(epsilon) would.
+    """
+    if a is b:
         return 0
-    if a.hi > b.lo and b.hi > a.lo and _same_root(a, b):
-        return 0
+    tested = False
     while a.hi > b.lo and b.hi > a.lo:
-        (a if a.hi - a.lo >= b.hi - b.lo else b).halve()
-    return -1 if a.hi <= b.lo else 1
+        wide, narrow = (a, b) if a.hi - a.lo >= b.hi - b.lo else (b, a)
+        if not tested and (narrow.lo == narrow.hi or wide.hi - wide.lo <= epsilon):
+            if _same_root(a, b):
+                return 0
+            tested = True
+        wide.halve()
+    if a.hi <= b.lo:
+        return 0 if a.lo == b.hi else -1  # 0: both exact, at one point
+    return 1
 
 
 def _negative_set(q):
@@ -390,11 +399,11 @@ def _negative_set(q):
     """
     j = next(i for i, c in enumerate(q) if c)
     core = q[j:]  # same sign as q on (0,1], and core(0) != 0
-    chain = rt.sturm_chain(core)
+    sf, roots = rt._unit_roots(core)
     out = []
     left = _Root(None, Fraction(0), Fraction(0))
-    for lo, hi in rt.isolate_roots(chain):
-        right = _Root(chain[0], lo, hi)
+    for lo, hi in roots:
+        right = _Root(sf, lo, hi)
         gap = (left.hi + right.lo) / 2 if left.hi < right.lo else left.hi
         if rt.sign_at(core, gap) < 0:
             out.append((left, right))
@@ -418,18 +427,18 @@ def _region(n, polys, epsilon):
     negative = [_negative_set(q) for q, *_ in polys]
     union = sorted(
         (iv for ivs in negative for iv in ivs),
-        key=cmp_to_key(lambda s, t: _compare(s[0], t[0])),
+        key=cmp_to_key(lambda s, t: _compare(s[0], t[0], epsilon)),
     )
     reach = _Root(None, Fraction(0), Fraction(0))
     reach_in = all(q[0] >= 0 for q, *_ in polys)
     intervals = []
     for left, right in union:
-        order = _compare(left, reach)
+        order = _compare(left, reach, epsilon)
         if order > 0 or (order == 0 and reach_in):
             lo = reach.endpoint(epsilon)
             hi = lo if order == 0 else left.endpoint(epsilon)
             intervals.append(SpInterval(lo, hi, True, True))
-        if order >= 0 or _compare(right, reach) > 0:
+        if order >= 0 or _compare(right, reach, epsilon) > 0:
             reach, reach_in = right, True
     one = Endpoint("exact", value=Fraction(1))
     intervals.append(SpInterval(reach.endpoint(epsilon), one, True, True))
@@ -530,13 +539,12 @@ class SufficientThresholds:
 
 
 def _isolated_single_root(poly, epsilon):
-    chain = rt.sturm_chain(poly)
-    roots = rt.isolate_roots(chain)
+    sf, roots = rt._unit_roots(poly)
     if not roots:
         return Endpoint("exact", value=Fraction(0))
     if len(roots) != 1:
         raise AssertionError("threshold polynomial must have a single root")
-    return _endpoint(*rt.refine_root(chain[0], *roots[0], epsilon))
+    return _endpoint(*rt.refine_root(sf, *roots[0], epsilon))
 
 
 def sufficient_thresholds(f, epsilon=DEFAULT_EPSILON):

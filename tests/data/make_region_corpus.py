@@ -1,13 +1,19 @@
 """Write region_corpus.json: exact reprs of the region-layer results.
 
-For every case the corpus stores repr() of sp_region(f),
-sp_region(f, 1/1000), classify(f), sufficient_thresholds(f), properties(f)
-and spectral_summary(f); for monotone f also dominating_boundary_points(f),
-and where the level-1 spectrum is nonzero ltf_approximation(f).  The cases
-are all 256 tables at n=3, random_function(n, s) for n = 4..7 and s < 4, and
-majority, or and edic for n = 3..9.  tests/test_region_corpus.py recomputes
-every case and compares the strings exactly, so any change to the root or
-region code that alters a single endpoint fails the suite.
+For every case the corpus stores repr() of sp_region(f) at the default
+epsilon, 1/1000 and 2^-20, classify(f), sufficient_thresholds(f),
+properties(f) and spectral_summary(f); for monotone f also
+dominating_boundary_points(f), and where the level-1 spectrum is nonzero
+ltf_approximation(f).  The cases are all 256 tables at n=3,
+random_function(n, s) for n = 4..7 and s < 4, majority, or and edic for
+n = 3..9, and products g * h on disjoint variables (product_compose): random
+n = 3..5 times random n = 3..4 for 9 seeds, and majority, edic and or at
+n=5 times majority and edic at n=3.  Each point polynomial of a product is
+one of g times one of h, so distinct ones share irrational roots and the
+product cases pin how the root comparator decides and encloses common
+roots.  tests/test_region_corpus.py recomputes every case and compares the
+strings exactly, so any change to the root or region code that alters a
+single endpoint fails the suite.
 
 Regenerate only when an output change is intended:
 
@@ -24,6 +30,7 @@ from boolsp import (
     construct_named,
     dominating_boundary_points,
     ltf_approximation,
+    product_compose,
     properties,
     random_function,
     sp_region,
@@ -46,6 +53,15 @@ def cases():
             if name == "majority" and n % 2 == 0:
                 continue
             yield f"{name}{n}", construct_named(name, n)
+    for ng in range(3, 6):
+        for nh in range(3, 5):
+            for seed in range(9):
+                g, h = random_function(ng, seed), random_function(nh, seed + 9)
+                yield f"product-random{ng}-{nh}-{seed}", product_compose(g, h)
+    for outer in ("majority", "edic", "or"):
+        for inner in ("majority", "edic"):
+            g, h = construct_named(outer, 5), construct_named(inner, 3)
+            yield f"product-{outer}5-{inner}3", product_compose(g, h)
 
 
 def record(f):
@@ -54,6 +70,7 @@ def record(f):
     out = {
         "sp_region": repr(sp_region(f)),
         "sp_region_1e-3": repr(sp_region(f, Fraction(1, 1000))),
+        "sp_region_2^-20": repr(sp_region(f, Fraction(1, 1 << 20))),
         "classify": repr(classify(f)),
         "sufficient_thresholds": repr(sufficient_thresholds(f)),
         "properties": repr(props),

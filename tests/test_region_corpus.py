@@ -1,10 +1,11 @@
 """Region-layer results stay byte-identical to the committed corpus.
 
-tests/data/region_corpus.json holds repr() of sp_region (two epsilons),
-classify, sufficient_thresholds, properties and spectral_summary for 290
-functions, plus dominating_boundary_points for the monotone ones and
-ltf_approximation where the level-1 spectrum is nonzero; see
-tests/data/make_region_corpus.py for the cases and how to regenerate it.
+tests/data/region_corpus.json holds repr() of sp_region (three epsilons),
+classify, sufficient_thresholds, properties and spectral_summary for 350
+functions (products with shared irrational roots among them), plus
+dominating_boundary_points for the monotone ones and ltf_approximation
+where the level-1 spectrum is nonzero; see tests/data/make_region_corpus.py
+for the cases and how to regenerate it.
 """
 
 import importlib.util

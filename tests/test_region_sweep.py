@@ -44,7 +44,7 @@ def test_negative_set_keeps_touching_root_as_hole():
     zero, half = first
     assert zero.lo == zero.hi == 0  # starts at 0; q(0) = -3 < 0 covers it
     assert brackets(half, Fraction(1, 2))
-    assert _compare(second[0], half) == 0
+    assert _compare(second[0], half, EPS) == 0
     assert brackets(second[1], Fraction(3, 4))
 
 

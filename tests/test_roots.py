@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from boolsp import random_function, sp_region
 from boolsp import roots as rt
 from boolsp import sp
 
@@ -212,19 +215,112 @@ def test_compare_decides_shared_and_close_irrational_roots():
     a = _root_near(_mul((-1, 0, 2), (-1, 3)), half_sqrt2)
     b = _root_near(_mul((-1, 0, 2), (-4, 5)), half_sqrt2)
     assert a.lo < a.hi and b.lo < b.hi  # not exact: the gcd test decides
-    assert sp._compare(a, b) == 0 and sp._compare(b, a) == 0
+    eps = sp.DEFAULT_EPSILON
+    assert sp._compare(a, b, eps) == 0 and sp._compare(b, a, eps) == 0
     assert (a.lo, a.hi) == (b.lo, b.hi)  # both now hold the intersection
     # a common factor whose root lies outside the overlap decides nothing
     a = sp._Root(_mul((-1, 0, 2), (-1, 3)), Fraction(1, 2), Fraction(1))  # 1/sqrt(2)
     b = sp._Root(_mul((-1, 0, 2), (-4, 5)), Fraction(3, 4), Fraction(1))  # 4/5
-    assert sp._compare(a, b) == -1 and a.hi <= b.lo
+    assert sp._compare(a, b, eps) == -1 and a.hi <= b.lo
     # 2(x - d)^2 - 1 has the root 1/sqrt(2) + d with d = 10^-13
     d = 10**13
     shifted = (2 - d * d, -4 * d, 2 * d * d)
     lo_root = _root_near((-1, 0, 2), half_sqrt2)
     hi_root = _root_near(shifted, half_sqrt2)
-    assert sp._compare(lo_root, hi_root) == -1
+    assert sp._compare(lo_root, hi_root, eps) == -1
     lo_root = _root_near((-1, 0, 2), half_sqrt2)
     hi_root = _root_near(shifted, half_sqrt2)
-    assert sp._compare(hi_root, lo_root) == 1
+    assert sp._compare(hi_root, lo_root, eps) == 1
     assert lo_root.hi <= hi_root.lo
+
+
+def test_compare_defers_gcd_and_keeps_shared_root_enclosure(monkeypatch):
+    """The shared root 1/sqrt(2) is decided by one gcd, only once the wider
+    bracket is at most epsilon wide, and is enclosed exactly as an eager gcd
+    (intersect at once, then refine) enclosed it."""
+    gcds = []
+    gcd = rt.poly_gcd
+    monkeypatch.setattr(rt, "poly_gcd", lambda p, q: gcds.append(1) or gcd(p, q))
+    half_sqrt2 = Fraction(7071067811865476, 10**16)
+    eps = Fraction(1, 1000)
+    a = _root_near(_mul((-1, 0, 2), (-1, 3)), half_sqrt2)
+    b = _root_near(_mul((-1, 0, 2), (-4, 5)), half_sqrt2)
+    assert (a.lo, a.hi, b.lo, b.hi) == (Fraction(1, 2), 1, Fraction(1, 2), Fraction(3, 4))
+    assert sp._compare(a, b, eps) == 0 and len(gcds) == 1
+    assert (a.lo, a.hi) == (b.lo, b.hi) and a.hi - a.lo <= eps
+    cell = sp.Endpoint("enclosure", lo=Fraction(181, 256), hi=Fraction(725, 1024))
+    assert a.endpoint(eps) == b.endpoint(eps) == cell
+
+
+def test_compare_halving_onto_a_shared_exact_root_is_equal():
+    # 2x - 1 on (0, 1): the first halving lands on its root 1/2 exactly,
+    # which (2x - 1)(5x - 4) shares; neither bracket is epsilon narrow yet
+    eps = Fraction(1, 1000)
+    for flip in (False, True):
+        a = sp._Root((-1, 2), Fraction(0), Fraction(1))
+        b = sp._Root(_mul((-1, 2), (-4, 5)), Fraction(3, 8), Fraction(5, 8))
+        assert (sp._compare(b, a, eps) if flip else sp._compare(a, b, eps)) == 0
+        assert a.lo == a.hi == b.lo == b.hi == Fraction(1, 2)
+    # two exact roots at one point compare 0, whatever their polynomials
+    a = sp._Root((-1, 2), Fraction(1, 2), Fraction(1, 2))
+    b = sp._Root(_mul((-1, 2), (-4, 5)), Fraction(1, 2), Fraction(1, 2))
+    assert sp._compare(a, b, eps) == 0 and sp._compare(b, a, eps) == 0
+    # an exact root at the end of an open bracket is not in it
+    c = sp._Root((-4, 5), Fraction(1, 2), Fraction(1))
+    assert sp._compare(a, c, eps) == -1 and sp._compare(c, a, eps) == 1
+
+
+def test_region_of_random_function_needs_no_gcd(monkeypatch):
+    """Distinct roots part by halving alone: a region-random pool function
+    (random n=9, seed 1) gets its region without one gcd."""
+    calls = []
+    gcd = rt.poly_gcd
+    monkeypatch.setattr(rt, "poly_gcd", lambda p, q: calls.append(1) or gcd(p, q))
+    region = sp_region(random_function(9, 1))
+    assert region.intervals[0].lo.kind == "enclosure" and calls == []
+
+
+@st.composite
+def unit_polys(draw):
+    """Products of small integer factors, some repeated, nonzero at 0 and 1;
+    half the factors are b x - a with a root a/b in (0,1)."""
+    p = (draw(st.integers(-5, 5).filter(bool)),)
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            b = draw(st.integers(2, 9))
+            factor = (-draw(st.integers(1, b - 1)), b)
+        else:
+            factor = tuple(draw(st.integers(-6, 6)) for _ in range(draw(st.integers(2, 3))))
+        if rt.trim(factor) and factor[0] and sum(factor):
+            for _ in range(draw(st.integers(1, 3))):
+                p = _mul(p, rt.trim(factor))
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_polys())
+@example((26, -100, 100))  # roots 1/2 +- i/10: 2 variations, no real root
+def test_descartes_count_bounds_roots_in_unit_interval(p):
+    """Against sympy's real roots in (0,1), repeated roots counted: 0
+    variations means no root, 1 means exactly one simple root, and any count
+    is at least the number of roots and has its parity."""
+    unit = [r for r in to_sympy(p).real_roots() if 0 < r < 1]
+    v = rt.coeff_sign_variations(p)
+    assert v >= len(unit) and (v - len(unit)) % 2 == 0
+    if v == 0:
+        assert unit == []
+    if v == 1:
+        assert len(unit) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_polys())
+def test_unit_roots_bracket_each_distinct_root_once(p):
+    sf, roots = rt._unit_roots(p)
+    expected = real_roots_in(p, Fraction(0), Fraction(1))
+    assert len(roots) == len(expected)
+    for (lo, hi), true_root in zip(roots, expected):
+        assert to_rational(lo) <= true_root <= to_rational(hi)
+        assert len(real_roots_in(sf, lo, hi, open_interval=lo < hi)) == 1
+        rlo, rhi = rt.refine_root(sf, lo, hi, Fraction(1, 1 << 12))
+        assert to_rational(rlo) <= true_root <= to_rational(rhi)

@@ -15,6 +15,7 @@ from boolsp import (
     classify,
     construct_ltf,
     construct_named,
+    dominating_boundary_points,
     is_sp,
     is_sp_at,
     ltf_approximation,
@@ -28,6 +29,7 @@ from boolsp import (
     stability_report,
     sufficient_thresholds,
 )
+from boolsp.noise import disagreement, scaled_t_values
 
 import oracles
 
@@ -84,9 +86,12 @@ def test_balanced_function_ties_at_zero():
     assert d.sp and d.tie
 
 
-def test_fast_path_equivalent_for_monotone():
+def test_dominating_boundary_decides_sp_for_monotone():
+    """For monotone f, T_rho f disagrees with f somewhere exactly when it does
+    at a dominating boundary point, so those points decide is_sp."""
     rng = random.Random(13)
     grid = [Fraction(k, 7) for k in range(8)]
+    outcomes = set()
     checked = 0
     while checked < 12:
         n = rng.randint(2, 4)
@@ -96,15 +101,14 @@ def test_fast_path_equivalent_for_monotone():
             f = construct_ltf(LtfSpec(a0 if (sum(a) + a0) % 2 else a0 + 1, a))
         except Exception:
             continue
+        points = dominating_boundary_points(f)
         for rho in grid:
-            assert is_sp(f, rho, fast_path=True) == is_sp(f, rho)
+            bad = disagreement(f.values, scaled_t_values(f, rho))
+            sp = is_sp(f, rho).sp
+            assert bool(bad[points].any()) == (not sp)
+            outcomes.add(sp)
         checked += 1
-
-
-def test_fast_path_rejects_non_monotone():
-    f = construct_named("character", 2, coords=[1, 2])
-    with pytest.raises(PreconditionError):
-        is_sp(f, Fraction(1, 2), fast_path=True)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
