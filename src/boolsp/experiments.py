@@ -108,6 +108,13 @@ def _eta_delta(delta, tol=1e-12):
     return hi
 
 
+def _eta_delta_defined(delta):
+    """Does eta = 1/4 meet the divergence level, decided exactly?  Both sides
+    are logs of rationals: 4 D_b(1/4||delta) = log2(27 / (256 delta (1-delta)^3))
+    and 4 crossover(delta) = log2(1 / (delta^2 + (1-delta)^2)^2)."""
+    return 27 * (delta * delta + (1 - delta) ** 2) ** 2 >= 256 * delta * (1 - delta) ** 3
+
+
 def _delta_max(tol=1e-9):
     lo, hi = 0.01, 0.25
     while hi - lo > tol:
@@ -124,8 +131,8 @@ class ThresholdConstants:
     alpha: Fraction  # None when not requested
     eta_alpha: Fraction  # (alpha - 1) / (2 alpha)
     delta: Fraction
-    eta_delta: float  # minimal usable eta (< 1/4), None when undefined
-    eta_delta_defined: bool
+    eta_delta: float  # minimal usable eta (<= 1/4, rendering only), None when undefined
+    eta_delta_defined: bool  # decided exactly (_eta_delta_defined)
     eta_delta_reason: str
     delta_max: float  # supremum delta with eta_delta < 1/4 (about 0.0974)
 
@@ -144,9 +151,10 @@ def threshold_constants(alpha=None, delta=None):
         delta = Fraction(delta)
         if not 0 < delta < Fraction(1, 2):
             raise InvalidArgument("delta must lie in (0, 1/2)")
-        eta_delta = _eta_delta(float(delta))
-        defined = eta_delta is not None
-        if not defined:
+        defined = _eta_delta_defined(delta)
+        if defined:  # the float search renders it; at the boundary it may miss 1/4
+            eta_delta = _eta_delta(float(delta)) or 0.25
+        else:
             reason = "no eta below 1/4 meets the divergence level (delta above delta_max)"
     return ThresholdConstants(
         alpha, eta_alpha, delta, eta_delta, defined, reason, _delta_max()

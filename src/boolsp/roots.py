@@ -2,21 +2,28 @@
 
 Polynomials are tuples of Python ints, lowest power first, no high-order
 zeros (the zero polynomial is the empty tuple).  Every sign decision is an
-integer computation: p(a/b) is judged through b^deg(p) * p(a/b).
+integer computation.
 
-Roots in (0,1) are isolated by _unit_roots.  Descartes' rule of signs on
-(1+x)^d p(1/(1+x)) settles most polynomials with a Taylor shift: no sign
-variation means no root, one means exactly one simple root.  Only the rest
-get a Sturm chain (via sign-tracked pseudo-remainders, so everything stays
-in Z), which starts with the square-free part and gives root counting and
-isolation on an interval, all from one chain per polynomial.  A root is a
-pair (lo, hi) of Fractions: exact when lo == hi, else an open interval
-holding one root of the polynomial, which is simple, so it changes sign
-over the interval and bisection refines it.
+Roots in (0,1) are found on the dyadic cells [a/2^k, (a+1)/2^k] through
+Bernstein coefficients.  A polynomial p of degree <= d is
+sum_i b_i C(d,i) t^i (1-t)^(d-i) on a cell with t running over [0,1]; the
+rows here hold d! b_i on [0,1] (integers, _bernstein), and one de Casteljau
+split (_split) gives the coefficients of both halves, scaled by a further
+2^d, and the exact value at the midpoint.  Only signs are ever read, so the
+positive scales never matter.  Descartes' rule of signs on the coefficients
+(_variations) bounds the roots in the open cell, counted with multiplicity,
+and has their parity: 0 means no root and 1 exactly one simple root.  The
+two halves never count more than the cell, and a square-free polynomial
+reaches counts <= 1 after finitely many splits (Collins & Akritas, SYMSAC
+1976; Eigenwillig, PhD thesis, Saarland University, 2008).  A polynomial
+with repeated roots gets its square-free part from one gcd(p, p')
+(_square_free), through sign-tracked pseudo-remainders, so everything stays
+in Z.
 """
 
-from fractions import Fraction
-from math import gcd as int_gcd
+from math import comb, factorial, gcd as int_gcd
+
+import numpy as np
 
 
 def trim(coeffs):
@@ -42,9 +49,14 @@ def eval_scaled(p, num, den):
     return acc
 
 
-def sign_at(p, x):
-    v = eval_scaled(p, x.numerator, x.denominator)
-    return (v > 0) - (v < 0)
+def _eval_rows(rows, num, den):
+    """eval_scaled of every row of an (m, d+1) integer matrix, lowest power
+    first, at degree d: den^d p(num/den) for each row, as Python ints."""
+    d = rows.shape[1] - 1
+    acc = np.zeros(len(rows), dtype=object)
+    for j in range(d, -1, -1):
+        acc = acc * num + rows[:, j].astype(object) * den ** (d - j)
+    return acc
 
 
 def derivative(p):
@@ -105,172 +117,93 @@ def poly_gcd(a, b):
     return a
 
 
-def exact_div(a, b):
-    """Quotient a/b for exact divisions (b primitive); raises otherwise."""
-    a = list(trim(a))
-    b = trim(b)
-    db = degree(b)
-    lb = b[-1]
-    if not a:
-        return ()
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i] == 0:
-            continue
-        c, rem = divmod(a[i], lb)
-        if rem:
-            raise ValueError("non-exact polynomial division")
-        q[i - db] = c
-        for j, bc in enumerate(b):
-            a[i - db + j] -= c * bc
-    if any(a[:db]):
-        raise ValueError("non-exact polynomial division")
-    return trim(q)
+def _square_free(p):
+    """p / gcd(p, p'): the same distinct roots, each simple.  The division is
+    exact in Z (the gcd is primitive, so by Gauss's lemma the quotient is
+    integral); p itself comes back when the gcd is a constant."""
+    g = poly_gcd(p, derivative(p))
+    if len(g) < 2:
+        return p
+    rem, quot = list(p), []
+    for i in range(len(p) - len(g), -1, -1):
+        c = rem[i + len(g) - 1] // g[-1]
+        quot.append(c)
+        for j, gc in enumerate(g):
+            rem[i + j] -= c * gc
+    return tuple(reversed(quot))
 
 
-def sturm_chain(p):
-    """Sturm chain of any nonzero p.  The remainder sequence of p, p' ends in
-    g = gcd(p, p'); dividing every element by g leaves chain[0] = +/- the
-    primitive square-free part of p, and the chain still counts p's distinct
-    real roots (Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry, ch. 2).
+def _scaled_bernstein(rows):
+    """sb[:, i] = sum_j C(d-j, i-j) rows[:, j] for an (m, d+1) integer matrix:
+    the coefficients of (1+y)^d q(y/(1+y)), which maps (0, inf) onto (0, 1),
+    and C(d,i) times q's Bernstein coefficients of degree d on [0,1].
+
+    One int64 matmul when the bound from the column maxima fits in 63 bits
+    (every partial sum then does too), else the same product on Python ints.
     """
-    p0 = primitive(p)
-    if not p0:
-        raise ValueError("zero polynomial has no Sturm chain")
-    chain = [p0]
-    p1 = primitive(derivative(p0))
-    if not p1:
-        return chain
-    chain.append(p1)
-    while degree(chain[-1]) > 0:
-        r, neg = pseudo_rem_tracked(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(primitive(r if neg else negate(r)))
-    if degree(chain[-1]) > 0:
-        chain = [exact_div(q, chain[-1]) for q in chain]
-    return chain
+    d = rows.shape[1] - 1
+    shift = [[comb(d - j, i - j) if i >= j else 0 for i in range(d + 1)] for j in range(d + 1)]
+    peak = [int(x) for x in np.abs(rows).max(axis=0)] if len(rows) else [0] * (d + 1)
+    bound = max(sum(shift[j][i] * peak[j] for j in range(d + 1)) for i in range(d + 1))
+    dtype = np.int64 if bound < 1 << 63 else object
+    return rows.astype(dtype) @ np.array(shift, dtype=dtype)
 
 
-def variations_at(chain, x):
-    signs = [s for s in (sign_at(q, x) for q in chain) if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _bernstein(sb):
+    """d! times the Bernstein coefficients, as Python ints (an object array),
+    from rows of _scaled_bernstein."""
+    d = sb.shape[-1] - 1
+    weights = np.array([factorial(i) * factorial(d - i) for i in range(d + 1)], dtype=object)
+    return sb.astype(object) * weights
 
 
-def count_roots(chain, a, b):
-    """Distinct real roots of chain[0] in the open interval (a, b).
-
-    Requires chain[0] nonzero at both endpoints.
-    """
-    p = chain[0]
-    if sign_at(p, a) == 0 or sign_at(p, b) == 0:
-        raise ValueError("count_roots endpoints must not be roots")
-    return variations_at(chain, a) - variations_at(chain, b)
+def _unit_bernstein(p, d):
+    """_bernstein of one polynomial p of degree <= d on [0,1]."""
+    row = np.array([tuple(p) + (0,) * (d + 1 - len(p))], dtype=object)
+    return _bernstein(_scaled_bernstein(row))[0]
 
 
-def isolate_roots(chain, a=Fraction(0), b=Fraction(1)):
-    """Isolate the distinct real roots of chain[0] in (a, b).
-
-    chain is a sturm_chain, so chain[0] is square-free.  Returns the roots
-    as sorted, pairwise disjoint (lo, hi) pairs.  Endpoints a, b must not be
-    roots.
-    """
-    sf = chain[0]
-    if degree(sf) < 1:
-        return []
-    if sign_at(sf, a) == 0 or sign_at(sf, b) == 0:
-        raise ValueError("isolation endpoints must not be roots")
-    out = []
-
-    def rec(lo, hi, k):
-        if k == 0:
-            return
-        if k == 1:
-            out.append((lo, hi))
-            return
-        mid = (lo + hi) / 2
-        if sign_at(sf, mid) != 0:
-            kl = count_roots(chain, lo, mid)
-            rec(lo, mid, kl)
-            rec(mid, hi, k - kl)
-            return
-        # rational root hit: fence it off and recurse on both sides
-        h = (hi - lo) / 4
-        while True:
-            left, right = mid - h, mid + h
-            if (
-                left > lo
-                and right < hi
-                and sign_at(sf, left) != 0
-                and sign_at(sf, right) != 0
-                and count_roots(chain, left, right) == 1
-            ):
-                break
-            h /= 2
-        rec(lo, left, count_roots(chain, lo, left))
-        out.append((mid, mid))
-        rec(right, hi, count_roots(chain, right, hi))
-
-    rec(a, b, count_roots(chain, a, b))
-    return out
+def _split(b):
+    """De Casteljau at the midpoint, along the last axis of an object array
+    (one row of coefficients, or one per class): the coefficients of the left
+    and the right half, scaled by 2^d.  left[..., -1] == right[..., 0] is the
+    value at the midpoint."""
+    d = b.shape[-1] - 1
+    left, right = np.empty_like(b), np.empty_like(b)
+    left[..., 0], right[..., d] = b[..., 0] << d, b[..., d] << d
+    row = b
+    for r in range(1, d + 1):
+        row = row[..., :-1] + row[..., 1:]
+        left[..., r] = row[..., 0] << (d - r)
+        right[..., d - r] = row[..., -1] << (d - r)
+    return left, right
 
 
-def coeff_sign_variations(p):
-    """Sign variations of the coefficients of (1+x)^d p(1/(1+x)), d = deg p.
-
-    x -> 1/(1+x) maps (0, inf) onto (0, 1), so by Descartes' rule this
-    bounds the roots of p in (0,1), counted with multiplicity, and has their
-    parity.  Reversing the coefficients gives x^d p(1/x); one Taylor shift
-    by 1 (d^2 / 2 integer additions) then gives the polynomial.
-    """
-    a = list(reversed(p))
-    d = len(a) - 1
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            a[j] += a[j + 1]
-    signs = [c > 0 for c in a if c]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+def _descend(b, a, k):
+    """The coefficients on the cell [a/2^k, (a+1)/2^k] from those on [0,1]."""
+    for bit in reversed(range(k)):
+        b = _split(b)[(a >> bit) & 1]
+    return b
 
 
-def _unit_roots(p):
-    """The distinct roots of p in (0,1) as (sf, roots), p(0) != 0 != p(1).
-
-    roots are sorted, pairwise disjoint (lo, hi) pairs, and sf has exactly
-    one root in each open bracket, which is simple.  With fewer than two
-    sign variations (coeff_sign_variations) that is p itself, with no root
-    or with the one bracket (0, 1), as Sturm isolation would return it;
-    otherwise sf is the square-free chain[0] of p's Sturm chain.
-    """
-    if not p[0] or not sum(p):
-        raise ValueError("0 and 1 must not be roots")
-    variations = coeff_sign_variations(p)
-    if variations == 0:
-        return p, []
-    if variations == 1:
-        return p, [(Fraction(0), Fraction(1))]
-    chain = sturm_chain(p)
-    return chain[0], isolate_roots(chain)
+def _variations(b):
+    """Sign variations of the coefficients along the last axis, zeros skipped
+    (Descartes' count): a number for one row, an array for a matrix.  Each
+    sign is carried right over the zeros after it, so a variation is a step
+    between opposite carried signs."""
+    s = np.sign(b).astype(np.int8)
+    last = np.where(s != 0, np.arange(s.shape[-1]), 0)
+    np.maximum.accumulate(last, axis=-1, out=last)
+    s = np.take_along_axis(s, last, axis=-1)
+    return (s[..., 1:] * s[..., :-1] < 0).sum(axis=-1)
 
 
-def refine_root(sf, lo, hi, eps):
-    """Shrink the root (lo, hi) of sf to width <= eps; sf has one root in
-    (lo, hi), and it is simple.
+def _first(b):
+    """The first nonzero coefficient: its sign is the sign just right of the
+    cell's left end (every Bernstein basis polynomial is positive inside)."""
+    return next(c for c in b if c)
 
-    An exact root (lo == hi) comes back as it is; bisection may hit the root
-    and return it exactly.
-    """
-    if lo == hi:
-        return lo, hi
-    s_lo = sign_at(sf, lo)
-    if s_lo == 0 or s_lo == sign_at(sf, hi):
-        raise ValueError("refine_root needs a sign change over the interval")
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        sm = sign_at(sf, mid)
-        if sm == 0:
-            return mid, mid
-        if sm == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+
+def _last(b):
+    """The last nonzero coefficient: the sign just left of the right end."""
+    return next(c for c in reversed(b) if c)

@@ -18,15 +18,21 @@ butterfly over 2^n points.  A block of one coordinate is one butterfly
 stage, so a function without symmetry runs the plain level-by-level
 transform.  Majority n=21 has 22 orbits; edic n=18 has 2 * 18 = 36.
 
-Each distinct q_v's negative set comes from its distinct roots in (0,1)
-and one sign per gap between them; since q_v(1) = 2^n > 0 it is a finite
-union of intervals ending at such roots.  Descartes' rule settles most q_v
-(no root, or one simple root bracketed by (0,1)); the others get one Sturm
-chain.  One sweep over all those intervals, sorted by an exact root
-comparator, yields the region as closed intervals.  The comparator halves
-brackets until they part, and tests for a common root (a gcd) only once
-they overlap at epsilon width.  Everything is decided with integer
-arithmetic; floats never touch a sign.
+The region comes from one left-to-right walk over the dyadic cells of
+[0,1] (_Walk), carrying each distinct q_v's Bernstein coefficients on the
+cell.  A class with no sign variation there has one sign: a negative one
+puts the cell outside the region, a positive one drops the class, and a
+cell with no class left is inside.  Other cells are split (de Casteljau,
+whose midpoint value finds exact dyadic roots) down to the depth D with
+2^-D <= epsilon, where a cell holding one simple root per class is a leaf
+and encloses them.  Below D a cell is split only to order a rising and a
+falling root; one gcd settles a common one.  Most classes never enter: one
+int64 matmul gives every class's Bernstein row on [0,1], and a row with no
+negative entry is positive on (0,1].  A row with one sign variation rises
+through one root, and of those only the classes with the largest root can
+bound the region; exact values at one dyadic point drop the others
+(_walked).  Everything is decided with integer arithmetic; floats only
+guess where to look and never touch a sign.
 
 The same classes, with their sizes, give classify's other flags with no
 pass over 2^n points: column k of q_v is f(v) 2^n times the level-k part of
@@ -36,8 +42,8 @@ nonzero entry.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
 from math import comb, factorial, log, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +65,7 @@ from .spectrum import (
 )
 
 DEFAULT_EPSILON = Fraction(1, 10**9)
+_GUESS_DEPTH = 10  # _walked's float search runs over the points a/2^10
 
 
 def sp_polynomial(f, v):
@@ -202,8 +209,9 @@ def _least_points(block, mask):
 
 def _distinct_point_polys(f):
     """Deduplicated signed point polynomials f(v) * C[v,:] as classes
-    (row, rep, size): the trimmed row, its least point v as representative
-    and the number of points that have it, in np.unique(rows, axis=0) order.
+    (rows, reps, sizes): the int64 matrix of the rows (one column per level
+    0..n, high zeros kept), each class's least point v as representative and
+    the number of points that have it, in np.unique(rows, axis=0) order.
 
     The work runs over orbits of f's coordinate-block symmetry, not over the
     2^n points (_coordinate_blocks).  With g(u) = f(u ^ mask), invariant under
@@ -281,8 +289,7 @@ def _distinct_point_polys(f):
     np.minimum.at(reps, labels, least)
     members = np.zeros(len(rows), dtype=np.int64)
     np.add.at(members, labels, counts)
-    rows = [rt.trim(tuple(row)) for row in rows.tolist()]
-    return list(zip(rows, reps.tolist(), members.tolist()))
+    return rows, reps.tolist(), members.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -319,130 +326,233 @@ class SpRegion:
     intervals: tuple
 
 
-def _endpoint(lo, hi):
-    """Endpoint of a root pair: exact when lo == hi."""
-    if lo == hi:
-        return Endpoint("exact", value=lo)
-    return Endpoint("enclosure", lo=lo, hi=hi)
+def _exact(a, k):
+    return Endpoint("exact", value=Fraction(a, 1 << k))
 
 
-class _Root:
-    """A root in [0,1) in the roots-layer format: exact when lo == hi, else
-    the only root of sf in the open interval (lo, hi), and a simple one."""
-
-    __slots__ = ("sf", "lo", "hi")
-
-    def __init__(self, sf, lo, hi):
-        self.sf, self.lo, self.hi = sf, lo, hi
-
-    def halve(self):
-        lo, hi = self.lo, self.hi
-        self.lo, self.hi = rt.refine_root(self.sf, lo, hi, (hi - lo) / 2)
-
-    def endpoint(self, epsilon):
-        return _endpoint(*rt.refine_root(self.sf, self.lo, self.hi, epsilon))
+def _cell(a, k):
+    return Endpoint("enclosure", lo=Fraction(a, 1 << k), hi=Fraction(a + 1, 1 << k))
 
 
-def _same_root(a, b):
-    """Do the overlapping brackets of a and b hold one common root?  If so,
-    both take their intersection, so either gives the endpoint.
-
-    For two open brackets the test is a sign change of g = gcd(a.sf, b.sf)
-    over their intersection (lo, hi), which is exact: g divides both
-    polynomials, and on (lo, hi), inside one bracket of each, a.sf has at
-    most one root, a simple one, so g has at most one root there and that
-    root is simple; and lo, hi are bracket endpoints, where a.sf or b.sf and
-    hence g are nonzero.
-    """
-    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-    if lo == hi:  # one is exact, inside the other's bracket
-        same = rt.sign_at((a if a.lo < a.hi else b).sf, lo) == 0
-    else:
-        g = rt.poly_gcd(a.sf, b.sf)
-        same = rt.sign_at(g, lo) != rt.sign_at(g, hi)
-    if same:
-        a.lo, a.hi, b.lo, b.hi = lo, hi, lo, hi
-    return same
-
-
-def _compare(a, b, epsilon):
-    """Exact order of two roots (-1, 0 or 1), halving only the wider bracket.
-
-    Distinct roots part by halving alone, so the common-root test
-    (_same_root) runs once, and late: as soon as one root is exact inside
-    the other's bracket (one sign), else only if the brackets still overlap
-    once the wider is at most epsilon wide (a gcd).  A bracket is halved only
-    while it is wider than epsilon or while the test has said no, so a
-    common root is never enclosed more narrowly than endpoint(epsilon) would.
-    """
-    if a is b:
-        return 0
-    tested = False
-    while a.hi > b.lo and b.hi > a.lo:
-        wide, narrow = (a, b) if a.hi - a.lo >= b.hi - b.lo else (b, a)
-        if not tested and (narrow.lo == narrow.hi or wide.hi - wide.lo <= epsilon):
-            if _same_root(a, b):
-                return 0
-            tested = True
-        wide.halve()
-    if a.hi <= b.lo:
-        return 0 if a.lo == b.hi else -1  # 0: both exact, at one point
-    return 1
-
-
-def _negative_set(q):
-    """The open set {rho in [0,1]: q(rho) < 0} as (left, right) root pairs.
-
-    q(1) > 0, so every interval ends at a root in (0,1); the first may start
-    at 0, and then also covers 0 itself exactly when q(0) < 0.  A root where q
-    touches 0 from below separates two intervals, as it is a tie.
-    """
-    j = next(i for i, c in enumerate(q) if c)
-    core = q[j:]  # same sign as q on (0,1], and core(0) != 0
-    sf, roots = rt._unit_roots(core)
-    out = []
-    left = _Root(None, Fraction(0), Fraction(0))
-    for lo, hi in roots:
-        right = _Root(sf, lo, hi)
-        gap = (left.hi + right.lo) / 2 if left.hi < right.lo else left.hi
-        if rt.sign_at(core, gap) < 0:
-            out.append((left, right))
-        left = right
-    return out
-
-
-def _region(n, polys, epsilon):
-    """SP region of an n-variable function, and the negative set of each of
-    its distinct point polynomials.
-
-    The region is [0,1] minus the union of the negative sets.  One pass over
-    the negative intervals, sorted by left end, emits the closed gaps between
-    them; a left end equal to the reach so far leaves the single point [r, r].
-    """
+def _depth(epsilon):
+    """The least D >= 0 with 2^-D <= epsilon: cells of depth D enclose roots."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise InvalidArgument("epsilon must be positive")
-    if any(sum(q) != 1 << n for q, *_ in polys):
-        raise AssertionError("point polynomial must equal 2^n at rho=1")
-    negative = [_negative_set(q) for q, *_ in polys]
-    union = sorted(
-        (iv for ivs in negative for iv in ivs),
-        key=cmp_to_key(lambda s, t: _compare(s[0], t[0], epsilon)),
-    )
-    reach = _Root(None, Fraction(0), Fraction(0))
-    reach_in = all(q[0] >= 0 for q, *_ in polys)
-    intervals = []
-    for left, right in union:
-        order = _compare(left, reach, epsilon)
-        if order > 0 or (order == 0 and reach_in):
-            lo = reach.endpoint(epsilon)
-            hi = lo if order == 0 else left.endpoint(epsilon)
-            intervals.append(SpInterval(lo, hi, True, True))
-        if order >= 0 or _compare(right, reach, epsilon) > 0:
-            reach, reach_in = right, True
-    one = Endpoint("exact", value=Fraction(1))
-    intervals.append(SpInterval(reach.endpoint(epsilon), one, True, True))
-    return SpRegion(n, epsilon, tuple(intervals)), negative
+    return (-(-epsilon.denominator // epsilon.numerator) - 1).bit_length()
+
+
+def _live_rows(rows):
+    """The classes that can be negative somewhere on [0,1].
+
+    rows is the (m, d+1) integer matrix of point polynomials, each positive
+    at 1.  A class whose scaled Bernstein row (roots._scaled_bernstein) has no
+    negative entry has no sign variation: it is positive on (0,1] and
+    nonnegative at 0, so it leaves at once.
+    """
+    if not (rows.sum(axis=1) > 0).all():
+        raise AssertionError("point polynomial must be positive at rho=1")
+    sb = rt._scaled_bernstein(rows)
+    index = np.flatnonzero((sb < 0).any(axis=1))
+    return _Live(rows, index.tolist(), sb[index])
+
+
+class _Live(NamedTuple):
+    rows: np.ndarray  # every point polynomial, one per row
+    index: list  # the rows that can be negative somewhere, ascending
+    sb: np.ndarray  # their scaled Bernstein rows on [0,1]
+
+
+def _walked(live):
+    """The positions in live of the classes the region walk needs.
+
+    A class with one sign variation on [0,1] rises through its one root r,
+    a simple one (it is positive at 1): it is negative on (0, r) and
+    positive on (r, 1].  So of these classes only those with the largest
+    root bound the region; whether 0 is in it is decided from all classes
+    (_region).  A float search over the points a/2^10 guesses the rightmost
+    such point left of that root; exact values there (roots._eval_rows) then
+    drop every class positive at it, whose root is left of it, when some
+    class is <= 0 there.  Classes with two or more variations all stay.
+    """
+    counts = rt._variations(live.sb)
+    single = np.flatnonzero(counts == 1)
+    if len(single) > 1:
+        rows = live.rows[[live.index[r] for r in single]]
+        approx = rows.astype(np.float64)
+        powers = np.arange(rows.shape[1])
+        a = 0
+        for bit in reversed(range(_GUESS_DEPTH)):
+            if (approx @ ((a + (1 << bit)) / (1 << _GUESS_DEPTH)) ** powers).min() < 0:
+                a += 1 << bit
+        below = rt._eval_rows(rows, a, 1 << _GUESS_DEPTH) <= 0
+        if below.any():
+            single = single[below]
+    return np.sort(np.concatenate([np.flatnonzero(counts != 1), single]))
+
+
+class _Walk:
+    """The SP region as one left-to-right walk over the dyadic cells of [0,1].
+
+    A cell (a, k), the open interval (a/2^k, (a+1)/2^k), carries the classes
+    that may still change sign in it as matrices of Bernstein coefficients on
+    the cell, one row per class: Q of the point polynomials, and S of those
+    whose roots are counted, Q itself unless some class took its square-free
+    part (red).  A class negative on the whole cell puts the cell outside
+    the region (one vectorised test over all rows, so their order costs
+    nothing); a positive one leaves.  A midpoint is in the region when every
+    class is >= 0 there.
+
+    From depth D on, a cell is a leaf once every class has one simple root
+    in it.  A class is rising when negative just right of the left end,
+    falling when negative just left of the right end (both, where q touches
+    0 from below).  The region meets the cell in [max rising root, min
+    falling root], so a cell with both kinds is split until they part, or
+    until one gcd shows they all share one root: a single-point component.
+    A class whose count stays >= 2 at depth D takes its square-free part.
+
+    rows holds the walked classes' point polynomials, one per row, and start
+    is the left end of the component the walk is in, or None.
+    """
+
+    def __init__(self, rows, depth):
+        self.rows, self.depth = rows, depth
+        self.square_free = {}  # class -> its square-free part, once taken
+        self.start = None
+        self.intervals = []
+
+    def poly(self, i):
+        """Class i as a trimmed coefficient tuple."""
+        return rt.trim(tuple(self.rows[i].tolist()))
+
+    def leave(self, end):
+        if self.start is not None:
+            self.intervals.append(SpInterval(self.start, end, True, True))
+            self.start = None
+
+    def run(self, bern, zero):
+        """The region's intervals from the classes' Bernstein rows on [0,1]
+        (roots._bernstein; the walk holds the only reference once it has
+        split them) and whether 0 is in the region."""
+        if zero:
+            self.start = _exact(0, 0)
+        stack = [(0, 0, np.arange(len(bern)), bern, bern, frozenset(), frozenset())]
+        del bern
+        while stack:
+            a, k, ids, Q, S, red, tested = stack.pop()
+            if ids is None:  # a midpoint inside the region
+                if self.start is None:
+                    self.start = _exact(a, k)
+                continue
+            lo, hi = S.min(axis=1), S.max(axis=1)
+            settled = (lo >= 0) | (hi <= 0)  # no root of q in the cell
+            negative = settled & ((hi <= 0) if S is Q else (_first_col(Q) < 0))
+            if negative.any():
+                self.leave(_exact(a, k))
+                continue
+            if settled.all():
+                continue
+            if settled.any():
+                keep, same = ~settled, S is Q
+                ids, Q = ids[keep], Q[keep]
+                S = Q if same else S[keep]
+            # One class with one simple root: a sign per level (_bisect) gives
+            # the same end as splitting its row down to depth D, for less.
+            if k < self.depth and len(ids) == 1 and S is Q and rt._variations(Q[0]) == 1:
+                rising = rt._first(Q[0]) < 0
+                end = _bisect(self.poly(ids[0]), a, k, self.depth, rising)
+                if rising:
+                    self.leave(_exact(a, k))
+                    self.start = end
+                else:
+                    self.leave(end)
+                continue
+            if k >= self.depth:
+                split = self.leaf(a, k, ids, Q, S, red, tested)
+                if split is None:
+                    continue
+                S, red, tested = split
+            QL, QR = rt._split(Q)
+            SL, SR = (QL, QR) if S is Q else rt._split(S)
+            stack.append((2 * a + 1, k + 1, ids, QR, SR, red, tested))
+            if (QL[:, -1] >= 0).all():
+                stack.append((2 * a + 1, k + 1, None, None, None, None, None))
+            stack.append((2 * a, k + 1, ids, QL, SL, red, tested))
+        self.leave(_exact(1, 0))
+        return tuple(self.intervals)
+
+    def leaf(self, a, k, ids, Q, S, red, tested):
+        """Settle a cell of depth >= D, or return (S, red, tested) for its
+        split: tested holds the classes whose common root was ruled out."""
+        ids = ids.tolist()
+        for r in np.flatnonzero(rt._variations(S) > 1).tolist():
+            i = ids[r]
+            if i in red:
+                continue
+            if i not in self.square_free:
+                self.square_free[i] = rt._square_free(self.poly(i))
+            sf = self.square_free[i]
+            if len(sf) < len(self.poly(i)):
+                S = Q.copy() if S is Q else S
+                S[r] = rt._descend(rt._unit_bernstein(sf, S.shape[1] - 1), a, k)
+                red = red | {i}
+        if (rt._variations(S) > 1).any():
+            return S, red, tested
+        rising = {i for i, q in zip(ids, Q) if rt._first(q) < 0}
+        falling = {i for i, q in zip(ids, Q) if rt._last(q) < 0}
+        if rising and falling:
+            group = rising | falling
+            if len(group) > 1 and (group == tested or not self.common_root(group, a, k)):
+                return S, red, group
+            self.leave(_exact(a, k))
+            self.intervals.append(SpInterval(_cell(a, k), _cell(a, k), True, True))
+        elif rising:
+            self.leave(_exact(a, k))
+            self.start = _cell(a, k)
+        elif falling:
+            self.leave(_cell(a, k))
+        return None
+
+    def common_root(self, group, a, k):
+        """Do all classes of group share one root in the cell?  Each counted
+        polynomial has exactly one simple root there, so their gcd g has at
+        most one, simple, and has it exactly when g changes sign over the
+        cell (the signs just inside its ends)."""
+        g, *rest = [self.square_free.get(i) or self.poly(i) for i in sorted(group)]
+        for p in rest:
+            g = rt.poly_gcd(g, p)
+            if len(g) < 2:
+                return False
+        b = rt._descend(rt._unit_bernstein(g, self.rows.shape[1] - 1), a, k)
+        return (rt._first(b) > 0) != (rt._last(b) > 0)
+
+
+def _bisect(poly, a, k, depth, rising):
+    """The one root of poly in the cell (a, k), a simple one where poly turns
+    positive if rising (else negative): halve the cell by the sign at its
+    midpoint down to the given depth, unless a midpoint is the root."""
+    while k < depth:
+        mid = rt.eval_scaled(poly, 2 * a + 1, 1 << (k + 1))
+        if mid == 0:
+            return _exact(2 * a + 1, k + 1)
+        a, k = 2 * a + ((mid < 0) == rising), k + 1
+    return _cell(a, k)
+
+
+def _first_col(Q):
+    """Each row's first nonzero entry."""
+    return Q[np.arange(len(Q)), (Q != 0).argmax(axis=1)]
+
+
+def _region(n, live, epsilon):
+    """SP region of an n-variable function from the _live_rows of its
+    distinct point polynomials: [0,1] minus the union of their negative sets,
+    as closed intervals; 0 is in it exactly when no class is negative there."""
+    depth = _depth(epsilon)
+    keep = _walked(live)
+    walk = _Walk(live.rows[[live.index[r] for r in keep.tolist()]], depth)
+    zero = bool((live.sb[:, 0] >= 0).all())
+    return SpRegion(n, Fraction(epsilon), walk.run(rt._bernstein(live.sb[keep]), zero))
 
 
 def sp_region(f, epsilon=DEFAULT_EPSILON):
@@ -452,7 +562,7 @@ def sp_region(f, epsilon=DEFAULT_EPSILON):
     enclosures of width <= epsilon.  Degenerate single-point components
     (e.g. {0} for every balanced function) are reported as [x, x].
     """
-    return _region(f.n, _distinct_point_polys(f), epsilon)[0]
+    return _region(f.n, _live_rows(_distinct_point_polys(f)[0]), epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -473,43 +583,60 @@ class SpClassification:
     witnesses: dict = field(default_factory=dict)
 
 
-def _level_flags(classes):
-    """(lev, lev_zero_count, witnesses) read off the classes (row, rep, size)
-    of _distinct_point_polys.  lev is the least first-nonzero index over the
-    rows; column lev (0 past a row's end) is f(v) 2^n times the level-lev part
-    of f at v.  The witness of "lcsp" (a row's first nonzero entry < 0), "wst"
-    (column lev < 0) and "lev_zero" (column lev == 0) is the least
-    representative of the classes that fail it."""
-    lead = [next(k for k, c in enumerate(q) if c) for q, _, _ in classes]
-    lev = min(lead)
-    col = [q[lev] if lev < len(q) else 0 for q, _, _ in classes]
+def _level_flags(rows, reps, sizes):
+    """(lev, lev_zero_count, witnesses) read off the classes of
+    _distinct_point_polys.  lev is the least first-nonzero index over the
+    rows; column lev is f(v) 2^n times the level-lev part of f at v.  The
+    witness of "lcsp" (a row's first nonzero entry < 0), "wst" (column lev
+    < 0) and "lev_zero" (column lev == 0) is the least representative of the
+    classes that fail it."""
+    lead = (rows != 0).argmax(axis=1)
+    lev = int(lead.min())
+    col = rows[:, lev]
+    reps = np.array(reps)
     failing = {
-        "lcsp": [rep for (q, rep, _), k in zip(classes, lead) if q[k] < 0],
-        "wst": [rep for (_, rep, _), c in zip(classes, col) if c < 0],
-        "lev_zero": [rep for (_, rep, _), c in zip(classes, col) if c == 0],
+        "lcsp": rows[np.arange(len(rows)), lead] < 0,
+        "wst": col < 0,
+        "lev_zero": col == 0,
     }
-    zero_count = sum(size for (_, _, size), c in zip(classes, col) if c == 0)
-    return lev, zero_count, {key: min(reps) for key, reps in failing.items() if reps}
+    zero_count = int(np.array(sizes)[col == 0].sum())
+    return lev, zero_count, {key: int(reps[bad].min()) for key, bad in failing.items() if bad.any()}
+
+
+def _dips(live, r, epsilon):
+    """Is class r of live negative somewhere on [0,1]?  Exactly when the walk
+    over it alone does not give [0,1]."""
+    i = live.index[r]
+    alone = _Walk(live.rows[i : i + 1], _depth(epsilon))
+    unit = SpInterval(_exact(0, 0), _exact(1, 0), True, True)
+    return alone.run(rt._bernstein(live.sb[r : r + 1]), live.sb[r, 0] >= 0) != (unit,)
 
 
 def classify(f, epsilon=DEFAULT_EPSILON):
     """Full SP taxonomy of f.
 
-    The distinct point polynomials are built once.  One sweep over their
-    negative sets gives the region and usp (no polynomial is ever negative;
-    the witness is the representative of the first one that is), and every
-    other per-point flag is read off their rows (_level_flags).
+    The distinct point polynomials are built once.  The region walk gives
+    the region, and usp asks each class, in order, whether it is ever
+    negative: the first that is names the witness.  A class with no sign
+    variation on [0,1] never is, one negative just right of 0 always is, and
+    any other takes a walk of its own (_dips).  Every other per-point flag
+    is read off the rows (_level_flags).
     monotonically_sp means the region, ignoring the degenerate {0} component
     every balanced function has, is a single interval reaching 1; rho0 is
     then its left endpoint.
     """
-    polys = _distinct_point_polys(f)
-    region, negative = _region(f.n, polys, epsilon)
+    rows, reps, sizes = _distinct_point_polys(f)
+    live = _live_rows(rows)
+    region = _region(f.n, live, epsilon)
     witnesses = {}
-    failing = next((rep for (_, rep, _), ivs in zip(polys, negative) if ivs), None)
+    first = _first_col(live.sb).tolist()
+    failing = next(
+        (reps[i] for r, i in enumerate(live.index) if first[r] < 0 or _dips(live, r, epsilon)),
+        None,
+    )
     if failing is not None:
         witnesses["usp"] = failing
-    lev, zero_count, flags = _level_flags(polys)
+    lev, zero_count, flags = _level_flags(rows, reps, sizes)
     witnesses.update(flags)
     wst = "wst" not in flags
     solid = [
@@ -538,16 +665,9 @@ class SufficientThresholds:
     sparsity_bound: Endpoint  # SP for rho above the root of sum rho^|S| = s-1
 
 
-def _isolated_single_root(poly, epsilon):
-    sf, roots = rt._unit_roots(poly)
-    if not roots:
-        return Endpoint("exact", value=Fraction(0))
-    if len(roots) != 1:
-        raise AssertionError("threshold polynomial must have a single root")
-    return _endpoint(*rt.refine_root(sf, *roots[0], epsilon))
-
-
 def sufficient_thresholds(f, epsilon=DEFAULT_EPSILON):
+    """The no-flip and sparsity polynomials have one negative coefficient,
+    the constant, so each rises through one simple root in (0,1) (_bisect)."""
     n = f.n
     noflip_poly = rt.trim(
         tuple((comb(n, k) if k else 1 - (1 << (n - 1))) for k in range(n + 1))
@@ -555,7 +675,7 @@ def sufficient_thresholds(f, epsilon=DEFAULT_EPSILON):
     no_flip = (
         Endpoint("exact", value=Fraction(0))
         if n == 1
-        else _isolated_single_root(noflip_poly, epsilon)
+        else _bisect(noflip_poly, 0, 0, _depth(epsilon), True)
     )
 
     coeffs = wht(f).coeffs
@@ -573,7 +693,7 @@ def sufficient_thresholds(f, epsilon=DEFAULT_EPSILON):
     if not sparsity_poly or sparsity_poly[0] >= 0:
         sparsity_bound = Endpoint("exact", value=Fraction(0))
     else:
-        sparsity_bound = _isolated_single_root(sparsity_poly, epsilon)
+        sparsity_bound = _bisect(sparsity_poly, 0, 0, _depth(epsilon), True)
     return SufficientThresholds(no_flip, degree_bound, sparsity_bound)
 
 
@@ -778,9 +898,9 @@ def chow_gap_bound(f, g):
         failures.append("f is not balanced")
     if not properties(g).balanced:
         failures.append("g is not balanced")
-    if {"wst", "lev_zero"} & _level_flags(_distinct_point_polys(f))[2].keys():
+    if {"wst", "lev_zero"} & _level_flags(*_distinct_point_polys(f))[2].keys():
         failures.append("f is not SST")
-    if "lcsp" in _level_flags(_distinct_point_polys(g))[2]:
+    if "lcsp" in _level_flags(*_distinct_point_polys(g))[2]:
         failures.append("g is not LCSP")
     if any(x == 0 for x in influences(f)):
         failures.append("f does not depend on all variables")

@@ -6,9 +6,10 @@ coordinate i).  |coeffs[m]| <= 2^n and level-restricted evaluations are
 bounded by C(n,k) * 2^n, comfortably inside int64 for n <= 24.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from threading import Lock
 
 import numpy as np
 
@@ -111,12 +112,45 @@ class ScaledSpectrum:
         return Fraction(int(self.coeffs[mask]), 1 << self.n)
 
 
-@lru_cache(maxsize=128)
+# Spectra kept for reuse, least recently used first, and their total bytes.
+# The bound is on bytes, not entries: one spectrum of n = 24 is 128 MiB.
+# A spectrum larger than the bound is returned without being kept.
+_CACHE_BYTES = 256 << 20
+_cache = OrderedDict()
+_cached_bytes = 0
+_cache_lock = Lock()
+
+
 def wht(f):
     """Scaled Fourier coefficients of f (exact, integer)."""
+    global _cached_bytes
+    with _cache_lock:
+        spec = _cache.get(f)
+        if spec is not None:
+            _cache.move_to_end(f)
+            return spec
     coeffs = _butterfly(f.values.astype(np.int64))
     coeffs.flags.writeable = False
-    return ScaledSpectrum(f.n, coeffs)
+    spec = ScaledSpectrum(f.n, coeffs)
+    if coeffs.nbytes <= _CACHE_BYTES:
+        with _cache_lock:
+            if f not in _cache:
+                _cache[f] = spec
+                _cached_bytes += coeffs.nbytes
+            while _cached_bytes > _CACHE_BYTES:
+                _cached_bytes -= _cache.popitem(last=False)[1].coeffs.nbytes
+    return spec
+
+
+def _cache_clear():
+    """Forget every kept spectrum (wht.cache_clear, as lru_cache named it)."""
+    global _cached_bytes
+    with _cache_lock:
+        _cache.clear()
+        _cached_bytes = 0
+
+
+wht.cache_clear = _cache_clear
 
 
 def function_from_scaled(n, coeffs):

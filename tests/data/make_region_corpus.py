@@ -10,8 +10,7 @@ n = 3..9, and products g * h on disjoint variables (product_compose): random
 n = 3..5 times random n = 3..4 for 9 seeds, and majority, edic and or at
 n=5 times majority and edic at n=3.  Each point polynomial of a product is
 one of g times one of h, so distinct ones share irrational roots and the
-product cases pin how the root comparator decides and encloses common
-roots.  tests/test_region_corpus.py recomputes every case and compares the
+product cases pin how the region walk decides and encloses common roots.  tests/test_region_corpus.py recomputes every case and compares the
 strings exactly, so any change to the root or region code that alters a
 single endpoint fails the suite.
 

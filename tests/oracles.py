@@ -138,3 +138,85 @@ def negative_on_01(coeffs):
         if mult % 2
         for r in factor.real_roots()
     )
+
+
+def nonnegative_components(polys):
+    """{x in [0,1]: p(x) >= 0 for every p in polys} as its components (lo, hi),
+    ascending, with sympy numbers (Rational or CRootOf) as ends; and the
+    sorted distinct roots in (0,1) of all the polys.  Decided by sympy.
+
+    Every p is an integer coefficient tuple, lowest power first, positive
+    at 1.  The points are 0, 1 and the real roots of every irreducible factor
+    (distinct factors share no root); between two neighbours every p has one
+    sign, read at a rational point between them.  At a root of the factor g,
+    p is 0 when g divides p, else it has the sign of the gap to its right.
+    """
+    x = sympy.Symbol("x")
+    ps = [sympy.Poly(list(reversed(p)), x) for p in polys]
+    if not all(p.eval(1) > 0 for p in ps):
+        raise ValueError("every polynomial must be positive at 1")
+    factors = {}
+    for p in ps:
+        for g, _ in p.factor_list()[1]:
+            if g.degree() > 0:
+                g = -g if g.LC() < 0 else g
+                factors[tuple(g.all_coeffs())] = g
+    roots = sorted(
+        ((r, g) for g in factors.values() for r in g.real_roots() if 0 < r < 1),
+        key=lambda pair: pair[0],
+    )
+    points = [sympy.Integer(0)] + [r for r, _ in roots] + [sympy.Integer(1)]
+    gaps = []
+    for a, b in zip(points, points[1:]):
+        mid = sympy.Rational(str(((a + b) / 2).evalf(60)))
+        if not a < mid < b:
+            raise AssertionError("no rational found between two roots")
+        gaps.append([sympy.sign(p.eval(mid)) for p in ps])
+    # one membership flag per item: point 0, gap, root, gap, ..., gap, point 1
+    inside = [all(p.eval(0) >= 0 for p in ps)]
+    for i, (r, g) in enumerate(roots):
+        inside.append(min(gaps[i]) > 0)
+        inside.append(all(p.rem(g).is_zero or s > 0 for p, s in zip(ps, gaps[i + 1])))
+    inside += [min(gaps[-1]) > 0, True]
+    components, lo = [], None
+    for item, flag in enumerate(inside):
+        if flag and lo is None:
+            if item % 2:
+                raise AssertionError("the set must be closed")
+            lo = points[item // 2]
+        if not flag and lo is not None:
+            if item % 2 == 0:
+                raise AssertionError("the set must be closed")
+            components.append((lo, points[(item - 1) // 2]))
+            lo = None
+    components.append((lo, points[-1]))
+    return components, [r for r, _ in roots]
+
+
+def check_region(intervals, components, roots, depth):
+    """Assert that region intervals (endpoints exact, or enclosure cells)
+    describe the components of nonnegative_components.
+
+    An exact endpoint equals the component's end, and every dyadic end of
+    depth <= depth is exact.  An enclosure is a standard dyadic cell
+    (a/2^k, (a+1)/2^k) holding the end inside, of depth k == depth, or
+    deeper only when its depth-`depth` cell holds another root too.
+    """
+    assert len(intervals) == len(components), (intervals, components)
+    for iv, ends in zip(intervals, components):
+        for ep, r in zip((iv.lo, iv.hi), ends):
+            if ep.kind == "exact":
+                assert sympy.Rational(ep.value.numerator, ep.value.denominator) == r, (ep, r)
+                continue
+            assert not (r.is_Rational and r.q & (r.q - 1) == 0 and r.q <= 1 << depth), (ep, r)
+            lo, hi = ep.lo, ep.hi
+            width = hi - lo
+            k = width.denominator.bit_length() - 1
+            assert width == Fraction(1, 1 << k) and (lo * (1 << k)).denominator == 1, ep
+            assert k >= depth, (ep, depth)
+            assert sympy.Rational(lo.numerator, lo.denominator) < r, (ep, r)
+            assert r < sympy.Rational(hi.numerator, hi.denominator), (ep, r)
+            if k > depth:
+                top = sympy.Rational(int(lo * (1 << depth)), 1 << depth)
+                near = [s for s in roots if top < s < top + sympy.Rational(1, 1 << depth)]
+                assert len(near) >= 2, (ep, r, depth)

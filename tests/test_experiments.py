@@ -6,6 +6,9 @@ from math import comb, isclose, sqrt
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from boolsp import (
     BooleanFunction,
@@ -25,6 +28,8 @@ from boolsp.experiments import (
     _all_tables,
     _binary_divergence,
     _crossover_level,
+    _eta_delta,
+    _eta_delta_defined,
     _scaled_predictor_values,
 )
 from boolsp.noise import scaled_t_values
@@ -174,6 +179,36 @@ def test_delta_max_value():
     # the boundary behaves: just below defined, just above undefined
     assert threshold_constants(delta=Fraction(97, 1000)).eta_delta_defined
     assert not threshold_constants(delta=Fraction(98, 1000)).eta_delta_defined
+
+
+def test_eta_delta_defined_is_exact_at_the_boundary():
+    # delta_max ~ 0.0974247 lies between 39/400 = 0.0975 and 487/5000 = 0.0974
+    inside, outside = Fraction(487, 5000), Fraction(39, 400)
+    assert _eta_delta_defined(inside) and not _eta_delta_defined(outside)
+    assert threshold_constants(delta=inside).eta_delta_defined
+    assert not threshold_constants(delta=outside).eta_delta_defined
+    # about 1e-17 above the boundary the float divergences still meet the
+    # level at 1/4; the exact test says no, and eta_delta is not rendered
+    above = Fraction(56893724585295547, 583976667009182349)
+    assert _eta_delta(float(above)) is not None and not _eta_delta_defined(above)
+    c = threshold_constants(delta=above)
+    assert not c.eta_delta_defined and c.eta_delta is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(1, 2), max_denominator=10**6))
+def test_eta_delta_defined_matches_sympy_logs(delta):
+    """Against sympy's 50-digit logs of the two sides, away from delta_max."""
+    assume(delta < Fraction(1, 2))
+    d = sympy.Rational(delta.numerator, delta.denominator)
+    quarter = sympy.Rational(1, 4)
+    divergence = quarter * sympy.log(quarter / d, 2) + (1 - quarter) * sympy.log(
+        (1 - quarter) / (1 - d), 2
+    )
+    level = sympy.log(1 / (d * d + (1 - d) ** 2), 2) / 2
+    gap = sympy.N(divergence - level, 50)
+    assume(abs(gap) > sympy.Float("1e-30"))
+    assert _eta_delta_defined(delta) == bool(gap > 0)
 
 
 def test_threshold_constants_domain():

@@ -1,4 +1,5 @@
-"""The SP-region sweep: negative sets, their union, and independent checks."""
+"""The SP-region walk: touching roots, the distinct point polynomials, and
+independent checks against sympy."""
 
 from fractions import Fraction
 from math import comb
@@ -20,8 +21,9 @@ from boolsp import (
     level_values,
     sp_region,
 )
+from boolsp import roots as rt
 from boolsp import sp, spectrum
-from boolsp.sp import _compare, _distinct_point_polys, _negative_set, _region
+from boolsp.sp import _depth, _live_rows, _region
 from boolsp.spectrum import ScaledSpectrum
 
 import oracles
@@ -30,41 +32,82 @@ EPS = Fraction(1, 10**9)
 
 # (2x - 1)^2 (4x - 3): negative on [0, 1/2) and on (1/2, 3/4), zero at 1/2
 TOUCHING = (-3, 16, -28, 16)
+# (2x^2 - 1)^2 (10x - 9): negative on [0, 9/10) but for a double root at 1/sqrt 2
+TOUCHING_IRRATIONAL = (-9, 10, 36, -40, -36, 40)
 
 
-def brackets(root, x):
-    ep = root.endpoint(EPS)
-    if ep.kind == "exact":
-        return ep.value == x
-    return ep.lo < x < ep.hi
+def region_of_classes(n, classes, eps=EPS):
+    """_region over point polynomials given as coefficient tuples."""
+    width = max(map(len, classes))
+    rows = np.array([q + (0,) * (width - len(q)) for q in classes], dtype=np.int64)
+    return _region(n, _live_rows(rows), eps)
 
 
 def test_negative_set_keeps_touching_root_as_hole():
-    (first, second) = _negative_set(TOUCHING)
-    zero, half = first
-    assert zero.lo == zero.hi == 0  # starts at 0; q(0) = -3 < 0 covers it
-    assert brackets(half, Fraction(1, 2))
-    assert _compare(second[0], half, EPS) == 0
-    assert brackets(second[1], Fraction(3, 4))
+    # 1/2 is the first midpoint, where TOUCHING is 0: a tie, so in the region,
+    # though TOUCHING is negative on both sides; 0 is not (TOUCHING(0) = -3)
+    region = region_of_classes(0, [TOUCHING])
+    half = Endpoint("exact", value=Fraction(1, 2))
+    assert region.intervals[0] == sp.SpInterval(half, half, True, True)
+    assert region.intervals[1].lo == Endpoint("exact", value=Fraction(3, 4))
 
 
 def test_sweep_leaves_touching_root_as_degenerate_component():
-    region, negative = _region(0, [(TOUCHING, 0)], EPS)
-    assert len(negative[0]) == 2
-    point, tail = region.intervals  # {1/2} and [3/4, 1]
-    assert point.lo is point.hi
-    assert point.lo == Endpoint("exact", value=Fraction(1, 2))
-    assert tail.lo.kind == "enclosure"
-    assert tail.lo.lo < Fraction(3, 4) < tail.lo.hi <= tail.lo.lo + EPS
-    assert tail.hi == Endpoint("exact", value=Fraction(1))
-    assert point.lo_closed and point.hi_closed and tail.lo_closed
+    for q, root, tail in ((TOUCHING, Fraction(1, 2), Fraction(3, 4)),
+                          (TOUCHING_IRRATIONAL, Fraction(7071067811865476, 10**16),
+                           Fraction(9, 10))):
+        for eps in (EPS, Fraction(1, 1000)):
+            point, rest = region_of_classes(0, [q], eps).intervals
+            assert point.lo == point.hi and point.lo_closed and point.hi_closed
+            if point.lo.kind == "exact":
+                assert point.lo.value == root
+            else:  # the double root takes the square-free part: a depth-D cell
+                assert point.lo.lo < root < point.lo.hi
+                assert point.lo.hi - point.lo.lo == Fraction(1, 1 << _depth(eps))
+            assert rest.hi == Endpoint("exact", value=Fraction(1))
+            assert rest.lo.kind == "exact" or rest.lo.lo < tail < rest.lo.hi
+            components, roots = oracles.nonnegative_components([q])
+            oracles.check_region((point, rest), components, roots, _depth(eps))
+
+
+def test_double_root_takes_one_square_free_gcd(monkeypatch):
+    """A class with a double root keeps two or more variations down to depth
+    D; one gcd(q, q') then lets its cells part."""
+    calls = []
+    gcd = rt.poly_gcd
+    monkeypatch.setattr(rt, "poly_gcd", lambda p, q: calls.append(1) or gcd(p, q))
+    region_of_classes(0, [TOUCHING_IRRATIONAL])
+    assert len(calls) == 1
+    calls.clear()
+    assert region_of_classes(0, [TOUCHING]).intervals[0].lo.kind == "exact"
+    assert calls == []  # the exact midpoint 1/2 settles it
+
+
+def test_walk_keeps_only_the_largest_rising_root():
+    """Of the classes with one sign variation, each rising through one root,
+    the walk carries only those with the largest root; whether 0 is in the
+    region is still read off every class."""
+    classes = [(-1, 4), (-3, 4), (-7, 10), (0, -3, 4), (3, -16, 16)]
+    rows = np.array([q + (0,) * (3 - len(q)) for q in classes], dtype=np.int64)
+    live = _live_rows(rows)
+    kept = [live.index[r] for r in sp._walked(live).tolist()]
+    assert kept == [1, 3, 4]  # roots 3/4 and 3/4 of x(4x - 3); (4x-1)(4x-3) dips
+    three_quarters = Endpoint("exact", value=Fraction(3, 4))
+    one = Endpoint("exact", value=Fraction(1))
+    whole = sp.SpInterval(three_quarters, one, True, True)
+    assert _region(0, live, EPS).intervals == (whole,)
+    # x(4x - 3) alone has 0 in its region; 2x - 1, dropped from the walk, not
+    zero = Endpoint("exact", value=Fraction(0))
+    assert region_of_classes(0, [(0, -3, 4)]).intervals[0] == sp.SpInterval(zero, zero, True, True)
+    assert region_of_classes(0, [(0, -3, 4), (-1, 2)]).intervals == (whole,)
+    components, roots = oracles.nonnegative_components(classes)
+    oracles.check_region((whole,), components, roots, _depth(EPS))
 
 
 def test_enclosures_not_refined_past_epsilon():
-    # Bisection from an isolating bracket stops at the first width <= eps,
-    # and sorting halves only the wider of two brackets, so unless two
-    # distinct roots lie within eps of each other no enclosure gets narrower
-    # than eps/2: printed enclosures do not depend on the sort.
+    # Every enclosure is a cell of depth D, the least with 2^-D <= eps, so
+    # its width lies in (eps/2, eps], unless a rising and a falling root
+    # shared one such cell and had to be told apart.
     for n in range(4, 7):
         for seed in range(10):
             f = random_function(n, seed)
@@ -93,6 +136,12 @@ def test_usp_matches_sympy_oracle_exhaustive_n3():
 
 # ---------------------------------------------------------------------------
 # the distinct point polynomials
+
+
+def distinct_polys(f):
+    """sp._distinct_point_polys as (trimmed row, rep, size) triples."""
+    rows, reps, sizes = sp._distinct_point_polys(f)
+    return list(zip([rt.trim(tuple(row)) for row in rows.tolist()], reps, sizes))
 
 
 def oracle_distinct_polys(f):
@@ -124,7 +173,7 @@ def named_negations():
 
 def test_distinct_polys_match_oracle_n3_and_named():
     for f in [BooleanFunction(3, b) for b in range(256)] + list(named_negations()):
-        assert _distinct_point_polys(f) == oracle_distinct_polys(f), (f.n, f.bits)
+        assert distinct_polys(f) == oracle_distinct_polys(f), (f.n, f.bits)
 
 
 def test_distinct_polys_refuse_keys_beyond_int64(monkeypatch):
@@ -136,7 +185,7 @@ def test_distinct_polys_refuse_keys_beyond_int64(monkeypatch):
         sp, "wht", lambda f: ScaledSpectrum(f.n, np.full(1 << f.n, 1 << 61))
     )
     with pytest.raises(CapacityError, match="level 1 of n=3"):
-        _distinct_point_polys(construct_named("majority", 3))
+        sp._distinct_point_polys(construct_named("majority", 3))
 
 
 def krawtchouk(b):
@@ -187,7 +236,7 @@ def functions(draw, max_n=7):
 @settings(max_examples=100, deadline=None)
 @given(functions())
 def test_distinct_polys_match_oracle(f):
-    assert _distinct_point_polys(f) == oracle_distinct_polys(f)
+    assert distinct_polys(f) == oracle_distinct_polys(f)
 
 
 def permute_inputs(f, perm):
@@ -251,7 +300,7 @@ def test_orbit_polys_match_oracle_on_block_symmetric(case):
     f, planted = case
     found = sp._coordinate_blocks(f)[0]
     assert all(any(b <= set(block) for block in found) for b in planted)
-    classes = _distinct_point_polys(f)
+    classes = distinct_polys(f)
     assert classes == oracle_distinct_polys(f)
     assert sum(size for _, _, size in classes) == 1 << f.n
     c = classify(f)
@@ -307,3 +356,17 @@ def test_is_sp_agrees_with_region(f, rhos):
         member = oracles.region_membership(region, x)
         if member is not None:
             assert member == is_sp(f, x).sp, x
+
+
+@settings(max_examples=25, deadline=None)
+@given(functions(max_n=6), st.sampled_from([Fraction(1, 1000), Fraction(1, 1 << 20)]))
+def test_region_matches_sympy_root_oracle(f, eps):
+    """The region against one built from sympy's real roots of every class
+    and exact signs between them: exact ends equal, enclosures the depth-D
+    cell of the oracle's root."""
+    polys = {
+        rt.trim(tuple(int(c * (1 << f.n)) for c in coeffs))
+        for coeffs in oracles.point_polynomials(oracles.table(f), f.n)
+    }
+    components, roots = oracles.nonnegative_components(sorted(polys))
+    oracles.check_region(sp_region(f, eps).intervals, components, roots, _depth(eps))

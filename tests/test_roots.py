@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,21 +15,11 @@ from boolsp import sp
 import oracles
 
 X = sympy.Symbol("x")
+EPS = Fraction(1, 10**9)
 
 
 def to_sympy(p):
     return sympy.Poly(list(reversed(p)), X)
-
-
-def real_roots_in(p, a, b, open_interval=True):
-    """Distinct real roots of p in (a,b) (or [a,b]) via sympy."""
-    found = set(r for r in sympy.Poly(list(reversed(p)), X).real_roots())
-    a, b = sympy.Rational(a.numerator, a.denominator), sympy.Rational(
-        b.numerator, b.denominator
-    )
-    if open_interval:
-        return [r for r in sorted(found) if a < r < b]
-    return [r for r in sorted(found) if a <= r <= b]
 
 
 def random_poly(rng, max_deg=6, span=9):
@@ -40,26 +31,23 @@ def random_poly(rng, max_deg=6, span=9):
             return p
 
 
-def to_rational(x):
-    return sympy.Rational(x.numerator, x.denominator)
+def region_of(classes, eps):
+    """The intervals of {x in [0,1]: p(x) >= 0 for every p in classes}, each p
+    positive at 1, from the cell walk of the SP region over them."""
+    width = max(map(len, classes))
+    rows = np.array([tuple(q) + (0,) * (width - len(q)) for q in classes], dtype=object)
+    return sp._region(0, sp._live_rows(rows), eps).intervals
 
 
-def assert_isolates_distinct_roots(p):
-    """isolate_roots on sturm_chain(p) brackets each distinct root of p in
-    (0,1) exactly once, in order, and refinement narrows every bracket."""
-    chain = rt.sturm_chain(p)
-    roots = rt.isolate_roots(chain, Fraction(0), Fraction(1))
-    expected = real_roots_in(p, Fraction(0), Fraction(1))
-    assert len(roots) == len(expected)
-    prev_hi = Fraction(0)
-    for (lo, hi), true_root in zip(roots, expected):
-        assert prev_hi <= lo <= hi
-        assert to_rational(lo) <= true_root <= to_rational(hi)
-        prev_hi = hi
-        eps = (hi - lo) / 64
-        rlo, rhi = rt.refine_root(chain[0], lo, hi, eps)
-        assert lo <= rlo <= rhi <= hi and rhi - rlo <= eps
-        assert to_rational(rlo) <= true_root <= to_rational(rhi)
+def check_region_of(p, eps):
+    """region_of(p) against sympy: each root where p changes sign or touches
+    0 from below ends a component, exactly or in its depth-D cell."""
+    components, roots = oracles.nonnegative_components([p])
+    oracles.check_region(region_of([p], eps), components, roots, sp._depth(eps))
+
+
+def positive_at_one(p):
+    return p if sum(p) > 0 else rt.negate(p)
 
 
 def test_evaluate_matches_horner_free_form():
@@ -84,38 +72,60 @@ def test_eval_scaled_sign_agrees():
         assert (v > 0) == (s > 0) and (v == 0) == (s == 0)
 
 
+def test_row_helpers_match_per_polynomial_loops():
+    """_eval_rows against eval_scaled and _variations against a plain loop
+    over the nonzero signs, on padded rows (zero runs included), in int64
+    and in Python ints."""
+    rng = random.Random(31)
+    polys = [random_poly(rng) for _ in range(200)]
+    polys += [tuple(rng.choice((0, 0, -1, 1)) * c for c in p) for p in polys]
+    width = 1 + max(map(len, polys))
+    for dtype in (np.int64, object):
+        rows = np.array([p + (0,) * (width - len(p)) for p in polys], dtype=dtype)
+        for num, den in ((0, 1), (3, 8), (5, 7), (1, 1)):
+            values = rt._eval_rows(rows, num, den)
+            for p, v in zip(polys, values):
+                assert v == rt.eval_scaled(p, num, den) * den ** (width - len(p)), (p, num, den)
+        for p, v in zip(polys, rt._variations(rows)):
+            signs = [c > 0 for c in p if c]
+            assert v == sum(s != t for s, t in zip(signs, signs[1:])), p
+            assert rt._variations(np.array(p, dtype=dtype)) == v
+
+
 def test_derivative():
     assert rt.derivative((3, 2, 1)) == (2, 2)
     assert rt.derivative((5,)) == ()  # zero polynomial is the empty tuple
 
 
 def test_known_quartic_roots():
-    # (3x-1)(2x-1)(x^2+1): exactly 1/3 and 1/2 inside (0,1)
+    # (3x-1)(2x-1)(x^2+1): exactly 1/3 and 1/2 inside (0,1), negative between
     p = (1, -5, 7, -5, 6)
-    chain = rt.sturm_chain(p)
-    isolated = rt.isolate_roots(chain, Fraction(0), Fraction(1))
-    assert len(isolated) == 2
-    refined = [rt.refine_root(chain[0], lo, hi, Fraction(1, 10**12)) for lo, hi in isolated]
-    for target, (lo, hi) in zip((Fraction(1, 3), Fraction(1, 2)), refined):
-        if lo == hi:
-            assert lo == target
-        else:
-            assert lo < target < hi
-            assert hi - lo <= Fraction(1, 10**12)
+    eps = Fraction(1, 10**12)
+    head, tail = region_of([p], eps)
+    assert head.lo == sp.Endpoint("exact", value=Fraction(0))
+    assert head.hi.kind == "enclosure" and head.hi.lo < Fraction(1, 3) < head.hi.hi
+    assert head.hi.hi - head.hi.lo == Fraction(1, 1 << 40) <= eps
+    assert tail.lo == sp.Endpoint("exact", value=Fraction(1, 2))
+    check_region_of(p, eps)
 
 
-def test_sturm_count_against_sympy():
+def test_cell_counts_against_sympy():
+    """Descartes' count on a dyadic cell (_descend of the [0,1] coefficients,
+    at the polynomial's degree and elevated) against sympy's roots in the
+    open cell, counted with multiplicity: 0 means none, 1 one simple root,
+    and any count is at least the roots and has their parity."""
     rng = random.Random(977)
-    checked = 0
-    while checked < 200:
+    for _ in range(200):
         p = random_poly(rng)
-        a = Fraction(rng.randint(-3, 2), rng.randint(1, 4))
-        b = a + Fraction(rng.randint(1, 8), rng.randint(1, 4))
-        if oracles.evaluate(p, a) == 0 or oracles.evaluate(p, b) == 0:
-            continue
-        chain = rt.sturm_chain(p)
-        assert rt.count_roots(chain, a, b) == len(real_roots_in(p, a, b))
-        checked += 1
+        k = rng.randint(0, 4)
+        a = rng.randrange(1 << k)
+        lo, hi = sympy.Rational(a, 1 << k), sympy.Rational(a + 1, 1 << k)
+        inside = sum(1 for r in to_sympy(p).real_roots() if lo < r < hi)
+        for d in (rt.degree(p), rt.degree(p) + 2):
+            v = rt._variations(rt._descend(rt._unit_bernstein(p, d), a, k))
+            assert v >= inside and (v - inside) % 2 == 0, (p, a, k, d)
+            if v <= 1:
+                assert inside == v, (p, a, k, d)
 
 
 def test_isolation_brackets_each_root_once():
@@ -123,19 +133,22 @@ def test_isolation_brackets_each_root_once():
     checked = 0
     while checked < 120:
         p = random_poly(rng)
-        if oracles.evaluate(p, Fraction(0)) == 0 or oracles.evaluate(p, Fraction(1)) == 0:
+        if oracles.evaluate(p, Fraction(1)) == 0:
             continue
-        assert_isolates_distinct_roots(p)
+        check_region_of(positive_at_one(p), Fraction(1, 1 << 20))
         checked += 1
 
 
-def test_refine_root_narrows():
-    p = (-1, 0, 0, 2)  # 2x^3 = 1, root (1/2)^(1/3) ~ 0.7937
-    (root,) = rt.isolate_roots(rt.sturm_chain(p), Fraction(0), Fraction(1))
-    lo, hi = rt.refine_root(p, *root, Fraction(1, 10**9))
-    assert lo < hi
-    assert hi - lo <= Fraction(1, 10**9)
-    assert oracles.evaluate(p, lo) < 0 < oracles.evaluate(p, hi)
+def test_single_root_cell_narrows():
+    # 2x^3 = 1, root (1/2)^(1/3) ~ 0.7937: the threshold halving keeps the
+    # sign change, and stops at the depth-30 cell
+    p = (-1, 0, 0, 2)
+    ep = sp._bisect(p, 0, 0, sp._depth(Fraction(1, 10**9)), True)
+    assert ep.kind == "enclosure" and ep.hi - ep.lo == Fraction(1, 1 << 30)
+    assert oracles.evaluate(p, ep.lo) < 0 < oracles.evaluate(p, ep.hi)
+    assert sp._bisect((-1, 4), 0, 0, 30, True) == sp.Endpoint(
+        "exact", value=Fraction(1, 4)
+    )
 
 
 def _mul(p, q):
@@ -155,13 +168,12 @@ def test_gcd_of_known_share():
 
 
 def test_exact_hit_at_isolation_is_reported():
-    p = _mul((1, -2), (1, -3))  # roots 1/2 and 1/3
-    roots = rt.isolate_roots(rt.sturm_chain(p), Fraction(0), Fraction(1))
-    # both roots rational: refinement may collapse to exact values
-    refined = [rt.refine_root(p, lo, hi, Fraction(1, 1000)) for lo, hi in roots]
-    values = [(lo + hi) / 2 for lo, hi in refined]
-    assert abs(values[0] - Fraction(1, 3)) <= Fraction(1, 1000)
-    assert abs(values[1] - Fraction(1, 2)) <= Fraction(1, 1000)
+    # roots 1/3 and 1/2: a split lands on 1/2, while 1/3 stays enclosed
+    p = _mul((1, -2), (1, -3))
+    eps = Fraction(1, 1000)
+    head, tail = region_of([p], eps)
+    assert head.hi.lo < Fraction(1, 3) < head.hi.hi <= head.hi.lo + eps
+    assert tail.lo == sp.Endpoint("exact", value=Fraction(1, 2))
 
 
 # Repeated roots: the random polynomials above are square-free almost surely.
@@ -171,7 +183,7 @@ IRRATIONAL_FACTORS = ((-1, 0, 2), (1, -5, 5))  # 2x^2-1, 5x^2-5x+1: roots in (0,
 
 def repeated_root_polys(rng, count):
     """Products of squared or cubed factors with roots in (0,1) and a random
-    cofactor; paired with a random interval (a, b) whose ends are not roots."""
+    cofactor, nonzero at 1."""
     factors = RATIONAL_FACTORS + IRRATIONAL_FACTORS
     made = 0
     while made < count:
@@ -179,100 +191,83 @@ def repeated_root_polys(rng, count):
         for factor in rng.sample(factors, rng.randint(1, 2)):
             for _ in range(rng.randint(2, 3)):
                 p = _mul(p, factor)
-        a = Fraction(rng.randint(-3, 2), rng.randint(1, 4))
-        b = a + Fraction(rng.randint(1, 8), rng.randint(1, 4))
-        if any(oracles.evaluate(p, x) == 0 for x in (a, b, Fraction(0), Fraction(1))):
+        if oracles.evaluate(p, Fraction(1)) == 0:
             continue
         made += 1
-        yield p, a, b
+        yield p
 
 
 def test_repeated_roots_against_sympy():
+    """The square-free part has p's distinct roots, each simple, and the walk
+    settles repeated roots: touching from below is a single point, from above
+    nothing, an odd power a sign change."""
     cube = _mul(_mul((-1, 0, 2), (-1, 0, 2)), (-1, 0, 2))  # (2x^2-1)^3
-    unit = (Fraction(0), Fraction(1))
-    pure_powers = [(_mul((-1, 3), (-1, 3)), *unit), (cube, *unit)]  # (3x-1)^2, cube
-    for p, a, b in pure_powers + list(repeated_root_polys(random.Random(6), 60)):
-        chain = rt.sturm_chain(p)
+    pure_powers = [_mul((-1, 3), (-1, 3)), cube]  # (3x-1)^2, cube
+    for p in pure_powers + list(repeated_root_polys(random.Random(6), 60)):
         _, sqf = to_sympy(p).sqf_part().primitive()
-        head = to_sympy(chain[0])
-        assert head in (sqf, -sqf)
-        assert rt.count_roots(chain, a, b) == len(real_roots_in(p, a, b))
-        assert_isolates_distinct_roots(p)
+        assert to_sympy(rt.primitive(rt._square_free(p))) in (sqf, -sqf)
+        for eps in (Fraction(1, 1000), Fraction(1, 1 << 30)):
+            check_region_of(positive_at_one(p), eps)
 
 
-def _root_near(p, x):
-    """The isolated root of p whose bracket holds x, as an sp._Root."""
-    chain = rt.sturm_chain(p)
-    for lo, hi in rt.isolate_roots(chain):
-        if lo <= x <= hi:
-            return sp._Root(chain[0], lo, hi)
-    raise AssertionError(f"no root of {p} near {x}")
+HALF_SQRT2 = (-1, 0, 2)  # 2x^2 - 1, root 1/sqrt(2) ~ 0.7071
 
 
 def test_compare_decides_shared_and_close_irrational_roots():
-    half_sqrt2 = Fraction(7071067811865476, 10**16)  # 1/sqrt(2) to 1e-16
-    # both share the root 1/sqrt(2); their other roots differ
-    a = _root_near(_mul((-1, 0, 2), (-1, 3)), half_sqrt2)
-    b = _root_near(_mul((-1, 0, 2), (-4, 5)), half_sqrt2)
-    assert a.lo < a.hi and b.lo < b.hi  # not exact: the gcd test decides
-    eps = sp.DEFAULT_EPSILON
-    assert sp._compare(a, b, eps) == 0 and sp._compare(b, a, eps) == 0
-    assert (a.lo, a.hi) == (b.lo, b.hi)  # both now hold the intersection
-    # a common factor whose root lies outside the overlap decides nothing
-    a = sp._Root(_mul((-1, 0, 2), (-1, 3)), Fraction(1, 2), Fraction(1))  # 1/sqrt(2)
-    b = sp._Root(_mul((-1, 0, 2), (-4, 5)), Fraction(3, 4), Fraction(1))  # 4/5
-    assert sp._compare(a, b, eps) == -1 and a.hi <= b.lo
-    # 2(x - d)^2 - 1 has the root 1/sqrt(2) + d with d = 10^-13
+    """A rising and a falling root in one depth-D cell: split below D until
+    they part, or one gcd shows they are one root."""
+    # (2x^2-1)(3x-1) is negative on (1/3, 1/sqrt 2), (2x^2-1)(5x-4) on
+    # (1/sqrt 2, 4/5): the shared root is a single-point component
+    shared = [_mul(HALF_SQRT2, (-1, 3)), _mul(HALF_SQRT2, (-4, 5))]
+    low, point, high = region_of(shared, EPS)
+    assert point.lo == point.hi and point.lo.kind == "enclosure"
+    assert point.lo.lo < Fraction(7071067811865476, 10**16) < point.lo.hi
+    assert high.lo.lo < Fraction(4, 5) < high.lo.hi
+    # (1-2x^2)(9-10x) falls at 1/sqrt(2); 2(x -+ d)^2 - 1 rises 10^-13 later
+    # or earlier: no component, or one between two cells deeper than D
+    falling = _mul(rt.negate(HALF_SQRT2), (9, -10))
     d = 10**13
-    shifted = (2 - d * d, -4 * d, 2 * d * d)
-    lo_root = _root_near((-1, 0, 2), half_sqrt2)
-    hi_root = _root_near(shifted, half_sqrt2)
-    assert sp._compare(lo_root, hi_root, eps) == -1
-    lo_root = _root_near((-1, 0, 2), half_sqrt2)
-    hi_root = _root_near(shifted, half_sqrt2)
-    assert sp._compare(hi_root, lo_root, eps) == 1
-    assert lo_root.hi <= hi_root.lo
+    for sign in (1, -1):
+        rising = (2 - d * d, -4 * d * sign, 2 * d * d)  # times d^2
+        components, roots = oracles.nonnegative_components([falling, rising])
+        for eps in (EPS, Fraction(1, 1000)):
+            region = region_of([falling, rising], eps)
+            oracles.check_region(region, components, roots, sp._depth(eps))
+            assert len(region) == (1 if sign > 0 else 2)
+        if sign < 0:
+            lo, hi = region[0].lo, region[0].hi
+            assert lo.hi <= hi.lo and hi.hi - hi.lo < Fraction(1, 1 << 40)
 
 
 def test_compare_defers_gcd_and_keeps_shared_root_enclosure(monkeypatch):
-    """The shared root 1/sqrt(2) is decided by one gcd, only once the wider
-    bracket is at most epsilon wide, and is enclosed exactly as an eager gcd
-    (intersect at once, then refine) enclosed it."""
+    """At epsilon = 1/1000 the shared root 1/sqrt(2) is decided by one gcd,
+    taken in its depth-10 cell, which encloses it."""
     gcds = []
     gcd = rt.poly_gcd
     monkeypatch.setattr(rt, "poly_gcd", lambda p, q: gcds.append(1) or gcd(p, q))
-    half_sqrt2 = Fraction(7071067811865476, 10**16)
-    eps = Fraction(1, 1000)
-    a = _root_near(_mul((-1, 0, 2), (-1, 3)), half_sqrt2)
-    b = _root_near(_mul((-1, 0, 2), (-4, 5)), half_sqrt2)
-    assert (a.lo, a.hi, b.lo, b.hi) == (Fraction(1, 2), 1, Fraction(1, 2), Fraction(3, 4))
-    assert sp._compare(a, b, eps) == 0 and len(gcds) == 1
-    assert (a.lo, a.hi) == (b.lo, b.hi) and a.hi - a.lo <= eps
+    shared = [_mul(HALF_SQRT2, (-1, 3)), _mul(HALF_SQRT2, (-4, 5))]
+    region = region_of(shared, Fraction(1, 1000))
     cell = sp.Endpoint("enclosure", lo=Fraction(181, 256), hi=Fraction(725, 1024))
-    assert a.endpoint(eps) == b.endpoint(eps) == cell
+    assert region[1] == sp.SpInterval(cell, cell, True, True)
+    assert len(gcds) == 1
 
 
-def test_compare_halving_onto_a_shared_exact_root_is_equal():
-    # 2x - 1 on (0, 1): the first halving lands on its root 1/2 exactly,
-    # which (2x - 1)(5x - 4) shares; neither bracket is epsilon narrow yet
-    eps = Fraction(1, 1000)
-    for flip in (False, True):
-        a = sp._Root((-1, 2), Fraction(0), Fraction(1))
-        b = sp._Root(_mul((-1, 2), (-4, 5)), Fraction(3, 8), Fraction(5, 8))
-        assert (sp._compare(b, a, eps) if flip else sp._compare(a, b, eps)) == 0
-        assert a.lo == a.hi == b.lo == b.hi == Fraction(1, 2)
-    # two exact roots at one point compare 0, whatever their polynomials
-    a = sp._Root((-1, 2), Fraction(1, 2), Fraction(1, 2))
-    b = sp._Root(_mul((-1, 2), (-4, 5)), Fraction(1, 2), Fraction(1, 2))
-    assert sp._compare(a, b, eps) == 0 and sp._compare(b, a, eps) == 0
-    # an exact root at the end of an open bracket is not in it
-    c = sp._Root((-4, 5), Fraction(1, 2), Fraction(1))
-    assert sp._compare(a, c, eps) == -1 and sp._compare(c, a, eps) == 1
+def test_compare_halving_onto_a_shared_exact_root_is_equal(monkeypatch):
+    """2x - 1 rises and (2x - 1)(5x - 4) falls at 1/2, the first midpoint: an
+    exact single-point component, with no gcd."""
+    gcds = []
+    monkeypatch.setattr(rt, "poly_gcd", lambda p, q: gcds.append(1))
+    classes = [(-1, 2), _mul((-1, 2), (-4, 5))]
+    point, tail = region_of(classes, Fraction(1, 1000))
+    half = sp.Endpoint("exact", value=Fraction(1, 2))
+    assert point == sp.SpInterval(half, half, True, True)
+    assert tail.lo.lo < Fraction(4, 5) < tail.lo.hi and gcds == []
 
 
 def test_region_of_random_function_needs_no_gcd(monkeypatch):
-    """Distinct roots part by halving alone: a region-random pool function
-    (random n=9, seed 1) gets its region without one gcd."""
+    """Distinct roots part by halving alone, and no class needs its
+    square-free part: a region-random pool function (random n=9, seed 1)
+    gets its region without one gcd."""
     calls = []
     gcd = rt.poly_gcd
     monkeypatch.setattr(rt, "poly_gcd", lambda p, q: calls.append(1) or gcd(p, q))
@@ -305,7 +300,7 @@ def test_descartes_count_bounds_roots_in_unit_interval(p):
     variations means no root, 1 means exactly one simple root, and any count
     is at least the number of roots and has its parity."""
     unit = [r for r in to_sympy(p).real_roots() if 0 < r < 1]
-    v = rt.coeff_sign_variations(p)
+    v = rt._variations(rt._unit_bernstein(p, rt.degree(p)))
     assert v >= len(unit) and (v - len(unit)) % 2 == 0
     if v == 0:
         assert unit == []
@@ -316,11 +311,22 @@ def test_descartes_count_bounds_roots_in_unit_interval(p):
 @settings(max_examples=200, deadline=None)
 @given(unit_polys())
 def test_unit_roots_bracket_each_distinct_root_once(p):
-    sf, roots = rt._unit_roots(p)
-    expected = real_roots_in(p, Fraction(0), Fraction(1))
-    assert len(roots) == len(expected)
-    for (lo, hi), true_root in zip(roots, expected):
-        assert to_rational(lo) <= true_root <= to_rational(hi)
-        assert len(real_roots_in(sf, lo, hi, open_interval=lo < hi)) == 1
-        rlo, rhi = rt.refine_root(sf, lo, hi, Fraction(1, 1 << 12))
-        assert to_rational(rlo) <= true_root <= to_rational(rhi)
+    """The walk over one class, repeated roots included, against sympy."""
+    check_region_of(positive_at_one(p), Fraction(1, 1 << 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_polys())
+@example((26, -100, 100))  # complex roots only
+@example((1, 0, -4, 0, 4))  # (2x^2 - 1)^2: touches 0 from above
+@example((3, -16, 16))  # (4x - 1)(4x - 3): negative between its roots
+def test_dips_decides_negative_somewhere(p):
+    """classify's per-class subdivision against sympy, for a class positive
+    at 0 and 1: is it negative somewhere in (0,1)?"""
+    if p[0] < 0:
+        p = rt.negate(p)
+    if sum(p) <= 0:
+        return
+    live = sp._live_rows(np.array([p], dtype=object))
+    dips = bool(live.index) and sp._dips(live, 0, Fraction(1, 1 << 12))
+    assert dips == oracles.negative_on_01(tuple(map(Fraction, p)))

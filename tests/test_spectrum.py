@@ -1,6 +1,7 @@
 """Walsh-Hadamard layer against direct correlation sums and Parseval."""
 
 import random
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -14,10 +15,12 @@ from boolsp import (
     function_from_scaled,
     influences,
     level_values,
+    random_function,
     sp_polynomial,
     spectral_summary,
     wht,
 )
+from boolsp import spectrum
 
 from oracles import fourier
 
@@ -171,3 +174,22 @@ def test_gap_is_min_positive_level1_value():
         ]
         positive = [v for v in lin if v > 0]
         assert s.gap == (min(positive) if positive else 0)
+
+
+def test_spectrum_cache_is_bounded_by_bytes(monkeypatch):
+    monkeypatch.setattr(spectrum, "_cache", OrderedDict())
+    monkeypatch.setattr(spectrum, "_cached_bytes", 0)
+    monkeypatch.setattr(spectrum, "_CACHE_BYTES", 3 * 8 * 64)  # three n=6 spectra
+    fs = [random_function(6, seed) for seed in range(4)]
+    kept = [spectrum.wht(f) for f in fs]
+    assert list(spectrum._cache) == fs[1:]  # the least recently used left
+    assert spectrum.wht(fs[1]) is kept[1]  # a hit, now the most recent
+    again = spectrum.wht(fs[0])
+    assert again is not kept[0] and np.array_equal(again.coeffs, kept[0].coeffs)
+    assert list(spectrum._cache) == [fs[3], fs[1], fs[0]]
+    assert spectrum._cached_bytes == 3 * 8 * 64
+    big = random_function(8, 0)  # 2 KiB, more than the whole bound
+    assert spectrum.wht(big) is not spectrum.wht(big)
+    assert list(spectrum._cache) == [fs[3], fs[1], fs[0]]
+    spectrum.wht.cache_clear()
+    assert not spectrum._cache and spectrum._cached_bytes == 0
