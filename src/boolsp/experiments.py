@@ -1,10 +1,17 @@
 """Shell biases, bad points, sharp-threshold constants, and whole-space scans.
 
-The n <= 4 scans enumerate every Boolean function at once: truth tables as
-the columns of a (2^n, 2^2^n) int8 matrix, one butterfly along the points
-for all spectra, and the rho-weighted butterfly back for the signs of all
-scaled noise-operator values, streamed over int64 limbs when q^n is large
-(spectrum._weighted_signs), so any rho scans in int64.
+The n <= 4 scans read every sign of every table off one exact kernel
+(_sign_keys).  For rho = p/q the scaled noise operator is
+
+    2^n q^n T_rho f(u) = sum_v (q+p)^(n-d(u,v)) (q-p)^d(u,v) f(v),
+
+so with a table id split into its low and high halves of 2^(n-1) points the
+value at u is A_u[lo] + B_u[hi], two lists of 2^2^(n-1) exact Python ints.
+Its sign is that of rank(A_u[lo]) - rank(-B_u[hi]) in the sorted union of
+the lists: one int32 comparison per point and table, exact for every rho.
+The census counts the tables the keep-rule predictor fixes; the graph scan
+hands the predictor's successor ids to one numpy pass over the functional
+graph (_functional_graph).
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -17,8 +24,7 @@ import numpy as np
 from .config import thread_count
 from .errors import InvalidArgument
 from .functions import BooleanFunction, popcounts
-from .noise import _rho_weights, check_rho, disagreement, optimal_predictor
-from .spectrum import _butterfly, _weighted_signs
+from .noise import check_rho, optimal_predictor
 
 
 def shell_bias(f, v, d):
@@ -165,23 +171,76 @@ def threshold_constants(alpha=None, delta=None):
 # whole-space scans (n <= 4)
 
 
-def _all_tables(n, start, stop):
-    """Truth tables of functions start..stop-1 as the columns of a (2^n, B) matrix."""
-    ids = np.arange(start, stop, dtype=np.int64)
-    bits = (ids[None, :] >> np.arange(1 << n, dtype=np.int64)[:, None]) & 1
-    return (2 * bits - 1).astype(np.int8)
+def _half_sums(weights, points, far):
+    """sum_j weights[|j| + far] * f(j) over the points j < points of a half
+    table, for every half table (bit j set: f(j) = +1), built by doubling."""
+    sums = [0]
+    for j in range(points):
+        w = weights[j.bit_count() + far]
+        sums = [s - w for s in sums] + [s + w for s in sums]
+    return sums
 
 
-def _scaled_predictor_values(tables, n, rho):
-    """Scaled T_rho values (2^n q^n T) for a batch of truth tables (columns), as
-    an int64 array with their signs: the values themselves while one limb holds
-    them, for any rho (see spectrum._weighted_signs)."""
-    spectra = _butterfly(tables.astype(np.int64))
-    return _weighted_signs(spectra, _rho_weights(n, rho))
+def _xor_perms(points):
+    """perms[u, x]: the half table x read at the points j ^ u, that is with bit
+    j taken from bit j ^ u, for every u < points."""
+    j = np.arange(points)
+    bits = (np.arange(1 << points)[:, None] >> j) & 1
+    return (bits[:, j[None, :] ^ j[:, None]] @ (1 << j)).T
 
 
-def _sp_mask(tables, scaled):
-    return ~np.any(disagreement(tables, scaled), axis=0)
+def _sign_keys(n, rho):
+    """int32 (2^n, 2^h) arrays cols and rows, h = 2^(n-1), such that the sign of
+    2^n q^n T_rho f(u) is the sign of cols[u, lo] - rows[u, hi] for the table
+    id = lo + (hi << h): exact for every rho, with no value larger than 2^(h+1).
+    (At n = 0 the one point is the low half: shapes (1, 2) and (1, 1).)
+
+    With w_d = (q+p)^(n-d) (q-p)^d the value is sum_v w_d(u,v) f(v) = A_u[lo] +
+    B_u[hi], the sums over the low and the high half of the points.  Its sign
+    is that of rank(A_u[lo]) - rank(-B_u[hi]) in the sorted union of the lists.
+    Only A = A_0 and B = B_0 are built: for u < h, A_u and B_u are A and B
+    read through the index permutation _xor_perms(h)[u]; for u = h + u' the
+    halves swap roles, A_u = B_u' and B_u = A_u'.  Negating f negates a sum
+    and complements its index, so the union is closed under negation and
+    rank(-B[x]) is the rank of B at the complement of x: the list reversed."""
+    if n == 0:  # one point, whose value is f(0): ranks of -1 and +1 against 0
+        return np.array([[0, 2]], dtype=np.int32), np.array([[1]], dtype=np.int32)
+    p, q = rho.numerator, rho.denominator
+    weights = [(q + p) ** (n - d) * (q - p) ** d for d in range(n + 1)]
+    h = 1 << (n - 1)
+    a, b = _half_sums(weights, h, 0), _half_sums(weights, h, 1)
+    rank = {v: r for r, v in enumerate(sorted(set(a).union(b)))}
+    ra = np.array([rank[v] for v in a], dtype=np.int32)
+    rb = np.array([rank[v] for v in b], dtype=np.int32)
+    perms = _xor_perms(h)
+    cols = np.concatenate([ra[perms], rb[perms]])
+    rows = np.concatenate([rb[::-1][perms], ra[::-1][perms]])
+    return cols, rows
+
+
+def _keep_keys(n, rho):
+    """_sign_keys with the keep rule folded in: the keep-rule predictor of the
+    table lo + (hi << h) has bit u set iff cols[u, lo] > rows[u, hi].  A zero
+    value (equal ranks) then keeps f(u), the bit u of lo or u - h of hi (at
+    n = 0, h = 0 and the one value is never zero)."""
+    cols, rows = _sign_keys(n, rho)
+    h = len(cols) >> 1
+    own = (np.arange(1 << h)[None, :] >> np.arange(h)[:, None]) & 1
+    cols[:h] += own
+    rows[h : 2 * h] -= own
+    return cols, rows
+
+
+def _successors(cols, rows):
+    """Keep-rule successor ids (as from _keep_keys) of the tables lo + (hi << h)
+    for the hi of the given rows, as a (len(hi), 2^h) array."""
+    dtype = np.min_scalar_type((1 << len(cols)) - 1)
+    out = np.zeros((rows.shape[1], cols.shape[1]), dtype=dtype)
+    bit = np.empty(out.shape, dtype=bool)
+    for u in range(len(cols)):
+        np.greater(cols[u][None, :], rows[u][:, None], out=bit)
+        out |= bit.astype(out.dtype) << u
+    return out
 
 
 @dataclass(frozen=True)
@@ -205,19 +264,21 @@ def sp_fraction(n, rho, mode="exhaustive", samples=None, seed=None, threads=None
     if mode == "exhaustive":
         if n > 4:
             raise InvalidArgument("exhaustive census is limited to n <= 4")
+        cols, rows = _keep_keys(n, rho)
         total = 1 << (1 << n)
-        chunk = max(1024, total // (workers * 8) or total)
-        spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
+        width, height = cols.shape[1], rows.shape[1]
+        parts = min(workers, height)  # the high-half rows, split over workers
+        bounds = [height * k // parts for k in range(parts + 1)]
 
-        def count_span(span):
-            tables = _all_tables(n, *span)
-            return int(np.count_nonzero(_sp_mask(tables, _scaled_predictor_values(tables, n, rho))))
+        def count_fixed(start, stop):  # the SP tables are those the keep rule fixes
+            succ = _successors(cols, rows[:, start:stop]).ravel()
+            return int(np.count_nonzero(succ == np.arange(start * width, stop * width)))
 
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                sp_count = sum(pool.map(count_span, spans))
+        if parts > 1:
+            with ThreadPoolExecutor(max_workers=parts) as pool:
+                sp_count = sum(pool.map(count_fixed, bounds[:-1], bounds[1:]))
         else:
-            sp_count = sum(count_span(s) for s in spans)
+            sp_count = count_fixed(0, height)
         frac = Fraction(sp_count, total)
         return SpFraction(n, rho, mode, total, sp_count, frac, float(frac), 0.0, None)
     if mode == "sample":
@@ -290,57 +351,73 @@ class GraphScan:
     cycles: tuple  # non-trivial cycles as tuples of table-bit integers
 
 
+def _functional_graph(succ):
+    """(fixpoints, components, max depth, non-trivial cycles) of the map
+    v -> succ[v] on 0..len(succ)-1.
+
+    The images V, f(V), f(f(V)), ... shrink until they reach the cycle nodes,
+    and they get there in exactly max-depth steps (the longest distance from a
+    node to its cycle).  Every component holds one cycle.  A cycle tuple is
+    listed in the order of its component's least node and starts at the first
+    cycle node reached from it, the order of a depth-first walk from 0 up.
+    Only the nodes of non-trivial cycles and the paths to them from those
+    least nodes are walked in Python."""
+    succ = np.asarray(succ, dtype=np.intp)
+    total = len(succ)
+    ids = np.arange(total)
+    live = np.ones(total, dtype=bool)  # the image f^depth(V)
+    size, depth = total, 0
+    while True:
+        image = np.zeros(total, dtype=bool)
+        image[succ[live]] = True
+        count = int(np.count_nonzero(image))
+        if count == size:
+            break
+        live, size, depth = image, count, depth + 1
+    on_cycle = live
+    fixed = succ == ids
+    num_fixpoints = int(np.count_nonzero(fixed))
+    loop_nodes = np.flatnonzero(on_cycle & ~fixed).tolist()
+    if not loop_nodes:
+        return num_fixpoints, num_fixpoints, depth, ()
+    step = succ.tolist()
+    label = ids.copy()  # every cycle node labelled by the least node of its cycle
+    loops = []
+    for c in loop_nodes:  # ascending: each cycle is first met at its least node
+        if label[c] != c:
+            continue
+        cycle = [c]
+        while step[cycle[-1]] != c:
+            cycle.append(step[cycle[-1]])
+        label[cycle] = c
+        loops.append(cycle)
+    reach = ids
+    for _ in range(depth):
+        reach = succ[reach]
+    least = np.full(total, total)
+    np.minimum.at(least, label[reach], ids)
+    found = []
+    for cycle in loops:
+        v = start = int(least[cycle[0]])
+        while not on_cycle[v]:
+            v = step[v]
+        i = cycle.index(v)
+        found.append((start, tuple(cycle[i:] + cycle[:i])))
+    found.sort()
+    return num_fixpoints, num_fixpoints + len(found), depth, tuple(c for _, c in found)
+
+
 def graph_scan(n, rho):
     """Functional graph of the keep-rule predictor over all functions (n <= 4)."""
     rho = check_rho(rho)
     if not 0 <= n <= 4:
         raise InvalidArgument("graph scan is limited to 0 <= n <= 4")
-    total = 1 << (1 << n)
-    tables = _all_tables(n, 0, total)
-    scaled = _scaled_predictor_values(tables, n, rho)
-    pred = np.where(scaled != 0, np.sign(scaled), tables).astype(np.int8)
-    weights = (1 << np.arange(1 << n, dtype=np.int64))[:, None]
-    succ = ((pred > 0).astype(np.int64) * weights).sum(axis=0)
-    succ = succ.tolist()
-
-    state = [0] * total  # 0 new, 1 on current path, 2 finished
-    depth = [0] * total  # distance to the component's cycle
-    cycles = []
-    num_components = 0
-    max_depth = 0
-    for s in range(total):
-        if state[s]:
-            continue
-        path = []
-        v = s
-        while state[v] == 0:
-            state[v] = 1
-            path.append(v)
-            v = succ[v]
-        if state[v] == 1:  # fresh cycle inside the current path
-            ci = path.index(v)
-            cycle = path[ci:]
-            num_components += 1
-            if len(cycle) > 1:
-                cycles.append(tuple(cycle))
-            for u in cycle:
-                depth[u] = 0
-                state[u] = 2
-            tail = path[:ci]
-        else:
-            tail = path
-        base = depth[succ[tail[-1]]] if tail else 0
-        for i, u in enumerate(reversed(tail), start=1):
-            depth[u] = base + i
-            state[u] = 2
-        if tail:
-            max_depth = max(max_depth, depth[tail[0]])
-
-    num_fixpoints = sum(1 for v in range(total) if succ[v] == v)
+    succ = _successors(*_keep_keys(n, rho)).ravel()
+    num_fixpoints, num_components, max_depth, cycles = _functional_graph(succ)
     if num_fixpoints > num_components:
         raise AssertionError("fixpoints exceed components")
     if (num_fixpoints == num_components) != (len(cycles) == 0):
         raise AssertionError("fixpoint/component balance violated")
     return GraphScan(
-        n, rho, total, num_fixpoints, num_components, max_depth, tuple(cycles)
+        n, rho, len(succ), num_fixpoints, num_components, max_depth, cycles
     )

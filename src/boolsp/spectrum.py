@@ -18,12 +18,12 @@ from .functions import BooleanFunction, linear_values, popcounts, properties
 
 
 def _butterfly(arr):
-    """In-place Walsh-Hadamard transform along axis 0 with the (-1)^{popcount(u & m)}
-    kernel: of one table (2^n,) or of each column of a contiguous (2^n, B) batch."""
+    """In-place Walsh-Hadamard transform of one table (2^n,) with the
+    (-1)^{popcount(u & m)} kernel."""
     half = 1
     size = len(arr)
     while half < size:
-        view = arr.reshape((-1, 2, half) + arr.shape[1:])
+        view = arr.reshape(-1, 2, half)
         low = view[:, 0].copy()
         high = view[:, 1]
         view[:, 0] = low + high
@@ -33,11 +33,10 @@ def _butterfly(arr):
 
 
 def _weighted_transform(spectra, weights):
-    """sum_S weights[|S|] * spectra[S] * chi_S at every point, along axis 0, in the
-    dtype of spectra * weights.  With scaled spectra 2^n fhat and weights[k] =
-    p^k q^(n-k) this is 2^n q^n T_rho, the one formula noise and the scans use."""
-    w = weights[popcounts(len(weights) - 1)]
-    return _butterfly(spectra * w.reshape(w.shape + (1,) * (spectra.ndim - 1)))
+    """sum_S weights[|S|] * spectra[S] * chi_S at every point, in the dtype of
+    spectra * weights.  With scaled spectra 2^n fhat and weights[k] =
+    p^k q^(n-k) this is 2^n q^n T_rho, the formula of the noise operator."""
+    return _butterfly(spectra * weights[popcounts(len(weights) - 1)])
 
 
 _INT64_SAFE = 1 << 62
@@ -51,20 +50,14 @@ def _limb_plan(spectra, weights):
 
     Every entry of every butterfly stage is a signed sum of a subset of the
     weighted coefficients, so a limb fits int64 when sum_k limb[k] * L1_k < 2^62,
-    L1_k being the sum of |spectra| on level k (for a batch, the sum over level k
-    of each row's largest |entry|, which bounds every column's sum and costs
-    one pass).  One limb holding the weights themselves (width 0) is used when
-    that bound holds for them and every weight is below 2^62; otherwise the
-    digits are base 2^width with (2^width - 1) * sum_k L1_k < 2^62, as few as
-    cover the largest weight.  The digits are cut as they are consumed, so only
+    L1_k being the sum of |spectra| on level k.  One limb holding the weights
+    themselves (width 0) is used when that bound holds for them and every
+    weight is below 2^62; otherwise the digits are base 2^width with
+    (2^width - 1) * sum_k L1_k < 2^62, as few as cover the largest weight.  The digits are cut as they are consumed, so only
     one limb is held at a time."""
     n = len(weights) - 1
-    if spectra.ndim == 1:
-        peak = np.abs(spectra)
-    else:
-        peak = np.maximum(spectra.max(axis=1), -spectra.min(axis=1))
     l1 = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(l1, popcounts(n), peak)
+    np.add.at(l1, popcounts(n), np.abs(spectra))
     l1 = l1.tolist()
     top = max(weights)
     if top < _INT64_SAFE and sum(w * a for w, a in zip(weights, l1)) < _INT64_SAFE:

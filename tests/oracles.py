@@ -220,3 +220,45 @@ def check_region(intervals, components, roots, depth):
                 top = sympy.Rational(int(lo * (1 << depth)), 1 << depth)
                 near = [s for s in roots if top < s < top + sympy.Rational(1, 1 << depth)]
                 assert len(near) >= 2, (ep, r, depth)
+
+
+def functional_graph(succ):
+    """(fixpoints, components, max depth, non-trivial cycles) of v -> succ[v] by
+    a depth-first walk from every unvisited node, 0 up.  This walk defines
+    the cycle order: components in the order of their least node, each cycle
+    starting at the first of its nodes reached from that least node."""
+    total = len(succ)
+    state = [0] * total  # 0 new, 1 on current path, 2 finished
+    depth = [0] * total  # distance to the component's cycle
+    cycles = []
+    num_components = 0
+    max_depth = 0
+    for s in range(total):
+        if state[s]:
+            continue
+        path = []
+        v = s
+        while state[v] == 0:
+            state[v] = 1
+            path.append(v)
+            v = succ[v]
+        if state[v] == 1:  # fresh cycle inside the current path
+            ci = path.index(v)
+            cycle = path[ci:]
+            num_components += 1
+            if len(cycle) > 1:
+                cycles.append(tuple(cycle))
+            for u in cycle:
+                depth[u] = 0
+                state[u] = 2
+            tail = path[:ci]
+        else:
+            tail = path
+        base = depth[succ[tail[-1]]] if tail else 0
+        for i, u in enumerate(reversed(tail), start=1):
+            depth[u] = base + i
+            state[u] = 2
+        if tail:
+            max_depth = max(max_depth, depth[tail[0]])
+    num_fixpoints = sum(1 for v in range(total) if succ[v] == v)
+    return num_fixpoints, num_components, max_depth, tuple(cycles)

@@ -1,11 +1,15 @@
 """End-to-end CLI behavior: envelopes, exit codes, files, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolsp import construct_ltf, construct_named, LtfSpec, PtfSpec
 from boolsp import cli, functions, sp, spectrum
@@ -410,7 +414,7 @@ def oracle_graph(succ):
 
 @pytest.mark.parametrize("command", ["census", "graph"])
 def test_whole_space_huge_rho_denominator(capsys, command):
-    # q^n = 3^80 > 2^62: the scan streams its values over int64 limbs
+    # q^n = 3^80 > 2^62: the values are far outside int64, their signs exact
     code, out, err = run(capsys, command, "--n", "4", "--rho", "1/3486784401")
     assert code == 0 and err == ""
     assert json.loads(out)["command"] == command  # one JSON document
@@ -503,6 +507,49 @@ def test_whole_space_n0_runs(capsys, command):
     code, out, err = run(capsys, command, "--n", "0", "--rho", "1/2")
     assert code == 0 and err == ""
     assert json.loads(out)["result"]
+
+
+RHO_TEXT = st.one_of(
+    st.fractions(0, 1, max_denominator=10**30).map(lambda r: f"{r.numerator}/{r.denominator}"),
+    st.integers(-(10**40), 10**40).map(str),
+    st.builds("{}/{}".format, st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30)),
+    st.sampled_from(
+        ["1/3486784401", f"{2**70 - 1}/{2**70}", "1/1" + "0" * 1100, "1/" + "7" * 5000,
+         "0.5", "1e-3", "1/0", "", "-", "--", " 1/2", "1/2/3", "½", "nan"]
+    ),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def scan_argv(draw):
+    command = draw(st.sampled_from(["census", "graph"]))
+    argv = [command, "--n", str(draw(st.integers(-3, 7)))]
+    if command == "census":
+        if draw(st.booleans()):
+            argv += ["--grid", str(draw(st.integers(-2, 70)))]
+        for rho in draw(st.lists(RHO_TEXT, max_size=2)):
+            argv += ["--rho", rho]
+    else:
+        argv += ["--rho", draw(RHO_TEXT)]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_argv())
+def test_whole_space_argv_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["command"] == argv[0]
+    else:
+        assert out.getvalue() == ""
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,16 @@ from boolsp import (
     threshold_constants,
 )
 from boolsp.experiments import (
-    _all_tables,
     _binary_divergence,
     _crossover_level,
     _eta_delta,
     _eta_delta_defined,
-    _scaled_predictor_values,
+    _functional_graph,
+    _keep_keys,
+    _sign_keys,
+    _successors,
 )
-from boolsp.noise import scaled_t_values
+from boolsp.noise import optimal_predictor, scaled_t_values
 
 import oracles
 
@@ -247,9 +249,10 @@ def test_sp_fraction_full_above_universal_threshold():
 
 
 def test_sp_fraction_threads_equivalent():
-    a = sp_fraction(3, Fraction(1, 3), threads=1)
-    b = sp_fraction(3, Fraction(1, 3), threads=4)
-    assert a.sp_count == b.sp_count and a.fraction == b.fraction
+    for n in (3, 4):
+        a = sp_fraction(n, Fraction(1, 3), threads=1)
+        b = sp_fraction(n, Fraction(1, 3), threads=4)
+        assert a.sp_count == b.sp_count and a.fraction == b.fraction
 
 
 def test_sp_fraction_sample_mode():
@@ -319,31 +322,64 @@ def test_orbit_budget_must_be_nonnegative():
 # graph scans
 
 
+def _kernel_signs(n, rho, bits):
+    """Signs of 2^n q^n T_rho f at every point of table `bits`, from _sign_keys."""
+    cols, rows = _sign_keys(n, rho)
+    lo, hi = bits % cols.shape[1], bits // cols.shape[1]
+    return np.sign(cols[:, lo] - rows[:, hi]).tolist()
+
+
+def _value_signs(n, rho, bits):
+    """Signs of the per-function scaled_t_values (at n = 0, T_rho f = f)."""
+    if n == 0:
+        return [2 * bits - 1]
+    return [(x > 0) - (x < 0) for x in scaled_t_values(BooleanFunction(n, bits), rho).tolist()]
+
+
 def test_batch_values_match_per_function_values():
-    # the census/graph batch runs the same weighted butterfly as scaled_t_values
-    for n in range(1, 4):
+    # the whole-space kernel gives the signs of scaled_t_values, and its
+    # keep-rule successors are the keep-rule predictors, for every table
+    for n in range(4):
         total = 1 << (1 << n)
-        tables = _all_tables(n, 0, total)
         for rho in (Fraction(0), Fraction(1, 3), Fraction(3, 8), Fraction(1), Fraction(5, 7)):
-            batch = _scaled_predictor_values(tables, n, rho)
-            assert batch.shape == (1 << n, total) and batch.dtype == np.int64
+            succ = _successors(*_keep_keys(n, rho)).ravel().tolist()
+            assert len(succ) == total
             for bits in range(total):
-                f = BooleanFunction(n, bits)
-                assert np.array_equal(tables[:, bits], f.values)
-                assert np.array_equal(batch[:, bits], scaled_t_values(f, rho))
+                assert _kernel_signs(n, rho, bits) == _value_signs(n, rho, bits)
+                if n:
+                    keep = optimal_predictor(BooleanFunction(n, bits), rho, tie_rule="keep")
+                    assert succ[bits] == keep.to_boolean().bits, (n, rho, bits)
+            assert n or succ == [0, 1]
 
 
 def test_batch_signs_match_per_function_values_beyond_int64():
-    # from n = 2 (n = 1 for 1/3^40) q^n > 2^62: the batch streams its limbs
-    for n in range(1, 4):
-        total = 1 << (1 << n)
-        tables = _all_tables(n, 0, total)
+    # from n = 2 (n = 1 for 1/3^40) q^n > 2^62; the kernel's ranks stay exact
+    for n in range(4):
         for rho in (Fraction(1, 3**40), Fraction(999999999999, 10**13), Fraction(2**70 - 1, 2**70)):
-            batch = np.sign(_scaled_predictor_values(tables, n, rho))
-            for bits in range(total):
-                values = scaled_t_values(BooleanFunction(n, bits), rho).tolist()
-                want = [(x > 0) - (x < 0) for x in values]
-                assert batch[:, bits].tolist() == want, (n, rho, bits)
+            for bits in range(1 << (1 << n)):
+                assert _kernel_signs(n, rho, bits) == _value_signs(n, rho, bits), (n, rho, bits)
+
+
+@st.composite
+def successor_lists(draw):
+    """Random maps on 0..size-1 with a few planted cycles of length >= 2."""
+    size = draw(st.integers(1, 512))
+    node = st.integers(0, size - 1)
+    succ = draw(st.lists(node, min_size=size, max_size=size))
+    if size > 1:
+        for _ in range(draw(st.integers(0, 4))):
+            cycle = draw(st.lists(node, min_size=2, max_size=min(size, 12), unique=True))
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                succ[a] = b
+    return succ
+
+
+@settings(max_examples=200, deadline=None)
+@given(successor_lists())
+def test_functional_graph_matches_depth_first_walk(succ):
+    # no rho at n <= 4 is known to give a non-trivial cycle: this is the test of
+    # the cycle path, order and rotation included
+    assert _functional_graph(succ) == oracles.functional_graph(succ)
 
 
 def test_graph_scan_n1_all_fixpoints():
