@@ -53,8 +53,9 @@ def _limb_plan(spectra, weights):
     L1_k being the sum of |spectra| on level k.  One limb holding the weights
     themselves (width 0) is used when that bound holds for them and every
     weight is below 2^62; otherwise the digits are base 2^width with
-    (2^width - 1) * sum_k L1_k < 2^62, as few as cover the largest weight.  The digits are cut as they are consumed, so only
-    one limb is held at a time."""
+    (2^width - 1) * sum_k L1_k < 2^62, as few as cover the largest weight.
+    The digits are cut as they are consumed, so only one limb is held at a
+    time."""
     n = len(weights) - 1
     l1 = np.zeros(n + 1, dtype=np.int64)
     np.add.at(l1, popcounts(n), np.abs(spectra))
