@@ -7,7 +7,7 @@ stability/sensitivity quantities, and the classification flags built on them
 — all in integer/rational arithmetic.
 """
 
-from .config import DEFAULT_CAP_N, VERSION, dense_cap, thread_count
+from .config import DEFAULT_CAP_N, VERSION, dense_cap
 from .constructs import (
     PRNG_NAME,
     CompositionPlan,

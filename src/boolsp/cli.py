@@ -14,6 +14,7 @@ Conventions
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
@@ -54,12 +55,8 @@ census CSV columns:
   exhaustive: rho_num,rho_den,fraction_num,fraction_den
   sample:     rho_num,rho_den,estimate,stderr,samples
 
-environment: BOOLSP_THREADS, BOOLSP_CAP_N (flags take precedence).
+environment: BOOLSP_CAP_N (the --cap-n flag takes precedence).
 """
-
-
-def _parse_rational(text, what):
-    return ser.parse_rational(text, what)
 
 
 def _parse_epsilon(text):
@@ -218,7 +215,7 @@ def _cmd_classify(args):
 def _cmd_stability(args):
     inputs = {}
     f = _load_function(args, inputs)
-    rho = check_rho(_parse_rational(args.rho, "rho"))
+    rho = check_rho(ser.parse_rational(args.rho, "rho"))
     signs = _scaled_signs(f, rho)  # one T_rho sign stream serves all three reports
     rep = _stability_report(f, rho, signs)
     close = _closeness_to_sp(f, rho, signs, ties_agree=True)
@@ -248,7 +245,7 @@ def _cmd_stability(args):
 def _cmd_predict(args):
     inputs = {}
     f = _load_function(args, inputs)
-    rho = _parse_rational(args.rho, "rho")
+    rho = ser.parse_rational(args.rho, "rho")
     pred = optimal_predictor(f, rho, tie_rule=args.tie_rule)
     ties = int((pred.values == 0).sum())
     value_sum = int(pred.values.sum())
@@ -280,7 +277,7 @@ def _cmd_compose(args):
     if args.plan:
         if args.left or args.right:
             raise InvalidArgument("--plan excludes --left/--right")
-        outer, plan = ser.load_plan(args.plan)
+        outer, plan = ser.load_plan(args.plan, cap=args.cap_n)
         inputs[args.plan] = ser.file_digest(args.plan)
         g = character_compose(outer, plan, cap=args.cap_n)
         kind = "character"
@@ -313,13 +310,29 @@ def _load_checkpoint(path, meta):
     if not path or not os.path.exists(path):
         return {}
     obj = ser.load_json(path)
-    if obj.get("format") != "boolsp-census-checkpoint-v1":
+    if not isinstance(obj, dict) or obj.get("format") != "boolsp-census-checkpoint-v1":
         raise InvalidArgument(f"{path} is not a census checkpoint")
     if obj.get("meta") != meta:
         raise InvalidArgument(
             f"{path} was produced by a different census configuration"
         )
-    return obj.get("rows", {})
+    rows = obj.get("rows", {})
+    if not isinstance(rows, dict) or not all(
+        _checkpoint_row_ok(row, meta["mode"]) for row in rows.values()
+    ):
+        raise InvalidArgument(f"{path}: malformed census checkpoint rows")
+    return rows
+
+
+def _checkpoint_row_ok(row, mode):
+    """Does row hold the fields _cmd_census writes and renders for mode?"""
+    extra = "stderr" if mode == "sample" else "fraction"
+    if not isinstance(row, dict) or row.keys() != {"total", "sp_count", "estimate", extra}:
+        return False
+    fraction = row.get("fraction")
+    return mode == "sample" or (
+        isinstance(fraction, dict) and fraction.keys() == {"num", "den", "approx"}
+    )
 
 
 def _save_checkpoint(path, meta, rows):
@@ -338,7 +351,7 @@ def _cmd_census(args):
             raise InvalidArgument("--grid must be >= 1")
         rhos.extend(Fraction(k, args.grid) for k in range(args.grid + 1))
     for text in args.rho or []:
-        rhos.append(_parse_rational(text, "rho"))
+        rhos.append(ser.parse_rational(text, "rho"))
     rhos = sorted(set(rhos))
     if not rhos:
         raise InvalidArgument("census needs --grid or at least one --rho")
@@ -359,7 +372,6 @@ def _cmd_census(args):
                 mode=args.mode,
                 samples=args.samples,
                 seed=args.seed,
-                threads=args.threads,
             )
             row = {"total": sf.total, "sp_count": sf.sp_count, "estimate": sf.estimate}
             if sf.fraction is not None:
@@ -409,7 +421,7 @@ def _census_csv(result):
 def _cmd_orbit(args):
     inputs = {}
     f = _load_function(args, inputs)
-    rho = _parse_rational(args.rho, "rho")
+    rho = ser.parse_rational(args.rho, "rho")
     rep = predictor_orbit(f, rho, max_steps=args.max_steps)
     result = {
         "rho": ser.rational(rho),
@@ -425,7 +437,7 @@ def _cmd_orbit(args):
 
 
 def _cmd_graph(args):
-    rho = _parse_rational(args.rho, "rho")
+    rho = ser.parse_rational(args.rho, "rho")
     scan = graph_scan(args.n, rho)
     return {
         "n": scan.n,
@@ -449,12 +461,12 @@ def _cmd_thresholds(args):
         )
         if args.rho:
             result["necessary"] = _necessary_json(
-                necessary_checks(f, _parse_rational(args.rho, "rho"))
+                necessary_checks(f, ser.parse_rational(args.rho, "rho"))
             )
     if args.alpha or args.delta:
         tc = threshold_constants(
-            alpha=_parse_rational(args.alpha, "alpha") if args.alpha else None,
-            delta=_parse_rational(args.delta, "delta") if args.delta else None,
+            alpha=ser.parse_rational(args.alpha, "alpha") if args.alpha else None,
+            delta=ser.parse_rational(args.delta, "delta") if args.delta else None,
         )
         result["constants"] = _constants_json(tc)
     if not result:
@@ -481,6 +493,7 @@ def _add_common(sp, formats=("json", "text")):
                          "(default: BOOLSP_CAP_N or 24)")
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="boolsp",
@@ -538,8 +551,6 @@ def _build_parser():
     sp.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
     sp.add_argument("--samples", type=int)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads (default: BOOLSP_THREADS or 1)")
     sp.add_argument("--checkpoint", help="JSON checkpoint for resumable scans")
     _add_common(sp, formats=("json", "csv", "text"))
     sp.set_defaults(func=_cmd_census)

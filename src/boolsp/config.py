@@ -1,4 +1,4 @@
-"""Runtime knobs: dense-table capacity and worker threads.
+"""Runtime knob: the dense-table capacity.
 
 Precedence: explicit function/CLI argument > environment variable > default.
 """
@@ -13,7 +13,6 @@ DEFAULT_CAP_N = 24
 # uint32 point indices of popcounts overflow.
 MAX_CAP_N = 31
 ENV_CAP_N = "BOOLSP_CAP_N"
-ENV_THREADS = "BOOLSP_THREADS"
 
 
 def _at_least_one(name, value):
@@ -44,13 +43,6 @@ def dense_cap(override=None):
     if override is not None:
         return _at_most_max_cap("cap", int(override))
     return _at_most_max_cap(ENV_CAP_N, _env_int(ENV_CAP_N, DEFAULT_CAP_N))
-
-
-def thread_count(override=None):
-    """Worker threads for the embarrassingly parallel scans (census)."""
-    if override is not None:
-        return _at_least_one("threads", int(override))
-    return _env_int(ENV_THREADS, 1)
 
 
 def check_cap(n, override=None):

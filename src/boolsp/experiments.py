@@ -9,19 +9,17 @@ so with a table id split into its low and high halves of 2^(n-1) points the
 value at u is A_u[lo] + B_u[hi], two lists of 2^2^(n-1) exact Python ints.
 Its sign is that of rank(A_u[lo]) - rank(-B_u[hi]) in the sorted union of
 the lists: one int32 comparison per point and table, exact for every rho.
-The census counts the tables the keep-rule predictor fixes; the graph scan
-hands the predictor's successor ids to one numpy pass over the functional
-graph (_functional_graph).
+Both scans read the keep-rule predictor's successor ids off one array
+(_keep_successors): the census counts its fixpoints, and the graph scan hands
+it to one numpy pass over the functional graph (_functional_graph).
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, factorial, log2, sqrt
 
 import numpy as np
 
-from .config import thread_count
 from .errors import InvalidArgument
 from .functions import BooleanFunction, popcounts
 from .noise import check_rho, optimal_predictor
@@ -231,16 +229,18 @@ def _keep_keys(n, rho):
     return cols, rows
 
 
-def _successors(cols, rows):
-    """Keep-rule successor ids (as from _keep_keys) of the tables lo + (hi << h)
-    for the hi of the given rows, as a (len(hi), 2^h) array."""
+def _keep_successors(n, rho):
+    """The keep-rule successor id of every table 0 .. 2^2^n - 1 (0 <= n <= 4):
+    bit u of the successor of lo + (hi << h) is cols[u, lo] > rows[u, hi] for
+    the keys of _keep_keys."""
+    cols, rows = _keep_keys(n, rho)
     dtype = np.min_scalar_type((1 << len(cols)) - 1)
     out = np.zeros((rows.shape[1], cols.shape[1]), dtype=dtype)
     bit = np.empty(out.shape, dtype=bool)
     for u in range(len(cols)):
         np.greater(cols[u][None, :], rows[u][:, None], out=bit)
         out |= bit.astype(out.dtype) << u
-    return out
+    return out.ravel()
 
 
 @dataclass(frozen=True)
@@ -256,29 +256,16 @@ class SpFraction:
     seed: int
 
 
-def sp_fraction(n, rho, mode="exhaustive", samples=None, seed=None, threads=None):
+def sp_fraction(n, rho, mode="exhaustive", samples=None, seed=None):
     rho = check_rho(rho)
     if n < 0:
         raise InvalidArgument(f"n must be >= 0, got {n}")
-    workers = thread_count(threads)  # validated in both modes
     if mode == "exhaustive":
         if n > 4:
             raise InvalidArgument("exhaustive census is limited to n <= 4")
-        cols, rows = _keep_keys(n, rho)
-        total = 1 << (1 << n)
-        width, height = cols.shape[1], rows.shape[1]
-        parts = min(workers, height)  # the high-half rows, split over workers
-        bounds = [height * k // parts for k in range(parts + 1)]
-
-        def count_fixed(start, stop):  # the SP tables are those the keep rule fixes
-            succ = _successors(cols, rows[:, start:stop]).ravel()
-            return int(np.count_nonzero(succ == np.arange(start * width, stop * width)))
-
-        if parts > 1:
-            with ThreadPoolExecutor(max_workers=parts) as pool:
-                sp_count = sum(pool.map(count_fixed, bounds[:-1], bounds[1:]))
-        else:
-            sp_count = count_fixed(0, height)
+        succ = _keep_successors(n, rho)  # the SP tables are those the keep rule fixes
+        total = len(succ)
+        sp_count = int(np.count_nonzero(succ == np.arange(total)))
         frac = Fraction(sp_count, total)
         return SpFraction(n, rho, mode, total, sp_count, frac, float(frac), 0.0, None)
     if mode == "sample":
@@ -412,7 +399,7 @@ def graph_scan(n, rho):
     rho = check_rho(rho)
     if not 0 <= n <= 4:
         raise InvalidArgument("graph scan is limited to 0 <= n <= 4")
-    succ = _successors(*_keep_keys(n, rho)).ravel()
+    succ = _keep_successors(n, rho)
     num_fixpoints, num_components, max_depth, cycles = _functional_graph(succ)
     if num_fixpoints > num_components:
         raise AssertionError("fixpoints exceed components")

@@ -17,8 +17,7 @@ two halves never count more than the cell, and a square-free polynomial
 reaches counts <= 1 after finitely many splits (Collins & Akritas, SYMSAC
 1976; Eigenwillig, PhD thesis, Saarland University, 2008).  A polynomial
 with repeated roots gets its square-free part from one gcd(p, p')
-(_square_free), through sign-tracked pseudo-remainders, so everything stays
-in Z.
+(_square_free), through integer pseudo-remainders, so everything stays in Z.
 """
 
 from math import comb, factorial, gcd as int_gcd
@@ -82,16 +81,12 @@ def primitive(p):
     return tuple(c // g for c in p)
 
 
-def pseudo_rem_tracked(a, b):
-    """Integer pseudo-remainder r of a by b with a sign flag.
-
-    r equals rem(a, b) over Q times lc(b)^k for some k >= 0; the returned
-    flag is True when that scalar is negative.
-    """
+def _pseudo_rem(a, b):
+    """Integer pseudo-remainder of a by b: rem(a, b) over Q times lc(b)^k for
+    some k >= 0."""
     db = degree(b)
     lb = b[-1]
     r = list(trim(a))
-    neg = False
     while len(r) - 1 >= db:
         s = r[-1]
         shift = len(r) - 1 - db
@@ -99,19 +94,14 @@ def pseudo_rem_tracked(a, b):
         for i, bc in enumerate(b):
             r[shift + i] -= s * bc
         r = list(trim(r))
-        if lb < 0:
-            neg = not neg
-        if not r:
-            break
-    return tuple(r), neg
+    return tuple(r)
 
 
 def poly_gcd(a, b):
     """Primitive gcd with positive leading coefficient."""
     a, b = primitive(a), primitive(b)
     while b:
-        r, _ = pseudo_rem_tracked(a, b)
-        a, b = b, primitive(r)
+        a, b = b, primitive(_pseudo_rem(a, b))
     if a and a[-1] < 0:
         a = negate(a)
     return a

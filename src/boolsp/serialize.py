@@ -220,7 +220,7 @@ def load_function(path, cap=None):
     return function_from_obj(load_json(path), cap=cap)
 
 
-def load_plan(path):
+def load_plan(path, cap=None):
     """Composition plan: outer function object plus 1-based coordinate blocks."""
     obj = load_json(path)
     if not isinstance(obj, dict) or obj.get("format") != PLAN_FORMAT:
@@ -233,7 +233,7 @@ def load_plan(path):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgument(f"bad plan file: {exc}") from None
-    outer = function_from_obj(obj.get("outer", {}))
+    outer = function_from_obj(obj.get("outer", {}), cap=cap)
     return outer, CompositionPlan(blocks)
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: envelopes, exit codes, files, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -102,6 +103,32 @@ def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_census_has_no_threads_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--n", "2", "--rho", "1/2", "--threads", "2"])
+    assert exc.value.code == 2
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if kwargs.get("prog") == "boolsp":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    clear = getattr(cli._build_parser, "cache_clear", lambda: None)
+    clear()
+    try:
+        assert run(capsys, "graph", "--n", "1", "--rho", "1/2")[0] == 0
+        assert run(capsys, "census", "--n", "1", "--rho", "1/2")[0] == 0
+    finally:
+        clear()
+    assert len(built) == 1
 
 
 def test_missing_required_rho(capsys, maj3):
@@ -300,6 +327,26 @@ def test_compose_plan(capsys, tmp_path):
     assert res["kind"] == "character" and res["n"] == 3
 
 
+def test_compose_plan_cap_flag_covers_outer(capsys, tmp_path, monkeypatch):
+    # --cap-n takes precedence over BOOLSP_CAP_N for the plan's outer function too
+    plan = tmp_path / "plan.json"
+    plan.write_text(
+        canonical_json(
+            {
+                "format": "boolsp-plan-v1",
+                "outer": function_to_json(construct_named("or", 6)),
+                "blocks": [[k] for k in range(1, 7)],
+            }
+        )
+    )
+    monkeypatch.setenv("BOOLSP_CAP_N", "4")
+    code, _, err = run(capsys, "compose", "--plan", str(plan))
+    assert code == 1 and "cap 4" in err
+    code, out, err = run(capsys, "compose", "--plan", str(plan), "--cap-n", "8")
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["n"] == 6
+
+
 def test_compose_plan_excludes_pair(capsys, tmp_path, maj3):
     plan = tmp_path / "plan.json"
     plan.write_text(
@@ -379,6 +426,29 @@ def test_census_checkpoint_resume(capsys, tmp_path):
     assert code == 1 and "different census configuration" in err
 
 
+CENSUS_META = {"mode": "exhaustive", "n": 2, "samples": None, "seed": None}
+
+
+@pytest.mark.parametrize(
+    "checkpoint",
+    [
+        [],
+        {"format": "boolsp-census-checkpoint-v1", "meta": CENSUS_META, "rows": []},
+        {"format": "boolsp-census-checkpoint-v1", "meta": CENSUS_META,
+         "rows": {"1/2": 5}},
+        {"format": "boolsp-census-checkpoint-v1", "meta": CENSUS_META,
+         "rows": {"1/2": {"total": 16, "sp_count": 16, "estimate": 1.0, "fraction": 1}}},
+    ],
+)
+def test_malformed_checkpoint_refused(capsys, tmp_path, checkpoint):
+    ck = tmp_path / "ck.json"
+    ck.write_text(json.dumps(checkpoint))
+    code, out, err = run(capsys, "census", "--n", "2", "--rho", "1/2",
+                         "--checkpoint", str(ck))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_census_needs_rhos(capsys):
     code, _, err = run(capsys, "census", "--n", "2")
     assert code == 1 and "grid" in err
@@ -452,12 +522,12 @@ def test_whole_space_huge_rho_denominator(capsys, command):
         ("graph", "--n", "-2", "--rho", "1/2"),
         ("census", "--n", "2", "--rho", "1/2", "--mode", "sample",
          "--samples", "4", "--seed", "-1"),
-        ("census", "--n", "2", "--rho", "1/2", "--threads", "0"),
-        ("census", "--n", "2", "--rho", "1/2", "--threads", "-3"),
+        ("census", "--n", "5", "--rho", "1/2"),
+        ("graph", "--n", "5", "--rho", "1/2"),
         ("census", "--n", "0", "--mode", "sample", "--samples", "3",
          "--seed", "1", "--rho", "1/2"),
         ("census", "--n", "2", "--rho", "1/2", "--mode", "sample",
-         "--samples", "4", "--seed", "1", "--threads", "0"),
+         "--samples", "0", "--seed", "1"),
         ("orbit", "--fn", "FN", "--rho", "1/2", "--max-steps", "-3"),
         ("census", "--n", "2", "--grid", "0"),
         ("region", "--fn", "FN", "--epsilon", "1e-5000"),
@@ -644,13 +714,3 @@ def test_cap_above_ceiling_refused_before_any_table(capsys, maj3, monkeypatch):
     assert err.count("\n") == 1 and "BOOLSP_CAP_N must be <= 31" in err
     code, _, _ = run(capsys, "region", "--fn", maj3, "--cap-n", "31")
     assert code == 0
-
-
-def test_threads_env_equivalent(capsys, monkeypatch):
-    code, out1, _ = run(capsys, "census", "--n", "3", "--rho", "1/3", "--threads", "1")
-    monkeypatch.setenv("BOOLSP_THREADS", "4")
-    code2, out2, _ = run(capsys, "census", "--n", "3", "--rho", "1/3")
-    assert code == 0 and code2 == 0
-    r1 = json.loads(out1)["result"]["rows"]
-    r2 = json.loads(out2)["result"]["rows"]
-    assert r1 == r2

@@ -30,9 +30,8 @@ from boolsp.experiments import (
     _eta_delta,
     _eta_delta_defined,
     _functional_graph,
-    _keep_keys,
+    _keep_successors,
     _sign_keys,
-    _successors,
 )
 from boolsp.noise import optimal_predictor, scaled_t_values
 
@@ -248,13 +247,6 @@ def test_sp_fraction_full_above_universal_threshold():
     assert rep.fraction == 1
 
 
-def test_sp_fraction_threads_equivalent():
-    for n in (3, 4):
-        a = sp_fraction(n, Fraction(1, 3), threads=1)
-        b = sp_fraction(n, Fraction(1, 3), threads=4)
-        assert a.sp_count == b.sp_count and a.fraction == b.fraction
-
-
 def test_sp_fraction_sample_mode():
     a = sp_fraction(3, Fraction(1, 2), mode="sample", samples=400, seed=7)
     b = sp_fraction(3, Fraction(1, 2), mode="sample", samples=400, seed=7)
@@ -343,7 +335,7 @@ def test_batch_values_match_per_function_values():
         total = 1 << (1 << n)
         for rho in (Fraction(0), Fraction(1, 3), Fraction(3, 8), Fraction(1), Fraction(5, 7)):
             signs = _kernel_signs(n, rho)
-            succ = _successors(*_keep_keys(n, rho)).ravel().tolist()
+            succ = _keep_successors(n, rho).tolist()
             assert len(signs) == len(succ) == total
             for bits in range(total):
                 assert signs[bits] == _value_signs(n, rho, bits), (n, rho, bits)
