@@ -20,6 +20,8 @@ from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
+import numpy as np
+
 from . import serialize as ser
 from .config import VERSION, check_cap
 from .constructs import character_compose, product_compose
@@ -92,9 +94,16 @@ def _load_function(args, inputs):
     return ser.function_from_obj(obj, cap=args.cap_n)
 
 
+def _write_text(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidArgument(f"cannot write {path}: {exc}") from None
+
+
 def _write_function(path, f):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(ser.canonical_json(ser.function_to_json(f)))
+    _write_text(path, ser.canonical_json(ser.function_to_json(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +345,12 @@ def _checkpoint_row_ok(row, mode):
 
 
 def _save_checkpoint(path, meta, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            ser.canonical_json(
-                {"format": "boolsp-census-checkpoint-v1", "meta": meta, "rows": rows}
-            )
-        )
+    _write_text(
+        path,
+        ser.canonical_json(
+            {"format": "boolsp-census-checkpoint-v1", "meta": meta, "rows": rows}
+        ),
+    )
 
 
 def _cmd_census(args):
@@ -588,17 +597,19 @@ def _build_parser():
 def _text_lines(obj, indent=0):
     pad = "  " * indent
     lines = []
+    if isinstance(obj, np.ndarray):  # one line per item, as for its list
+        obj = obj.tolist()
     if isinstance(obj, dict):
         for key in sorted(obj):
             val = obj[key]
-            if isinstance(val, (dict, list)):
+            if isinstance(val, (dict, list, np.ndarray)):
                 lines.append(f"{pad}{key}:")
                 lines.extend(_text_lines(val, indent + 1))
             else:
                 lines.append(f"{pad}{key} = {val}")
     elif isinstance(obj, list):
         for val in obj:
-            if isinstance(val, (dict, list)):
+            if isinstance(val, (dict, list, np.ndarray)):
                 lines.append(f"{pad}-")
                 lines.extend(_text_lines(val, indent + 1))
             else:

@@ -21,6 +21,8 @@ from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
 _HEX_RE = re.compile(r"[0-9a-fA-F]*\Z")
 
@@ -39,45 +41,102 @@ def canonical_json(obj):
     """Stable, diff-friendly rendering: sorted keys, two-space indent.
 
     The bytes are those of json.dumps(obj, sort_keys=True, indent=2,
-    allow_nan=False).  That call runs the pure-Python encoder, which costs
-    about a microsecond per item, 0.5 s for the 2^19 coefficients of a
-    spectrum.  So dicts with string keys and lists are laid out here, scalars
-    are rendered as that encoder renders them, and each non-empty list of
-    plain ints goes through the C encoder in one call: its compact text is
-    the indented one with ", " for the separators.  Anything else (empty or
-    non-string-keyed containers) is rendered by json.dumps and indented to
-    its depth, which is exact because newlines in JSON text only ever
-    separate items (strings escape theirs)."""
-    return _render(obj, "") + "\n"
+    allow_nan=False, default=np.ndarray.tolist).  That call runs the
+    pure-Python encoder, which costs about a microsecond per item, 0.5 s for
+    the 2^19 coefficients of a spectrum.  So dicts with string keys and lists
+    are laid out here, in one pass that appends to a single list of parts,
+    and scalars are rendered as that encoder renders them.  A 1-D int64
+    array is written by a numpy decimal kernel (_int64_items), and each
+    non-empty list of plain ints goes through the C encoder in one call: its
+    compact text is the indented one with ", " for the separators.  Anything
+    else (empty or non-string-keyed containers) is rendered by json.dumps and
+    indented to its depth, which is exact because newlines in JSON text only
+    ever separate items (strings escape theirs)."""
+    out = []
+    _emit(obj, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 _compact = json.JSONEncoder(allow_nan=False).encode
 
 
-def _render(obj, pad):
+def _emit(obj, pad, out):
+    """Append the text of obj, indented to pad, to the list out."""
     inner = pad + "  "
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None or obj is True or obj is False:
-        return _compact(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)  # as json does, for int subclasses too
-    if isinstance(obj, (list, tuple)) and obj:
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append(_compact(obj))
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))  # as json does, for int subclasses too
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.int64 and obj.ndim == 1:
+        if obj.size:
+            out.append("[")
+            _int64_items(obj, inner, out)
+            out.append(f"\n{pad}]")
+        else:
+            out.append("[]")
+    elif isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) == {int}:  # not bools: they print as true/false
             body = _compact(obj)[1:-1].replace(", ", ",\n" + inner)
+            out.extend(("[\n", inner, body, "\n", pad, "]"))
         else:
-            body = (",\n" + inner).join([_render(x, inner) for x in obj])
-        return f"[\n{inner}{body}\n{pad}]"  # one copy of a long body
-    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
-        body = (",\n" + inner).join(
-            [encode_basestring_ascii(k) + ": " + _render(v, inner)
-             for k, v in sorted(obj.items())]
-        )
-        return f"{{\n{inner}{body}\n{pad}}}"
-    if isinstance(obj, (list, tuple, dict)):  # empty, or keys that are not all str
+            sep = "[\n" + inner
+            for x in obj:
+                out.append(sep)
+                _emit(x, inner, out)
+                sep = ",\n" + inner
+            out.append(f"\n{pad}]")
+    elif isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        sep = "{\n" + inner
+        for k, v in sorted(obj.items()):
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _emit(v, inner, out)
+            sep = ",\n" + inner
+        out.append(f"\n{pad}}}")
+    elif isinstance(obj, (list, tuple, dict)):  # empty, or keys that are not all str
         text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-        return text.replace("\n", "\n" + pad)
-    return _compact(obj)
+        out.append(text.replace("\n", "\n" + pad))
+    else:
+        out.append(_compact(obj))
+
+
+# Items per chunk of _int64_items: its scratch memory grows with the block,
+# not with the array.
+_BLOCK = 1 << 16
+_TENS = 10 ** np.arange(1, 19, dtype=np.uint64)  # |x| < 10^19 for every int64 x
+
+
+def _int64_items(a, inner, out):
+    """Append the items of the non-empty int64 array a as json lays them out
+    at indent inner: "\n" + inner + digits, with "," between items.
+
+    Each block is one uint8 buffer of spaces.  Item i takes ",\n", the
+    indent, a sign and its digits, at offsets from a cumsum of the widths;
+    the digit counts come from comparing |x| (as uint64, so -2^63 is exact)
+    with the powers of ten.  The digits are filled one place at a time from
+    the right, keeping only the items that have more.  The first block
+    drops its leading comma."""
+    head = 2 + len(inner)  # ",\n" + inner
+    for start in range(0, a.size, _BLOCK):
+        block = a[start:start + _BLOCK]
+        neg = block < 0
+        mag = np.abs(block).view(np.uint64)
+        width = np.searchsorted(_TENS, mag, side="right") + (head + 1) + neg
+        ends = np.cumsum(width)
+        starts = ends - width
+        buf = np.full(int(ends[-1]), ord(" "), dtype=np.uint8)
+        buf[starts] = ord(",")
+        buf[starts + 1] = ord("\n")
+        buf[starts[neg] + head] = ord("-")
+        pos = ends - 1
+        while pos.size:
+            buf[pos] = mag % 10 + ord("0")
+            more = mag >= 10
+            mag = mag[more] // 10
+            pos = pos[more] - 1
+        out.append(str(memoryview(buf)[start == 0:], "ascii"))
 
 
 def file_digest(path):
@@ -241,7 +300,7 @@ def spectrum_to_json(spec):
     return {
         "format": SPECTRUM_FORMAT,
         "n": spec.n,
-        "scaled_coeffs": spec.coeffs.tolist(),
+        "scaled_coeffs": spec.coeffs,
     }
 
 

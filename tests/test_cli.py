@@ -449,6 +449,19 @@ def test_malformed_checkpoint_refused(capsys, tmp_path, checkpoint):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["predict", "compose", "census"])
+def test_unwritable_output_path_exits_cleanly(capsys, tmp_path, maj3, command):
+    target = str(tmp_path / "nodir" / "x.json")
+    argv = {
+        "predict": ("predict", "--fn", maj3, "--rho", "1/2", "--out", target),
+        "compose": ("compose", "--left", maj3, "--right", maj3, "--out", target),
+        "census": ("census", "--n", "2", "--rho", "1/2", "--checkpoint", target),
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
+
+
 def test_census_needs_rhos(capsys):
     code, _, err = run(capsys, "census", "--n", "2")
     assert code == 1 and "grid" in err
@@ -608,6 +621,84 @@ def scan_argv(draw):
 @settings(max_examples=200, deadline=None)
 @given(scan_argv())
 def test_whole_space_argv_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["command"] == argv[0]
+    else:
+        assert out.getvalue() == ""
+
+
+EPSILON_TEXT = st.one_of(
+    st.integers(0, 30).map("1e-{}".format),
+    st.fractions(-1, 2, max_denominator=10**12).map(lambda r: f"{r.numerator}/{r.denominator}"),
+    st.sampled_from(["1e-4300", "1e-99999999", "0", "1", "inf", "nan", "-1e-3", "1/0",
+                     "", "--", "0.5.5", "1e9999999999"]),
+    st.text(max_size=8),
+)
+CAP_TEXT = st.one_of(st.integers(-3, 40).map(str), st.sampled_from(["", "x", "2.5", "1e3"]))
+FUZZED_FLAGS = {
+    "--rho": RHO_TEXT,
+    "--epsilon": EPSILON_TEXT,
+    "--cap-n": CAP_TEXT,
+    "--out": st.sampled_from(["OUT", "NODIR", "DIR", ""]),
+}
+FILE_COMMANDS = {
+    "analyze": (),
+    "region": ("--epsilon",),
+    "classify": ("--epsilon",),
+    "stability": ("--rho",),
+    "predict": ("--rho", "--out"),
+    "thresholds": ("--rho", "--epsilon"),
+    "orbit": ("--rho",),
+    "compose": ("--out",),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "fn.json").write_text(canonical_json(function_to_json(construct_named("majority", 3))))
+    return work
+
+
+@st.composite
+def file_argv(draw):
+    """argv of a subcommand that reads a function file, with fuzzed values for
+    its own flags; now and then a required flag is left out or a flag foreign
+    to the command is added."""
+    command = draw(st.sampled_from(sorted(FILE_COMMANDS)))
+    argv = [command] + (["--left", "FN", "--right", "FN"] if command == "compose"
+                        else ["--fn", "FN"])
+    flags = [f for f in FILE_COMMANDS[command] + ("--cap-n",) if draw(st.booleans())]
+    if command in ("stability", "predict", "orbit") and draw(st.integers(0, 9)):
+        flags.append("--rho")  # required there
+    if not draw(st.integers(0, 9)):
+        flags.append(draw(st.sampled_from(sorted(FUZZED_FLAGS))))
+    for flag in flags:
+        value = draw(FUZZED_FLAGS[flag])
+        # "--rho=-1/2" reaches the command; "--rho -1/2" is a usage error
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(file_argv())
+def test_function_file_argv_fuzz(fuzz_dir, argv):
+    names = {"FN": fuzz_dir / "fn.json", "OUT": fuzz_dir / "out.json",
+             "NODIR": fuzz_dir / "nodir" / "x.json", "DIR": fuzz_dir}
+
+    def place(arg):
+        flag, eq, value = arg.rpartition("=")
+        return flag + eq + str(names[value]) if value in names else arg
+
+    argv = [place(a) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,8 @@ from boolsp import (
     sp_region,
     wht,
 )
+from boolsp import serialize
+from boolsp.cli import _text_lines
 from boolsp.serialize import (
     FN_FORMAT,
     LTF_FORMAT,
@@ -91,7 +94,9 @@ def test_canonical_json_refuses_nan():
 
 
 def stdlib_canonical(obj):
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(
+        obj, sort_keys=True, indent=2, allow_nan=False, default=np.ndarray.tolist
+    ) + "\n"
 
 
 class LoudInt(int):
@@ -133,6 +138,77 @@ json_values = st.recursive(
 @given(json_values)
 def test_canonical_json_bytes_match_stdlib_on_random_values(obj):
     assert canonical_json(obj) == stdlib_canonical(obj)
+
+
+# int64 values at every digit count, both signs, and the two ends of the range
+INT64_EDGES = [0, 2**63 - 1, -(2**63)] + [
+    sign * (10**k + d) for k in range(1, 19) for d in (-1, 0) for sign in (1, -1)
+]
+BLOCK_SIZES = [serialize._BLOCK - 1, serialize._BLOCK, serialize._BLOCK + 1]
+
+
+@st.composite
+def int64_arrays(draw):
+    """Seeded int64 arrays at every digit count, with edge values planted."""
+    size = draw(st.sampled_from([0, 1, 2, *BLOCK_SIZES]) | st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(-(2**63), 2**63, size=size, dtype=np.int64)
+    a >>= rng.integers(0, 64, size=size)  # as many short values as long ones
+    if size:
+        edges = draw(st.lists(st.sampled_from(INT64_EDGES), max_size=8))
+        a[rng.integers(0, size, size=len(edges))] = edges
+    return a
+
+
+def nested(depth):
+    """Values with str-keyed dicts and lists nested at most depth deep."""
+    leaf = int64_arrays() | st.integers() | st.none() | st.booleans() | st.text(max_size=3)
+    if depth == 0:
+        return leaf
+    inner = nested(depth - 1)
+    return (
+        leaf
+        | st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    )
+
+
+def assert_same_text(got, want):
+    """got == want, reported by the first differing offset: pytest's diff of
+    two texts of 2^17 lines takes minutes."""
+    if got != want:
+        i = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        pytest.fail(f"texts differ at offset {i}: {got[i - 30:i + 30]!r} "
+                    f"!= {want[i - 30:i + 30]!r}")
+
+
+def as_lists(obj):
+    """obj with every array replaced by its list."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, list):
+        return [as_lists(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: as_lists(v) for k, v in obj.items()}
+    return obj
+
+
+@settings(max_examples=100, deadline=None)
+@given(nested(4))
+def test_canonical_json_int64_arrays_match_stdlib(obj):
+    assert_same_text(canonical_json(obj), stdlib_canonical(obj))
+    assert _text_lines(obj) == _text_lines(as_lists(obj))
+
+
+@pytest.mark.parametrize("size", [0, 1, *BLOCK_SIZES, 2 * serialize._BLOCK + 1])
+@pytest.mark.parametrize("depth", range(5))
+def test_canonical_json_int64_block_edges(size, depth):
+    a = np.resize(np.array(INT64_EDGES, dtype=np.int64), size)
+    obj = a
+    for level in range(depth):
+        obj = {"k": [1, obj]} if level % 2 else [obj]
+    assert_same_text(canonical_json(obj), stdlib_canonical(obj))
 
 
 def test_file_digest(tmp_path):
@@ -348,7 +424,8 @@ def test_spectrum_to_json():
     obj = spectrum_to_json(wht(construct_named("majority", 3)))
     assert obj["format"] == "boolsp-spectrum-v1"
     assert obj["n"] == 3
-    assert obj["scaled_coeffs"] == [0, 4, 4, 0, 4, 0, 0, -4]
+    assert obj["scaled_coeffs"].dtype == np.int64
+    assert obj["scaled_coeffs"].tolist() == [0, 4, 4, 0, 4, 0, 0, -4]
 
 
 def test_endpoint_and_region_json():
