@@ -15,6 +15,7 @@ Conventions
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
@@ -100,6 +101,24 @@ def _write_text(path, text):
             fh.write(text)
     except OSError as exc:
         raise InvalidArgument(f"cannot write {path}: {exc}") from None
+
+
+def _check_writable(path):
+    """Refuse an --out path that cannot be written, before any work: its
+    directory must exist and be writable, and the path must not be a
+    directory."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = "is a directory"
+    elif not os.path.isdir(parent):
+        reason = f"no directory {parent}"
+    elif not os.access(parent, os.W_OK) or (
+        os.path.exists(path) and not os.access(path, os.W_OK)
+    ):
+        reason = "permission denied"
+    else:
+        return
+    raise InvalidArgument(f"cannot write {path}: {reason}")
 
 
 def _write_function(path, f):
@@ -252,6 +271,8 @@ def _cmd_stability(args):
 
 
 def _cmd_predict(args):
+    if args.out:
+        _check_writable(args.out)
     inputs = {}
     f = _load_function(args, inputs)
     rho = ser.parse_rational(args.rho, "rho")
@@ -282,6 +303,8 @@ def _cmd_predict(args):
 
 
 def _cmd_compose(args):
+    if args.out:
+        _check_writable(args.out)
     inputs = {}
     if args.plan:
         if args.left or args.right:
@@ -314,8 +337,6 @@ def _census_key(rho):
 
 
 def _load_checkpoint(path, meta):
-    import os
-
     if not path or not os.path.exists(path):
         return {}
     obj = ser.load_json(path)
@@ -371,6 +392,8 @@ def _cmd_census(args):
         "seed": args.seed,
     }
     rows = _load_checkpoint(args.checkpoint, meta)
+    if args.checkpoint and any(_census_key(rho) not in rows for rho in rhos):
+        _save_checkpoint(args.checkpoint, meta, rows)  # fails here, before any row is computed
     out_rows = []
     for rho in rhos:
         key = _census_key(rho)

@@ -4,7 +4,10 @@ For correlation rho = p/q the scaled operator values
 
     int_v = 2^n * q^n * T_rho f(v) = sum_S p^|S| q^(n-|S|) * 2^n fhat_S * chi_S(v)
 
-are integers: one butterfly of the rho-weighted scaled spectrum.  When q^n
+are integers: one Walsh-Hadamard butterfly of the rho-weighted scaled
+spectrum.  The butterfly (spectrum._butterfly) has the constant geometry of
+Pease: each of its n int64 stages reads the pairs of one buffer and writes
+their sums and differences into the two halves of another.  When q^n
 outgrows int64 the weights are split into base-2^s digits and the values
 into as many int64 butterflies (limbs), streamed from low to high with a
 carry (spectrum._weighted_signs).  Sign questions (prediction, SP checks,

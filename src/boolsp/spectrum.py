@@ -18,18 +18,28 @@ from .functions import BooleanFunction, linear_values, popcounts, properties
 
 
 def _butterfly(arr):
-    """In-place Walsh-Hadamard transform of one table (2^n,) with the
-    (-1)^{popcount(u & m)} kernel."""
-    half = 1
-    size = len(arr)
-    while half < size:
-        view = arr.reshape(-1, 2, half)
-        low = view[:, 0].copy()
-        high = view[:, 1]
-        view[:, 0] = low + high
-        view[:, 1] = low - high
-        half *= 2
-    return arr
+    """Walsh-Hadamard transform of one table (2^n,) with the
+    (-1)^{popcount(u & m)} kernel, in constant geometry (Pease 1968).
+
+    Each of the n stages reads the pairs (x[2i], x[2i+1]) of one buffer and
+    writes their sum to entry i of the low half of the other, their
+    difference to entry i of the high half; the buffers then swap roles.  A
+    stage applies H_2 to the lowest index bit and rotates it to the top, so
+    after n stages every bit has had its H_2 and is back in place: the result
+    is in natural order, in arr (n even) or in a second buffer (n odd).
+
+    The argument is consumed: the caller must own it, and only the returned
+    array is the transform.  A non-contiguous argument is copied first, so
+    every stage reads and writes whole contiguous buffers."""
+    src = np.ascontiguousarray(arr)
+    dst = np.empty_like(src)
+    half = len(src) // 2
+    for _ in range(len(src).bit_length() - 1):
+        pairs = src.reshape(half, 2)
+        np.add(pairs[:, 0], pairs[:, 1], out=dst[:half])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=dst[half:])
+        src, dst = dst, src
+    return src
 
 
 def _weighted_transform(spectra, weights):
@@ -49,10 +59,12 @@ def _limb_plan(spectra, weights):
     sum_j _weighted_transform(spectra, limb_j) << (width * j).
 
     Every entry of every butterfly stage is a signed sum of a subset of the
-    weighted coefficients, so a limb fits int64 when sum_k limb[k] * L1_k < 2^62,
-    L1_k being the sum of |spectra| on level k.  One limb holding the weights
-    themselves (width 0) is used when that bound holds for them and every
-    weight is below 2^62; otherwise the digits are base 2^width with
+    weighted coefficients (the constant-geometry stages of _butterfly only
+    hold it at a bit-rotated position), so a limb fits int64 when
+    sum_k limb[k] * L1_k < 2^62, L1_k being the sum of |spectra| on level k.
+    One limb holding the weights themselves (width 0) is used when that
+    bound holds for them and every weight is below 2^62; otherwise the
+    digits are base 2^width with
     (2^width - 1) * sum_k L1_k < 2^62, as few as cover the largest weight.
     The digits are cut as they are consumed, so only one limb is held at a
     time."""
@@ -149,10 +161,10 @@ wht.cache_clear = _cache_clear
 
 def function_from_scaled(n, coeffs):
     """Inverse transform; errors unless the result is genuinely +-1 valued."""
-    vals = _butterfly(np.asarray(coeffs, dtype=np.int64).copy())
     size = 1 << n
-    if len(vals) != size:
+    if len(coeffs) != size:
         raise InvalidArgument("coefficient table length mismatch")
+    vals = _butterfly(np.array(coeffs, dtype=np.int64))
     if not np.all(np.abs(vals) == size):
         raise InvalidArgument("spectrum is not that of a +-1 valued function")
     return BooleanFunction.from_values((vals // size).astype(np.int8))

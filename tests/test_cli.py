@@ -450,16 +450,23 @@ def test_malformed_checkpoint_refused(capsys, tmp_path, checkpoint):
 
 
 @pytest.mark.parametrize("command", ["predict", "compose", "census"])
-def test_unwritable_output_path_exits_cleanly(capsys, tmp_path, maj3, command):
-    target = str(tmp_path / "nodir" / "x.json")
-    argv = {
-        "predict": ("predict", "--fn", maj3, "--rho", "1/2", "--out", target),
-        "compose": ("compose", "--left", maj3, "--right", maj3, "--out", target),
-        "census": ("census", "--n", "2", "--rho", "1/2", "--checkpoint", target),
-    }[command]
-    code, out, err = run(capsys, *argv)
-    assert code == 1 and out == ""
-    assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
+def test_unwritable_output_path_exits_cleanly(capsys, monkeypatch, tmp_path, maj3, command):
+    def refuse(*_, **__):
+        raise AssertionError("computed before refusing the output path")
+
+    for name in ("sp_fraction", "optimal_predictor", "product_compose"):
+        monkeypatch.setattr(cli, name, refuse)
+    # a missing directory for all three; a directory as --out for predict and compose
+    targets = [tmp_path / "nodir" / "x.json"] + ([] if command == "census" else [tmp_path])
+    for target in map(str, targets):
+        argv = {
+            "predict": ("predict", "--fn", maj3, "--rho", "1/2", "--out", target),
+            "compose": ("compose", "--left", maj3, "--right", maj3, "--out", target),
+            "census": ("census", "--n", "2", "--rho", "1/2", "--checkpoint", target),
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
 
 
 def test_census_needs_rhos(capsys):

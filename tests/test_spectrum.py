@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolsp import (
     BooleanFunction,
@@ -72,6 +74,9 @@ def test_parseval():
 def test_function_from_scaled_rejects_non_boolean():
     with pytest.raises(InvalidArgument):
         function_from_scaled(2, np.array([1, 1, 1, 1], dtype=np.int64))
+    for coeffs in ([4], [4, 0, 0], [4, 0, 0, 0, 0, 0, 0, 0]):  # not 2^n entries
+        with pytest.raises(InvalidArgument, match="length"):
+            function_from_scaled(2, np.array(coeffs, dtype=np.int64))
 
 
 def test_level_values_sum_to_function():
@@ -193,3 +198,45 @@ def test_spectrum_cache_is_bounded_by_bytes(monkeypatch):
     assert list(spectrum._cache) == [fs[3], fs[1], fs[0]]
     spectrum.wht.cache_clear()
     assert not spectrum._cache and spectrum._cached_bytes == 0
+
+
+@st.composite
+def butterfly_inputs(draw):
+    """(n, entries) for n = 0..8: a +-1 table, or int64 entries below
+    2^62 / 2^n in absolute value, so sum |x| < 2^62 and the transform of the
+    transform, 2^n x, stays inside int64 at every stage."""
+    n = draw(st.integers(0, 8))
+    bound = ((1 << 62) - 1) >> n
+    entry = st.sampled_from((-1, 1)) if draw(st.booleans()) else st.integers(-bound, bound)
+    return n, draw(st.lists(entry, min_size=1 << n, max_size=1 << n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(butterfly_inputs())
+def test_butterfly_matches_direct_sums(case):
+    # odd n ends in the second buffer, even n in the argument: both are drawn
+    n, entries = case
+    want = [int(c * (1 << n)) for c in fourier(entries, n)]
+    got = spectrum._butterfly(np.array(entries, dtype=np.int64))
+    assert got.dtype == np.int64 and got.tolist() == want
+    again = spectrum._butterfly(np.array(want, dtype=np.int64))
+    assert again.tolist() == [x << n for x in entries]
+    strided = np.zeros(2 << n, dtype=np.int64)
+    strided[::2] = entries
+    assert spectrum._butterfly(strided[::2]).tolist() == want
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_butterfly_outputs_are_owned(n):
+    spectrum.wht.cache_clear()
+    f = random_function(n, 3)
+    coeffs = wht(f).coeffs
+    assert not coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        coeffs[0] = 0
+    kept = coeffs.copy()
+    for k in range(n + 1):
+        lv = level_values(f, k)
+        assert lv.flags.writeable and not np.shares_memory(lv, coeffs)
+        lv[:] = 7
+    assert np.array_equal(wht(f).coeffs, kept)
