@@ -10,6 +10,11 @@ Conventions
 * JSON reports are byte-identical across runs for a fixed config: an envelope
   {"tool", "version", "command", "config", "inputs": {path: sha256}, "result"}
   with sorted keys and canonical rationals {"num", "den", "approx"}.
+* Each report object in a result is the fields of its library result, written
+  by serialize.to_json.  SpClassification's lev and lev_zero_count are written
+  as level and level_zero_count.  Two fields are dropped: n of an SpRegion
+  (the result carries n) and rho of the stability report (the result carries
+  rho).
 * Function files: see the formats documented in the epilog of --help.
 """
 
@@ -17,7 +22,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -126,98 +130,20 @@ def _write_function(path, f):
 
 
 # ---------------------------------------------------------------------------
-# payload builders
-
-
-def _summary_json(s):
-    return {
-        "weights": [ser.rational(w) for w in s.weights],
-        "degree": s.degree,
-        "level": s.level,
-        "spectral_norm": ser.rational(s.spectral_norm),
-        "chow": [ser.rational(c) for c in s.chow],
-        "gap": ser.rational(s.gap),
-        "influences": None
-        if s.influences is None
-        else [ser.rational(x) for x in s.influences],
-    }
-
-
-def _endpoint_json(ep):
-    return None if ep is None else ser.endpoint_to_json(ep)
-
-
-def _classification_json(c):
-    return {
-        "usp": c.usp,
-        "lcsp": c.lcsp,
-        "wst": c.wst,
-        "sst": c.sst,
-        "monotonically_sp": c.monotonically_sp,
-        "rho0": _endpoint_json(c.rho0),
-        "level": c.lev,
-        "level_zero_count": c.lev_zero_count,
-        "witnesses": dict(sorted(c.witnesses.items())),
-        "region": ser.region_to_json(c.region),
-    }
-
-
-def _stability_json(rep):
-    return {
-        "stab": ser.rational(rep.stab),
-        "stab_star": ser.rational(rep.stab_star),
-        "ns": ser.rational(rep.ns),
-        "ns_star": ser.rational(rep.ns_star),
-    }
-
-
-def _sufficient_json(t):
-    return {
-        "no_flip": _endpoint_json(t.no_flip),
-        "degree_bound": ser.rational(t.degree_bound),
-        "sparsity_bound": _endpoint_json(t.sparsity_bound),
-    }
-
-
-def _necessary_json(nc):
-    return {
-        "rho": ser.rational(nc.rho),
-        "basic_ok": nc.basic_ok,
-        "hyper_ok": nc.hyper_ok,  # null = indeterminate within the e^-2 band
-        "stab": ser.rational(nc.stab),
-        "max_term": ser.rational(nc.max_term),
-        "hyper_rhs_lo": ser.rational(nc.hyper_rhs_lo),
-        "hyper_rhs_hi": ser.rational(nc.hyper_rhs_hi),
-    }
-
-
-def _constants_json(tc):
-    return {
-        "alpha": None if tc.alpha is None else ser.rational(tc.alpha),
-        "eta_alpha": None if tc.eta_alpha is None else ser.rational(tc.eta_alpha),
-        "delta": None if tc.delta is None else ser.rational(tc.delta),
-        "eta_delta": tc.eta_delta,
-        "eta_delta_defined": tc.eta_delta_defined,
-        "eta_delta_reason": tc.eta_delta_reason,
-        "delta_max": tc.delta_max,
-    }
-
-
-# ---------------------------------------------------------------------------
 # subcommand handlers (args -> (result, inputs))
 
 
 def _cmd_analyze(args):
     inputs = {}
     f = _load_function(args, inputs)
-    props = asdict(properties(f))
+    props = properties(f)
     result = {
         "n": f.n,
-        "properties": props,
-        "summary": _summary_json(_spectral_summary(f, props["monotone"])),
+        "properties": ser.to_json(props),
+        "summary": ser.to_json(_spectral_summary(f, props.monotone)),
         "spectrum": ser.spectrum_to_json(wht(f)),
     }
-    if props["monotone"]:
+    if props.monotone:
         boundary = dominating_boundary_points(f)
         result["dominating_boundary_count"] = len(boundary)
         if f.n <= 12:
@@ -229,15 +155,14 @@ def _cmd_region(args):
     inputs = {}
     f = _load_function(args, inputs)
     region = sp_region(f, _parse_epsilon(args.epsilon))
-    return {"n": f.n, "region": ser.region_to_json(region)}, inputs
+    return {"n": f.n, "region": ser.to_json(region)}, inputs
 
 
 def _cmd_classify(args):
     inputs = {}
     f = _load_function(args, inputs)
     c = classify(f, _parse_epsilon(args.epsilon))
-    result = {"n": f.n, "classification": _classification_json(c)}
-    return result, inputs
+    return {"n": f.n, "classification": ser.to_json(c)}, inputs
 
 
 def _cmd_stability(args):
@@ -247,27 +172,16 @@ def _cmd_stability(args):
     signs = _scaled_signs(f, rho)  # one T_rho sign stream serves all three reports
     rep = _stability_report(f, rho, signs)
     close = _closeness_to_sp(f, rho, signs, ties_agree=True)
-    result = {
+    stability = ser.to_json(rep)
+    del stability["rho"]  # the result's own rho carries it
+    return {
         "n": f.n,
         "rho": ser.rational(rho),
-        "stability": _stability_json(rep),
-        "closeness": {
-            "distance": ser.rational(close.distance),
-            "bound": ser.rational(close.bound),
-        },
-        "necessary": _necessary_json(necessary_checks(f, rho)),
-    }
-    if rep.stab != 0:
-        gain = _prediction_gain(f, rep)
-        result["gain"] = {
-            "ratio": ser.rational(gain.ratio),
-            "l1_level1": ser.rational(gain.l1_level1),
-            "w1": ser.rational(gain.w1),
-            "khintchine_ok": gain.khintchine_ok,
-        }
-    else:
-        result["gain"] = None
-    return result, inputs
+        "stability": stability,
+        "closeness": ser.to_json(close),
+        "necessary": ser.to_json(necessary_checks(f, rho)),
+        "gain": ser.to_json(_prediction_gain(f, rep) if rep.stab != 0 else None),
+    }, inputs
 
 
 def _cmd_predict(args):
@@ -327,8 +241,8 @@ def _cmd_compose(args):
     return {
         "kind": kind,
         "n": g.n,
-        "function": ser.function_to_json(g),
-        "properties": asdict(properties(g)),
+        "function": ser.to_json(g),
+        "properties": ser.to_json(properties(g)),
     }, inputs
 
 
@@ -455,31 +369,15 @@ def _cmd_orbit(args):
     f = _load_function(args, inputs)
     rho = ser.parse_rational(args.rho, "rho")
     rep = predictor_orbit(f, rho, max_steps=args.max_steps)
-    result = {
-        "rho": ser.rational(rho),
-        "status": rep.status,
-        "trajectory_length": rep.trajectory_length,
-        "terminal": None if rep.terminal is None else ser.function_to_json(rep.terminal),
-        "cycle_start": rep.cycle_start,
-        "cycle_length": rep.cycle_length,
-    }
+    result = ser.to_json(rep)
     if rep.status == "cycle":
         result["note"] = "CYCLE FOUND: counterexample to the no-cycles conjecture"
     return result, inputs
 
 
 def _cmd_graph(args):
-    rho = ser.parse_rational(args.rho, "rho")
-    scan = graph_scan(args.n, rho)
-    return {
-        "n": scan.n,
-        "rho": ser.rational(rho),
-        "num_functions": scan.num_functions,
-        "num_fixpoints": scan.num_fixpoints,
-        "num_components": scan.num_components,
-        "max_depth": scan.max_depth,
-        "cycles": [list(c) for c in scan.cycles],  # members are table-bit ids
-    }, {}
+    scan = graph_scan(args.n, ser.parse_rational(args.rho, "rho"))
+    return ser.to_json(scan), {}  # cycle members are table-bit ids
 
 
 def _cmd_thresholds(args):
@@ -488,11 +386,11 @@ def _cmd_thresholds(args):
     if args.fn or args.ltf or args.ptf:
         f = _load_function(args, inputs)
         result["n"] = f.n
-        result["sufficient"] = _sufficient_json(
+        result["sufficient"] = ser.to_json(
             sufficient_thresholds(f, _parse_epsilon(args.epsilon))
         )
         if args.rho:
-            result["necessary"] = _necessary_json(
+            result["necessary"] = ser.to_json(
                 necessary_checks(f, ser.parse_rational(args.rho, "rho"))
             )
     if args.alpha or args.delta:
@@ -500,7 +398,7 @@ def _cmd_thresholds(args):
             alpha=ser.parse_rational(args.alpha, "alpha") if args.alpha else None,
             delta=ser.parse_rational(args.delta, "delta") if args.delta else None,
         )
-        result["constants"] = _constants_json(tc)
+        result["constants"] = ser.to_json(tc)
     if not result:
         raise InvalidArgument(
             "thresholds needs a function (--fn/--ltf/--ptf) or --alpha/--delta"

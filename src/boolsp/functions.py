@@ -131,7 +131,7 @@ class PtfSpec:
         )
         seen = set()
         for mask, _ in self.terms:
-            if not 0 <= mask < (1 << self.n):
+            if mask < 0 or mask.bit_length() > self.n:  # mask < 2^n, without 2^n
                 raise InvalidArgument(f"term mask {mask} out of range for n={self.n}")
             if mask in seen:
                 raise InvalidArgument(f"duplicate term mask {mask}")

@@ -13,6 +13,7 @@ Rationals are written as {"num", "den"}; region endpoints carry their kind
 ("exact" or "enclosure") plus a float "approx" for quick reading.
 """
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -26,9 +27,11 @@ import numpy as np
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
 _HEX_RE = re.compile(r"[0-9a-fA-F]*\Z")
 
+from .config import check_cap
 from .errors import CapacityError, InvalidArgument
 from .functions import BooleanFunction, LtfSpec, PtfSpec, construct_ltf, construct_ptf
 from .constructs import CompositionPlan
+from .sp import Endpoint, SpRegion
 
 FN_FORMAT = "boolsp-fn-v1"
 LTF_FORMAT = "boolsp-ltf-v1"
@@ -204,6 +207,7 @@ def _function_from_json(obj, cap=None):
     hexstr = obj.get("table_hex")
     if n < 1:
         raise InvalidArgument(f"bad function file: n = {n!r}")
+    check_cap(n, cap)  # before 1 << n, which a huge n could not even format
     digits = max(1, (1 << n) // 4)
     if not isinstance(hexstr, str) or len(hexstr) != digits:
         raise InvalidArgument(
@@ -246,7 +250,11 @@ def _ptf_from_json(obj):
         for t in _expect(obj["terms"], list, "bad PTF file: terms"):
             mask = 0
             for i in _expect(t["coords"], list, "bad PTF file: coords"):
-                mask |= 1 << (_expect(i, int, "bad PTF file: coords") - 1)
+                if not 1 <= _expect(i, int, "bad PTF file: coords") <= n:
+                    raise InvalidArgument(
+                        f"bad PTF file: coordinate {i} out of range 1..{n}"
+                    )
+                mask |= 1 << (i - 1)  # checked first: a huge i would build 2^i
             terms.append((mask, _expect(t["coeff"], int, "bad PTF file: coeff")))
         return PtfSpec(n, tuple(terms))
     except (KeyError, TypeError, ValueError) as exc:
@@ -273,6 +281,8 @@ def load_json(path):
         raise InvalidArgument(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidArgument(f"{path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # not UTF-8, or an int longer than Python converts
+        raise InvalidArgument(f"cannot read {path}: {exc}") from None
 
 
 def load_function(path, cap=None):
@@ -316,15 +326,37 @@ def endpoint_to_json(ep):
 
 
 def region_to_json(region):
-    return {
-        "epsilon": rational(region.epsilon),
-        "intervals": [
-            {
-                "lo": endpoint_to_json(iv.lo),
-                "hi": endpoint_to_json(iv.hi),
-                "lo_closed": iv.lo_closed,
-                "hi_closed": iv.hi_closed,
-            }
-            for iv in region.intervals
-        ],
-    }
+    """An SpRegion without its n, which every report already carries."""
+    return {"epsilon": rational(region.epsilon), "intervals": to_json(region.intervals)}
+
+
+# Field names of the library results that the reports spell out.
+_REPORT_KEYS = {"lev": "level", "lev_zero_count": "level_zero_count"}
+
+
+def to_json(x):
+    """The report form of a library result.  Scalars and None pass through;
+    a Fraction, Endpoint, BooleanFunction or SpRegion takes the form written
+    above; tuples become lists and dicts are converted value by value; any
+    other dataclass becomes an object of its fields (lev and lev_zero_count
+    as level and level_zero_count), each through to_json."""
+    if x is None or isinstance(x, (bool, int, float, str)):
+        return x
+    if isinstance(x, Fraction):
+        return rational(x)
+    if isinstance(x, Endpoint):
+        return endpoint_to_json(x)
+    if isinstance(x, BooleanFunction):
+        return function_to_json(x)
+    if isinstance(x, SpRegion):
+        return region_to_json(x)
+    if isinstance(x, (tuple, list)):
+        return [to_json(v) for v in x]
+    if isinstance(x, dict):
+        return {k: to_json(v) for k, v in x.items()}
+    if dataclasses.is_dataclass(x):
+        return {
+            _REPORT_KEYS.get(f.name, f.name): to_json(getattr(x, f.name))
+            for f in dataclasses.fields(x)
+        }
+    raise TypeError(f"no report form for {type(x).__name__}")

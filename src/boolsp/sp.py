@@ -759,7 +759,6 @@ class LtfApproximation:
     zero_set_size: int
 
 
-_PI_LO = Fraction(3141592653589793, 10**15)
 _PI_HI = Fraction(3141592653589794, 10**15)
 
 

@@ -592,6 +592,41 @@ def test_unprintable_rational_exits_cleanly(capsys, tmp_path, fmt):
     assert code == 0 and err == ""
 
 
+@pytest.mark.parametrize(
+    "flag, obj, reason",
+    [
+        ("--fn", {"format": "boolsp-fn-v1", "n": 20000, "table_hex": "0"}, "cap"),
+        ("--fn", {"format": "boolsp-fn-v1", "n": 10**6, "table_hex": "0"}, "cap"),
+        ("--ptf", {"format": "boolsp-ptf-v1", "n": 3,
+                   "terms": [{"coords": [100000], "coeff": 1}]}, "out of range 1..3"),
+    ],
+)
+def test_function_file_with_huge_size_exits_cleanly(capsys, tmp_path, flag, obj, reason):
+    # refused before 1 << n (or 1 << coordinate) is built or formatted
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "analyze", flag, str(path))
+    assert code == 1 and out == "" and reason in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"\xff\xfe not UTF-8",
+        b'{"format": "boolsp-fn-v1", "n": 1' + b"0" * 5000 + b', "table_hex": "0"}',
+    ],
+)
+def test_unreadable_function_file_exits_cleanly(capsys, tmp_path, data):
+    # a UnicodeDecodeError, or the ValueError of an int literal over Python's
+    # digit limit, is not a JSONDecodeError
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "analyze", "--fn", str(path))
+    assert code == 1 and out == "" and "cannot read" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["census", "graph"])
 def test_whole_space_n0_runs(capsys, command):
     code, out, err = run(capsys, command, "--n", "0", "--rho", "1/2")

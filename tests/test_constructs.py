@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolsp import (
     BooleanFunction,
@@ -170,6 +172,56 @@ def test_character_compose_validation():
 def test_plan_n_is_max_coordinate():
     plan = CompositionPlan(((2,), (7,), (4,)))
     assert plan.n == 7
+
+
+# ---------------------------------------------------------------------------
+# property suites: compositions keep their SP sets
+
+
+@st.composite
+def functions(draw, max_n=4):
+    n = draw(st.integers(1, max_n))
+    return BooleanFunction(n, draw(st.integers(0, (1 << (1 << n)) - 1)))
+
+
+def _endpoints(f):
+    """The rationals of f's region in (0, 1]: exact endpoints and the ends
+    of enclosures, where the SP set changes."""
+    out = set()
+    for iv in sp_region(f).intervals:
+        for ep in (iv.lo, iv.hi):
+            out.update(x for x in (ep.value, ep.lo, ep.hi) if x is not None and x > 0)
+    return sorted(out)
+
+
+rhos = st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(functions(), functions(), st.lists(rhos, max_size=4))
+def test_product_sp_iff_factors_sp(g, h, extra):
+    prod = product_compose(g, h)
+    for rho in _endpoints(g) + _endpoints(h) + extra:
+        assert is_sp(prod, rho).sp == (is_sp(g, rho).sp and is_sp(h, rho).sp), rho
+
+
+@st.composite
+def equal_block_plans(draw):
+    """(outer, plan, s): blocks of one size s over some of x_1..x_(m s + 1)."""
+    outer = draw(functions(max_n=3))
+    s = draw(st.integers(1, 3))
+    coords = draw(st.permutations(range(1, outer.n * s + 2)))
+    blocks = tuple(tuple(coords[t * s:(t + 1) * s]) for t in range(outer.n))
+    return outer, CompositionPlan(blocks), s
+
+
+@settings(max_examples=150, deadline=None)
+@given(equal_block_plans(), st.lists(rhos, max_size=4))
+def test_character_compose_sp_at_rho_power(plan_case, extra):
+    outer, plan, s = plan_case
+    f = character_compose(outer, plan)
+    for rho in _endpoints(f) + _endpoints(outer) + extra:
+        assert is_sp(f, rho).sp == is_sp(outer, rho**s).sp, rho
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from boolsp import (
     BooleanFunction,
+    CapacityError,
     InvalidArgument,
     LtfSpec,
     PtfSpec,
+    classify,
     construct_ltf,
     construct_named,
     construct_ptf,
@@ -41,6 +43,7 @@ from boolsp.serialize import (
     rational,
     region_to_json,
     spectrum_to_json,
+    to_json,
 )
 
 import oracles
@@ -354,6 +357,13 @@ def test_ltf_file_rejects_non_integers(obj):
         function_from_obj(dict(obj, format=LTF_FORMAT))
 
 
+def test_ptf_file_with_huge_n_refused_before_any_table():
+    # the mask check and the cap need no 2^n: n = 10^9 is refused at once
+    obj = {"format": PTF_FORMAT, "n": 10**9, "terms": [{"coords": [5], "coeff": 1}]}
+    with pytest.raises(CapacityError):
+        function_from_obj(obj)
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -441,3 +451,30 @@ def test_endpoint_and_region_json():
     assert iv["hi"]["value"] == {"num": 1, "den": 1, "approx": 1.0}
     # canonical rendering of the whole region is reproducible
     assert canonical_json(obj) == canonical_json(region_to_json(sp_region(construct_named("or", 3))))
+
+
+# ---------------------------------------------------------------------------
+# report form of library results
+
+
+def test_to_json_writes_results_as_their_fields():
+    c = classify(construct_ltf(LtfSpec(0, (2, 1, 1, 1))))
+    obj = to_json(c)
+    assert set(obj) == {
+        "usp", "lcsp", "wst", "sst", "monotonically_sp", "rho0",
+        "level", "level_zero_count", "region", "witnesses",
+    }
+    assert (obj["level"], obj["level_zero_count"]) == (c.lev, c.lev_zero_count)
+    assert obj["region"] == region_to_json(c.region) and "n" not in obj["region"]
+    assert obj["rho0"] == (None if c.rho0 is None else endpoint_to_json(c.rho0))
+    assert obj["witnesses"] == c.witnesses
+
+
+def test_to_json_scalars_containers_and_functions():
+    f = construct_named("majority", 3)
+    assert to_json(None) is None
+    assert to_json((True, 3, 0.5, "x")) == [True, 3, 0.5, "x"]
+    assert to_json({"a": (Fraction(1, 3),)}) == {"a": [rational(Fraction(1, 3))]}
+    assert to_json(f) == function_to_json(f)
+    with pytest.raises(TypeError):
+        to_json(object())
