@@ -47,6 +47,10 @@ def dense_cap(override=None):
 
 def check_cap(n, override=None):
     cap = dense_cap(override)
+    if n > MAX_CAP_N:  # no cap reaches n, so none is worth suggesting
+        raise CapacityError(
+            f"n={n} exceeds {MAX_CAP_N}, the largest dense-table cap allowed"
+        )
     if n > cap:
         raise CapacityError(
             f"n={n} exceeds the dense-table cap {cap} "

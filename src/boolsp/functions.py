@@ -12,8 +12,10 @@ Conventions used everywhere in this package:
   is below index u exactly when v's bit set contains u's.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations
+from threading import Lock
 
 import numpy as np
 
@@ -39,9 +41,36 @@ def index_of_point(point):
     return u
 
 
+# Popcount tables kept for reuse, least recently used first, and their total
+# bytes.  As for spectra (spectrum.wht) the bound is on bytes, not entries,
+# and a table larger than it is not kept.  It is small on purpose: the many
+# calls per request come at small n, while at large n a table is cheap next
+# to the 2^n work that reads it and a kept one only adds to the peak memory.
+_POPCOUNTS_BYTES = 1 << 20  # the largest table kept is that of n = 17
+_popcounts = OrderedDict()
+_popcounts_bytes = 0
+_popcounts_lock = Lock()
+
+
 def popcounts(n):
-    """Hamming weights of 0..2^n-1 as a small-int numpy array."""
-    return np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
+    """Hamming weights of 0..2^n-1 as a read-only int64 numpy array, memoised
+    per n.  int64 keeps 1 << popcounts(n) exact for every n up to the cap."""
+    global _popcounts_bytes
+    with _popcounts_lock:
+        table = _popcounts.get(n)
+        if table is not None:
+            _popcounts.move_to_end(n)
+            return table
+    table = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
+    table.flags.writeable = False
+    if table.nbytes <= _POPCOUNTS_BYTES:
+        with _popcounts_lock:
+            if n not in _popcounts:
+                _popcounts[n] = table
+                _popcounts_bytes += table.nbytes
+            while _popcounts_bytes > _POPCOUNTS_BYTES:
+                _popcounts_bytes -= _popcounts.popitem(last=False)[1].nbytes
+    return table
 
 
 class BooleanFunction:

@@ -12,11 +12,13 @@ the open sets {q_v < 0}.
 Only the distinct q_v matter, and they are found over orbits, not points.
 Coordinates that f lets swap (plainly, or both negated) form blocks; points
 with the same per-block weights (after the blocks' negations) share q_v,
-and its coefficients are products of binary Krawtchouk polynomials, one
-transform per block axis over prod (|B_i| + 1) orbits instead of one
-butterfly over 2^n points.  A block of one coordinate is one butterfly
-stage, so a function without symmetry runs the plain level-by-level
-transform.  Majority n=21 has 22 orbits; edic n=18 has 2 * 18 = 36.
+and its coefficients are products of binary Krawtchouk polynomials: one
+graded transform along each block axis over prod (|B_i| + 1) orbits instead
+of butterflies over 2^n points, with the level as a trailing axis it never
+mixes, so one pass gives every level.  A block of one coordinate is one
+butterfly stage, so a function without symmetry runs the n stages of the
+plain butterfly once for all n + 1 levels.  Majority n=21 has 22 orbits;
+edic n=18 has 2 * 18 = 36.
 
 The region comes from one left-to-right walk over the dyadic cells of
 [0,1] (_Walk), carrying each distinct q_v's Bernstein coefficients on the
@@ -152,9 +154,10 @@ def _coordinate_blocks(f):
     return blocks, mask
 
 
-def _krawtchouk_transform(arr, sizes):
-    """The flat orbit tensor arr transformed along every block axis (block 0
-    is the last, fastest axis) by its binary Krawtchouk matrix: entry k of the
+def _krawtchouk_transform(mat, sizes):
+    """The (orbits, width) matrix mat transformed along every block axis of
+    its orbit index (block 0 is the last, fastest axis) by the block's binary
+    Krawtchouk matrix, each of its width columns on its own: entry k of the
     axis of a block of size b goes to entry w with weight
 
         K[k, w] = sum_j (-1)^j C(w, j) C(b-w, k-j)
@@ -168,18 +171,33 @@ def _krawtchouk_transform(arr, sizes):
     holds, for each i <= t, the functional with i factors (1-z); one step
     adds a (1+z) to each and a (1-z) to the last.  For a block of size 1,
     K = [[1, 1], [1, -1]] and this is one stage of the Walsh-Hadamard
-    butterfly: entries a0 + a1 and a0 - a1."""
-    inner = 1
+    butterfly: entries a0 + a1 and a0 - a1.  The columns ride along as the
+    innermost axis, so one pass of sum |B_i| steps transforms all of them.
+
+    As in spectrum._butterfly, each step writes into a spare buffer and the
+    two then swap roles, so the work holds two buffers whatever the number of
+    steps.  A buffer grows only when a step's state outgrows it: within a
+    block of size b the state peaks at about (b/2 + 1)^2 / (b + 1) times the
+    matrix, which for singleton blocks is the matrix itself.  The argument
+    is consumed: the caller must own it, and only the returned matrix is
+    the transform."""
+    orbits, width = mat.shape
+    total = orbits * width
+    src = mat.ravel()
+    spare = np.empty_like(src)
+    inner = width
     for b in sizes:
-        state = arr.reshape(-1, 1, b + 1, inner)
+        state = src[:total].reshape(-1, 1, b + 1, inner)
         for t in range(b):
-            step = np.empty((len(state), t + 2, b - t, inner), dtype=np.int64)
+            need = len(state) * (t + 2) * (b - t) * inner
+            if spare.size < need:
+                spare = np.empty(need, dtype=np.int64)
+            step = spare[:need].reshape(len(state), t + 2, b - t, inner)
             np.add(state[:, :, :-1], state[:, :, 1:], out=step[:, :-1])
             np.subtract(state[:, -1:, :-1], state[:, -1:, 1:], out=step[:, -1:])
-            state = step
-        arr = state.ravel()
+            src, spare, state = spare, src, step
         inner *= b + 1
-    return arr
+    return src[:total].reshape(orbits, width)
 
 
 def _orbit_grid(per_block, ufunc=np.add):
@@ -223,26 +241,29 @@ def _distinct_point_polys(f):
 
     K_i the binary Krawtchouk matrix of block i (_krawtchouk_transform) and
     ghat(k_1..k_m) = 2^n fhat_S * chi_S(mask) at one S with k_i coordinates
-    in block i (its least ones).  So each level is one transform of the
-    level-k slice of that dual tensor along each block axis, over
-    prod (|B_i| + 1) orbits.  A function with no symmetry has n singleton
-    blocks, 2^n orbits indexed by the points themselves, and per level the
-    n butterfly stages of the plain level-k transform.
+    in block i (its least ones).  So the whole coefficient matrix is one
+    transform along each block axis, over prod (|B_i| + 1) orbits, of the
+    (orbits, n + 1) matrix whose row o holds that dual entry in the column
+    of its level |S| and zeros elsewhere: the level axis rides along, and
+    each column ends up the level-k coefficients.  A function with no
+    symmetry has n singleton blocks, 2^n orbits indexed by the points
+    themselves, and the n butterfly stages of the plain transform, run once
+    for all levels.
 
-    An exact partition refinement runs over the levels k = 0..n: every orbit
-    carries the int64 label of its class so far, and level k splits the
-    classes by the signed column col through the key
-    label * span + (col - min col), with span = max col - min col + 1.  The
-    key is injective on (label, col) pairs, so after the last level two orbits
-    share a class exactly when their whole signed rows agree; no hashing, no
-    collisions.  np.unique of the keys gives the new labels (inverse) and one
-    orbit of each class (index), whose row is kept, extended by one column
-    per level.  Key order is (label, col) order, so by induction the labels
-    follow the lexicographic order of the rows read so far, and the final
-    classes come out in np.unique(axis=0) order.  Once every class is a
-    single orbit (after four or five levels for random functions of 9 to 16
-    variables) no level can split one, so the later levels only extend the
-    rows, with no key and no np.unique.  A class's representative is
+    An exact partition refinement then reads the finished matrix one column
+    at a time, k = 0..n: every orbit carries the int64 label of its class so
+    far, and column k splits the classes by the signed column col through
+    the key label * span + (col - min col), with span = max col - min col + 1.
+    The key is injective on (label, col) pairs, so after the last column two
+    orbits share a class exactly when their whole signed rows agree; no
+    hashing, no collisions.  np.unique of the keys gives the new labels
+    (inverse) and one orbit of each class (index).  Key order is (label, col)
+    order, so by induction the labels follow the lexicographic order of the
+    rows read so far, and the final classes come out in np.unique(axis=0)
+    order.  Once every class is a single orbit (after four or five columns
+    for random functions of 9 to 16 variables) no column can split one, so
+    the refinement stops there, and the rows are one gather of each class's
+    kept orbit.  A class's representative is
     the least of its orbits' least points; blocks own disjoint bits, so an
     orbit's least point is the sum of per-block least parts (_least_points).
     Its size is the sum of its orbits' sizes prod_i C(|B_i|, w_i).  The rows
@@ -264,27 +285,30 @@ def _distinct_point_polys(f):
     least = _orbit_grid([_least_points(block, mask) for block in blocks])
     binomials = [[comb(len(b), w) for w in range(len(b) + 1)] for b in blocks]
     counts = _orbit_grid(binomials, np.multiply)  # points per orbit
-    levels = np.bitwise_count(subsets)
     parity = (np.bitwise_count(subsets & mask) & 1).astype(np.int64)
-    dual = wht(f).coeffs[subsets] * (1 - 2 * parity)
-    signs = f.values[least]
-    labels = np.zeros(len(signs), dtype=np.int64)
-    rows = np.zeros((1, 0), dtype=np.int64)
+    mat = np.zeros((len(subsets), f.n + 1), dtype=np.int64)
+    mat[np.arange(len(subsets)), np.bitwise_count(subsets)] = (
+        wht(f).coeffs[subsets] * (1 - 2 * parity)
+    )
+    del subsets, parity  # not held through the transform
+    mat = _krawtchouk_transform(mat, sizes)
+    mat *= f.values[least][:, None]
+    labels = np.zeros(len(mat), dtype=np.int64)
+    first = np.zeros(1, dtype=np.int64)  # before column 0: one class of every orbit
     for k in range(f.n + 1):
-        col = _krawtchouk_transform(np.where(levels == k, dual, 0), sizes) * signs
-        if len(rows) < len(col):  # some class still holds several orbits
-            low = int(col.min())
-            span = int(col.max()) - low + 1
-            if len(rows) * span >= 1 << 63:
-                raise CapacityError(
-                    f"level {k} of n={f.n}: point polynomial keys would overflow int64"
-                )
-            _, first, inverse = np.unique(
-                labels * span + (col - low), return_index=True, return_inverse=True
+        if len(first) == len(mat):  # every class is one orbit: none can split
+            break
+        low = int(mat[:, k].min())
+        span = int(mat[:, k].max()) - low + 1
+        if len(first) * span >= 1 << 63:
+            raise CapacityError(
+                f"level {k} of n={f.n}: point polynomial keys would overflow int64"
             )
-            rows = rows[labels[first]]
-            labels = inverse
-        rows = np.column_stack([rows, col[first]])
+        labels *= span  # the key in place: each partial sum is below count * span
+        labels += mat[:, k] - low
+        first, labels = np.unique(labels, return_index=True, return_inverse=True)[1:]
+    rows = mat[first]
+    del mat  # before the per-class lists, which hold Python ints
     reps = np.full(len(rows), 1 << f.n, dtype=np.int64)
     np.minimum.at(reps, labels, least)
     members = np.zeros(len(rows), dtype=np.int64)

@@ -610,6 +610,20 @@ def test_function_file_with_huge_size_exits_cleanly(capsys, tmp_path, flag, obj,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_function_beyond_cap_ceiling_names_the_ceiling(capsys, tmp_path, monkeypatch):
+    # no BOOLSP_CAP_N admits n = 40 (it is refused above 31), so none is suggested
+    path = tmp_path / "n40.json"
+    path.write_text(json.dumps({"format": "boolsp-fn-v1", "n": 40, "table_hex": "0"}))
+    code, out, err = run(capsys, "analyze", "--fn", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "31, the largest dense-table cap" in err and "BOOLSP_CAP_N" not in err
+    monkeypatch.setenv("BOOLSP_CAP_N", "4")  # n = 5 is within the ceiling: the hint stays
+    code, _, err = run(capsys, "analyze", "--fn", write_fn(
+        tmp_path, "maj5.json", construct_named("majority", 5, cap=5)))
+    assert code == 1 and "raise via BOOLSP_CAP_N" in err
+
+
 @pytest.mark.parametrize(
     "data",
     [

@@ -23,6 +23,7 @@ from boolsp import (
     point_of_index,
     properties,
 )
+from boolsp.functions import popcounts
 
 # the running 4-variable polynomial threshold example (coefficients x4)
 PTF_EX = PtfSpec(
@@ -92,6 +93,16 @@ def test_cap_ceiling(monkeypatch):
     monkeypatch.setenv("BOOLSP_CAP_N", "40")
     with pytest.raises(InvalidArgument, match="BOOLSP_CAP_N must be <= 31"):
         dense_cap()
+
+
+def test_popcounts_memoised_and_read_only():
+    table = popcounts(6)
+    assert popcounts(6) is table
+    assert table.dtype == np.int64
+    assert table.tolist() == [bin(u).count("1") for u in range(64)]
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 1
+    assert popcounts(6)[0] == 0
 
 
 def test_majority_table():

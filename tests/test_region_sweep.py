@@ -1,6 +1,7 @@
 """The SP-region walk: touching roots, the distinct point polynomials, and
 independent checks against sympy."""
 
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -176,6 +177,49 @@ def test_distinct_polys_match_oracle_n3_and_named():
         assert distinct_polys(f) == oracle_distinct_polys(f), (f.n, f.bits)
 
 
+def dense_distinct_polys(f):
+    """np.unique over the dense signed table f(v) * level_values(f, k)[v]:
+    (rows, least point of each, number of points of each)."""
+    table = np.column_stack([level_values(f, k) for k in range(f.n + 1)])
+    rows, first, counts = np.unique(
+        table * f.values[:, None], axis=0, return_index=True, return_counts=True
+    )
+    return rows, first.tolist(), counts.tolist()
+
+
+def large_functions():
+    for n in (11, 12, 13):
+        yield pytest.param(random_function(n, n), id=f"random{n}")
+    rng = np.random.Generator(np.random.PCG64(12))
+    for name, n in [("edic", 12), ("edic", 13), ("majority", 13), ("or", 12), ("or", 13)]:
+        signs = [int(s) for s in rng.choice((-1, 1), size=n)]
+        yield pytest.param(negate_inputs(construct_named(name, n), signs),
+                           id=f"masked-{name}{n}")
+
+
+@pytest.mark.parametrize("f", large_functions())
+def test_distinct_polys_match_dense_unique(f):
+    # beyond the sympy oracle's reach: the dense 2^n-row table, deduplicated
+    rows, reps, sizes = sp._distinct_point_polys(f)
+    want_rows, want_reps, want_sizes = dense_distinct_polys(f)
+    assert np.array_equal(rows, want_rows)
+    assert reps == want_reps and sizes == want_sizes
+
+
+def test_distinct_polys_peak_memory():
+    # the graded transform holds two (2^n, n + 1) buffers, the gathered rows
+    # replace them, and no per-level copies are kept: under 2.6 times the rows
+    f = random_function(14, 1)
+    sp._distinct_point_polys(f)  # the spectrum is cached from here on
+    tracemalloc.start()
+    try:
+        sp._distinct_point_polys(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * (1 << f.n) * (f.n + 1) * 8, peak
+
+
 def test_distinct_polys_refuse_keys_beyond_int64(monkeypatch):
     # every scaled coefficient 2^61: majority 3 is one block of 4 orbits
     # (weights w = 0..3, signs + + - -).  Level 0 gives the columns
@@ -204,9 +248,10 @@ def test_krawtchouk_transform_matches_formula():
         matrix = np.ones((1, 1), dtype=np.int64)
         for b in sizes:
             matrix = np.kron(np.array(krawtchouk(b), dtype=np.int64), matrix)
-        basis = np.eye(len(matrix), dtype=np.int64)
-        got = [sp._krawtchouk_transform(row.copy(), sizes) for row in basis]
-        assert np.array_equal(np.array(got), matrix), sizes
+        # column j of the identity is basis vector j as a flat tensor, and the
+        # columns ride along unmixed: column j comes out as row j of matrix
+        got = sp._krawtchouk_transform(np.eye(len(matrix), dtype=np.int64), sizes)
+        assert np.array_equal(got, matrix.T), sizes
 
 
 def test_coordinate_blocks_of_masked_named_functions():
