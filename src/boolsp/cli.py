@@ -32,7 +32,11 @@ from .config import VERSION, check_cap
 from .constructs import character_compose, product_compose
 from .errors import BoolspError, InvalidArgument
 from .experiments import graph_scan, predictor_orbit, sp_fraction, threshold_constants
-from .functions import dominating_boundary_points, properties
+from .functions import (
+    dominating_boundary_count,
+    dominating_boundary_points,
+    properties,
+)
 from .noise import (
     _closeness_to_sp,
     _prediction_gain,
@@ -143,11 +147,12 @@ def _cmd_analyze(args):
         "summary": ser.to_json(_spectral_summary(f, props.monotone)),
         "spectrum": ser.spectrum_to_json(wht(f)),
     }
-    if props.monotone:
+    if props.monotone and f.n <= 12:
         boundary = dominating_boundary_points(f)
         result["dominating_boundary_count"] = len(boundary)
-        if f.n <= 12:
-            result["dominating_boundary"] = boundary
+        result["dominating_boundary"] = boundary
+    elif props.monotone:  # 2^n ints would be built only to be counted
+        result["dominating_boundary_count"] = dominating_boundary_count(f)
     return result, inputs
 
 

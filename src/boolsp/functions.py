@@ -169,10 +169,19 @@ class PtfSpec:
 
 def linear_values(a0, a):
     """a0 + sum_i a_i x_i at every point as int64 (the caller keeps
-    |a0| + sum |a_i| < 2^63), by one doubling per coefficient."""
-    vals = np.array([a0], dtype=np.int64)
+    |a0| + sum |a_i| < 2^63), by one doubling per coefficient.
+
+    The doublings run in place in one array of 2^len(a) entries: after the
+    step for a_j its first m = 2^(j+1) entries are the values over the
+    first j + 1 coordinates, the upper half (x_{j+1} = -1) written from the
+    lower one before the lower one takes +a_j.  No step allocates."""
+    vals = np.empty(1 << len(a), dtype=np.int64)
+    vals[0] = a0
+    m = 1
     for c in a:
-        vals = np.concatenate([vals + c, vals - c])
+        np.subtract(vals[:m], c, out=vals[m:2 * m])
+        vals[:m] += c
+        m *= 2
     return vals
 
 
@@ -265,8 +274,14 @@ def properties(f):
     monotone = True
     for j in range(f.n):
         arr = vals.reshape(-1, 2, 1 << j)
-        # bit j set (x_{j+1} = -1) must not exceed bit j clear (x_{j+1} = +1)
-        if np.any(arr[:, 1, :] > arr[:, 0, :]):
+        # bit j set (x_{j+1} = -1) must not exceed bit j clear (x_{j+1} = +1).
+        # For j <= 3 the runs of the 3-D view are 1 to 8 entries long, so the
+        # 2^j strided columns of each side are compared one at a time instead
+        if j <= 3:
+            below = any(np.any(arr[:, 1, t] > arr[:, 0, t]) for t in range(1 << j))
+        else:
+            below = np.any(arr[:, 1, :] > arr[:, 0, :])
+        if below:
             monotone = False
             break
     odd = bool(np.all(vals == -vals[::-1]))
@@ -283,6 +298,17 @@ def dominating_boundary_points(f):
     Minimal/maximal is in the coordinatewise order (-1 below +1); for a
     monotone function these are exactly the points where the sign is decided
     with no slack.  Precondition: f monotone, tested in the same pass.
+    """
+    return np.flatnonzero(_boundary_mask(f)).tolist()
+
+
+def dominating_boundary_count(f):
+    """len(dominating_boundary_points(f)), without listing the points."""
+    return int(np.count_nonzero(_boundary_mask(f)))
+
+
+def _boundary_mask(f):
+    """Bool array of the dominating boundary points of the monotone f.
 
     For monotone f it suffices to look at immediate neighbours: an equal pair
     across x_{j+1} leaves its upper point (bit j clear) not minimal when both
@@ -299,7 +325,7 @@ def dominating_boundary_points(f):
         out = slack.reshape(-1, 2, 1 << j)
         out[:, 0, :] |= same & (upper > 0)
         out[:, 1, :] |= same & (lower < 0)
-    return np.flatnonzero(~slack).tolist()
+    return ~slack
 
 
 def friendly_neighborhood(f, d):

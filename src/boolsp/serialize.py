@@ -116,17 +116,21 @@ def _int64_items(a, inner, out):
     at indent inner: "\n" + inner + digits, with "," between items.
 
     Each block is one uint8 buffer of spaces.  Item i takes ",\n", the
-    indent, a sign and its digits, at offsets from a cumsum of the widths;
-    the digit counts come from comparing |x| (as uint64, so -2^63 is exact)
-    with the powers of ten.  The digits are filled one place at a time from
-    the right, keeping only the items that have more.  The first block
-    drops its leading comma."""
+    indent, a sign and its digits, at offsets from a cumsum of the widths.
+    An item has one digit plus one for each power 10^t <= |x| (|x| as
+    uint64, so -2^63 is exact), and only the powers below the block's
+    largest |x| can count: one comparison pass per power, each over a
+    contiguous array, so a block of small coefficients takes few passes.
+    The digits are filled one place at a time from the right, keeping only
+    the items that have more.  The first block drops its leading comma."""
     head = 2 + len(inner)  # ",\n" + inner
     for start in range(0, a.size, _BLOCK):
         block = a[start:start + _BLOCK]
         neg = block < 0
         mag = np.abs(block).view(np.uint64)
-        width = np.searchsorted(_TENS, mag, side="right") + (head + 1) + neg
+        width = neg + (head + 1)
+        for ten in _TENS[:len(str(int(mag.max()))) - 1]:
+            width += mag >= ten
         ends = np.cumsum(width)
         starts = ends - width
         buf = np.full(int(ends[-1]), ord(" "), dtype=np.uint8)

@@ -120,35 +120,43 @@ def _coordinate_blocks(f):
     x_i and x_j, plainly or with both negated.  Either map is a signed
     transposition, and the conjugate of one by another is again one, so
     interchangeability is an equivalence and j need only be tried against
-    the least coordinate (root) of each block found so far.  A plain swap
-    keeps 2^n fhat_{i} = 2^n fhat_{j} and a negated one flips its sign, so
-    only a pair whose level-1 coefficients agree (up to that sign) is
-    compared: one equality of two table views, no index arrays.
+    one member of each block found so far.  That member is the block's
+    newest, i = block[-1]: the compared views have inner runs of 2^i
+    entries, so trying j against j - 1 reads runs of 2^(j-1), where the
+    least coordinate would give runs of one or two entries for most j.  A
+    plain swap keeps 2^n fhat_{i} = 2^n fhat_{j} and a negated one flips
+    its sign, so only a pair whose level-1 coefficients agree (up to that
+    sign) is compared: one equality of two table views, no index arrays.
 
-    Returns (blocks, mask): coordinate lists by root, each ascending, and
-    bit j of mask set when x_j swaps with its root negated.  Then
-    g(u) = f(u ^ mask) is invariant under every permutation within a block,
-    so f's point polynomial at v depends only on the per-block weights of
-    v ^ mask.
+    Returns (blocks, mask): coordinate lists by least member (root), each
+    ascending, and bit j of mask set when x_j swaps with its root negated.
+    Composing the swaps of j with i and of i with the root, that is bit i
+    of mask XOR whether j swaps with i negated.  (A plain swap is tried
+    first, so bit j is clear exactly when x_j swaps plainly with its root.)
+    Then g(u) = f(u ^ mask) is invariant under every permutation within a
+    block, so f's point polynomial at v depends only on the per-block
+    weights of v ^ mask.
     """
     values = f.values
     level1 = wht(f).coeffs[1 << np.arange(f.n)].tolist()
     blocks, mask = [], 0
     for j in range(f.n):
         for block in blocks:
-            i = block[0]
+            i = block[-1]
             view = values.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
             if level1[i] == level1[j] and np.array_equal(
                 view[:, 0, :, 1], view[:, 1, :, 0]
             ):
-                block.append(j)
-                break
-            if level1[i] == -level1[j] and np.array_equal(
+                negated = 0
+            elif level1[i] == -level1[j] and np.array_equal(
                 view[:, 0, :, 0], view[:, 1, :, 1]
             ):
-                block.append(j)
-                mask |= 1 << j
-                break
+                negated = 1
+            else:
+                continue
+            block.append(j)
+            mask |= ((mask >> i & 1) ^ negated) << j
+            break
         else:
             blocks.append([j])
     return blocks, mask

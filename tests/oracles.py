@@ -77,6 +77,33 @@ def table(f):
     return [int(v) for v in f.values]
 
 
+def coordinate_blocks(values, n):
+    """Blocks of interchangeable coordinates and their negation mask, as
+    sp._coordinate_blocks returns them, from every signed transposition of
+    the table: coordinates i and j are interchangeable when swapping x_i and
+    x_j, plainly or with both negated, leaves every entry of the table as it
+    is.  Each block gathers the coordinates whose least interchangeable
+    coordinate (their root) is the same; bit j of the mask is set when x_j
+    does not swap plainly with its root."""
+
+    def invariant(i, j, flip):
+        for u in range(1 << n):
+            xi, xj = (u >> i) & 1, (u >> j) & 1
+            w = u & ~(1 << i | 1 << j) | (xj ^ flip) << i | (xi ^ flip) << j
+            if values[w] != values[u]:
+                return False
+        return True
+
+    roots = [
+        next(i for i in range(j + 1)
+             if i == j or invariant(i, j, 0) or invariant(i, j, 1))
+        for j in range(n)
+    ]
+    blocks = [[j for j in range(n) if roots[j] == r] for r in sorted(set(roots))]
+    mask = sum(1 << j for j in range(n) if not invariant(roots[j], j, 0))
+    return blocks, mask
+
+
 def _endpoint_bounds(ep):
     """(lo, hi) rational bracket for an interval endpoint, collapsing exact ones."""
     if ep.kind == "exact":

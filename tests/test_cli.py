@@ -195,6 +195,22 @@ def test_analyze_evaluates_properties_once(capsys, monkeypatch, tmp_path):
     assert res["dominating_boundary"] == [0, 1, 2, 4, 8, 16]
 
 
+def test_analyze_counts_large_boundary_without_listing(capsys, monkeypatch, tmp_path):
+    def listing(f):
+        if f.n > 12:
+            raise AssertionError("dominating boundary listed for n > 12")
+        return functions.dominating_boundary_points(f)
+
+    monkeypatch.setattr(cli, "dominating_boundary_points", listing)
+    for n, count in ((12, 13), (13, 14)):  # OR: the top point and its n neighbours
+        fn = write_fn(tmp_path, f"or{n}.json", construct_named("or", n))
+        code, out, _ = run(capsys, "analyze", "--fn", fn)
+        assert code == 0
+        res = json.loads(out)["result"]
+        assert res["dominating_boundary_count"] == count
+        assert ("dominating_boundary" in res) == (n <= 12)
+
+
 def test_classify_ltf_input(capsys, tmp_path):
     ltf = tmp_path / "w.json"
     ltf.write_text(canonical_json(ltf_to_json(LtfSpec(0, (2, 1, 1, 1)))))

@@ -215,6 +215,51 @@ def test_monotone_against_definition():
         assert properties(f).monotone == brute
 
 
+def violating_directions(vals, n):
+    """The directions j with some pair vals[u | 2^j] > vals[u] (bit j of u clear)."""
+    return {
+        j
+        for u in range(1 << n)
+        for j in range(n)
+        if not (u >> j) & 1 and vals[u | (1 << j)] > vals[u]
+    }
+
+
+def test_monotone_against_definition_large_n():
+    # a single violating pair, planted along each direction j in turn, so
+    # both the column-by-column scan of j <= 3 and the 3-D view of j >= 4
+    # must find it
+    rng = random.Random(17)
+    for n in range(5, 10):
+        for j in range(n):
+            bit = 1 << j
+            # swapping a +1 point u with its -1 lower neighbour u | 2^j leaves
+            # that pair the only one out of order when every other lower
+            # neighbour of u is -1 and every other upper one of u | 2^j is +1;
+            # draw monotone LTFs until one has such a u
+            swaps = []
+            while not swaps:
+                a = tuple(2 * rng.randint(0, 3) + 1 for _ in range(n))
+                f = construct_ltf(LtfSpec((n % 2 + 1) % 2, a))
+                vals = f.values.tolist()
+                swaps = [
+                    u for u in range(1 << n)
+                    if not u & bit and vals[u] == 1 and vals[u | bit] == -1
+                    and all(vals[u | 1 << k] == -1
+                            for k in range(n) if k != j and not (u >> k) & 1)
+                    and all(vals[(u | bit) & ~(1 << k)] == 1
+                            for k in range(n) if (u >> k) & 1)
+                ]
+            assert properties(f).monotone and not violating_directions(vals, n)
+            checked = rng.choice(swaps)
+            for u in swaps:
+                planted = list(vals)
+                planted[u], planted[u | bit] = -1, 1
+                if u == checked:
+                    assert violating_directions(planted, n) == {j}
+                assert not properties(BooleanFunction.from_values(planted)).monotone
+
+
 def test_dominating_boundary_majority():
     assert dominating_boundary_points(construct_named("majority", 3)) == [1, 2, 3, 4, 5, 6]
 

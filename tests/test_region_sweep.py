@@ -319,6 +319,14 @@ def block_symmetric(draw, max_n=8):
     return negate_inputs(permute_inputs(f, perm), signs), blocks
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(block_symmetric().map(lambda case: case[0]), functions(max_n=8)))
+def test_coordinate_blocks_match_oracle(f):
+    # partition and mask alike; the mask bit of a coordinate joined through a
+    # block's newest member must be read relative to the root
+    assert sp._coordinate_blocks(f) == oracles.coordinate_blocks(oracles.table(f), f.n)
+
+
 def dense_level_flags(f):
     """classify's lev, wst, sst, lev_zero_count and witnesses (all but usp)
     from the dense level_values tables: row v of the signed level table is
