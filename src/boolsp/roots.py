@@ -7,10 +7,12 @@ integer computation.
 Roots in (0,1) are found on the dyadic cells [a/2^k, (a+1)/2^k] through
 Bernstein coefficients.  A polynomial p of degree <= d is
 sum_i b_i C(d,i) t^i (1-t)^(d-i) on a cell with t running over [0,1]; the
-rows here hold d! b_i on [0,1] (integers, _bernstein), and one de Casteljau
-split (_split) gives the coefficients of both halves, scaled by a further
-2^d, and the exact value at the midpoint.  Only signs are ever read, so the
-positive scales never matter.  Descartes' rule of signs on the coefficients
+rows here hold L b_i on [0,1], L = lcm_i C(d,i) (integers, _bernstein), and
+one de Casteljau split (_split) gives the coefficients of both halves,
+scaled by a further 2^d, and the exact value at the midpoint.  Only signs
+are ever read, so the positive scales never matter.  A matrix of rows is
+int64 while a checked bound shows every entry it leads to fits, and Python
+ints (object dtype) past it.  Descartes' rule of signs on the coefficients
 (_variations) bounds the roots in the open cell, counted with multiplicity,
 and has their parity: 0 means no root and 1 exactly one simple root.  The
 two halves never count more than the cell, and a square-free polynomial
@@ -20,7 +22,7 @@ with repeated roots gets its square-free part from one gcd(p, p')
 (_square_free), through integer pseudo-remainders, so everything stays in Z.
 """
 
-from math import comb, factorial, gcd as int_gcd
+from math import comb, gcd as int_gcd, lcm
 
 import numpy as np
 
@@ -50,12 +52,11 @@ def eval_scaled(p, num, den):
 
 def _eval_rows(rows, num, den):
     """eval_scaled of every row of an (m, d+1) integer matrix, lowest power
-    first, at degree d: den^d p(num/den) for each row, as Python ints."""
+    first, at degree d: den^d p(num/den) for each row, as Python ints, from
+    one dot product with the powers num^j den^(d-j)."""
     d = rows.shape[1] - 1
-    acc = np.zeros(len(rows), dtype=object)
-    for j in range(d, -1, -1):
-        acc = acc * num + rows[:, j].astype(object) * den ** (d - j)
-    return acc
+    powers = np.array([num**j * den ** (d - j) for j in range(d + 1)], dtype=object)
+    return rows.astype(object) @ powers
 
 
 def derivative(p):
@@ -140,11 +141,14 @@ def _scaled_bernstein(rows):
 
 
 def _bernstein(sb):
-    """d! times the Bernstein coefficients, as Python ints (an object array),
-    from rows of _scaled_bernstein."""
+    """L = lcm_i C(d,i) times the Bernstein coefficients, from rows of
+    _scaled_bernstein: L b_i = sb_i L/C(d,i).  int64 when max |sb| times the
+    largest weight, L/C(d,0) = L, is below 2^62, else Python ints."""
     d = sb.shape[-1] - 1
-    weights = np.array([factorial(i) * factorial(d - i) for i in range(d + 1)], dtype=object)
-    return sb.astype(object) * weights
+    big = lcm(*(comb(d, i) for i in range(d + 1)))
+    weights = [big // comb(d, i) for i in range(d + 1)]
+    dtype = np.int64 if int(np.abs(sb).max(initial=0)) * weights[0] < 1 << 62 else object
+    return sb.astype(dtype) * np.array(weights, dtype=dtype)
 
 
 def _unit_bernstein(p, d):
@@ -154,11 +158,15 @@ def _unit_bernstein(p, d):
 
 
 def _split(b):
-    """De Casteljau at the midpoint, along the last axis of an object array
+    """De Casteljau at the midpoint, along the last axis of an integer array
     (one row of coefficients, or one per class): the coefficients of the left
     and the right half, scaled by 2^d.  left[..., -1] == right[..., 0] is the
-    value at the midpoint."""
+    value at the midpoint.  No entry of either half, and no partial sum,
+    exceeds 2^d max |b|, so an int64 b stays int64 while max |b| < 2^(62-d)
+    and is cast to Python ints past that."""
     d = b.shape[-1] - 1
+    if b.dtype != object and int(np.abs(b).max(initial=0)) << d >= 1 << 62:
+        b = b.astype(object)
     left, right = np.empty_like(b), np.empty_like(b)
     left[..., 0], right[..., d] = b[..., 0] << d, b[..., d] << d
     row = b
@@ -191,9 +199,9 @@ def _variations(b):
 def _first(b):
     """The first nonzero coefficient: its sign is the sign just right of the
     cell's left end (every Bernstein basis polynomial is positive inside)."""
-    return next(c for c in b if c)
+    return next(c for c in b.tolist() if c)
 
 
 def _last(b):
     """The last nonzero coefficient: the sign just left of the right end."""
-    return next(c for c in reversed(b) if c)
+    return next(c for c in reversed(b.tolist()) if c)

@@ -34,7 +34,9 @@ negative entry is positive on (0,1].  A row with one sign variation rises
 through one root, and of those only the classes with the largest root can
 bound the region; exact values at one dyadic point drop the others
 (_walked).  Everything is decided with integer arithmetic; floats only
-guess where to look and never touch a sign.
+guess where to look and never touch a sign.  The walk's coefficient
+matrices are int64 while a bound checked at each split shows that they fit,
+and Python ints, matrix by matrix, past it (roots._bernstein, roots._split).
 
 The same classes, with their sizes, give classify's other flags with no
 pass over 2^n points: column k of q_v is f(v) 2^n times the level-k part of
@@ -259,19 +261,22 @@ def _distinct_point_polys(f):
     for all levels.
 
     An exact partition refinement then reads the finished matrix one column
-    at a time, k = 0..n: every orbit carries the int64 label of its class so
-    far, and column k splits the classes by the signed column col through
-    the key label * span + (col - min col), with span = max col - min col + 1.
-    The key is injective on (label, col) pairs, so after the last column two
-    orbits share a class exactly when their whole signed rows agree; no
-    hashing, no collisions.  np.unique of the keys gives the new labels
-    (inverse) and one orbit of each class (index).  Key order is (label, col)
-    order, so by induction the labels follow the lexicographic order of the
-    rows read so far, and the final classes come out in np.unique(axis=0)
-    order.  Once every class is a single orbit (after four or five columns
-    for random functions of 9 to 16 variables) no column can split one, so
-    the refinement stops there, and the rows are one gather of each class's
-    kept orbit.  A class's representative is
+    at a time, k = 0..n.  A class of one orbit can never split, so only the
+    orbits of classes that still hold several (open_) are read: each carries
+    the int64 label of its class so far, and column k splits the classes by
+    the signed column col through the key label * span + (col - min col),
+    with span = max col - min col + 1 over those orbits.  The key is
+    injective on (label, col) pairs, so after the last column two orbits
+    share a class exactly when their whole signed rows agree; no hashing, no
+    collisions.  Sorting the keys groups the new classes in (label, col)
+    order, and a new class's label is its rank there plus the number of
+    one-orbit classes with a smaller label, which keep their places.  So by
+    induction the labels follow the lexicographic order of the rows read so
+    far, and the final classes come out in np.unique(axis=0) order.  For
+    random functions of 9 to 17 variables nearly every class is one orbit
+    after three columns, so the fourth and fifth sort a few thousand keys,
+    and the refinement stops once no class holds two orbits; the rows are
+    one gather of an orbit of each class.  A class's representative is
     the least of its orbits' least points; blocks own disjoint bits, so an
     orbit's least point is the sum of per-block least parts (_least_points).
     Its size is the sum of its orbits' sizes prod_i C(|B_i|, w_i).  The rows
@@ -301,20 +306,39 @@ def _distinct_point_polys(f):
     del subsets, parity  # not held through the transform
     mat = _krawtchouk_transform(mat, sizes)
     mat *= f.values[least][:, None]
-    labels = np.zeros(len(mat), dtype=np.int64)
     first = np.zeros(1, dtype=np.int64)  # before column 0: one class of every orbit
+    open_ = np.arange(len(mat))  # the orbits of classes that still hold several
+    parent = np.zeros(len(mat), dtype=np.int64)  # the class of each orbit of open_
     for k in range(f.n + 1):
-        if len(first) == len(mat):  # every class is one orbit: none can split
+        if not len(open_):  # every class is one orbit: none can split
             break
-        low = int(mat[:, k].min())
-        span = int(mat[:, k].max()) - low + 1
+        col = mat[open_, k]
+        low = int(col.min())
+        span = int(col.max()) - low + 1
         if len(first) * span >= 1 << 63:
             raise CapacityError(
                 f"level {k} of n={f.n}: point polynomial keys would overflow int64"
             )
-        labels *= span  # the key in place: each partial sum is below count * span
-        labels += mat[:, k] - low
-        first, labels = np.unique(labels, return_index=True, return_inverse=True)[1:]
+        col -= low  # the key in place: each partial sum is below count * span
+        col += parent * span
+        order = col.argsort()
+        open_, col, parent = open_[order], col[order], parent[order]
+        head = np.empty(len(col) + 1, dtype=bool)  # where a new class starts
+        head[0] = head[-1] = True
+        np.not_equal(col[1:], col[:-1], out=head[1:-1])
+        start = head[:-1]
+        grow = np.bincount(parent[start], minlength=len(first))  # new classes per class
+        single = grow == 0
+        grow += single  # a class of one orbit keeps one label
+        first = first.repeat(grow)
+        new = start.cumsum() - 1 + (single.cumsum() - single)[parent]
+        first[new] = open_
+        keep = ~(start & head[1:])  # the orbits of classes of two or more
+        open_, parent = open_[keep], new[keep]
+        del grow, single  # one entry per class: not held through the gather below
+    labels = np.empty(len(mat), dtype=np.int64)
+    labels[first] = np.arange(len(first))
+    labels[open_] = parent
     rows = mat[first]
     del mat  # before the per-class lists, which hold Python ints
     reps = np.full(len(rows), 1 << f.n, dtype=np.int64)
@@ -525,7 +549,7 @@ class _Walk:
                 self.square_free[i] = rt._square_free(self.poly(i))
             sf = self.square_free[i]
             if len(sf) < len(self.poly(i)):
-                S = Q.copy() if S is Q else S
+                S = S.astype(object, copy=S is Q)  # sf's row may not fit int64
                 S[r] = rt._descend(rt._unit_bernstein(sf, S.shape[1] - 1), a, k)
                 red = red | {i}
         if (rt._variations(S) > 1).any():

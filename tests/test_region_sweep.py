@@ -84,6 +84,49 @@ def test_double_root_takes_one_square_free_gcd(monkeypatch):
     assert calls == []  # the exact midpoint 1/2 settles it
 
 
+# (3x - 1)^2 (4x - 3): a double root at 1/3, which no midpoint hits
+TOUCHING_THIRD = (-3, 22, -51, 36)
+# (3x - 1)(x + 1) rises and (3x - 1)(2x - 1) falls through the root 1/3
+SHARED_THIRD = [(-1, 2, 3, 0), (1, -5, 6, 0)]
+
+
+def test_walk_stays_int64_down_to_the_leaves(monkeypatch):
+    """At epsilon = 2^-12 the Bernstein rows of these small classes (degree 3,
+    and 5 for TOUCHING_IRRATIONAL) stay int64 down to depth D: every leaf
+    sees an int64 Q, also where a class took its square-free part and where
+    a rising and a falling class share their root."""
+    leaves, common = [], []
+    leaf, common_root = sp._Walk.leaf, sp._Walk.common_root
+
+    def leaf_spy(self, a, k, ids, Q, S, red, tested):
+        out = leaf(self, a, k, ids, Q, S, red, tested)
+        leaves.append((k, Q.dtype, bool(self.square_free)))
+        return out
+
+    def common_spy(self, group, a, k):
+        common.append(common_root(self, group, a, k))
+        return common[-1]
+
+    monkeypatch.setattr(sp._Walk, "leaf", leaf_spy)
+    monkeypatch.setattr(sp._Walk, "common_root", common_spy)
+    eps = Fraction(1, 1 << 12)
+    for classes, square_free, shared in (
+        ([TOUCHING], False, False),  # 1/2 and 3/4 are midpoints: no leaf
+        ([TOUCHING_IRRATIONAL], True, False),
+        ([TOUCHING_THIRD], True, False),
+        (SHARED_THIRD, False, True),
+    ):
+        leaves.clear()
+        common.clear()
+        region = region_of_classes(0, classes, eps)
+        assert all(k == 12 and dtype == np.int64 for k, dtype, _ in leaves), leaves
+        assert bool(leaves) == (classes != [TOUCHING])
+        assert any(taken for *_, taken in leaves) == square_free
+        assert common == ([True] if shared else [])
+        components, roots = oracles.nonnegative_components(classes)
+        oracles.check_region(region.intervals, components, roots, _depth(eps))
+
+
 def test_walk_keeps_only_the_largest_rising_root():
     """Of the classes with one sign variation, each rising through one root,
     the walk carries only those with the largest root; whether 0 is in the

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb, lcm
 
 import numpy as np
 import sympy
@@ -330,3 +331,57 @@ def test_dips_decides_negative_somewhere(p):
     live = sp._live_rows(np.array([p], dtype=object))
     dips = bool(live.index) and sp._dips(live, 0, Fraction(1, 1 << 12))
     assert dips == oracles.negative_on_01(tuple(map(Fraction, p)))
+
+
+@st.composite
+def rows_around(draw, limit):
+    """(d, peak, rows): an int64 matrix of 1-3 rows of degree d = 1..24 whose
+    largest magnitude is peak, drawn on both sides of limit(d): just below,
+    at, just above, or anywhere up to twice it."""
+    d = draw(st.integers(1, 24))
+    edge = limit(d)
+    peak = draw(st.sampled_from([edge - 1, edge, edge + 1]) | st.integers(1, 2 * edge))
+    size = draw(st.integers(1, 3)) * (d + 1)
+    entries = draw(st.lists(st.integers(-peak, peak), min_size=size, max_size=size))
+    entries[draw(st.integers(0, size - 1))] = draw(st.sampled_from([peak, -peak]))
+    return d, peak, np.array(entries, dtype=np.int64).reshape(-1, d + 1)
+
+
+def _unit_lcm(d):
+    return lcm(*(comb(d, i) for i in range(d + 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_around(lambda d: -(-(1 << 62) // _unit_lcm(d))))
+def test_bernstein_int64_exactly_below_bound(case):
+    """_bernstein gives L b_i = sb_i L/C(d,i) with L = lcm_i C(d,i), int64
+    exactly while peak * L < 2^62, the same entries as from Python ints."""
+    d, peak, sb = case
+    big = _unit_lcm(d)
+    b = rt._bernstein(sb)
+    assert b.dtype == (np.int64 if peak * big < 1 << 62 else object)
+    expected = [[c * big // comb(d, i) for i, c in enumerate(row)] for row in sb.tolist()]
+    assert b.tolist() == rt._bernstein(sb.astype(object)).tolist() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_around(lambda d: 1 << (62 - d)), st.data())
+def test_split_and_descend_int64_exactly_below_bound(case, data):
+    """_split keeps int64 exactly while max |b| < 2^(62-d), for a matrix and
+    for its row holding the peak; _split and _descend give the entries that
+    Python ints give; _first and _last are Python ints (an np.int64 there
+    would make _bisect's cell index an np.int64, which overflows in
+    eval_scaled)."""
+    d, peak, rows = case
+    dtype = np.int64 if peak < 1 << (62 - d) else object
+    for b in (rows, rows[np.abs(rows).max(axis=1).argmax()]):
+        for half, exact in zip(rt._split(b), rt._split(b.astype(object))):
+            assert half.dtype == dtype
+            assert half.tolist() == exact.tolist()
+    k = data.draw(st.integers(0, 8))
+    a = data.draw(st.integers(0, (1 << k) - 1))
+    cell = rt._descend(rows, a, k)
+    assert cell.tolist() == rt._descend(rows.astype(object), a, k).tolist()
+    for b in (rows.ravel(), cell.ravel()):
+        if b.any():
+            assert type(rt._first(b)) is int and type(rt._last(b)) is int
