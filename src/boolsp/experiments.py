@@ -9,13 +9,22 @@ so with a table id split into its low and high halves of 2^(n-1) points the
 value at u is A_u[lo] + B_u[hi], two lists of 2^2^(n-1) exact Python ints.
 Its sign is that of rank(A_u[lo]) - rank(-B_u[hi]) in the sorted union of
 the lists: one int32 comparison per point and table, exact for every rho.
-Both scans read the keep-rule predictor's successor ids off one array
-(_keep_successors): the census counts its fixpoints, and the graph scan hands
-it to one numpy pass over the functional graph (_functional_graph).
+Both scans read the keep-rule predictor's successor ids off one comparison
+loop (_keep_successors), which takes the low halves whose rows it builds.
+The graph scan reads every successor and hands them to one numpy pass over
+the functional graph (_functional_graph).  The census counts fixpoints (the
+SP tables) over the orbits of the low half only (_low_half_orbits): sgn T_rho
+commutes with permuting and flipping x_1..x_(n-1) and with negation, so
+acting on both halves maps SP tables to SP tables, and the count is
+sum |orbit| * #{hi : rep + (hi << h) is fixed} over the representatives
+(14 of the 256 low halves at n = 4).  The orbits, the index permutations and
+the keep rule's own bits depend on n alone and are built once per n, on
+first use.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import ceil, comb, factorial, log2, sqrt
 
 import numpy as np
@@ -179,12 +188,55 @@ def _half_sums(weights, points, far):
     return sums
 
 
+def _read_through(reads):
+    """perms[k, x]: the half table x read through the point map reads[k], that
+    is with bit j taken from bit reads[k, j] (bit j of x is the value at point
+    j), for every row k of reads."""
+    x = np.arange(1 << reads.shape[1])
+    return sum(((x >> r[:, None]) & 1) << j for j, r in enumerate(reads.T))
+
+
+@cache
 def _xor_perms(points):
     """perms[u, x]: the half table x read at the points j ^ u, that is with bit
-    j taken from bit j ^ u, for every u < points."""
+    j taken from bit j ^ u, for every u < points (built once per size)."""
     j = np.arange(points)
-    bits = (np.arange(1 << points)[:, None] >> j) & 1
-    return (bits[:, j[None, :] ^ j[:, None]] @ (1 << j)).T
+    perms = _read_through(j[None, :] ^ j[:, None])
+    perms.flags.writeable = False
+    return perms
+
+
+@cache
+def _low_half_orbits(n):
+    """Least ids and sizes of the orbits of the low half tables (2^(n-1)
+    points; the one point at n = 0) under the permutations and flips of
+    x_1..x_(n-1) and negation.
+
+    The generators are the flips of each coordinate, the transpositions of
+    neighbouring coordinates and negation, as permutations of the table ids.
+    Every label starts as its own id and takes the least label one generator
+    step away, then the label of its label, until nothing moves: a label is
+    then constant along every generator, so on the orbit, and it is the
+    orbit's least id, which never moves."""
+    m = max(n - 1, 0)
+    j = np.arange(1 << m)
+    bit = [(j >> i) & 1 for i in range(m)]
+    flips = [j ^ (1 << i) for i in range(m)]
+    swaps = [j ^ (bit[i] ^ bit[i + 1]) * (3 << i) for i in range(m - 1)]
+    ids = np.arange(1 << (1 << m))
+    reads = np.array(flips + swaps, dtype=np.intp).reshape(-1, 1 << m)
+    gens = np.vstack([_read_through(reads), ids ^ ids[-1]])
+    label = ids
+    while True:
+        step = np.minimum(label, label[gens].min(axis=0))
+        step = step[step]
+        if np.array_equal(step, label):
+            break
+        label = step
+    reps = np.flatnonzero(label == ids)
+    sizes = np.bincount(label)[reps]
+    reps.flags.writeable = sizes.flags.writeable = False
+    return reps, sizes
 
 
 def _sign_keys(n, rho):
@@ -216,6 +268,14 @@ def _sign_keys(n, rho):
     return cols, rows
 
 
+@cache
+def _own_bits(h):
+    """own[u, x]: bit u of the half table x, for every u < h."""
+    own = (np.arange(1 << h)[None, :] >> np.arange(h)[:, None]) & 1
+    own.flags.writeable = False
+    return own
+
+
 def _keep_keys(n, rho):
     """_sign_keys with the keep rule folded in: the keep-rule predictor of the
     table lo + (hi << h) has bit u set iff cols[u, lo] > rows[u, hi].  A zero
@@ -223,17 +283,21 @@ def _keep_keys(n, rho):
     n = 0, h = 0 and the one value is never zero)."""
     cols, rows = _sign_keys(n, rho)
     h = len(cols) >> 1
-    own = (np.arange(1 << h)[None, :] >> np.arange(h)[:, None]) & 1
+    own = _own_bits(h)
     cols[:h] += own
     rows[h : 2 * h] -= own
     return cols, rows
 
 
-def _keep_successors(n, rho):
-    """The keep-rule successor id of every table 0 .. 2^2^n - 1 (0 <= n <= 4):
-    bit u of the successor of lo + (hi << h) is cols[u, lo] > rows[u, hi] for
-    the keys of _keep_keys."""
+def _keep_successors(n, rho, lows=None):
+    """The keep-rule successor ids of the tables lo + (hi << h) for the low
+    halves lo in lows (all of them when None) and every high half hi
+    (0 <= n <= 4), hi-major: entry hi * len(lows) + i is the successor of
+    lows[i] + (hi << h), so with all low halves it is the table id.  Bit u of
+    a successor is cols[u, lo] > rows[u, hi] for the keys of _keep_keys."""
     cols, rows = _keep_keys(n, rho)
+    if lows is not None:
+        cols = cols[:, lows]
     dtype = np.min_scalar_type((1 << len(cols)) - 1)
     out = np.zeros((rows.shape[1], cols.shape[1]), dtype=dtype)
     bit = np.empty(out.shape, dtype=bool)
@@ -263,9 +327,13 @@ def sp_fraction(n, rho, mode="exhaustive", samples=None, seed=None):
     if mode == "exhaustive":
         if n > 4:
             raise InvalidArgument("exhaustive census is limited to n <= 4")
-        succ = _keep_successors(n, rho)  # the SP tables are those the keep rule fixes
-        total = len(succ)
-        sp_count = int(np.count_nonzero(succ == np.arange(total)))
+        # the SP tables are those the keep rule fixes; every low half of an
+        # orbit has as many SP completions as its representative
+        reps, sizes = _low_half_orbits(n)
+        succ = _keep_successors(n, rho, reps).reshape(-1, len(reps))
+        tables = reps + (np.arange(len(succ))[:, None] << ((1 << n) >> 1))
+        sp_count = int(sizes @ np.count_nonzero(succ == tables, axis=0))
+        total = 1 << (1 << n)
         frac = Fraction(sp_count, total)
         return SpFraction(n, rho, mode, total, sp_count, frac, float(frac), 0.0, None)
     if mode == "sample":
@@ -399,7 +467,7 @@ def graph_scan(n, rho):
     rho = check_rho(rho)
     if not 0 <= n <= 4:
         raise InvalidArgument("graph scan is limited to 0 <= n <= 4")
-    succ = _keep_successors(n, rho)
+    succ = _keep_successors(n, rho)  # every low half
     num_fixpoints, num_components, max_depth, cycles = _functional_graph(succ)
     if num_fixpoints > num_components:
         raise AssertionError("fixpoints exceed components")

@@ -124,6 +124,13 @@ def _square_free(p):
     return tuple(reversed(quot))
 
 
+def _magnitudes(a):
+    """|a| for an int64 or object array, exact at -2^63 (which np.abs leaves
+    negative in int64: its magnitude is read as uint64)."""
+    m = np.abs(a)
+    return m.view(np.uint64) if m.dtype == np.int64 else m
+
+
 def _scaled_bernstein(rows):
     """sb[:, i] = sum_j C(d-j, i-j) rows[:, j] for an (m, d+1) integer matrix:
     the coefficients of (1+y)^d q(y/(1+y)), which maps (0, inf) onto (0, 1),
@@ -134,7 +141,7 @@ def _scaled_bernstein(rows):
     """
     d = rows.shape[1] - 1
     shift = [[comb(d - j, i - j) if i >= j else 0 for i in range(d + 1)] for j in range(d + 1)]
-    peak = [int(x) for x in np.abs(rows).max(axis=0)] if len(rows) else [0] * (d + 1)
+    peak = [int(x) for x in _magnitudes(rows).max(axis=0)] if len(rows) else [0] * (d + 1)
     bound = max(sum(shift[j][i] * peak[j] for j in range(d + 1)) for i in range(d + 1))
     dtype = np.int64 if bound < 1 << 63 else object
     return rows.astype(dtype) @ np.array(shift, dtype=dtype)
@@ -147,7 +154,7 @@ def _bernstein(sb):
     d = sb.shape[-1] - 1
     big = lcm(*(comb(d, i) for i in range(d + 1)))
     weights = [big // comb(d, i) for i in range(d + 1)]
-    dtype = np.int64 if int(np.abs(sb).max(initial=0)) * weights[0] < 1 << 62 else object
+    dtype = np.int64 if int(_magnitudes(sb).max(initial=0)) * weights[0] < 1 << 62 else object
     return sb.astype(dtype) * np.array(weights, dtype=dtype)
 
 
@@ -165,7 +172,7 @@ def _split(b):
     exceeds 2^d max |b|, so an int64 b stays int64 while max |b| < 2^(62-d)
     and is cast to Python ints past that."""
     d = b.shape[-1] - 1
-    if b.dtype != object and int(np.abs(b).max(initial=0)) << d >= 1 << 62:
+    if b.dtype != object and int(_magnitudes(b).max(initial=0)) << d >= 1 << 62:
         b = b.astype(object)
     left, right = np.empty_like(b), np.empty_like(b)
     left[..., 0], right[..., d] = b[..., 0] << d, b[..., d] << d

@@ -108,7 +108,7 @@ def _emit(obj, pad, out):
 # Items per chunk of _int64_items: its scratch memory grows with the block,
 # not with the array.
 _BLOCK = 1 << 16
-_TENS = 10 ** np.arange(1, 19, dtype=np.uint64)  # |x| < 10^19 for every int64 x
+_TENS = [10**t for t in range(1, 19)]  # |x| < 10^19 for every int64 x
 
 
 def _int64_items(a, inner, out):
@@ -116,22 +116,27 @@ def _int64_items(a, inner, out):
     at indent inner: "\n" + inner + digits, with "," between items.
 
     Each block is one uint8 buffer of spaces.  Item i takes ",\n", the
-    indent, a sign and its digits, at offsets from a cumsum of the widths.
-    An item has one digit plus one for each power 10^t <= |x| (|x| as
-    uint64, so -2^63 is exact), and only the powers below the block's
-    largest |x| can count: one comparison pass per power, each over a
-    contiguous array, so a block of small coefficients takes few passes.
-    The digits are filled one place at a time from the right, keeping only
-    the items that have more.  The first block drops its leading comma."""
+    indent, a sign and its digits, at offsets from a cumsum of the int32
+    widths.  The magnitudes |x| are taken as uint64, so -2^63 is exact, and
+    narrowed to the least unsigned type that holds the block's largest: a
+    block of small coefficients works on uint8 or uint16.  An item has one
+    digit plus one for each power 10^t <= |x|, and only the powers below the
+    block's largest |x| can count: one comparison pass per power, each over
+    a contiguous array.  The digits are filled one place at a time from the
+    right, keeping only the items that have more.  The first block drops its
+    leading comma."""
     head = 2 + len(inner)  # ",\n" + inner
     for start in range(0, a.size, _BLOCK):
         block = a[start:start + _BLOCK]
         neg = block < 0
         mag = np.abs(block).view(np.uint64)
-        width = neg + (head + 1)
-        for ten in _TENS[:len(str(int(mag.max()))) - 1]:
+        top = int(mag.max())
+        mag = mag.astype(np.min_scalar_type(top))
+        width = neg.astype(np.int32)
+        width += head + 1
+        for ten in _TENS[:len(str(top)) - 1]:
             width += mag >= ten
-        ends = np.cumsum(width)
+        ends = np.cumsum(width, dtype=np.intp)  # the scatters below index by it
         starts = ends - width
         buf = np.full(int(ends[-1]), ord(" "), dtype=np.uint8)
         buf[starts] = ord(",")
@@ -139,9 +144,10 @@ def _int64_items(a, inner, out):
         buf[starts[neg] + head] = ord("-")
         pos = ends - 1
         while pos.size:
-            buf[pos] = mag % 10 + ord("0")
-            more = mag >= 10
-            mag = mag[more] // 10
+            mag, digit = np.divmod(mag, 10)
+            buf[pos] = digit.astype(np.uint8) + ord("0")
+            more = mag > 0
+            mag = mag[more]
             pos = pos[more] - 1
         out.append(str(memoryview(buf)[start == 0:], "ascii"))
 

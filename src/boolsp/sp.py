@@ -46,6 +46,7 @@ nonzero entry.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, log, sqrt
 from typing import NamedTuple
 
@@ -757,8 +758,9 @@ def sufficient_thresholds(f, epsilon=DEFAULT_EPSILON):
 # necessary conditions
 
 
+@cache
 def _exp_minus2_enclosure():
-    """Rational lo < e^-2 < hi with width far below 1e-30."""
+    """Rational lo < e^-2 < hi with width far below 1e-30 (computed once)."""
     terms = 41
     partial = sum(Fraction(1 << j, factorial(j)) for j in range(terms))
     # tail of e^2 is below first_term / (1 - 2/(terms+1))

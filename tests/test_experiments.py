@@ -31,6 +31,7 @@ from boolsp.experiments import (
     _eta_delta_defined,
     _functional_graph,
     _keep_successors,
+    _low_half_orbits,
     _sign_keys,
 )
 from boolsp.noise import optimal_predictor, scaled_t_values
@@ -257,6 +258,39 @@ def test_sp_fraction_sample_mode():
     assert abs(a.estimate - exact) <= 5 * max(a.stderr, 1e-3)
 
 
+def test_low_half_orbits_partition_the_low_halves():
+    # orbits of the functions of n - 1 variables under permutations, flips and
+    # negation: 1, 1, 2, 4, 14, 222 (one point, so two tables, at n = 0)
+    for n, count in enumerate((1, 1, 2, 4, 14, 222)):
+        reps, sizes = _low_half_orbits(n)
+        assert len(reps) == len(sizes) == count
+        assert int(sizes.sum()) == 1 << (1 << max(n - 1, 0))
+        assert reps[0] == 0 and (np.diff(reps) > 0).all()
+    # n = 3: constant, dictator and parity of x_1, x_2, and the eight tables
+    # where one point differs from the other three
+    assert _low_half_orbits(3)[0].tolist() == [0, 1, 3, 6]
+    assert _low_half_orbits(3)[1].tolist() == [2, 8, 4, 2]
+
+
+# from n = 2 (n = 1 for 1/3^40) q^n > 2^62
+BEYOND_INT64 = (Fraction(1, 3**40), Fraction(999999999999, 10**13), Fraction(2**70 - 1, 2**70))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 4),
+    st.sampled_from(BEYOND_INT64)
+    | st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+)
+def test_orbit_census_matches_every_fixpoint(n, rho):
+    # the census counts over orbits of the low half; the successors of all
+    # tables give the same count
+    succ = _keep_successors(n, rho)
+    want = int(np.count_nonzero(succ == np.arange(len(succ))))
+    rep = sp_fraction(n, rho)
+    assert (rep.sp_count, rep.total) == (want, len(succ))
+
+
 def test_sp_fraction_domain():
     with pytest.raises(InvalidArgument):
         sp_fraction(5, Fraction(1, 2))
@@ -346,9 +380,9 @@ def test_batch_values_match_per_function_values():
 
 
 def test_batch_signs_match_per_function_values_beyond_int64():
-    # from n = 2 (n = 1 for 1/3^40) q^n > 2^62; the kernel's ranks stay exact
+    # the kernel's ranks stay exact where q^n passes 2^62
     for n in range(4):
-        for rho in (Fraction(1, 3**40), Fraction(999999999999, 10**13), Fraction(2**70 - 1, 2**70)):
+        for rho in BEYOND_INT64:
             for bits, signs in enumerate(_kernel_signs(n, rho)):
                 assert signs == _value_signs(n, rho, bits), (n, rho, bits)
 
@@ -393,8 +427,9 @@ def test_graph_scan_n2_above_threshold():
 
 
 def test_graph_scan_fixpoints_match_census():
-    for n in (2, 3):
-        for rho in (Fraction(1, 4), Fraction(1, 2)):
+    # 2/5 and 5/12 lie on either side of a jump of the n = 4 census
+    for n in (2, 3, 4):
+        for rho in (Fraction(1, 4), Fraction(2, 5), Fraction(5, 12), Fraction(1, 2)):
             g = graph_scan(n, rho)
             rep = sp_fraction(n, rho)
             assert g.num_fixpoints == rep.sp_count

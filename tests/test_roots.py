@@ -341,9 +341,10 @@ def rows_around(draw, limit):
     d = draw(st.integers(1, 24))
     edge = limit(d)
     peak = draw(st.sampled_from([edge - 1, edge, edge + 1]) | st.integers(1, 2 * edge))
+    top = min(peak, (1 << 63) - 1)  # a peak of 2^63 can only be -2^63 in int64
     size = draw(st.integers(1, 3)) * (d + 1)
-    entries = draw(st.lists(st.integers(-peak, peak), min_size=size, max_size=size))
-    entries[draw(st.integers(0, size - 1))] = draw(st.sampled_from([peak, -peak]))
+    entries = draw(st.lists(st.integers(-peak, top), min_size=size, max_size=size))
+    entries[draw(st.integers(0, size - 1))] = draw(st.sampled_from([peak, -peak] if top == peak else [-peak]))
     return d, peak, np.array(entries, dtype=np.int64).reshape(-1, d + 1)
 
 
@@ -353,6 +354,7 @@ def _unit_lcm(d):
 
 @settings(max_examples=300, deadline=None)
 @given(rows_around(lambda d: -(-(1 << 62) // _unit_lcm(d))))
+@example((1, 1 << 63, np.array([[-(1 << 63), 0]], dtype=np.int64)))  # np.abs keeps it negative
 def test_bernstein_int64_exactly_below_bound(case):
     """_bernstein gives L b_i = sb_i L/C(d,i) with L = lcm_i C(d,i), int64
     exactly while peak * L < 2^62, the same entries as from Python ints."""

@@ -143,9 +143,15 @@ def test_canonical_json_bytes_match_stdlib_on_random_values(obj):
     assert canonical_json(obj) == stdlib_canonical(obj)
 
 
-# int64 values at every digit count, both signs, and the two ends of the range
+# int64 values at every digit count, both signs, the two ends of the range,
+# and both sides of each unsigned type's top, where a block's magnitudes
+# change dtype
 INT64_EDGES = [0, 2**63 - 1, -(2**63)] + [
-    sign * (10**k + d) for k in range(1, 19) for d in (-1, 0) for sign in (1, -1)
+    sign * (base**k + d)
+    for base, ks in ((10, range(1, 19)), (2, (8, 16, 32)))
+    for k in ks
+    for d in (-1, 0)
+    for sign in (1, -1)
 ]
 BLOCK_SIZES = [serialize._BLOCK - 1, serialize._BLOCK, serialize._BLOCK + 1]
 
@@ -212,6 +218,14 @@ def test_canonical_json_int64_block_edges(size, depth):
     for level in range(depth):
         obj = {"k": [1, obj]} if level % 2 else [obj]
     assert_same_text(canonical_json(obj), stdlib_canonical(obj))
+
+
+@pytest.mark.parametrize("top", INT64_EDGES)
+def test_canonical_json_int64_block_maximum(top):
+    # each edge as the largest magnitude of its block, so every narrowed
+    # magnitude dtype is met at its top and just past it
+    a = np.array([top // 10, top, -(top // 3), 0, top // 2], dtype=np.int64)
+    assert_same_text(canonical_json(a), stdlib_canonical(a))
 
 
 def test_file_digest(tmp_path):
