@@ -220,9 +220,8 @@ def _low_half_orbits(n):
     orbit's least id, which never moves."""
     m = max(n - 1, 0)
     j = np.arange(1 << m)
-    bit = [(j >> i) & 1 for i in range(m)]
     flips = [j ^ (1 << i) for i in range(m)]
-    swaps = [j ^ (bit[i] ^ bit[i + 1]) * (3 << i) for i in range(m - 1)]
+    swaps = [j ^ (((j >> i) ^ (j >> (i + 1))) & 1) * (3 << i) for i in range(m - 1)]
     ids = np.arange(1 << (1 << m))
     reads = np.array(flips + swaps, dtype=np.intp).reshape(-1, 1 << m)
     gens = np.vstack([_read_through(reads), ids ^ ids[-1]])
