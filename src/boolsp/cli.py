@@ -95,11 +95,10 @@ def _load_function(args, inputs):
         "ltf": ser.LTF_FORMAT,
         "ptf": ser.PTF_FORMAT,
     }[kind]
-    obj = ser.load_json(path)
+    obj = ser.load_json(path, inputs)
     found = obj.get("format") if isinstance(obj, dict) else None
     if found != expected:
         raise InvalidArgument(f"{path}: expected format {expected}, found {found!r}")
-    inputs[path] = ser.file_digest(path)
     return ser.function_from_obj(obj, cap=args.cap_n)
 
 
@@ -228,17 +227,14 @@ def _cmd_compose(args):
     if args.plan:
         if args.left or args.right:
             raise InvalidArgument("--plan excludes --left/--right")
-        outer, plan = ser.load_plan(args.plan, cap=args.cap_n)
-        inputs[args.plan] = ser.file_digest(args.plan)
+        outer, plan = ser.load_plan(args.plan, cap=args.cap_n, digests=inputs)
         g = character_compose(outer, plan, cap=args.cap_n)
         kind = "character"
     else:
         if not (args.left and args.right):
             raise InvalidArgument("compose needs --plan or both --left and --right")
-        left = ser.load_function(args.left, cap=args.cap_n)
-        right = ser.load_function(args.right, cap=args.cap_n)
-        inputs[args.left] = ser.file_digest(args.left)
-        inputs[args.right] = ser.file_digest(args.right)
+        left = ser.function_from_obj(ser.load_json(args.left, inputs), cap=args.cap_n)
+        right = ser.function_from_obj(ser.load_json(args.right, inputs), cap=args.cap_n)
         g = product_compose(left, right, cap=args.cap_n)
         kind = "product"
     if args.out:

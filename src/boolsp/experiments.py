@@ -299,10 +299,11 @@ def _keep_successors(n, rho, lows=None):
         cols = cols[:, lows]
     dtype = np.min_scalar_type((1 << len(cols)) - 1)
     out = np.zeros((rows.shape[1], cols.shape[1]), dtype=dtype)
-    bit = np.empty(out.shape, dtype=bool)
+    bit = np.empty_like(out)  # the comparison written as 0/1, then shifted
     for u in range(len(cols)):
         np.greater(cols[u][None, :], rows[u][:, None], out=bit)
-        out |= bit.astype(out.dtype) << u
+        bit <<= u
+        out |= bit
     return out.ravel()
 
 

@@ -10,10 +10,13 @@ Conventions used everywhere in this package:
   output, hence +1 only at the all-(+1) point (index 0).
 * The partial order on points is coordinatewise with -1 < +1, so index v
   is below index u exactly when v's bit set contains u's.
+* Tables and spectra that many calls read are kept by bytes_lru, bounded
+  by bytes: popcounts here, spectrum.wht there.
 """
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import wraps
 from itertools import combinations
 from threading import Lock
 
@@ -41,35 +44,62 @@ def index_of_point(point):
     return u
 
 
-# Popcount tables kept for reuse, least recently used first, and their total
-# bytes.  As for spectra (spectrum.wht) the bound is on bytes, not entries,
-# and a table larger than it is not kept.  It is small on purpose: the many
-# calls per request come at small n, while at large n a table is cheap next
-# to the 2^n work that reads it and a kept one only adds to the peak memory.
-_POPCOUNTS_BYTES = 1 << 20  # the largest table kept is that of n = 17
-_popcounts = OrderedDict()
-_popcounts_bytes = 0
-_popcounts_lock = Lock()
+def bytes_lru(limit, nbytes):
+    """functools.lru_cache for one hashable argument, bounded by the total
+    nbytes(result) kept instead of a count: least recently used out first, a
+    result larger than limit returned unkept.  Thread-safe; cache_info() is
+    (kept keys, least recent first; their total bytes)."""
+
+    def decorate(build):
+        kept = OrderedDict()
+        total = 0
+        lock = Lock()
+
+        @wraps(build)
+        def cached(key):
+            nonlocal total
+            with lock:
+                value = kept.get(key)
+                if value is not None:
+                    kept.move_to_end(key)
+                    return value
+            value = build(key)
+            size = nbytes(value)
+            if size <= limit:
+                with lock:
+                    if key not in kept:
+                        kept[key] = value
+                        total += size
+                    while total > limit:
+                        total -= nbytes(kept.popitem(last=False)[1])
+            return value
+
+        def cache_clear():
+            nonlocal total
+            with lock:
+                kept.clear()
+                total = 0
+
+        def cache_info():
+            with lock:
+                return tuple(kept), total
+
+        cached.cache_clear = cache_clear
+        cached.cache_info = cache_info
+        return cached
+
+    return decorate
 
 
+# Small on purpose: the many calls per request come at small n, while at
+# large n a table is cheap next to the 2^n work that reads it and a kept one
+# only adds to the peak memory.  The largest table kept is that of n = 17.
+@bytes_lru(1 << 20, lambda table: table.nbytes)
 def popcounts(n):
     """Hamming weights of 0..2^n-1 as a read-only int64 numpy array, memoised
     per n.  int64 keeps 1 << popcounts(n) exact for every n up to the cap."""
-    global _popcounts_bytes
-    with _popcounts_lock:
-        table = _popcounts.get(n)
-        if table is not None:
-            _popcounts.move_to_end(n)
-            return table
     table = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
     table.flags.writeable = False
-    if table.nbytes <= _POPCOUNTS_BYTES:
-        with _popcounts_lock:
-            if n not in _popcounts:
-                _popcounts[n] = table
-                _popcounts_bytes += table.nbytes
-            while _popcounts_bytes > _POPCOUNTS_BYTES:
-                _popcounts_bytes -= _popcounts.popitem(last=False)[1].nbytes
     return table
 
 
@@ -312,7 +342,8 @@ def _boundary_mask(f):
 
     For monotone f it suffices to look at immediate neighbours: an equal pair
     across x_{j+1} leaves its upper point (bit j clear) not minimal when both
-    are +1, and its lower point not maximal when both are -1.
+    are +1, and its lower point not maximal when both are -1.  Once no pair
+    has lower > upper, both +1 is just lower > 0 and both -1 is upper < 0.
     """
     vals = f.values
     slack = np.zeros(1 << f.n, dtype=bool)
@@ -321,10 +352,9 @@ def _boundary_mask(f):
         upper, lower = pair[:, 0, :], pair[:, 1, :]
         if np.any(lower > upper):
             raise PreconditionError("dominating boundary is defined for monotone f only")
-        same = upper == lower
         out = slack.reshape(-1, 2, 1 << j)
-        out[:, 0, :] |= same & (upper > 0)
-        out[:, 1, :] |= same & (lower < 0)
+        out[:, 0, :] |= lower > 0
+        out[:, 1, :] |= upper < 0
     return ~slack
 
 

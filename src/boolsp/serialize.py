@@ -152,11 +152,6 @@ def _int64_items(a, inner, out):
         out.append(str(memoryview(buf)[start == 0:], "ascii"))
 
 
-def file_digest(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def check_renderable(x):
     """Raise CapacityError when the rational x has a numerator or denominator
     with more decimal digits than Python renders (sys.get_int_max_str_digits();
@@ -283,25 +278,32 @@ def function_from_obj(obj, cap=None):
     raise InvalidArgument(f"unrecognized function format {fmt!r}")
 
 
-def load_json(path):
+def load_json(path, digests=None):
+    """Parse the UTF-8 JSON file at path, read once.  With a dict digests, the
+    sha256 of the bytes parsed is recorded there under path."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        obj = json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise InvalidArgument(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidArgument(f"{path} is not valid JSON: {exc}") from None
     except ValueError as exc:  # not UTF-8, or an int longer than Python converts
         raise InvalidArgument(f"cannot read {path}: {exc}") from None
+    if digests is not None:
+        digests[path] = hashlib.sha256(data).hexdigest()
+    return obj
 
 
 def load_function(path, cap=None):
     return function_from_obj(load_json(path), cap=cap)
 
 
-def load_plan(path, cap=None):
-    """Composition plan: outer function object plus 1-based coordinate blocks."""
-    obj = load_json(path)
+def load_plan(path, cap=None, digests=None):
+    """Composition plan: outer function object plus 1-based coordinate blocks
+    (digests as for load_json)."""
+    obj = load_json(path, digests)
     if not isinstance(obj, dict) or obj.get("format") != PLAN_FORMAT:
         raise InvalidArgument(f"{path} is not a {PLAN_FORMAT} file")
     try:

@@ -4,17 +4,16 @@ Coefficients are kept scaled by 2^n so everything stays in int64:
 coeffs[m] = 2^n * fhat_S where subset S is encoded by mask m (bit i-1 for
 coordinate i).  |coeffs[m]| <= 2^n and level-restricted evaluations are
 bounded by C(n,k) * 2^n, comfortably inside int64 for n <= 24.
+Spectra are kept for reuse by functions.bytes_lru, up to 256 MiB of them.
 """
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from threading import Lock
 
 import numpy as np
 
 from .errors import InvalidArgument
-from .functions import BooleanFunction, linear_values, popcounts, properties
+from .functions import BooleanFunction, bytes_lru, linear_values, popcounts, properties
 
 
 def _butterfly(arr):
@@ -118,45 +117,13 @@ class ScaledSpectrum:
         return Fraction(int(self.coeffs[mask]), 1 << self.n)
 
 
-# Spectra kept for reuse, least recently used first, and their total bytes.
 # The bound is on bytes, not entries: one spectrum of n = 24 is 128 MiB.
-# A spectrum larger than the bound is returned without being kept.
-_CACHE_BYTES = 256 << 20
-_cache = OrderedDict()
-_cached_bytes = 0
-_cache_lock = Lock()
-
-
+@bytes_lru(256 << 20, lambda spec: spec.coeffs.nbytes)
 def wht(f):
-    """Scaled Fourier coefficients of f (exact, integer)."""
-    global _cached_bytes
-    with _cache_lock:
-        spec = _cache.get(f)
-        if spec is not None:
-            _cache.move_to_end(f)
-            return spec
+    """Scaled Fourier coefficients of f (exact, integer), memoised per f."""
     coeffs = _butterfly(f.values.astype(np.int64))
     coeffs.flags.writeable = False
-    spec = ScaledSpectrum(f.n, coeffs)
-    if coeffs.nbytes <= _CACHE_BYTES:
-        with _cache_lock:
-            if f not in _cache:
-                _cache[f] = spec
-                _cached_bytes += coeffs.nbytes
-            while _cached_bytes > _CACHE_BYTES:
-                _cached_bytes -= _cache.popitem(last=False)[1].coeffs.nbytes
-    return spec
-
-
-def _cache_clear():
-    """Forget every kept spectrum (wht.cache_clear, as lru_cache named it)."""
-    global _cached_bytes
-    with _cache_lock:
-        _cache.clear()
-        _cached_bytes = 0
-
-
-wht.cache_clear = _cache_clear
+    return ScaledSpectrum(f.n, coeffs)
 
 
 def function_from_scaled(n, coeffs):

@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: envelopes, exit codes, files, determinism."""
 
 import argparse
+import builtins
 import contextlib
 import hashlib
 import io
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -306,6 +308,52 @@ def test_predict_tie_rules(capsys, tmp_path):
         capsys, "predict", "--fn", chi, "--rho", "0", "--out", str(tmp_path / "x.json")
     )
     assert code == 1 and "ties" in err
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+def _plan_file(tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(canonical_json({
+        "format": "boolsp-plan-v1",
+        "outer": function_to_json(construct_named("or", 2)),
+        "blocks": [[1, 3], [2]],
+    }))
+    return str(plan)
+
+
+@pytest.mark.parametrize("command", ["region", "compose-pair", "compose-plan"])
+def test_each_input_is_read_once(capsys, tmp_path, monkeypatch, maj3, or3, command):
+    # each input file is swapped for another one as soon as it is opened: the
+    # digest must still be that of the bytes parsed, which were read once
+    argv = {
+        "region": ["region", "--fn", maj3],
+        "compose-pair": ["compose", "--left", maj3, "--right", or3],
+        "compose-plan": ["compose", "--plan", _plan_file(tmp_path)],
+    }[command]
+    paths = [a for a in argv if a.endswith(".json")]
+    parsed = {path: Path(path).read_bytes() for path in paths}
+    opened = []
+    real_open = builtins.open
+
+    def swapping_open(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        if str(file) in parsed:
+            opened.append(str(file))
+            Path(str(file) + ".new").write_text('{"format": "boolsp-fn-v1"}')
+            os.replace(str(file) + ".new", file)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", swapping_open)
+    code, out, err = run(capsys, *argv)
+    monkeypatch.undo()
+    assert code == 0 and err == ""
+    assert sorted(opened) == sorted(paths)
+    assert json.loads(out)["inputs"] == {
+        path: hashlib.sha256(data).hexdigest() for path, data in parsed.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -645,11 +693,12 @@ def test_function_beyond_cap_ceiling_names_the_ceiling(capsys, tmp_path, monkeyp
     [
         b"\xff\xfe not UTF-8",
         b'{"format": "boolsp-fn-v1", "n": 1' + b"0" * 5000 + b', "table_hex": "0"}',
+        '{"format": "boolsp-fn-v1", "n": 1, "table_hex": "1"}'.encode("utf-16"),
     ],
 )
 def test_unreadable_function_file_exits_cleanly(capsys, tmp_path, data):
     # a UnicodeDecodeError, or the ValueError of an int literal over Python's
-    # digit limit, is not a JSONDecodeError
+    # digit limit, is not a JSONDecodeError; a file is read as UTF-8 only
     path = tmp_path / "bad.json"
     path.write_bytes(data)
     code, out, err = run(capsys, "analyze", "--fn", str(path))

@@ -1,6 +1,7 @@
 """Shell biases, bad points, threshold constants, censuses, predictor orbits."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb, isclose, sqrt
 
@@ -289,6 +290,20 @@ def test_orbit_census_matches_every_fixpoint(n, rho):
     want = int(np.count_nonzero(succ == np.arange(len(succ))))
     rep = sp_fraction(n, rho)
     assert (rep.sp_count, rep.total) == (want, len(succ))
+
+
+def test_keep_successors_peak_memory():
+    # the successor block plus one shift buffer of its size; the keys and
+    # index permutations are built (and memoised) by the first call
+    rho = Fraction(2, 5)
+    _keep_successors(4, rho)
+    tracemalloc.start()
+    try:
+        succ = _keep_successors(4, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(succ) == 1 << 16 and peak < 3 * succ.nbytes
 
 
 def test_sp_fraction_domain():

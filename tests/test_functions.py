@@ -1,6 +1,8 @@
 """Truth-table core: constructions, structural predicates, boundary sets."""
 
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from boolsp import (
     point_of_index,
     properties,
 )
-from boolsp.functions import popcounts
+from boolsp.functions import bytes_lru, popcounts
 
 # the running 4-variable polynomial threshold example (coefficients x4)
 PTF_EX = PtfSpec(
@@ -103,6 +105,44 @@ def test_popcounts_memoised_and_read_only():
     with pytest.raises(ValueError, match="read-only"):
         table[0] = 1
     assert popcounts(6)[0] == 0
+
+
+def test_bytes_lru_byte_total_holds_under_threads():
+    # keys 0..19 build 1..7 float64 entries; those of 6 and 7 exceed the bound
+    cached = bytes_lru(5 * 8, lambda a: a.nbytes)(lambda k: np.zeros(k % 7 + 1))
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(2000):
+            cached(rng.randrange(20))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    keys, total = cached.cache_info()
+    assert len(set(keys)) == len(keys)
+    assert total == sum((k % 7 + 1) * 8 for k in keys) <= 5 * 8
+
+
+def test_popcounts_kept_up_to_one_mebibyte():
+    popcounts.cache_clear()
+    try:
+        small, table = popcounts(16), popcounts(17)  # n = 17 alone fills 1 MiB
+        assert popcounts.cache_info() == ((17,), 1 << 20)
+        assert popcounts(17) is table and popcounts(16) is not small
+        assert popcounts.cache_info() == ((16,), 1 << 19)
+        assert popcounts(18) is not popcounts(18)  # 2 MiB: returned unkept
+        assert popcounts.cache_info() == ((16,), 1 << 19)
+    finally:
+        popcounts.cache_clear()
 
 
 def test_majority_table():

@@ -31,7 +31,6 @@ from boolsp.serialize import (
     PTF_FORMAT,
     canonical_json,
     endpoint_to_json,
-    file_digest,
     function_from_obj,
     function_to_json,
     load_function,
@@ -229,11 +228,14 @@ def test_canonical_json_int64_block_maximum(top):
 
 
 def test_file_digest(tmp_path):
+    # load_json records the sha256 of the bytes it parsed, when asked
     p = tmp_path / "x.json"
     p.write_text('{"a": 1}')
     import hashlib
 
-    assert file_digest(p) == hashlib.sha256(b'{"a": 1}').hexdigest()
+    digests = {}
+    assert load_json(p) == load_json(p, digests) == {"a": 1}
+    assert digests == {p: hashlib.sha256(b'{"a": 1}').hexdigest()}
 
 
 # ---------------------------------------------------------------------------

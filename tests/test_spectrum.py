@@ -1,7 +1,6 @@
 """Walsh-Hadamard layer against direct correlation sums and Parseval."""
 
 import random
-from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +22,7 @@ from boolsp import (
     wht,
 )
 from boolsp import spectrum
+from boolsp.functions import bytes_lru
 
 from oracles import fourier
 
@@ -181,23 +181,29 @@ def test_gap_is_min_positive_level1_value():
         assert s.gap == (min(positive) if positive else 0)
 
 
-def test_spectrum_cache_is_bounded_by_bytes(monkeypatch):
-    monkeypatch.setattr(spectrum, "_cache", OrderedDict())
-    monkeypatch.setattr(spectrum, "_cached_bytes", 0)
-    monkeypatch.setattr(spectrum, "_CACHE_BYTES", 3 * 8 * 64)  # three n=6 spectra
+def test_spectrum_cache_is_bounded_by_bytes():
+    # wht's own builder under a bound of three n=6 spectra
+    cached = bytes_lru(3 * 8 * 64, lambda spec: spec.coeffs.nbytes)(spectrum.wht.__wrapped__)
     fs = [random_function(6, seed) for seed in range(4)]
-    kept = [spectrum.wht(f) for f in fs]
-    assert list(spectrum._cache) == fs[1:]  # the least recently used left
-    assert spectrum.wht(fs[1]) is kept[1]  # a hit, now the most recent
-    again = spectrum.wht(fs[0])
+    kept = [cached(f) for f in fs]
+    assert cached.cache_info() == (tuple(fs[1:]), 3 * 8 * 64)  # the least recent left
+    assert cached(fs[1]) is kept[1]  # a hit, now the most recent
+    again = cached(fs[0])
     assert again is not kept[0] and np.array_equal(again.coeffs, kept[0].coeffs)
-    assert list(spectrum._cache) == [fs[3], fs[1], fs[0]]
-    assert spectrum._cached_bytes == 3 * 8 * 64
+    assert cached.cache_info() == ((fs[3], fs[1], fs[0]), 3 * 8 * 64)
     big = random_function(8, 0)  # 2 KiB, more than the whole bound
-    assert spectrum.wht(big) is not spectrum.wht(big)
-    assert list(spectrum._cache) == [fs[3], fs[1], fs[0]]
+    assert cached(big) is not cached(big)
+    assert cached.cache_info() == ((fs[3], fs[1], fs[0]), 3 * 8 * 64)
+    cached.cache_clear()
+    assert cached.cache_info() == ((), 0)
+
+
+def test_wht_keeps_its_name_and_cache():
+    assert spectrum.wht.__name__ == "wht" and spectrum.wht.__module__ == "boolsp.spectrum"
     spectrum.wht.cache_clear()
-    assert not spectrum._cache and spectrum._cached_bytes == 0
+    f = random_function(5, 1)
+    assert spectrum.wht(f) is spectrum.wht(f)
+    assert spectrum.wht.cache_info() == ((f,), 8 * 32)
 
 
 @st.composite
