@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import serialize as ser
-from .config import VERSION, check_cap
+from .config import VERSION
 from .constructs import character_compose, product_compose
 from .errors import BoolspError, InvalidArgument
 from .experiments import graph_scan, predictor_orbit, sp_fraction, threshold_constants
@@ -66,7 +66,8 @@ census CSV columns:
   exhaustive: rho_num,rho_den,fraction_num,fraction_den
   sample:     rho_num,rho_den,estimate,stderr,samples
 
-environment: BOOLSP_CAP_N (the --cap-n flag takes precedence).
+environment: BOOLSP_CAP_N, the largest n whose dense 2^n tables are built
+  (default 24, at most 31).
 """
 
 
@@ -99,7 +100,7 @@ def _load_function(args, inputs):
     found = obj.get("format") if isinstance(obj, dict) else None
     if found != expected:
         raise InvalidArgument(f"{path}: expected format {expected}, found {found!r}")
-    return ser.function_from_obj(obj, cap=args.cap_n)
+    return ser.function_from_obj(obj)
 
 
 def _write_text(path, text):
@@ -133,11 +134,11 @@ def _write_function(path, f):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (args -> (result, inputs))
+# subcommand handlers (args, inputs -> result; each input file read is
+# recorded in inputs by its sha256)
 
 
-def _cmd_analyze(args):
-    inputs = {}
+def _cmd_analyze(args, inputs):
     f = _load_function(args, inputs)
     props = properties(f)
     result = {
@@ -152,25 +153,22 @@ def _cmd_analyze(args):
         result["dominating_boundary"] = boundary
     elif props.monotone:  # 2^n ints would be built only to be counted
         result["dominating_boundary_count"] = dominating_boundary_count(f)
-    return result, inputs
+    return result
 
 
-def _cmd_region(args):
-    inputs = {}
+def _cmd_region(args, inputs):
     f = _load_function(args, inputs)
     region = sp_region(f, _parse_epsilon(args.epsilon))
-    return {"n": f.n, "region": ser.to_json(region)}, inputs
+    return {"n": f.n, "region": ser.to_json(region)}
 
 
-def _cmd_classify(args):
-    inputs = {}
+def _cmd_classify(args, inputs):
     f = _load_function(args, inputs)
     c = classify(f, _parse_epsilon(args.epsilon))
-    return {"n": f.n, "classification": ser.to_json(c)}, inputs
+    return {"n": f.n, "classification": ser.to_json(c)}
 
 
-def _cmd_stability(args):
-    inputs = {}
+def _cmd_stability(args, inputs):
     f = _load_function(args, inputs)
     rho = check_rho(ser.parse_rational(args.rho, "rho"))
     signs = _scaled_signs(f, rho)  # one T_rho sign stream serves all three reports
@@ -185,13 +183,12 @@ def _cmd_stability(args):
         "closeness": ser.to_json(close),
         "necessary": ser.to_json(necessary_checks(f, rho)),
         "gain": ser.to_json(_prediction_gain(f, rep) if rep.stab != 0 else None),
-    }, inputs
+    }
 
 
-def _cmd_predict(args):
+def _cmd_predict(args, inputs):
     if args.out:
         _check_writable(args.out)
-    inputs = {}
     f = _load_function(args, inputs)
     rho = ser.parse_rational(args.rho, "rho")
     pred = optimal_predictor(f, rho, tie_rule=args.tie_rule)
@@ -217,25 +214,24 @@ def _cmd_predict(args):
             raise InvalidArgument(
                 "predictor has ties under the zero rule; no Boolean table to write"
             )
-    return result, inputs
+    return result
 
 
-def _cmd_compose(args):
+def _cmd_compose(args, inputs):
     if args.out:
         _check_writable(args.out)
-    inputs = {}
     if args.plan:
         if args.left or args.right:
             raise InvalidArgument("--plan excludes --left/--right")
-        outer, plan = ser.load_plan(args.plan, cap=args.cap_n, digests=inputs)
-        g = character_compose(outer, plan, cap=args.cap_n)
+        outer, plan = ser.load_plan(args.plan, digests=inputs)
+        g = character_compose(outer, plan)
         kind = "character"
     else:
         if not (args.left and args.right):
             raise InvalidArgument("compose needs --plan or both --left and --right")
-        left = ser.function_from_obj(ser.load_json(args.left, inputs), cap=args.cap_n)
-        right = ser.function_from_obj(ser.load_json(args.right, inputs), cap=args.cap_n)
-        g = product_compose(left, right, cap=args.cap_n)
+        left = ser.function_from_obj(ser.load_json(args.left, inputs))
+        right = ser.function_from_obj(ser.load_json(args.right, inputs))
+        g = product_compose(left, right)
         kind = "product"
     if args.out:
         _write_function(args.out, g)
@@ -244,7 +240,7 @@ def _cmd_compose(args):
         "n": g.n,
         "function": ser.to_json(g),
         "properties": ser.to_json(properties(g)),
-    }, inputs
+    }
 
 
 def _census_key(rho):
@@ -289,7 +285,9 @@ def _save_checkpoint(path, meta, rows):
     )
 
 
-def _cmd_census(args):
+def _cmd_census(args, inputs):
+    if args.mode == "exhaustive" and (args.samples is not None or args.seed is not None):
+        raise InvalidArgument("--samples and --seed apply to --mode sample only")
     rhos = []
     if args.grid is not None:
         if args.grid < 1:
@@ -335,7 +333,7 @@ def _cmd_census(args):
         "samples": args.samples,
         "seed": args.seed,
         "rows": out_rows,
-    }, {}
+    }
 
 
 def _census_csv(result):
@@ -365,46 +363,49 @@ def _census_csv(result):
     return "\n".join(lines) + "\n"
 
 
-def _cmd_orbit(args):
-    inputs = {}
+def _cmd_orbit(args, inputs):
     f = _load_function(args, inputs)
     rho = ser.parse_rational(args.rho, "rho")
     rep = predictor_orbit(f, rho, max_steps=args.max_steps)
     result = ser.to_json(rep)
     if rep.status == "cycle":
         result["note"] = "CYCLE FOUND: counterexample to the no-cycles conjecture"
-    return result, inputs
+    return result
 
 
-def _cmd_graph(args):
+def _cmd_graph(args, inputs):
     scan = graph_scan(args.n, ser.parse_rational(args.rho, "rho"))
-    return ser.to_json(scan), {}  # cycle members are table-bit ids
+    return ser.to_json(scan)  # cycle members are table-bit ids
 
 
-def _cmd_thresholds(args):
-    inputs = {}
-    result = {}
-    if args.fn or args.ltf or args.ptf:
-        f = _load_function(args, inputs)
-        result["n"] = f.n
-        result["sufficient"] = ser.to_json(
-            sufficient_thresholds(f, _parse_epsilon(args.epsilon))
-        )
-        if args.rho:
-            result["necessary"] = ser.to_json(
-                necessary_checks(f, ser.parse_rational(args.rho, "rho"))
-            )
-    if args.alpha or args.delta:
-        tc = threshold_constants(
-            alpha=ser.parse_rational(args.alpha, "alpha") if args.alpha else None,
-            delta=ser.parse_rational(args.delta, "delta") if args.delta else None,
-        )
-        result["constants"] = ser.to_json(tc)
-    if not result:
+def _cmd_thresholds(args, inputs):
+    # every value the envelope echoes is checked before any work
+    has_function = bool(args.fn or args.ltf or args.ptf)
+    has_constants = args.alpha is not None or args.delta is not None
+    if not (has_function or has_constants):
         raise InvalidArgument(
             "thresholds needs a function (--fn/--ltf/--ptf) or --alpha/--delta"
         )
-    return result, inputs
+    epsilon = _parse_epsilon(args.epsilon)
+    rho = None
+    if args.rho is not None:
+        if not has_function:
+            raise InvalidArgument("--rho needs a function (--fn/--ltf/--ptf) to apply to")
+        rho = check_rho(ser.parse_rational(args.rho, "rho"))
+    result = {}
+    if has_constants:  # cheap, and it checks alpha and delta: before the function
+        tc = threshold_constants(
+            alpha=None if args.alpha is None else ser.parse_rational(args.alpha, "alpha"),
+            delta=None if args.delta is None else ser.parse_rational(args.delta, "delta"),
+        )
+        result["constants"] = ser.to_json(tc)
+    if has_function:
+        f = _load_function(args, inputs)
+        result["n"] = f.n
+        result["sufficient"] = ser.to_json(sufficient_thresholds(f, epsilon))
+        if rho is not None:
+            result["necessary"] = ser.to_json(necessary_checks(f, rho))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +420,6 @@ def _add_function_args(sp):
 
 def _add_common(sp, formats=("json", "text")):
     sp.add_argument("--format", choices=formats, default="json")
-    sp.add_argument("--cap-n", dest="cap_n", type=int, default=None,
-                    help="dense-table cap override, at most 31 "
-                         "(default: BOOLSP_CAP_N or 24)")
 
 
 @functools.cache
@@ -558,14 +556,9 @@ def _envelope(args, inputs, result):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    if getattr(args, "cap_n", None) is not None:
-        try:
-            check_cap(1, args.cap_n)
-        except BoolspError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    inputs = {}
     try:
-        result, inputs = args.func(args)
+        result = args.func(args, inputs)
     except BoolspError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,8 @@
 """Runtime knob: the dense-table capacity.
 
-Precedence: explicit function/CLI argument > environment variable > default.
+The largest n whose 2^n tables may be built is read from BOOLSP_CAP_N on each
+check (default 24, at most 31).  This module is the only one that knows it:
+every other module calls check_cap(n) before it builds a 2^n table.
 """
 
 import os
@@ -15,46 +17,31 @@ MAX_CAP_N = 31
 ENV_CAP_N = "BOOLSP_CAP_N"
 
 
-def _at_least_one(name, value):
-    if value < 1:
-        raise InvalidArgument(f"{name} must be >= 1, got {value}")
-    return value
-
-
-def _at_most_max_cap(name, value):
-    if value > MAX_CAP_N:
-        raise InvalidArgument(f"{name} must be <= {MAX_CAP_N}, got {value}")
-    return value
-
-
-def _env_int(name, default):
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidArgument(f"{name} must be an integer, got {raw!r}")
-    return _at_least_one(name, value)
-
-
-def dense_cap(override=None):
+def dense_cap():
     """Largest n for which dense 2^n tables may be materialized (<= MAX_CAP_N)."""
-    if override is not None:
-        return _at_most_max_cap("cap", int(override))
-    return _at_most_max_cap(ENV_CAP_N, _env_int(ENV_CAP_N, DEFAULT_CAP_N))
+    raw = os.environ.get(ENV_CAP_N)
+    if raw is None:
+        return DEFAULT_CAP_N
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise InvalidArgument(f"{ENV_CAP_N} must be an integer, got {raw!r}")
+    if cap < 1:
+        raise InvalidArgument(f"{ENV_CAP_N} must be >= 1, got {cap}")
+    if cap > MAX_CAP_N:
+        raise InvalidArgument(f"{ENV_CAP_N} must be <= {MAX_CAP_N}, got {cap}")
+    return cap
 
 
-def check_cap(n, override=None):
-    cap = dense_cap(override)
+def check_cap(n):
+    cap = dense_cap()
     if n > MAX_CAP_N:  # no cap reaches n, so none is worth suggesting
         raise CapacityError(
             f"n={n} exceeds {MAX_CAP_N}, the largest dense-table cap allowed"
         )
     if n > cap:
         raise CapacityError(
-            f"n={n} exceeds the dense-table cap {cap} "
-            f"(raise via {ENV_CAP_N} or an explicit cap argument)"
+            f"n={n} exceeds the dense-table cap {cap} (raise via {ENV_CAP_N})"
         )
     if n < 1:
         raise InvalidArgument(f"n must be >= 1, got {n}")

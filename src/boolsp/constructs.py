@@ -30,14 +30,14 @@ def negate_inputs(f, signs):
     return BooleanFunction.from_values(f.values[idx])
 
 
-def product_compose(g, h, cap=None):
+def product_compose(g, h):
     """Product g(x_1..x_k) * h(x_{k+1}..x_{k+l}) on disjoint variables."""
     n = g.n + h.n
-    check_cap(n, cap)
+    check_cap(n)
     values = (g.values[:, None] * h.values[None, :]).T.reshape(-1)
     # index u splits as (u low bits -> g, high bits -> h); transpose puts
     # h's coordinate block above g's in the little-endian order
-    return BooleanFunction.from_values(values, cap=cap)
+    return BooleanFunction.from_values(values)
 
 
 @dataclass(frozen=True)
@@ -69,14 +69,14 @@ class CompositionPlan:
         return max(max(b) for b in self.blocks)
 
 
-def character_compose(outer, plan, cap=None):
+def character_compose(outer, plan):
     """outer(x^{S_1}, ..., x^{S_m}) for the plan's blocks."""
     if len(plan.blocks) != outer.n:
         raise InvalidArgument(
             f"plan has {len(plan.blocks)} blocks but outer takes {outer.n} inputs"
         )
     n = plan.n
-    check_cap(n, cap)
+    check_cap(n)
     u = np.arange(1 << n, dtype=np.uint32)
     outer_index = np.zeros(1 << n, dtype=np.int64)
     for t, block in enumerate(plan.blocks):
@@ -85,17 +85,17 @@ def character_compose(outer, plan, cap=None):
             mask |= 1 << (i - 1)
         parity = (np.bitwise_count(u & np.uint32(mask)) & 1).astype(np.int64)
         outer_index |= parity << t  # x^{S_t} = -1 <=> odd overlap <=> bit t set
-    return BooleanFunction.from_values(outer.values[outer_index], cap=cap)
+    return BooleanFunction.from_values(outer.values[outer_index])
 
 
-def random_function(n, seed, cap=None):
+def random_function(n, seed):
     """Uniformly random table from a fixed named PRNG stream.
 
     Stream semantics: PCG64 seeded with ``seed``; table bit u is the u-th
     draw of ``integers(0, 2)``.  Identical (n, seed) gives identical
     functions on any platform.
     """
-    check_cap(n, cap)
+    check_cap(n)
     rng = np.random.Generator(np.random.PCG64(seed))
     bits = rng.integers(0, 2, size=1 << n, dtype=np.uint8)
-    return BooleanFunction.from_values(bits.astype(np.int8) * 2 - 1, cap=cap)
+    return BooleanFunction.from_values(bits.astype(np.int8) * 2 - 1)

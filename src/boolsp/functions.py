@@ -108,8 +108,8 @@ class BooleanFunction:
 
     __slots__ = ("n", "bits", "_values")
 
-    def __init__(self, n, bits, cap=None):
-        check_cap(n, cap)
+    def __init__(self, n, bits):
+        check_cap(n)
         size = 1 << n
         if not 0 <= bits < (1 << size):
             raise InvalidArgument(f"table does not fit 2^{n} bits")
@@ -126,7 +126,7 @@ class BooleanFunction:
         return self._values
 
     @classmethod
-    def from_values(cls, values, cap=None):
+    def from_values(cls, values):
         values = np.asarray(values)
         size = len(values)
         n = size.bit_length() - 1
@@ -135,7 +135,7 @@ class BooleanFunction:
         if not np.all(np.abs(values) == 1):
             raise InvalidArgument("table values must be +-1")
         packed = np.packbits((values > 0).astype(np.uint8), bitorder="little")
-        return cls(n, int.from_bytes(packed.tobytes(), "little"), cap=cap)
+        return cls(n, int.from_bytes(packed.tobytes(), "little"))
 
     def value_at(self, u):
         return int(self._values[u])
@@ -215,7 +215,7 @@ def linear_values(a0, a):
     return vals
 
 
-def _sign_table_to_function(vals, n, cap, what):
+def _sign_table_to_function(vals, n, what):
     """Turn an integer sign-form table into a BooleanFunction, rejecting zeros."""
     zeros = np.flatnonzero(vals == 0)
     if len(zeros):
@@ -226,21 +226,21 @@ def _sign_table_to_function(vals, n, cap, what):
             u,
             point_of_index(u, n),
         )
-    return BooleanFunction.from_values(np.sign(vals).astype(np.int8), cap=cap)
+    return BooleanFunction.from_values(np.sign(vals).astype(np.int8))
 
 
-def construct_ltf(spec, cap=None):
+def construct_ltf(spec):
     """Boolean function sgn(a0 + sum a_i x_i); raises TieError on any zero."""
     n = len(spec.a)
-    check_cap(n, cap)
+    check_cap(n)
     if abs(spec.a0) + sum(abs(c) for c in spec.a) >= _SIGN_FORM_BOUND:
         raise InvalidArgument("LTF coefficients too large for exact evaluation")
-    return _sign_table_to_function(linear_values(spec.a0, spec.a), n, cap, "LTF form")
+    return _sign_table_to_function(linear_values(spec.a0, spec.a), n, "LTF form")
 
 
-def construct_ptf(spec, cap=None):
+def construct_ptf(spec):
     """Boolean function sgn(sum_T c_T x^T); raises TieError on any zero."""
-    check_cap(spec.n, cap)
+    check_cap(spec.n)
     if sum(abs(c) for _, c in spec.terms) >= _SIGN_FORM_BOUND:
         raise InvalidArgument("PTF coefficients too large for exact evaluation")
     size = 1 << spec.n
@@ -251,16 +251,16 @@ def construct_ptf(spec, cap=None):
             sign = -1 if (mask >> j) & 1 else 1
             chi = np.concatenate([chi, chi * sign])
         vals += chi
-    return _sign_table_to_function(vals, spec.n, cap, "PTF form")
+    return _sign_table_to_function(vals, spec.n, "PTF form")
 
 
-def construct_named(name, n, coords=None, cap=None):
+def construct_named(name, n, coords=None):
     """Build one of the stock functions: character, majority, or, edic.
 
     ``coords`` (1-based coordinate list) is required for "character" and
     selects the monomial; the empty list gives the constant +1.
     """
-    check_cap(n, cap)
+    check_cap(n)
     u = np.arange(1 << n, dtype=np.uint32)
     if name == "character":
         if coords is None:
@@ -271,20 +271,20 @@ def construct_named(name, n, coords=None, cap=None):
                 raise InvalidArgument(f"coordinate {i} out of range 1..{n}")
             mask |= 1 << (i - 1)
         parity = np.bitwise_count(u & np.uint32(mask)) & 1
-        return BooleanFunction.from_values(1 - 2 * parity.astype(np.int8), cap=cap)
+        return BooleanFunction.from_values(1 - 2 * parity.astype(np.int8))
     if name == "majority":
         if n % 2 == 0:
             raise InvalidArgument("majority needs odd n")
         values = np.where(np.bitwise_count(u) * 2 < n, 1, -1).astype(np.int8)
-        return BooleanFunction.from_values(values, cap=cap)
+        return BooleanFunction.from_values(values)
     if name == "or":
         values = np.full(1 << n, -1, dtype=np.int8)
         values[0] = 1
-        return BooleanFunction.from_values(values, cap=cap)
+        return BooleanFunction.from_values(values)
     if name == "edic":
         if n < 3:
             raise InvalidArgument("edic needs n >= 3")
-        return construct_ltf(LtfSpec(0, (n - 2,) + (1,) * (n - 1)), cap=cap)
+        return construct_ltf(LtfSpec(0, (n - 2,) + (1,) * (n - 1)))
     raise InvalidArgument(f"unknown named function {name!r}")
 
 

@@ -207,12 +207,12 @@ def function_to_json(f):
     return {"format": FN_FORMAT, "n": f.n, "table_hex": hexstr}
 
 
-def _function_from_json(obj, cap=None):
+def _function_from_json(obj):
     n = _expect(obj.get("n"), int, "bad function file: n")
     hexstr = obj.get("table_hex")
     if n < 1:
         raise InvalidArgument(f"bad function file: n = {n!r}")
-    check_cap(n, cap)  # before 1 << n, which a huge n could not even format
+    check_cap(n)  # before 1 << n, which a huge n could not even format
     digits = max(1, (1 << n) // 4)
     if not isinstance(hexstr, str) or len(hexstr) != digits:
         raise InvalidArgument(
@@ -224,7 +224,7 @@ def _function_from_json(obj, cap=None):
     bits = int(hexstr[::-1], 16)  # digit k holds bits 4k..4k+3
     if bits >= 1 << (1 << n):
         raise InvalidArgument("bad function file: stray bits beyond the table")
-    return BooleanFunction(n, bits, cap=cap)
+    return BooleanFunction(n, bits)
 
 
 def ltf_to_json(spec):
@@ -266,15 +266,15 @@ def _ptf_from_json(obj):
         raise InvalidArgument(f"bad PTF file: {exc}") from None
 
 
-def function_from_obj(obj, cap=None):
+def function_from_obj(obj):
     """Materialize a BooleanFunction from any function-bearing JSON object."""
     fmt = obj.get("format") if isinstance(obj, dict) else None
     if fmt == FN_FORMAT:
-        return _function_from_json(obj, cap=cap)
+        return _function_from_json(obj)
     if fmt == LTF_FORMAT:
-        return construct_ltf(_ltf_from_json(obj), cap=cap)
+        return construct_ltf(_ltf_from_json(obj))
     if fmt == PTF_FORMAT:
-        return construct_ptf(_ptf_from_json(obj), cap=cap)
+        return construct_ptf(_ptf_from_json(obj))
     raise InvalidArgument(f"unrecognized function format {fmt!r}")
 
 
@@ -296,11 +296,11 @@ def load_json(path, digests=None):
     return obj
 
 
-def load_function(path, cap=None):
-    return function_from_obj(load_json(path), cap=cap)
+def load_function(path):
+    return function_from_obj(load_json(path))
 
 
-def load_plan(path, cap=None, digests=None):
+def load_plan(path, digests=None):
     """Composition plan: outer function object plus 1-based coordinate blocks
     (digests as for load_json)."""
     obj = load_json(path, digests)
@@ -314,7 +314,7 @@ def load_plan(path, cap=None, digests=None):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgument(f"bad plan file: {exc}") from None
-    outer = function_from_obj(obj.get("outer", {}), cap=cap)
+    outer = function_from_obj(obj.get("outer", {}))
     return outer, CompositionPlan(blocks)
 
 

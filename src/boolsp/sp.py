@@ -916,13 +916,13 @@ def _at_least_ln(x, m):
         terms *= 2
 
 
-def ltf_ratio_check(spec, cap=None):
+def ltf_ratio_check(spec):
     n = len(spec.a)
     if n < 2:
         raise PreconditionError("ratio needs at least two coefficients")
     if any(c == 0 for c in spec.a):
         raise PreconditionError("LTF must depend on all variables: zero coefficient")
-    g = construct_ltf(spec, cap=cap)
+    g = construct_ltf(spec)
     infl = influences(g)
     dead = [i + 1 for i, x in enumerate(infl) if x == 0]
     if dead:

@@ -392,7 +392,7 @@ def test_compose_plan(capsys, tmp_path):
 
 
 def test_compose_plan_cap_flag_covers_outer(capsys, tmp_path, monkeypatch):
-    # --cap-n takes precedence over BOOLSP_CAP_N for the plan's outer function too
+    # BOOLSP_CAP_N bounds the plan's outer function as well as the composite
     plan = tmp_path / "plan.json"
     plan.write_text(
         canonical_json(
@@ -406,7 +406,8 @@ def test_compose_plan_cap_flag_covers_outer(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("BOOLSP_CAP_N", "4")
     code, _, err = run(capsys, "compose", "--plan", str(plan))
     assert code == 1 and "cap 4" in err
-    code, out, err = run(capsys, "compose", "--plan", str(plan), "--cap-n", "8")
+    monkeypatch.setenv("BOOLSP_CAP_N", "8")
+    code, out, err = run(capsys, "compose", "--plan", str(plan))
     assert code == 0 and err == ""
     assert json.loads(out)["result"]["n"] == 6
 
@@ -531,6 +532,23 @@ def test_unwritable_output_path_exits_cleanly(capsys, monkeypatch, tmp_path, maj
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--samples", "-4"), ("--seed", "-4"), ("--samples", "-4", "--seed", "-4"),
+     ("--samples", "10", "--seed", "1")],
+    ids=["samples", "seed", "both-negative", "both-valid"],
+)
+def test_exhaustive_census_refuses_sample_flags(capsys, tmp_path, flags):
+    # exhaustive mode reads neither value, so neither may reach the result or
+    # the checkpoint's meta
+    ck = tmp_path / "c.json"
+    code, out, err = run(capsys, "census", "--n", "3", "--rho", "1/2", *flags,
+                         "--checkpoint", str(ck))
+    assert code == 1 and out == ""
+    assert err == "error: --samples and --seed apply to --mode sample only\n"
+    assert not ck.exists()
 
 
 def test_census_needs_rhos(capsys):
@@ -682,10 +700,11 @@ def test_function_beyond_cap_ceiling_names_the_ceiling(capsys, tmp_path, monkeyp
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "31, the largest dense-table cap" in err and "BOOLSP_CAP_N" not in err
+    maj5 = write_fn(tmp_path, "maj5.json", construct_named("majority", 5))
     monkeypatch.setenv("BOOLSP_CAP_N", "4")  # n = 5 is within the ceiling: the hint stays
-    code, _, err = run(capsys, "analyze", "--fn", write_fn(
-        tmp_path, "maj5.json", construct_named("majority", 5, cap=5)))
-    assert code == 1 and "raise via BOOLSP_CAP_N" in err
+    code, _, err = run(capsys, "analyze", "--fn", maj5)
+    assert code == 1 and err.count("\n") == 1
+    assert err.endswith("(raise via BOOLSP_CAP_N)\n")
 
 
 @pytest.mark.parametrize(
@@ -763,11 +782,9 @@ EPSILON_TEXT = st.one_of(
                      "", "--", "0.5.5", "1e9999999999"]),
     st.text(max_size=8),
 )
-CAP_TEXT = st.one_of(st.integers(-3, 40).map(str), st.sampled_from(["", "x", "2.5", "1e3"]))
 FUZZED_FLAGS = {
     "--rho": RHO_TEXT,
     "--epsilon": EPSILON_TEXT,
-    "--cap-n": CAP_TEXT,
     "--out": st.sampled_from(["OUT", "NODIR", "DIR", ""]),
 }
 FILE_COMMANDS = {
@@ -797,7 +814,7 @@ def file_argv(draw):
     command = draw(st.sampled_from(sorted(FILE_COMMANDS)))
     argv = [command] + (["--left", "FN", "--right", "FN"] if command == "compose"
                         else ["--fn", "FN"])
-    flags = [f for f in FILE_COMMANDS[command] + ("--cap-n",) if draw(st.booleans())]
+    flags = [f for f in FILE_COMMANDS[command] if draw(st.booleans())]
     if command in ("stability", "predict", "orbit") and draw(st.integers(0, 9)):
         flags.append("--rho")  # required there
     if not draw(st.integers(0, 9)):
@@ -893,6 +910,36 @@ def test_thresholds_needs_something(capsys):
     assert code == 1 and "needs" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(("--alpha", "3/2", "--rho", "7"), "--rho needs a function",
+                     id="rho-without-function"),
+        pytest.param(("--alpha", "3/2", "--rho", "1/2"), "--rho needs a function",
+                     id="valid-rho-without-function"),
+        pytest.param(("--alpha", "3/2", "--epsilon", "garbage"), "bad epsilon 'garbage'",
+                     id="bad-epsilon-without-function"),
+        pytest.param(("--fn", "FN", "--rho", "7"), "rho must lie in [0,1], got 7",
+                     id="rho-out-of-range"),
+        pytest.param(("--fn", "FN", "--rho", ""), "bad rho: ''", id="empty-rho"),
+        pytest.param(("--fn", "FN", "--alpha", "1"), "alpha must exceed 1",
+                     id="alpha-out-of-range"),
+        pytest.param(("--fn", "FN", "--delta", ""), "bad delta: ''", id="empty-delta"),
+    ],
+)
+def test_thresholds_checks_what_it_echoes(capsys, monkeypatch, maj3, argv, message):
+    # each value the envelope's config would echo is checked before the
+    # function's thresholds are computed
+    def refuse(*_):
+        raise AssertionError("ran with an unchecked value")
+
+    for name in ("sufficient_thresholds", "necessary_checks"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run(capsys, "thresholds", *(maj3 if a == "FN" else a for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 # ---------------------------------------------------------------------------
 # text rendering / env config
 
@@ -907,22 +954,32 @@ def test_text_format(capsys, maj3):
 
 
 def test_cap_env_and_flag_precedence(capsys, tmp_path, monkeypatch):
+    # BOOLSP_CAP_N is the one setting of the cap: there is no flag to beat it
     maj5 = write_fn(tmp_path, "maj5.json", construct_named("majority", 5))
     monkeypatch.setenv("BOOLSP_CAP_N", "4")
-    code, _, err = run(capsys, "analyze", "--fn", maj5)
-    assert code == 1 and "cap" in err.lower()
-    code, _, _ = run(capsys, "analyze", "--fn", maj5, "--cap-n", "24")
+    code, out, err = run(capsys, "analyze", "--fn", maj5)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "BOOLSP_CAP_N" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--fn", maj5, "--cap-n", "8"])
+    assert exc.value.code == 2
+    monkeypatch.setenv("BOOLSP_CAP_N", "24")
+    code, _, _ = run(capsys, "analyze", "--fn", maj5)
     assert code == 0
 
 
 def test_cap_above_ceiling_refused_before_any_table(capsys, maj3, monkeypatch):
-    # 2^40 entries would be attempted; main validates the cap first
-    code, out, err = run(capsys, "region", "--fn", maj3, "--cap-n", "40")
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error:") and "31" in err
-    monkeypatch.setenv("BOOLSP_CAP_N", "32")
-    code, out, err = run(capsys, "region", "--fn", maj3)
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1 and "BOOLSP_CAP_N must be <= 31" in err
-    code, _, _ = run(capsys, "region", "--fn", maj3, "--cap-n", "31")
+    # the cap is read before the first table: nothing 2^40 is attempted
+    for value, message in [
+        ("40", "BOOLSP_CAP_N must be <= 31, got 40"),
+        ("32", "BOOLSP_CAP_N must be <= 31, got 32"),
+        ("0", "BOOLSP_CAP_N must be >= 1, got 0"),
+        ("x", "BOOLSP_CAP_N must be an integer, got 'x'"),
+    ]:
+        monkeypatch.setenv("BOOLSP_CAP_N", value)
+        code, out, err = run(capsys, "region", "--fn", maj3)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+    monkeypatch.setenv("BOOLSP_CAP_N", "31")
+    code, _, _ = run(capsys, "region", "--fn", maj3)
     assert code == 0

@@ -1,6 +1,8 @@
 """Input negation, products, character composition, random tables."""
 
+import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,15 +15,28 @@ from boolsp import (
     CapacityError,
     CompositionPlan,
     InvalidArgument,
+    LtfSpec,
     PRNG_NAME,
+    PtfSpec,
     character_compose,
+    construct_ltf,
     construct_named,
+    construct_ptf,
     is_sp,
+    ltf_ratio_check,
     negate_inputs,
     point_of_index,
     product_compose,
     random_function,
     sp_region,
+)
+from boolsp.serialize import (
+    FN_FORMAT,
+    LTF_FORMAT,
+    PLAN_FORMAT,
+    PTF_FORMAT,
+    function_from_obj,
+    load_plan,
 )
 
 import oracles
@@ -101,10 +116,13 @@ def test_product_sp_iff_on_positive_rho():
             assert is_sp(prod, rho).sp == (is_sp(g, rho).sp and is_sp(h, rho).sp)
 
 
-def test_product_respects_cap():
+def test_product_respects_cap(monkeypatch):
     g = construct_named("majority", 3)
-    with pytest.raises(CapacityError):
-        product_compose(g, g, cap=5)
+    monkeypatch.setenv("BOOLSP_CAP_N", "5")
+    with pytest.raises(CapacityError, match="n=6 exceeds the dense-table cap 5"):
+        product_compose(g, g)
+    monkeypatch.setenv("BOOLSP_CAP_N", "6")
+    assert product_compose(g, g).n == 6
 
 
 # ---------------------------------------------------------------------------
@@ -248,3 +266,56 @@ def test_random_function_stream_semantics():
 def test_random_function_cap():
     with pytest.raises(CapacityError):
         random_function(30, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# the dense-table cap guards every producer of a 2^n table
+
+
+def _plan_file(tmp_path, n):
+    path = tmp_path / "plan.json"
+    outer = {"format": LTF_FORMAT, "a0": 1, "a": [1] * n}
+    path.write_text(json.dumps({"format": PLAN_FORMAT, "outer": outer, "blocks": [[1]]}))
+    return path
+
+
+TABLE_PRODUCERS = {
+    "BooleanFunction": lambda n, _: BooleanFunction(n, 0),
+    "named-character": lambda n, _: construct_named("character", n, [1]),
+    "named-majority": lambda n, _: construct_named("majority", n),
+    "named-or": lambda n, _: construct_named("or", n),
+    "named-edic": lambda n, _: construct_named("edic", n),
+    "ltf": lambda n, _: construct_ltf(LtfSpec(1, (2,) * n)),
+    "ltf_ratio_check": lambda n, _: ltf_ratio_check(LtfSpec(1, (2,) * n)),
+    "ptf": lambda n, _: construct_ptf(PtfSpec(n, ((1, 1),))),
+    "random_function": lambda n, _: random_function(n, 1),
+    "product_compose": lambda n, _: product_compose(
+        construct_named("or", n // 2), construct_named("or", n - n // 2)),
+    "character_compose": lambda n, _: character_compose(
+        construct_named("or", 1), CompositionPlan(((n,),))),
+    "fn-object": lambda n, _: function_from_obj(
+        {"format": FN_FORMAT, "n": n, "table_hex": "0"}),
+    "ltf-object": lambda n, _: function_from_obj(
+        {"format": LTF_FORMAT, "a0": 1, "a": [2] * n}),
+    "ptf-object": lambda n, _: function_from_obj(
+        {"format": PTF_FORMAT, "n": n, "terms": [{"coords": [1], "coeff": 1}]}),
+    "plan-object": lambda n, tmp_path: load_plan(_plan_file(tmp_path, n)),
+}
+
+
+@pytest.mark.parametrize("producer", sorted(TABLE_PRODUCERS))
+def test_every_table_producer_checks_the_cap_first(producer, tmp_path, monkeypatch):
+    make = TABLE_PRODUCERS[producer]
+    monkeypatch.setenv("BOOLSP_CAP_N", "3")
+    with pytest.raises(CapacityError, match="n=4 exceeds the dense-table cap 3"):
+        make(4, tmp_path)
+    monkeypatch.delenv("BOOLSP_CAP_N")
+    # at the default cap of 24, n = 30 is refused before anything 2^n-sized
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="n=30 exceeds the dense-table cap 24"):
+            make(30, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak

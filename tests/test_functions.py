@@ -81,20 +81,32 @@ def test_capacity():
 
 def test_cap_env_override(monkeypatch):
     monkeypatch.setenv("BOOLSP_CAP_N", "3")
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"n=5 exceeds the dense-table cap 3 \(raise via BOOLSP_CAP_N\)$"):
         construct_named("majority", 5)
     construct_named("majority", 3)
-    # explicit argument wins over the environment
-    construct_named("majority", 5, cap=5)
+    monkeypatch.setenv("BOOLSP_CAP_N", "5")  # read on each call
+    construct_named("majority", 5)
 
 
 def test_cap_ceiling(monkeypatch):
-    assert dense_cap(31) == 31
-    with pytest.raises(InvalidArgument, match="31"):
-        dense_cap(32)
-    monkeypatch.setenv("BOOLSP_CAP_N", "40")
-    with pytest.raises(InvalidArgument, match="BOOLSP_CAP_N must be <= 31"):
-        dense_cap()
+    monkeypatch.delenv("BOOLSP_CAP_N", raising=False)
+    assert dense_cap() == 24
+    monkeypatch.setenv("BOOLSP_CAP_N", "31")
+    assert dense_cap() == 31
+    for value, message in [
+        ("32", "BOOLSP_CAP_N must be <= 31, got 32"),
+        ("40", "BOOLSP_CAP_N must be <= 31, got 40"),
+        ("0", "BOOLSP_CAP_N must be >= 1, got 0"),
+        ("2.5", "BOOLSP_CAP_N must be an integer, got '2.5'"),
+    ]:
+        monkeypatch.setenv("BOOLSP_CAP_N", value)
+        with pytest.raises(InvalidArgument) as exc:
+            dense_cap()
+        assert str(exc.value) == message
+    monkeypatch.setenv("BOOLSP_CAP_N", "31")  # no cap admits n = 32: no hint is given
+    with pytest.raises(CapacityError) as exc:
+        BooleanFunction(32, 0)
+    assert str(exc.value) == "n=32 exceeds 31, the largest dense-table cap allowed"
 
 
 def test_popcounts_memoised_and_read_only():
