@@ -10,9 +10,16 @@ sum_i b_i C(d,i) t^i (1-t)^(d-i) on a cell with t running over [0,1]; the
 rows here hold L b_i on [0,1], L = lcm_i C(d,i) (integers, _bernstein), and
 one de Casteljau split (_split) gives the coefficients of both halves,
 scaled by a further 2^d, and the exact value at the midpoint.  Only signs
-are ever read, so the positive scales never matter.  A matrix of rows is
-int64 while a checked bound shows every entry it leads to fits, and Python
-ints (object dtype) past it.  Descartes' rule of signs on the coefficients
+are ever read, so the positive scales never matter.  A matrix of exact
+rows is int64 while a checked bound shows every entry it leads to fits
+(below 2^_BITS), and Python ints (object dtype) past it.  Where exact rows
+are not needed, rows past the bound become bounds instead: a lower and an
+upper int64 row, shifted right by one shared amount, rounded down and up
+(_bernstein_bounds, _split_bounds).  De Casteljau only adds, so the halves
+of the bounds bound the halves of the exact rows, and a sign is known where
+they prove it (_decided).  This is the interval form of Descartes' method
+with an exact fallback (Johnson & Krandick, ISSAC 1997; Eigenwillig et al.,
+CASC 2005).  Descartes' rule of signs on the coefficients
 (_variations) bounds the roots in the open cell, counted with multiplicity,
 and has their parity: 0 means no root and 1 exactly one simple root.  The
 two halves never count more than the cell, and a square-free polynomial
@@ -22,9 +29,12 @@ with repeated roots gets its square-free part from one gcd(p, p')
 (_square_free), through integer pseudo-remainders, so everything stays in Z.
 """
 
+from functools import cache
 from math import comb, gcd as int_gcd, lcm
 
 import numpy as np
+
+_BITS = 62  # an int64 walk matrix keeps every entry and partial sum below 2^_BITS
 
 
 def trim(coeffs):
@@ -48,15 +58,6 @@ def eval_scaled(p, num, den):
         dpow *= den
         acc = acc * num + c * dpow
     return acc
-
-
-def _eval_rows(rows, num, den):
-    """eval_scaled of every row of an (m, d+1) integer matrix, lowest power
-    first, at degree d: den^d p(num/den) for each row, as Python ints, from
-    one dot product with the powers num^j den^(d-j)."""
-    d = rows.shape[1] - 1
-    powers = np.array([num**j * den ** (d - j) for j in range(d + 1)], dtype=object)
-    return rows.astype(object) @ powers
 
 
 def derivative(p):
@@ -124,11 +125,10 @@ def _square_free(p):
     return tuple(reversed(quot))
 
 
-def _magnitudes(a):
-    """|a| for an int64 or object array, exact at -2^63 (which np.abs leaves
-    negative in int64: its magnitude is read as uint64)."""
-    m = np.abs(a)
-    return m.view(np.uint64) if m.dtype == np.int64 else m
+def _peak(a):
+    """max |a| over an int64 or object array as a Python int (0 if empty),
+    from two reductions, exact at -2^63."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
 def _scaled_bernstein(rows):
@@ -141,21 +141,45 @@ def _scaled_bernstein(rows):
     """
     d = rows.shape[1] - 1
     shift = [[comb(d - j, i - j) if i >= j else 0 for i in range(d + 1)] for j in range(d + 1)]
-    peak = [int(x) for x in _magnitudes(rows).max(axis=0)] if len(rows) else [0] * (d + 1)
+    peak = [max(int(hi), -int(lo))
+            for hi, lo in zip(rows.max(axis=0, initial=0), rows.min(axis=0, initial=0))]
     bound = max(sum(shift[j][i] * peak[j] for j in range(d + 1)) for i in range(d + 1))
     dtype = np.int64 if bound < 1 << 63 else object
-    return rows.astype(dtype) @ np.array(shift, dtype=dtype)
+    return rows.astype(dtype, copy=False) @ np.array(shift, dtype=dtype)
+
+
+@cache
+def _weights(d):
+    """L/C(d,i) for i = 0..d, L = lcm_i C(d,i); the first, L itself, is the
+    largest."""
+    big = lcm(*(comb(d, i) for i in range(d + 1)))
+    return tuple(big // comb(d, i) for i in range(d + 1))
 
 
 def _bernstein(sb):
     """L = lcm_i C(d,i) times the Bernstein coefficients, from rows of
     _scaled_bernstein: L b_i = sb_i L/C(d,i).  int64 when max |sb| times the
-    largest weight, L/C(d,0) = L, is below 2^62, else Python ints."""
+    largest weight, L/C(d,0) = L, is below 2^_BITS, else Python ints."""
+    weights = _weights(sb.shape[-1] - 1)
+    dtype = np.int64 if _peak(sb) * weights[0] < 1 << _BITS else object
+    return sb.astype(dtype, copy=False) * np.array(weights, dtype=dtype)
+
+
+def _bernstein_bounds(sb):
+    """_bernstein's rows as a pair (lo, hi) of int64 matrices.  While they fit
+    they are exact, one matrix for both (hi is lo).  Past that each sb_i is
+    first shifted right by one amount s, rounded down for lo and up for hi,
+    so that lo <= L b / 2^s <= hi entrywise with every entry below
+    2^(_BITS-d), as _split_bounds needs them."""
     d = sb.shape[-1] - 1
-    big = lcm(*(comb(d, i) for i in range(d + 1)))
-    weights = [big // comb(d, i) for i in range(d + 1)]
-    dtype = np.int64 if int(_magnitudes(sb).max(initial=0)) * weights[0] < 1 << 62 else object
-    return sb.astype(dtype) * np.array(weights, dtype=dtype)
+    weights = _weights(d)
+    peak = _peak(sb)
+    w = np.array(weights, dtype=np.int64)
+    if peak * weights[0] < 1 << _BITS:
+        b = sb.astype(np.int64, copy=False) * w
+        return b, b
+    s = max(0, peak.bit_length() + weights[0].bit_length() - max(_BITS - d, 1))
+    return (sb >> s).astype(np.int64) * w, (-(-sb >> s)).astype(np.int64) * w
 
 
 def _unit_bernstein(p, d):
@@ -164,24 +188,69 @@ def _unit_bernstein(p, d):
     return _bernstein(_scaled_bernstein(row))[0]
 
 
+def _fits(b):
+    """Does an int64 split of b stay exact: max |b| < 2^(_BITS-d)?"""
+    return _peak(b) << (b.shape[-1] - 1) < 1 << _BITS
+
+
+def _casteljau(t):
+    """De Casteljau at the midpoint on t, the transpose of a row or of a
+    matrix of rows, C-contiguous and owned by the call: the left and the
+    right half, transposed back (so that a half fed back in is copied to a
+    new t contiguously).  The levels of partial sums are built in place in t,
+    each step adding contiguous runs, one per coefficient (numpy buffers an
+    overlapping add where that would change it).  Level r leaves its last
+    entry at index d-r, where no later level writes, so t ends as the right
+    half once entry j is scaled by 2^j; the left half takes the first entry
+    of each level."""
+    d = len(t) - 1
+    left = np.empty_like(t)
+    left[0] = t[0] << d
+    for r in range(1, d + 1):
+        level = t[: d + 2 - r]
+        np.add(level[:-1], level[1:], out=level[:-1])
+        left[r] = t[0] << (d - r)
+    t <<= np.arange(d + 1, dtype=t.dtype).reshape((-1,) + (1,) * (t.ndim - 1))
+    return left.T, t.T
+
+
 def _split(b):
     """De Casteljau at the midpoint, along the last axis of an integer array
     (one row of coefficients, or one per class): the coefficients of the left
     and the right half, scaled by 2^d.  left[..., -1] == right[..., 0] is the
     value at the midpoint.  No entry of either half, and no partial sum,
-    exceeds 2^d max |b|, so an int64 b stays int64 while max |b| < 2^(62-d)
-    and is cast to Python ints past that."""
-    d = b.shape[-1] - 1
-    if b.dtype != object and int(_magnitudes(b).max(initial=0)) << d >= 1 << 62:
-        b = b.astype(object)
-    left, right = np.empty_like(b), np.empty_like(b)
-    left[..., 0], right[..., d] = b[..., 0] << d, b[..., d] << d
-    row = b
-    for r in range(1, d + 1):
-        row = row[..., :-1] + row[..., 1:]
-        left[..., r] = row[..., 0] << (d - r)
-        right[..., d - r] = row[..., -1] << (d - r)
-    return left, right
+    exceeds 2^d max |b|, so an int64 b stays int64 while max |b| < 2^(_BITS-d)
+    (_fits) and is cast to Python ints past that."""
+    dtype = b.dtype if b.dtype == object or _fits(b) else object
+    return _casteljau(np.array(b.T, dtype=dtype, order="C"))
+
+
+def _split_bounds(lo, hi):
+    """_split of int64 rows known only through bounds lo <= c b <= hi, for
+    one c > 0 (hi is lo for exact rows): ((lo, hi) of the left half, (lo, hi)
+    of the right).  Exact rows that fit split once and stay exact.  Else both
+    are first shifted right by one amount, lo rounded down and hi up, so
+    that max |b| < 2^(_BITS-d) and the split stays int64.  De Casteljau only
+    adds, so the split bounds bound the halves of c b / 2^shift."""
+    if hi is lo and _fits(lo):
+        left, right = _casteljau(np.array(lo.T, order="C"))
+        return (left, left), (right, right)
+    room = max(_BITS - (lo.shape[-1] - 1), 1)
+    top = max(_peak(lo), _peak(hi)).bit_length()
+    s = top - room + 1 if top > room else 0
+    down = np.array(lo.T, order="C")
+    down >>= s
+    lo_left, lo_right = _casteljau(down)
+    up = np.negative(hi.T, order="C")
+    up >>= s
+    hi_left, hi_right = _casteljau(np.negative(up, out=up))
+    return (lo_left, hi_left), (lo_right, hi_right)
+
+
+def _decided(lo, hi):
+    """Which coefficients' signs the bounds prove: those whose interval
+    [lo, hi] excludes 0, and those it pins to one value."""
+    return (lo > 0) | (hi < 0) | (lo == hi)
 
 
 def _descend(b, a, k):

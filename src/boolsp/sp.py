@@ -28,15 +28,16 @@ cell with no class left is inside.  Other cells are split (de Casteljau,
 whose midpoint value finds exact dyadic roots) down to the depth D with
 2^-D <= epsilon, where a cell holding one simple root per class is a leaf
 and encloses them.  Below D a cell is split only to order a rising and a
-falling root; one gcd settles a common one.  Most classes never enter: one
-int64 matmul gives every class's Bernstein row on [0,1], and a row with no
-negative entry is positive on (0,1].  A row with one sign variation rises
-through one root, and of those only the classes with the largest root can
-bound the region; exact values at one dyadic point drop the others
-(_walked).  Everything is decided with integer arithmetic; floats only
-guess where to look and never touch a sign.  The walk's coefficient
-matrices are int64 while a bound checked at each split shows that they fit,
-and Python ints, matrix by matrix, past it (roots._bernstein, roots._split).
+falling root; one gcd settles a common one.  One int64 matmul gives every
+class's Bernstein row on [0,1], and a row with no negative entry is
+positive on (0,1]: such a class never enters.  The walk carries every other
+class.  Its rows are exact int64 while a bound checked at each split shows
+that they fit; past it they become int64 lower and upper bounds of the
+exact rows (roots._split_bounds), which decide a sign only where they prove
+it.  A class the bounds leave undecided gets its exact row on the cell in
+Python ints, and every class does at depth D, so zero coefficients,
+touching roots and common roots are all decided exactly.  Everything is
+decided with integer arithmetic; no float is involved.
 
 The same classes, with their sizes, give classify's other flags with no
 pass over 2^n points: column k of q_v is f(v) 2^n times the level-k part of
@@ -70,7 +71,6 @@ from .spectrum import (
 )
 
 DEFAULT_EPSILON = Fraction(1, 10**9)
-_GUESS_DEPTH = 10  # _walked's float search runs over the points a/2^10
 
 
 def sp_polynomial(f, v):
@@ -420,45 +420,24 @@ class _Live(NamedTuple):
     sb: np.ndarray  # their scaled Bernstein rows on [0,1]
 
 
-def _walked(live):
-    """The positions in live of the classes the region walk needs.
-
-    A class with one sign variation on [0,1] rises through its one root r,
-    a simple one (it is positive at 1): it is negative on (0, r) and
-    positive on (r, 1].  So of these classes only those with the largest
-    root bound the region; whether 0 is in it is decided from all classes
-    (_region).  A float search over the points a/2^10 guesses the rightmost
-    such point left of that root; exact values there (roots._eval_rows) then
-    drop every class positive at it, whose root is left of it, when some
-    class is <= 0 there.  Classes with two or more variations all stay.
-    """
-    counts = rt._variations(live.sb)
-    single = np.flatnonzero(counts == 1)
-    if len(single) > 1:
-        rows = live.rows[[live.index[r] for r in single]]
-        approx = rows.astype(np.float64)
-        powers = np.arange(rows.shape[1])
-        a = 0
-        for bit in reversed(range(_GUESS_DEPTH)):
-            if (approx @ ((a + (1 << bit)) / (1 << _GUESS_DEPTH)) ** powers).min() < 0:
-                a += 1 << bit
-        below = rt._eval_rows(rows, a, 1 << _GUESS_DEPTH) <= 0
-        if below.any():
-            single = single[below]
-    return np.sort(np.concatenate([np.flatnonzero(counts != 1), single]))
-
-
 class _Walk:
     """The SP region as one left-to-right walk over the dyadic cells of [0,1].
 
     A cell (a, k), the open interval (a/2^k, (a+1)/2^k), carries the classes
-    that may still change sign in it as matrices of Bernstein coefficients on
-    the cell, one row per class: Q of the point polynomials, and S of those
-    whose roots are counted, Q itself unless some class took its square-free
-    part (red).  A class negative on the whole cell puts the cell outside
-    the region (one vectorised test over all rows, so their order costs
-    nothing); a positive one leaves.  A midpoint is in the region when every
-    class is >= 0 there.
+    that may still change sign in it as rows of Bernstein coefficients on the
+    cell, in two parts, each a triple of class ids and two row matrices, or
+    None.  B holds int64 rows as bounds (ids, lo, hi) of the exact ones: the
+    exact rows themselves (hi is lo) while a bound checked at each split
+    shows that they fit, and past it a lower and an upper row
+    (roots._split_bounds).  X holds exact rows (ids, Q, S): Q of the point
+    polynomials, and S of those whose roots are counted, Q itself unless some
+    class took its square-free part (red).  A class moves from B to X, with
+    its exact row on the cell (exact), where the bounds leave open a decision
+    the walk needs, and every class does from depth D on.  A class negative
+    on the whole cell (in B, its upper row <= 0) puts the cell outside the
+    region (one vectorised test over all rows, so their order costs
+    nothing); a positive one (lower row >= 0) leaves.  A midpoint is in the
+    region when every class is >= 0 there.
 
     From depth D on, a cell is a leaf once every class has one simple root
     in it.  A class is rising when negative just right of the left end,
@@ -468,75 +447,108 @@ class _Walk:
     until one gcd shows they all share one root: a single-point component.
     A class whose count stays >= 2 at depth D takes its square-free part.
 
-    rows holds the walked classes' point polynomials, one per row, and start
-    is the left end of the component the walk is in, or None.
+    Class i is row i of live (_live_rows), and start is the left end of the
+    component the walk is in, or None.
     """
 
-    def __init__(self, rows, depth):
-        self.rows, self.depth = rows, depth
+    def __init__(self, live, depth):
+        self.live, self.depth = live, depth
         self.square_free = {}  # class -> its square-free part, once taken
         self.start = None
         self.intervals = []
 
     def poly(self, i):
         """Class i as a trimmed coefficient tuple."""
-        return rt.trim(tuple(self.rows[i].tolist()))
+        return rt.trim(tuple(self.live.rows[self.live.index[i]].tolist()))
+
+    def exact(self, ids, a, k):
+        """The exact rows of the classes ids on the cell (a, k), in Python
+        ints, from their rows on [0,1]."""
+        return rt._descend(rt._bernstein(self.live.sb[ids].astype(object)), a, k)
 
     def leave(self, end):
         if self.start is not None:
             self.intervals.append(SpInterval(self.start, end, True, True))
             self.start = None
 
-    def run(self, bern, zero):
-        """The region's intervals from the classes' Bernstein rows on [0,1]
-        (roots._bernstein; the walk holds the only reference once it has
-        split them) and whether 0 is in the region."""
+    def run(self, part, zero):
+        """The region's intervals over the classes of live in part (a slice)
+        and whether 0 is in the region."""
         if zero:
             self.start = _exact(0, 0)
-        stack = [(0, 0, np.arange(len(bern)), bern, bern, frozenset(), frozenset())]
-        del bern
+        ids = np.arange(*part.indices(len(self.live.index)))
+        stack = [(0, 0, (ids, *rt._bernstein_bounds(self.live.sb[part])), None,
+                  frozenset(), frozenset())]
         while stack:
-            a, k, ids, Q, S, red, tested = stack.pop()
-            if ids is None:  # a midpoint inside the region
+            a, k, B, X, red, tested = stack.pop()
+            if B is None and X is None:  # a midpoint inside the region
                 if self.start is None:
                     self.start = _exact(a, k)
                 continue
-            lo, hi = S.min(axis=1), S.max(axis=1)
-            settled = (lo >= 0) | (hi <= 0)  # no root of q in the cell
-            negative = settled & ((hi <= 0) if S is Q else (_first_col(Q) < 0))
-            if negative.any():
+            negative, B = _settle_bounds(B)
+            if k >= self.depth and B is not None and not negative:
+                ids, lo, hi = B  # leaves decide on exact rows
+                X, B = _join(X, ids, lo if hi is lo else self.exact(ids, a, k)), None
+            if not negative:
+                negative, X = _settle_exact(X)
+            if negative:
                 self.leave(_exact(a, k))
                 continue
-            if settled.all():
+            if B is None and X is None:
                 continue
-            if settled.any():
-                keep, same = ~settled, S is Q
-                ids, Q = ids[keep], Q[keep]
-                S = Q if same else S[keep]
             # One class with one simple root: a sign per level (_bisect) gives
             # the same end as splitting its row down to depth D, for less.
-            if k < self.depth and len(ids) == 1 and S is Q and rt._variations(Q[0]) == 1:
-                rising = rt._first(Q[0]) < 0
-                end = _bisect(self.poly(ids[0]), a, k, self.depth, rising)
-                if rising:
-                    self.leave(_exact(a, k))
-                    self.start = end
-                else:
-                    self.leave(end)
-                continue
+            if k < self.depth and _count(B) + _count(X) == 1:
+                if B is not None and not rt._decided(B[1], B[2]).all():
+                    X, B = _join(X, B[0], self.exact(B[0], a, k)), None
+                ids, rows, _ = B or X
+                if rt._variations(rows[0]) == 1:
+                    rising = rt._first(rows[0]) < 0
+                    end = _bisect(self.poly(ids[0]), a, k, self.depth, rising)
+                    if rising:
+                        self.leave(_exact(a, k))
+                        self.start = end
+                    else:
+                        self.leave(end)
+                    continue
             if k >= self.depth:
+                ids, Q, S = X
                 split = self.leaf(a, k, ids, Q, S, red, tested)
                 if split is None:
                     continue
                 S, red, tested = split
-            QL, QR = rt._split(Q)
-            SL, SR = (QL, QR) if S is Q else rt._split(S)
-            stack.append((2 * a + 1, k + 1, ids, QR, SR, red, tested))
-            if (QL[:, -1] >= 0).all():
-                stack.append((2 * a + 1, k + 1, None, None, None, None, None))
-            stack.append((2 * a, k + 1, ids, QL, SL, red, tested))
+                X = ids, Q, S
+            stack += self.split(a, k, B, X, red, tested)
         self.leave(_exact(1, 0))
         return tuple(self.intervals)
+
+    def split(self, a, k, B, X, red, tested):
+        """The halves of the cell (a, k) to walk, right first, with the
+        midpoint between them where it is in the region.  A class the bounds
+        leave open at the midpoint takes its exact row here, unless another
+        is proven negative there."""
+        BL = BR = XL = XR = None
+        inside = True
+        if X is not None:
+            ids, Q, S = X
+            QL, QR = rt._split(Q)
+            SL, SR = (QL, QR) if S is Q else rt._split(S)
+            XL, XR = (ids, QL, SL), (ids, QR, SR)
+            inside = bool((QL[:, -1] >= 0).all())
+        if B is not None:
+            ids, lo, hi = B
+            (loL, hiL), (loR, hiR) = rt._split_bounds(lo, hi)
+            BL, BR = (ids, loL, hiL), (ids, loR, hiR)
+            below = loL[:, -1] < 0  # not proven >= 0 at the midpoint
+            if inside and below.any():
+                inside = False
+                if hiL is not loL and (hiL[:, -1] >= 0).all():
+                    EL, ER = rt._split(self.exact(ids[below], a, k))
+                    XL, XR = _join(XL, ids[below], EL), _join(XR, ids[below], ER)
+                    BL, BR = _select(BL, ~below), _select(BR, ~below)
+                    inside = bool((EL[:, -1] >= 0).all())
+        mid = [(2 * a + 1, k + 1, None, None, None, None)] if inside else []
+        return [(2 * a + 1, k + 1, BR, XR, red, tested), *mid, (2 * a, k + 1, BL, XL, red, tested)]
 
     def leaf(self, a, k, ids, Q, S, red, tested):
         """Settle a cell of depth >= D, or return (S, red, tested) for its
@@ -580,8 +592,59 @@ class _Walk:
             g = rt.poly_gcd(g, p)
             if len(g) < 2:
                 return False
-        b = rt._descend(rt._unit_bernstein(g, self.rows.shape[1] - 1), a, k)
+        b = rt._descend(rt._unit_bernstein(g, self.live.sb.shape[1] - 1), a, k)
         return (rt._first(b) > 0) != (rt._last(b) > 0)
+
+
+def _count(part):
+    """The number of classes in a part of a cell's rows (None: none)."""
+    return 0 if part is None else len(part[0])
+
+
+def _select(part, keep):
+    """The classes of a part (ids, rows, rows') that keep marks, None if none;
+    the two row matrices stay one object where they were."""
+    if not keep.any():
+        return None
+    if keep.all():
+        return part
+    ids, first, second = part
+    rows = first[keep]
+    return ids[keep], rows, rows if second is first else second[keep]
+
+
+def _join(X, ids, rows):
+    """The exact part X (S is Q, above depth D) with the exact rows of more
+    classes appended."""
+    if X is not None:
+        ids, rows = np.concatenate([X[0], ids]), np.concatenate([X[1], rows])
+    return ids, rows, rows
+
+
+def _settle_bounds(B):
+    """(negative, rest) for the bounded part B: negative when a class is
+    proven negative on the cell (its upper row <= 0), else rest holds the
+    classes not proven positive (lower row >= 0)."""
+    if B is None:
+        return False, None
+    _, lo, hi = B
+    if (hi.max(axis=1) <= 0).any():
+        return True, None
+    return False, _select(B, lo.min(axis=1) < 0)
+
+
+def _settle_exact(X):
+    """(negative, rest) for the exact part X: a class whose counted row in
+    S has one sign has no root in the cell, and it is negative there when
+    the first nonzero entry of its row in Q is."""
+    if X is None:
+        return False, None
+    _, Q, S = X
+    lo, hi = S.min(axis=1), S.max(axis=1)
+    settled = (lo >= 0) | (hi <= 0)
+    if (settled & ((hi <= 0) if S is Q else (_first_col(Q) < 0))).any():
+        return True, None
+    return False, _select(X, ~settled)
 
 
 def _bisect(poly, a, k, depth, rising):
@@ -605,11 +668,8 @@ def _region(n, live, epsilon):
     """SP region of an n-variable function from the _live_rows of its
     distinct point polynomials: [0,1] minus the union of their negative sets,
     as closed intervals; 0 is in it exactly when no class is negative there."""
-    depth = _depth(epsilon)
-    keep = _walked(live)
-    walk = _Walk(live.rows[[live.index[r] for r in keep.tolist()]], depth)
     zero = bool((live.sb[:, 0] >= 0).all())
-    return SpRegion(n, Fraction(epsilon), walk.run(rt._bernstein(live.sb[keep]), zero))
+    return SpRegion(n, Fraction(epsilon), _Walk(live, _depth(epsilon)).run(slice(None), zero))
 
 
 def sp_region(f, epsilon=DEFAULT_EPSILON):
@@ -663,10 +723,9 @@ def _level_flags(rows, reps, sizes):
 def _dips(live, r, epsilon):
     """Is class r of live negative somewhere on [0,1]?  Exactly when the walk
     over it alone does not give [0,1]."""
-    i = live.index[r]
-    alone = _Walk(live.rows[i : i + 1], _depth(epsilon))
+    alone = _Walk(live, _depth(epsilon))
     unit = SpInterval(_exact(0, 0), _exact(1, 0), True, True)
-    return alone.run(rt._bernstein(live.sb[r : r + 1]), live.sb[r, 0] >= 0) != (unit,)
+    return alone.run(slice(r, r + 1), live.sb[r, 0] >= 0) != (unit,)
 
 
 def classify(f, epsilon=DEFAULT_EPSILON):

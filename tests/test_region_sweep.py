@@ -7,7 +7,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boolsp import (
@@ -127,20 +127,74 @@ def test_walk_stays_int64_down_to_the_leaves(monkeypatch):
         oracles.check_region(region.intervals, components, roots, _depth(eps))
 
 
+# (2x^2 - 1)(x + 2) rises and (2x^2 - 1)(10x - 9) falls through 1/sqrt 2
+SHARED_IRRATIONAL = [(-2, -1, 4, 2), (9, -10, -18, 20)]
+# ends that midpoints hit: 1/2 (a double root) and 3/4; 1/4 and 1/2; 1/2 and 3/4
+DYADIC = [[TOUCHING], [(1, -6, 8)], [(-1, 2), (3, -16, 16)]]
+# 20 (5x - 1)(100x - 21)(100x - 51): a narrow bump above 0 between 1/5 and
+# 21/100, and a third root in the same half, which bounds can hide
+BUMP = (-21420, 251100, -920000, 1000000)
+
+
+def interval_walk(monkeypatch):
+    """Count the splits of exact int64 rows and the classes given exact rows
+    on a cell (the fallback) while the test narrows the walk's int64 range
+    (roots._BITS)."""
+    seen = {"exact splits": 0, "fallback": 0}
+    split_bounds, exact = rt._split_bounds, sp._Walk.exact
+
+    def bounds_spy(lo, hi):
+        seen["exact splits"] += hi is lo and rt._fits(lo)
+        return split_bounds(lo, hi)
+
+    def exact_spy(self, ids, a, k):
+        seen["fallback"] += len(ids)
+        return exact(self, ids, a, k)
+
+    monkeypatch.setattr(rt, "_split_bounds", bounds_spy)
+    monkeypatch.setattr(sp._Walk, "exact", exact_spy)
+    return seen
+
+
+def test_interval_walk_falls_back_to_exact_rows(monkeypatch):
+    """At epsilon = 2^-12 these classes walk on exact int64 rows.  With the
+    int64 range cut to 2^0 every bound is -1, 0 or 1, so the bounds decide
+    next to nothing and the walk falls back to exact rows: on touching roots,
+    on rising and falling classes sharing a root (rational or not, settled
+    by a gcd), and on ends that midpoints hit.  Wider ranges let the bounds
+    decide more and more.  Each region is the exact walk's."""
+    eps = Fraction(1, 1 << 12)
+    cases = [[TOUCHING_THIRD], [TOUCHING_IRRATIONAL], SHARED_THIRD, SHARED_IRRATIONAL,
+             *DYADIC, [BUMP]]
+    seen = interval_walk(monkeypatch)
+    want = [region_of_classes(0, classes, eps) for classes in cases]
+    assert seen["fallback"] == 0
+    for classes, region in zip(cases, want):
+        components, roots = oracles.nonnegative_components(classes)
+        oracles.check_region(region.intervals, components, roots, _depth(eps))
+    for bits in range(0, 44, 3):
+        monkeypatch.setattr(rt, "_BITS", bits)
+        for classes, region in zip(cases, want):
+            seen.update({"exact splits": 0, "fallback": 0})
+            assert region_of_classes(0, classes, eps) == region, (classes, bits)
+            if bits == 0:
+                assert seen["exact splits"] == 0, classes
+                assert seen["fallback"] >= len(classes), classes
+
+
 def test_walk_keeps_only_the_largest_rising_root():
     """Of the classes with one sign variation, each rising through one root,
-    the walk carries only those with the largest root; whether 0 is in the
-    region is still read off every class."""
+    only those with the largest root bound the region, which the walk over
+    every class finds; whether 0 is in the region is read off every class."""
     classes = [(-1, 4), (-3, 4), (-7, 10), (0, -3, 4), (3, -16, 16)]
     rows = np.array([q + (0,) * (3 - len(q)) for q in classes], dtype=np.int64)
     live = _live_rows(rows)
-    kept = [live.index[r] for r in sp._walked(live).tolist()]
-    assert kept == [1, 3, 4]  # roots 3/4 and 3/4 of x(4x - 3); (4x-1)(4x-3) dips
     three_quarters = Endpoint("exact", value=Fraction(3, 4))
     one = Endpoint("exact", value=Fraction(1))
     whole = sp.SpInterval(three_quarters, one, True, True)
     assert _region(0, live, EPS).intervals == (whole,)
-    # x(4x - 3) alone has 0 in its region; 2x - 1, dropped from the walk, not
+    # x(4x - 3) alone has 0 in its region; 2x - 1, whose root 1/2 lies left
+    # of 3/4, not
     zero = Endpoint("exact", value=Fraction(0))
     assert region_of_classes(0, [(0, -3, 4)]).intervals[0] == sp.SpInterval(zero, zero, True, True)
     assert region_of_classes(0, [(0, -3, 4), (-1, 2)]).intervals == (whole,)
@@ -466,3 +520,29 @@ def test_region_matches_sympy_root_oracle(f, eps):
     }
     components, roots = oracles.nonnegative_components(sorted(polys))
     oracles.check_region(sp_region(f, eps).intervals, components, roots, _depth(eps))
+
+
+@settings(max_examples=30, deadline=None)
+@given(functions(max_n=6), st.integers(2, 40),
+       st.sampled_from([Fraction(1, 1000), Fraction(1, 1 << 20)]))
+# two regions of two components, {0} and [r, 1]
+@example(BooleanFunction(4, 0xA64B), 12, Fraction(1, 1000))
+@example(BooleanFunction(6, 0x7C89C11EF9318EAC), 20, Fraction(1, 1 << 20))
+def test_interval_walk_matches_sympy_root_oracle(f, room, eps):
+    """The walk on bounds from the root on, against the sympy oracle: with
+    the int64 range at 2^(d+room), or lower until the root's exact rows do
+    not fit, every split is one of lower and upper rows, and the region is
+    still exact."""
+    live = _live_rows(sp._distinct_point_polys(f)[0])
+    top = int(np.abs(live.sb).max(initial=0)) * rt._weights(f.n)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        seen = interval_walk(mp)
+        mp.setattr(rt, "_BITS", max(min(f.n + room, top.bit_length() - 1), 0))
+        region = _region(f.n, live, eps)
+    assert seen["exact splits"] == 0
+    polys = {
+        rt.trim(tuple(int(c * (1 << f.n)) for c in coeffs))
+        for coeffs in oracles.point_polynomials(oracles.table(f), f.n)
+    }
+    components, roots = oracles.nonnegative_components(sorted(polys))
+    oracles.check_region(region.intervals, components, roots, _depth(eps))

@@ -74,19 +74,14 @@ def test_eval_scaled_sign_agrees():
 
 
 def test_row_helpers_match_per_polynomial_loops():
-    """_eval_rows against eval_scaled and _variations against a plain loop
-    over the nonzero signs, on padded rows (zero runs included), in int64
-    and in Python ints."""
+    """_variations against a plain loop over the nonzero signs, on padded
+    rows (zero runs included), in int64 and in Python ints."""
     rng = random.Random(31)
     polys = [random_poly(rng) for _ in range(200)]
     polys += [tuple(rng.choice((0, 0, -1, 1)) * c for c in p) for p in polys]
     width = 1 + max(map(len, polys))
     for dtype in (np.int64, object):
         rows = np.array([p + (0,) * (width - len(p)) for p in polys], dtype=dtype)
-        for num, den in ((0, 1), (3, 8), (5, 7), (1, 1)):
-            values = rt._eval_rows(rows, num, den)
-            for p, v in zip(polys, values):
-                assert v == rt.eval_scaled(p, num, den) * den ** (width - len(p)), (p, num, den)
         for p, v in zip(polys, rt._variations(rows)):
             signs = [c > 0 for c in p if c]
             assert v == sum(s != t for s, t in zip(signs, signs[1:])), p
