@@ -10,16 +10,16 @@ sum_i b_i C(d,i) t^i (1-t)^(d-i) on a cell with t running over [0,1]; the
 rows here hold L b_i on [0,1], L = lcm_i C(d,i) (integers, _bernstein), and
 one de Casteljau split (_split) gives the coefficients of both halves,
 scaled by a further 2^d, and the exact value at the midpoint.  Only signs
-are ever read, so the positive scales never matter.  A matrix of exact
-rows is int64 while a checked bound shows every entry it leads to fits
-(below 2^_BITS), and Python ints (object dtype) past it.  Where exact rows
-are not needed, rows past the bound become bounds instead: a lower and an
-upper int64 row, shifted right by one shared amount, rounded down and up
-(_bernstein_bounds, _split_bounds).  De Casteljau only adds, so the halves
-of the bounds bound the halves of the exact rows, and a sign is known where
-they prove it (_decided).  This is the interval form of Descartes' method
-with an exact fallback (Johnson & Krandick, ISSAC 1997; Eigenwillig et al.,
-CASC 2005).  Descartes' rule of signs on the coefficients
+are ever read, so the positive scales never matter.  Exact rows are
+Python ints (object dtype: _bernstein, _split, _descend).  int64 rows are
+always bounds of them (_bernstein_bounds, _split_bounds): the exact rows
+themselves (hi is lo) while a checked bound shows every entry they lead to
+fits (below 2^_BITS), and past it a lower and an upper row, shifted right
+by one shared amount, rounded down and up.  De Casteljau only adds, so the
+halves of the bounds bound the halves of the exact rows, and a sign is
+known where they prove it (_decided).  This is the interval form of
+Descartes' method with an exact fallback (Johnson & Krandick, ISSAC 1997;
+Eigenwillig et al., CASC 2005).  Descartes' rule of signs on the coefficients
 (_variations) bounds the roots in the open cell, counted with multiplicity,
 and has their parity: 0 means no root and 1 exactly one simple root.  The
 two halves never count more than the cell, and a square-free polynomial
@@ -157,12 +157,9 @@ def _weights(d):
 
 
 def _bernstein(sb):
-    """L = lcm_i C(d,i) times the Bernstein coefficients, from rows of
-    _scaled_bernstein: L b_i = sb_i L/C(d,i).  int64 when max |sb| times the
-    largest weight, L/C(d,0) = L, is below 2^_BITS, else Python ints."""
-    weights = _weights(sb.shape[-1] - 1)
-    dtype = np.int64 if _peak(sb) * weights[0] < 1 << _BITS else object
-    return sb.astype(dtype, copy=False) * np.array(weights, dtype=dtype)
+    """L = lcm_i C(d,i) times the Bernstein coefficients, in Python ints,
+    from rows of _scaled_bernstein: L b_i = sb_i L/C(d,i)."""
+    return sb.astype(object) * np.array(_weights(sb.shape[-1] - 1), dtype=object)
 
 
 def _bernstein_bounds(sb):
@@ -189,7 +186,8 @@ def _unit_bernstein(p, d):
 
 
 def _fits(b):
-    """Does an int64 split of b stay exact: max |b| < 2^(_BITS-d)?"""
+    """Does an int64 split of b stay exact: max |b| < 2^(_BITS-d)?  No entry
+    of either half, and no partial sum, exceeds 2^d max |b|."""
     return _peak(b) << (b.shape[-1] - 1) < 1 << _BITS
 
 
@@ -216,13 +214,10 @@ def _casteljau(t):
 
 def _split(b):
     """De Casteljau at the midpoint, along the last axis of an integer array
-    (one row of coefficients, or one per class): the coefficients of the left
-    and the right half, scaled by 2^d.  left[..., -1] == right[..., 0] is the
-    value at the midpoint.  No entry of either half, and no partial sum,
-    exceeds 2^d max |b|, so an int64 b stays int64 while max |b| < 2^(_BITS-d)
-    (_fits) and is cast to Python ints past that."""
-    dtype = b.dtype if b.dtype == object or _fits(b) else object
-    return _casteljau(np.array(b.T, dtype=dtype, order="C"))
+    (one row of coefficients, or one per class), in Python ints: the
+    coefficients of the left and the right half, scaled by 2^d.
+    left[..., -1] == right[..., 0] is the value at the midpoint."""
+    return _casteljau(np.array(b.T, dtype=object, order="C"))
 
 
 def _split_bounds(lo, hi):

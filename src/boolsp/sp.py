@@ -31,13 +31,15 @@ and encloses them.  Below D a cell is split only to order a rising and a
 falling root; one gcd settles a common one.  One int64 matmul gives every
 class's Bernstein row on [0,1], and a row with no negative entry is
 positive on (0,1]: such a class never enters.  The walk carries every other
-class.  Its rows are exact int64 while a bound checked at each split shows
-that they fit; past it they become int64 lower and upper bounds of the
-exact rows (roots._split_bounds), which decide a sign only where they prove
-it.  A class the bounds leave undecided gets its exact row on the cell in
-Python ints, and every class does at depth D, so zero coefficients,
-touching roots and common roots are all decided exactly.  Everything is
-decided with integer arithmetic; no float is involved.
+class.  A cell carries one part of rows for all its classes.  It starts
+as int64 rows, exact while a bound checked at each split shows that they
+fit, and past it lower and upper bounds of the exact rows
+(roots._split_bounds), which decide a sign only where they prove it.
+Where the bounds leave a decision open, the whole cell takes its exact
+rows in Python ints, and its subtree keeps them; every cell does at depth
+D, so zero coefficients, touching roots and common roots are all decided
+exactly.  Everything is decided with integer arithmetic; no float is
+involved.
 
 The same classes, with their sizes, give classify's other flags with no
 pass over 2^n points: column k of q_v is f(v) 2^n times the level-k part of
@@ -424,20 +426,20 @@ class _Walk:
     """The SP region as one left-to-right walk over the dyadic cells of [0,1].
 
     A cell (a, k), the open interval (a/2^k, (a+1)/2^k), carries the classes
-    that may still change sign in it as rows of Bernstein coefficients on the
-    cell, in two parts, each a triple of class ids and two row matrices, or
-    None.  B holds int64 rows as bounds (ids, lo, hi) of the exact ones: the
-    exact rows themselves (hi is lo) while a bound checked at each split
-    shows that they fit, and past it a lower and an upper row
-    (roots._split_bounds).  X holds exact rows (ids, Q, S): Q of the point
-    polynomials, and S of those whose roots are counted, Q itself unless some
-    class took its square-free part (red).  A class moves from B to X, with
-    its exact row on the cell (exact), where the bounds leave open a decision
-    the walk needs, and every class does from depth D on.  A class negative
-    on the whole cell (in B, its upper row <= 0) puts the cell outside the
-    region (one vectorised test over all rows, so their order costs
-    nothing); a positive one (lower row >= 0) leaves.  A midpoint is in the
-    region when every class is >= 0 there.
+    that may still change sign in it as one part: their ids and two matrices
+    of rows of Bernstein coefficients on the cell.  The part starts as int64
+    bounds (ids, lo, hi) of the exact rows: the exact rows themselves (hi is
+    lo) while a bound checked at each split shows that they fit, and past it
+    a lower and an upper row (roots._split_bounds).  Where the bounds leave
+    open a decision the walk needs (the sign at a midpoint, the one-class
+    shortcut, or reaching depth D), every class of the cell takes its exact
+    row in Python ints (exact), and the cell's whole subtree keeps them.
+    From depth D on the part is (ids, Q, S): Q of the point polynomials, and
+    S of those whose roots are counted, Q itself unless some class took its
+    square-free part (red).  A class negative on the whole cell (its upper
+    row <= 0) puts the cell outside the region (one vectorised test over all
+    rows, so their order costs nothing); a positive one (lower row >= 0)
+    leaves.  A midpoint is in the region when every class is >= 0 there.
 
     From depth D on, a cell is a leaf once every class has one simple root
     in it.  A class is rising when negative just right of the left end,
@@ -461,10 +463,13 @@ class _Walk:
         """Class i as a trimmed coefficient tuple."""
         return rt.trim(tuple(self.live.rows[self.live.index[i]].tolist()))
 
-    def exact(self, ids, a, k):
-        """The exact rows of the classes ids on the cell (a, k), in Python
-        ints, from their rows on [0,1]."""
-        return rt._descend(rt._bernstein(self.live.sb[ids].astype(object)), a, k)
+    def exact(self, part, a, k):
+        """The bounds part on the cell (a, k) as exact rows in Python ints:
+        its own rows where they are exact (hi is lo), else every class's row
+        on [0,1] taken down to the cell."""
+        ids, lo, hi = part
+        rows = lo.astype(object) if hi is lo else rt._descend(rt._bernstein(self.live.sb[ids]), a, k)
+        return ids, rows, rows
 
     def leave(self, end):
         if self.start is not None:
@@ -477,31 +482,27 @@ class _Walk:
         if zero:
             self.start = _exact(0, 0)
         ids = np.arange(*part.indices(len(self.live.index)))
-        stack = [(0, 0, (ids, *rt._bernstein_bounds(self.live.sb[part])), None,
-                  frozenset(), frozenset())]
+        stack = [(0, 0, (ids, *rt._bernstein_bounds(self.live.sb[part])), frozenset(), frozenset())]
         while stack:
-            a, k, B, X, red, tested = stack.pop()
-            if B is None and X is None:  # a midpoint inside the region
+            a, k, part, red, tested = stack.pop()
+            if part is None:  # a midpoint inside the region
                 if self.start is None:
                     self.start = _exact(a, k)
                 continue
-            negative, B = _settle_bounds(B)
-            if k >= self.depth and B is not None and not negative:
-                ids, lo, hi = B  # leaves decide on exact rows
-                X, B = _join(X, ids, lo if hi is lo else self.exact(ids, a, k)), None
-            if not negative:
-                negative, X = _settle_exact(X)
+            negative, part = _settle(part)
+            if k >= self.depth and part is not None and part[1].dtype != object:
+                negative, part = _settle(self.exact(part, a, k))  # leaves decide on exact rows
             if negative:
                 self.leave(_exact(a, k))
                 continue
-            if B is None and X is None:
+            if part is None:
                 continue
             # One class with one simple root: a sign per level (_bisect) gives
             # the same end as splitting its row down to depth D, for less.
-            if k < self.depth and _count(B) + _count(X) == 1:
-                if B is not None and not rt._decided(B[1], B[2]).all():
-                    X, B = _join(X, B[0], self.exact(B[0], a, k)), None
-                ids, rows, _ = B or X
+            if k < self.depth and len(part[0]) == 1:
+                if not rt._decided(part[1], part[2]).all():
+                    part = self.exact(part, a, k)
+                ids, rows, _ = part
                 if rt._variations(rows[0]) == 1:
                     rising = rt._first(rows[0]) < 0
                     end = _bisect(self.poly(ids[0]), a, k, self.depth, rising)
@@ -512,43 +513,34 @@ class _Walk:
                         self.leave(end)
                     continue
             if k >= self.depth:
-                ids, Q, S = X
+                ids, Q, S = part
                 split = self.leaf(a, k, ids, Q, S, red, tested)
                 if split is None:
                     continue
                 S, red, tested = split
-                X = ids, Q, S
-            stack += self.split(a, k, B, X, red, tested)
+                part = ids, Q, S
+            stack += self.split(a, k, part, red, tested)
         self.leave(_exact(1, 0))
         return tuple(self.intervals)
 
-    def split(self, a, k, B, X, red, tested):
+    def split(self, a, k, part, red, tested):
         """The halves of the cell (a, k) to walk, right first, with the
-        midpoint between them where it is in the region.  A class the bounds
-        leave open at the midpoint takes its exact row here, unless another
-        is proven negative there."""
-        BL = BR = XL = XR = None
-        inside = True
-        if X is not None:
-            ids, Q, S = X
-            QL, QR = rt._split(Q)
-            SL, SR = (QL, QR) if S is Q else rt._split(S)
-            XL, XR = (ids, QL, SL), (ids, QR, SR)
-            inside = bool((QL[:, -1] >= 0).all())
-        if B is not None:
-            ids, lo, hi = B
+        midpoint between them where it is in the region.  Bounds that prove
+        no class negative at the midpoint and not every class >= 0 there
+        give way to the cell's exact rows."""
+        ids, lo, hi = part
+        if lo.dtype != object:
             (loL, hiL), (loR, hiR) = rt._split_bounds(lo, hi)
-            BL, BR = (ids, loL, hiL), (ids, loR, hiR)
-            below = loL[:, -1] < 0  # not proven >= 0 at the midpoint
-            if inside and below.any():
-                inside = False
-                if hiL is not loL and (hiL[:, -1] >= 0).all():
-                    EL, ER = rt._split(self.exact(ids[below], a, k))
-                    XL, XR = _join(XL, ids[below], EL), _join(XR, ids[below], ER)
-                    BL, BR = _select(BL, ~below), _select(BR, ~below)
-                    inside = bool((EL[:, -1] >= 0).all())
-        mid = [(2 * a + 1, k + 1, None, None, None, None)] if inside else []
-        return [(2 * a + 1, k + 1, BR, XR, red, tested), *mid, (2 * a, k + 1, BL, XL, red, tested)]
+            inside = bool((loL[:, -1] >= 0).all())
+            if not inside and (hiL[:, -1] >= 0).all():
+                ids, lo, hi = self.exact(part, a, k)
+        if lo.dtype == object:
+            loL, loR = rt._split(lo)
+            hiL, hiR = (loL, loR) if hi is lo else rt._split(hi)
+            inside = bool((loL[:, -1] >= 0).all())
+        mid = [(2 * a + 1, k + 1, None, None, None)] if inside else []
+        return [(2 * a + 1, k + 1, (ids, loR, hiR), red, tested), *mid,
+                (2 * a, k + 1, (ids, loL, hiL), red, tested)]
 
     def leaf(self, a, k, ids, Q, S, red, tested):
         """Settle a cell of depth >= D, or return (S, red, tested) for its
@@ -562,7 +554,7 @@ class _Walk:
                 self.square_free[i] = rt._square_free(self.poly(i))
             sf = self.square_free[i]
             if len(sf) < len(self.poly(i)):
-                S = S.astype(object, copy=S is Q)  # sf's row may not fit int64
+                S = S.copy() if S is Q else S
                 S[r] = rt._descend(rt._unit_bernstein(sf, S.shape[1] - 1), a, k)
                 red = red | {i}
         if (rt._variations(S) > 1).any():
@@ -596,11 +588,6 @@ class _Walk:
         return (rt._first(b) > 0) != (rt._last(b) > 0)
 
 
-def _count(part):
-    """The number of classes in a part of a cell's rows (None: none)."""
-    return 0 if part is None else len(part[0])
-
-
 def _select(part, keep):
     """The classes of a part (ids, rows, rows') that keep marks, None if none;
     the two row matrices stay one object where they were."""
@@ -613,38 +600,24 @@ def _select(part, keep):
     return ids[keep], rows, rows if second is first else second[keep]
 
 
-def _join(X, ids, rows):
-    """The exact part X (S is Q, above depth D) with the exact rows of more
-    classes appended."""
-    if X is not None:
-        ids, rows = np.concatenate([X[0], ids]), np.concatenate([X[1], rows])
-    return ids, rows, rows
-
-
-def _settle_bounds(B):
-    """(negative, rest) for the bounded part B: negative when a class is
-    proven negative on the cell (its upper row <= 0), else rest holds the
-    classes not proven positive (lower row >= 0)."""
-    if B is None:
-        return False, None
-    _, lo, hi = B
-    if (hi.max(axis=1) <= 0).any():
+def _settle(part):
+    """(negative, rest) for a cell's part: negative when a class is proven
+    negative on the cell, else rest holds the classes that may still change
+    sign there.  Bounds (ids, lo, hi) prove a class negative when its upper
+    row is <= 0 and positive when its lower row is >= 0; exact rows are the
+    case lo = hi.  Once a class counts its roots on a square-free row
+    ((ids, Q, S), S not Q), a class whose row in S has one sign has no root
+    in the cell, and it is negative there when the first nonzero entry of
+    its row in Q is."""
+    _, lo, hi = part
+    if hi is lo or lo.dtype != object:
+        negative, rest = hi.max(axis=1) <= 0, lo.min(axis=1) < 0
+    else:
+        settled = (hi.min(axis=1) >= 0) | (hi.max(axis=1) <= 0)
+        negative, rest = settled & (_first_col(lo) < 0), ~settled
+    if negative.any():
         return True, None
-    return False, _select(B, lo.min(axis=1) < 0)
-
-
-def _settle_exact(X):
-    """(negative, rest) for the exact part X: a class whose counted row in
-    S has one sign has no root in the cell, and it is negative there when
-    the first nonzero entry of its row in Q is."""
-    if X is None:
-        return False, None
-    _, Q, S = X
-    lo, hi = S.min(axis=1), S.max(axis=1)
-    settled = (lo >= 0) | (hi <= 0)
-    if (settled & ((hi <= 0) if S is Q else (_first_col(Q) < 0))).any():
-        return True, None
-    return False, _select(X, ~settled)
+    return False, _select(part, rest)
 
 
 def _bisect(poly, a, k, depth, rising):

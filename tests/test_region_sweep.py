@@ -18,6 +18,7 @@ from boolsp import (
     construct_named,
     is_sp,
     negate_inputs,
+    product_compose,
     random_function,
     level_values,
     sp_region,
@@ -90,11 +91,13 @@ TOUCHING_THIRD = (-3, 22, -51, 36)
 SHARED_THIRD = [(-1, 2, 3, 0), (1, -5, 6, 0)]
 
 
-def test_walk_stays_int64_down_to_the_leaves(monkeypatch):
+def test_walk_takes_python_int_rows_at_the_leaves(monkeypatch):
     """At epsilon = 2^-12 the Bernstein rows of these small classes (degree 3,
-    and 5 for TOUCHING_IRRATIONAL) stay int64 down to depth D: every leaf
-    sees an int64 Q, also where a class took its square-free part and where
-    a rising and a falling class share their root."""
+    and 5 for TOUCHING_IRRATIONAL) stay exact int64 down to depth D, where
+    the cell casts them to Python ints: every leaf sees a Python-int Q, also
+    where a class took its square-free part and where a rising and a falling
+    class share their root, and no class takes its row from [0,1]."""
+    seen = interval_walk(monkeypatch)
     leaves, common = [], []
     leaf, common_root = sp._Walk.leaf, sp._Walk.common_root
 
@@ -119,7 +122,8 @@ def test_walk_stays_int64_down_to_the_leaves(monkeypatch):
         leaves.clear()
         common.clear()
         region = region_of_classes(0, classes, eps)
-        assert all(k == 12 and dtype == np.int64 for k, dtype, _ in leaves), leaves
+        assert all(k == 12 and dtype == object for k, dtype, _ in leaves), leaves
+        assert seen["fallback"] == 0
         assert bool(leaves) == (classes != [TOUCHING])
         assert any(taken for *_, taken in leaves) == square_free
         assert common == ([True] if shared else [])
@@ -134,12 +138,20 @@ DYADIC = [[TOUCHING], [(1, -6, 8)], [(-1, 2), (3, -16, 16)]]
 # 20 (5x - 1)(100x - 21)(100x - 51): a narrow bump above 0 between 1/5 and
 # 21/100, and a third root in the same half, which bounds can hide
 BUMP = (-21420, 251100, -920000, 1000000)
+# TOUCHING_THIRD and (5461 - 16384x)(9 - 10x), which falls through 5461/16384
+# in the depth-12 cell of 1/3: split past D, the cell just left of 5461/16384
+# holds TOUCHING_THIRD's square-free row positive and its own row negative
+PAST_DEPTH = [TOUCHING_THIRD, (49149, -202066, 163840)]
+# self-products g x g of random n=3 functions (n=6): the bounds leave a cell
+# open with the default int64 range, and the walk takes the exact fallback
+SELF_PRODUCTS = [product_compose(g, g) for g in (random_function(3, 4), random_function(3, 8))]
 
 
 def interval_walk(monkeypatch):
     """Count the splits of exact int64 rows and the classes given exact rows
-    on a cell (the fallback) while the test narrows the walk's int64 range
-    (roots._BITS)."""
+    on a cell from their rows on [0,1] (the fallback: rows that enter as
+    bounds, not as exact int64 rows) while the test narrows the walk's int64
+    range (roots._BITS)."""
     seen = {"exact splits": 0, "fallback": 0}
     split_bounds, exact = rt._split_bounds, sp._Walk.exact
 
@@ -147,9 +159,10 @@ def interval_walk(monkeypatch):
         seen["exact splits"] += hi is lo and rt._fits(lo)
         return split_bounds(lo, hi)
 
-    def exact_spy(self, ids, a, k):
-        seen["fallback"] += len(ids)
-        return exact(self, ids, a, k)
+    def exact_spy(self, part, a, k):
+        ids, lo, hi = part
+        seen["fallback"] += len(ids) if hi is not lo else 0
+        return exact(self, part, a, k)
 
     monkeypatch.setattr(rt, "_split_bounds", bounds_spy)
     monkeypatch.setattr(sp._Walk, "exact", exact_spy)
@@ -161,14 +174,18 @@ def test_interval_walk_falls_back_to_exact_rows(monkeypatch):
     int64 range cut to 2^0 every bound is -1, 0 or 1, so the bounds decide
     next to nothing and the walk falls back to exact rows: on touching roots,
     on rising and falling classes sharing a root (rational or not, settled
-    by a gcd), and on ends that midpoints hit.  Wider ranges let the bounds
-    decide more and more.  Each region is the exact walk's."""
+    by a gcd), on ends that midpoints hit, and on a split past depth D.
+    Wider ranges let the bounds decide more and more.  Each region is the
+    exact walk's.  A self-product takes the fallback even with the default
+    range."""
     eps = Fraction(1, 1 << 12)
     cases = [[TOUCHING_THIRD], [TOUCHING_IRRATIONAL], SHARED_THIRD, SHARED_IRRATIONAL,
-             *DYADIC, [BUMP]]
+             *DYADIC, [BUMP], PAST_DEPTH]
     seen = interval_walk(monkeypatch)
     want = [region_of_classes(0, classes, eps) for classes in cases]
     assert seen["fallback"] == 0
+    sp_region(SELF_PRODUCTS[0])
+    assert seen["fallback"] > 0
     for classes, region in zip(cases, want):
         components, roots = oracles.nonnegative_components(classes)
         oracles.check_region(region.intervals, components, roots, _depth(eps))
@@ -510,6 +527,8 @@ def test_is_sp_agrees_with_region(f, rhos):
 
 @settings(max_examples=25, deadline=None)
 @given(functions(max_n=6), st.sampled_from([Fraction(1, 1000), Fraction(1, 1 << 20)]))
+@example(SELF_PRODUCTS[0], Fraction(1, 1 << 20))
+@example(SELF_PRODUCTS[1], Fraction(1, 1 << 20))
 def test_region_matches_sympy_root_oracle(f, eps):
     """The region against one built from sympy's real roots of every class
     and exact signs between them: exact ends equal, enclosures the depth-D

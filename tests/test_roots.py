@@ -351,30 +351,45 @@ def _unit_lcm(d):
 @given(rows_around(lambda d: -(-(1 << 62) // _unit_lcm(d))))
 @example((1, 1 << 63, np.array([[-(1 << 63), 0]], dtype=np.int64)))  # np.abs keeps it negative
 def test_bernstein_int64_exactly_below_bound(case):
-    """_bernstein gives L b_i = sb_i L/C(d,i) with L = lcm_i C(d,i), int64
-    exactly while peak * L < 2^62, the same entries as from Python ints."""
+    """_bernstein gives L b_i = sb_i L/C(d,i) with L = lcm_i C(d,i) in Python
+    ints; _bernstein_bounds gives the same entries as one exact int64 matrix
+    (hi is lo) exactly while peak * L < 2^62, and past that an int64 lower
+    and upper row, bounds of them scaled by one 2^-s, that split in int64."""
     d, peak, sb = case
     big = _unit_lcm(d)
-    b = rt._bernstein(sb)
-    assert b.dtype == (np.int64 if peak * big < 1 << 62 else object)
     expected = [[c * big // comb(d, i) for i, c in enumerate(row)] for row in sb.tolist()]
-    assert b.tolist() == rt._bernstein(sb.astype(object)).tolist() == expected
+    b = rt._bernstein(sb)
+    assert b.dtype == object and b.tolist() == expected
+    lo, hi = rt._bernstein_bounds(sb)
+    assert lo.dtype == hi.dtype == np.int64
+    assert (hi is lo) == (peak * big < 1 << 62)
+    if hi is lo:
+        assert lo.tolist() == expected
+    else:
+        assert rt._fits(lo) and rt._fits(hi)
+        assert any(
+            all(l << s <= e <= h << s for l, e, h in zip(*(m.ravel().tolist() for m in (lo, b, hi))))
+            for s in range(128)
+        )
 
 
 @settings(max_examples=300, deadline=None)
 @given(rows_around(lambda d: 1 << (62 - d)), st.data())
 def test_split_and_descend_int64_exactly_below_bound(case, data):
-    """_split keeps int64 exactly while max |b| < 2^(62-d), for a matrix and
-    for its row holding the peak; _split and _descend give the entries that
-    Python ints give; _first and _last are Python ints (an np.int64 there
-    would make _bisect's cell index an np.int64, which overflows in
+    """_split_bounds(b, b) keeps each half one exact int64 matrix exactly
+    while max |b| < 2^(62-d), for a matrix and for its row holding the peak,
+    with the entries of _split's Python ints; _descend gives the entries
+    that Python ints give; _first and _last are Python ints (an np.int64
+    there would make _bisect's cell index an np.int64, which overflows in
     eval_scaled)."""
     d, peak, rows = case
-    dtype = np.int64 if peak < 1 << (62 - d) else object
+    fits = peak < 1 << (62 - d)
     for b in (rows, rows[np.abs(rows).max(axis=1).argmax()]):
-        for half, exact in zip(rt._split(b), rt._split(b.astype(object))):
-            assert half.dtype == dtype
-            assert half.tolist() == exact.tolist()
+        for (lo, hi), exact in zip(rt._split_bounds(b, b), rt._split(b)):
+            assert lo.dtype == hi.dtype == np.int64 and exact.dtype == object
+            assert (hi is lo) == fits
+            if fits:
+                assert lo.tolist() == exact.tolist()
     k = data.draw(st.integers(0, 8))
     a = data.draw(st.integers(0, (1 << k) - 1))
     cell = rt._descend(rows, a, k)
