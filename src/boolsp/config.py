@@ -11,8 +11,8 @@ from .errors import CapacityError, InvalidArgument
 
 VERSION = "0.1.0"
 DEFAULT_CAP_N = 24
-# From n = 32 on, the int64 Parseval total 4^n of level_weights wraps and the
-# uint32 point indices of popcounts overflow.
+# From n = 32 on, the int64 Parseval total 4^n of the level weights wraps and
+# the uint32 point indices of popcounts overflow.
 MAX_CAP_N = 31
 ENV_CAP_N = "BOOLSP_CAP_N"
 

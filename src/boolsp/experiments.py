@@ -128,6 +128,7 @@ def _eta_delta_defined(delta):
     return 27 * (delta * delta + (1 - delta) ** 2) ** 2 >= 256 * delta * (1 - delta) ** 3
 
 
+@cache
 def _delta_max(tol=1e-9):
     lo, hi = 0.01, 0.25
     while hi - lo > tol:

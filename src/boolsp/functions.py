@@ -316,9 +316,10 @@ def properties(f):
             break
     odd = bool(np.all(vals == -vals[::-1]))
     even = bool(np.all(vals == vals[::-1]))
-    # (1 << w) - 1 is the least point of weight w: one gather compares every
-    # point with the value of its weight class
-    symmetric = bool(np.array_equal(vals, vals[(1 << popcounts(f.n)) - 1]))
+    # swapping x_{j+1}, x_{j+2} exchanges bits (j+1, j) = (0, 1) and (1, 0), and
+    # these neighbouring transpositions generate every permutation
+    quads = (vals.reshape(-1, 2, 2, 1 << j) for j in range(f.n - 1))
+    symmetric = all(np.array_equal(q[:, 0, 1], q[:, 1, 0]) for q in quads)
     return PropertyRecord(balanced, monotone, odd, even, symmetric)
 
 

@@ -22,14 +22,14 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidArgument
-from .functions import BooleanFunction, popcounts
+from .functions import BooleanFunction
 from .spectrum import (
     _butterfly,
+    _by_level,
     _level1_values,
     _limb_plan,
     _weighted_signs,
     _weighted_transform,
-    level_weights,
     wht,
 )
 
@@ -130,8 +130,7 @@ class StabilityReport:
 def stability(f, rho):
     """Stab_rho f = sum_k rho^k W^k, exact, from the level weights alone."""
     rho = check_rho(rho)
-    weights = _rho_weights(f.n, rho)
-    total = sum(w4 * w for w4, w in zip(level_weights(f).tolist(), weights))
+    total = sum(w4 * w for w4, w in zip(wht(f).weights, _rho_weights(f.n, rho)))
     return Fraction(total, (1 << (2 * f.n)) * rho.denominator**f.n)
 
 
@@ -151,8 +150,7 @@ def stability_report(f, rho):
 def _stability_report(f, rho, signs):
     """stability_report of f at a checked rho, given _scaled_signs(f, rho)."""
     stab = stability(f, rho)
-    cross = np.zeros(f.n + 1, dtype=np.int64)
-    np.add.at(cross, popcounts(f.n), wht(f).coeffs * _butterfly(np.sign(signs)))
+    cross = _by_level(wht(f).coeffs * _butterfly(np.sign(signs)))
     total = sum(w * c for w, c in zip(_rho_weights(f.n, rho), cross.tolist()))
     stab_star = Fraction(total, (1 << (2 * f.n)) * rho.denominator**f.n)
     return StabilityReport(
@@ -203,6 +201,6 @@ def _prediction_gain(f, report):
     if report.stab == 0:
         raise InvalidArgument("stability is zero (balanced f at rho=0); no ratio")
     l1 = Fraction(int(np.abs(_level1_values(f)).sum()), 1 << (2 * f.n))
-    w1 = Fraction(int(level_weights(f)[1]), 1 << (2 * f.n))
+    w1 = Fraction(wht(f).weights[1], 1 << (2 * f.n))
     ok = 2 * l1**2 >= w1 and l1**2 <= w1
     return PredictionGain(report.stab_star / report.stab, l1, w1, ok)

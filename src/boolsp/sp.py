@@ -61,11 +61,11 @@ from .functions import (
     LtfSpec,
     construct_ltf,
     linear_values,
-    popcounts,
     properties,
 )
 from .noise import _rho_weights, _scaled_signs, check_rho, disagreement, stability
 from .spectrum import (
+    _by_level,
     _level1_gap,
     chow_distance,
     influences,
@@ -81,11 +81,8 @@ def sp_polynomial(f, v):
     size = 1 << f.n
     if not 0 <= v < size:
         raise InvalidArgument(f"point index must be in 0..{size - 1}, got {v}")
-    # bitwise_count gives uint8, where 1 - 2 * parity would wrap: go signed first
-    parity = (np.bitwise_count(np.arange(size) & v) & 1).astype(np.int64)
-    row = np.zeros(f.n + 1, dtype=np.int64)
-    np.add.at(row, popcounts(f.n), wht(f).coeffs * (1 - 2 * parity))
-    return tuple(row.tolist())
+    chi = np.where(np.bitwise_count(np.arange(size) & v) & 1, -1, 1)  # chi_S(v)
+    return tuple(_by_level(wht(f).coeffs * chi).tolist())
 
 
 @dataclass(frozen=True)
@@ -768,7 +765,7 @@ def sufficient_thresholds(f, epsilon=DEFAULT_EPSILON):
     )
 
     coeffs = wht(f).coeffs
-    support_counts = np.bincount(popcounts(n)[coeffs != 0], minlength=n + 1).tolist()
+    support_counts = _by_level(coeffs != 0).tolist()
     d = max(k for k, c in enumerate(support_counts) if c)
     if d == 0:
         degree_bound = Fraction(0)
@@ -814,8 +811,7 @@ class NecessaryChecks:
 def necessary_checks(f, rho):
     rho = check_rho(rho)
     stab = stability(f, rho)
-    peaks = np.zeros(f.n + 1, dtype=np.int64)
-    np.maximum.at(peaks, popcounts(f.n), np.abs(wht(f).coeffs))
+    peaks = _by_level(np.abs(wht(f).coeffs), np.maximum)
     max_term = max(rho**k * Fraction(m, 1 << f.n) for k, m in enumerate(peaks.tolist()))
     basic_ok = stab >= max_term
 

@@ -4,11 +4,13 @@ Coefficients are kept scaled by 2^n so everything stays in int64:
 coeffs[m] = 2^n * fhat_S where subset S is encoded by mask m (bit i-1 for
 coordinate i).  |coeffs[m]| <= 2^n and level-restricted evaluations are
 bounded by C(n,k) * 2^n, comfortably inside int64 for n <= 24.
-Spectra are kept for reuse by functions.bytes_lru, up to 256 MiB of them.
+Per-level sums, maxima and counts of spectra all go through _by_level.  Spectra
+are kept by functions.bytes_lru, up to 256 MiB of them, with their level weights.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +43,15 @@ def _butterfly(arr):
     return src
 
 
+def _by_level(values, ufunc=np.add):
+    """int64 vector whose entry k is the ufunc reduction of the subset-indexed
+    values (2^n of them) over level k.  They are cast to int64 first: ufunc.at
+    from bool into int64 takes a casting loop about 20 times slower."""
+    out = np.zeros(len(values).bit_length(), dtype=np.int64)
+    ufunc.at(out, popcounts(len(out) - 1), values.astype(np.int64, copy=False))
+    return out
+
+
 def _weighted_transform(spectra, weights):
     """sum_S weights[|S|] * spectra[S] * chi_S at every point, in the dtype of
     spectra * weights.  With scaled spectra 2^n fhat and weights[k] =
@@ -67,10 +78,7 @@ def _limb_plan(spectra, weights):
     (2^width - 1) * sum_k L1_k < 2^62, as few as cover the largest weight.
     The digits are cut as they are consumed, so only one limb is held at a
     time."""
-    n = len(weights) - 1
-    l1 = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(l1, popcounts(n), np.abs(spectra))
-    l1 = l1.tolist()
+    l1 = _by_level(np.abs(spectra)).tolist()
     top = max(weights)
     if top < _INT64_SAFE and sum(w * a for w, a in zip(weights, l1)) < _INT64_SAFE:
         return 0, 1, iter([np.array(weights, dtype=np.int64)])
@@ -116,6 +124,12 @@ class ScaledSpectrum:
     def fraction(self, mask):
         return Fraction(int(self.coeffs[mask]), 1 << self.n)
 
+    @cached_property
+    def weights(self):
+        """4^n * W^k for k = 0..n as Python ints (the k-th sums coeffs^2 over
+        level k; Parseval makes the total exactly 4^n), built on first read."""
+        return tuple(_by_level(self.coeffs**2).tolist())
+
 
 # The bound is on bytes, not entries: one spectrum of n = 24 is 128 MiB.
 @bytes_lru(256 << 20, lambda spec: spec.coeffs.nbytes)
@@ -144,16 +158,7 @@ def level_values(f, k):
     array the caller owns.  Over k = 0..n they are the coefficients of the
     one-point noise polynomial 2^n * T_rho f(v) = sum_k values_k[v] * rho^k.
     """
-    keep = np.where(popcounts(f.n) == k, wht(f).coeffs, 0)
-    return _butterfly(keep)
-
-
-def level_weights(f):
-    """4^n * W^k for k = 0..n as an int64 vector (the k-th entry sums coeffs^2
-    over level k; Parseval makes the total exactly 4^n)."""
-    out = np.zeros(f.n + 1, dtype=np.int64)
-    np.add.at(out, popcounts(f.n), wht(f).coeffs ** 2)
-    return out
+    return _weighted_transform(wht(f).coeffs, np.arange(f.n + 1) == k)
 
 
 @dataclass(frozen=True)
@@ -174,13 +179,11 @@ def spectral_summary(f):
 def _spectral_summary(f, monotone):
     """spectral_summary of f, given whether f is monotone."""
     spec = wht(f)
-    coeffs = spec.coeffs
-    denom_sq = 1 << (2 * f.n)
-    weights = tuple(Fraction(w, denom_sq) for w in level_weights(f).tolist())
-    nonzero_levels = [k for k in range(f.n + 1) if weights[k]]
+    weights = tuple(Fraction(w, 1 << (2 * f.n)) for w in spec.weights)
+    nonzero_levels = [k for k, w in enumerate(spec.weights) if w]
     degree = max(nonzero_levels)
     level = min(nonzero_levels)
-    spectral_norm = Fraction(int(np.abs(coeffs).sum()), 1 << f.n)
+    spectral_norm = Fraction(int(np.abs(spec.coeffs).sum()), 1 << f.n)
     chow = (spec.fraction(0),) + tuple(spec.fraction(1 << i) for i in range(f.n))
     influences = chow[1:] if monotone else None
     return SpectralSummary(

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boolsp import construct_ltf, construct_named, LtfSpec, PtfSpec
+from boolsp import construct_ltf, construct_named, LtfSpec, PtfSpec, random_function
 from boolsp import cli, functions, sp, spectrum
 from boolsp.cli import main
 from boolsp.serialize import (
@@ -257,6 +257,33 @@ def test_stability_computes_the_sign_stream_once(capsys, maj3, monkeypatch):
     monkeypatch.setattr(noise, "_weighted_signs", counted)
     code, _, _ = run(capsys, "stability", "--fn", maj3, "--rho", "1/2")
     assert code == 0 and calls == [4]
+
+
+def test_level_weights_built_once_per_request(capsys, tmp_path, monkeypatch):
+    builds = []
+
+    def counted(spec):
+        builds.append(spec.n)
+        return real(spec)
+
+    weights = spectrum.ScaledSpectrum.weights
+    real = weights.func
+    monkeypatch.setattr(weights, "func", counted)
+    f = random_function(10, 1)
+    path = write_fn(tmp_path, "rand10.json", f)
+    for command in ("stability", "thresholds"):
+        spectrum.wht.cache_clear()
+        builds.clear()
+        code, _, _ = run(capsys, command, "--fn", path, "--rho", "3/8")
+        assert code == 0 and builds == [10]
+        code, _, _ = run(capsys, command, "--fn", path, "--rho", "3/8")
+        assert code == 0 and builds == [10]  # kept with the kept spectrum
+    spectrum.wht.cache_clear()
+    code, _, _ = run(capsys, "stability", "--fn", path, "--rho", "3/8")
+    assert code == 0 and builds == [10, 10]
+    kept = spectrum.wht(f).weights
+    assert type(kept) is tuple and all(type(w) is int for w in kept)
+    assert sum(kept) == 1 << 20 and builds == [10, 10]
 
 
 def test_stability_zero_rho_gain_absent(capsys, tmp_path):

@@ -6,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolsp import (
     BooleanFunction,
@@ -22,6 +24,7 @@ from boolsp import (
     dominating_boundary_points,
     friendly_neighborhood,
     index_of_point,
+    negate_inputs,
     point_of_index,
     properties,
 )
@@ -249,6 +252,53 @@ def test_properties_or_and_character():
     rec = properties(chi12)
     assert rec.balanced and rec.even
     assert not rec.odd and not rec.monotone and not rec.symmetric
+
+
+def symmetric_by_gather(f):
+    """Every point against the least point (1 << w) - 1 of its weight w."""
+    vals = f.values
+    return bool(np.array_equal(vals, vals[(1 << popcounts(f.n)) - 1]))
+
+
+def test_symmetric_matches_gather_on_every_small_table():
+    for n in (1, 2, 3):
+        for bits in range(1 << (1 << n)):
+            f = BooleanFunction(n, bits)
+            assert properties(f).symmetric == symmetric_by_gather(f), (n, bits)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.sampled_from(("table", "weights", "flip")))
+def test_symmetric_matches_gather(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "table":
+        vals = rng.choice((-1, 1), size=1 << n)
+    else:  # a function of the weight, with one point flipped for "flip"
+        vals = rng.choice((-1, 1), size=n + 1)[popcounts(n)]
+        if kind == "flip":
+            vals[rng.integers(1 << n)] *= -1
+    f = BooleanFunction.from_values(vals)
+    assert properties(f).symmetric == symmetric_by_gather(f)
+
+
+def permute_inputs(f, perm):
+    """g(x) = f(y) with y_perm[i] = x_i."""
+    u = np.arange(1 << f.n)
+    idx = sum(((u >> i) & 1) << perm[i] for i in range(f.n))
+    return BooleanFunction.from_values(f.values[idx])
+
+
+def test_symmetric_matches_gather_on_permuted_and_negated_inputs():
+    rng = random.Random(25)
+    for name, n in (("majority", 7), ("majority", 9), ("or", 6), ("or", 9)):
+        f = construct_named(name, n)
+        for _ in range(6):
+            perm = rng.sample(range(n), n)
+            negated = negate_inputs(f, [rng.choice((-1, 1)) for _ in range(n)])
+            for g in (permute_inputs(f, perm), negated, permute_inputs(negated, perm)):
+                assert properties(g).symmetric == symmetric_by_gather(g)
+        assert properties(permute_inputs(f, perm)).symmetric
+        assert not properties(negate_inputs(f, [-1] + [1] * (n - 1))).symmetric
 
 
 def test_monotone_against_definition():

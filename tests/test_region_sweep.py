@@ -482,9 +482,8 @@ def test_classify_reads_no_dense_level_table(monkeypatch):
 
     cases = [construct_named("majority", 9), construct_named("edic", 8)]
     expected = [dense_level_flags(f) for f in cases]
-    for mod in (sp, spectrum):
-        for name in ("level_values", "level_weights"):
-            monkeypatch.setattr(mod, name, refuse, raising=False)
+    for mod, name in ((sp, "_by_level"), (spectrum, "_by_level"), (spectrum, "level_values")):
+        monkeypatch.setattr(mod, name, refuse)
     for f, want in zip(cases, expected):
         c = classify(f)
         witnesses = {k: v for k, v in c.witnesses.items() if k != "usp"}

@@ -232,6 +232,24 @@ def test_butterfly_matches_direct_sums(case):
     assert spectrum._butterfly(strided[::2]).tolist() == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 2**32 - 1))
+def test_by_level_matches_per_level_loop(n, seed):
+    rng = np.random.default_rng(seed)
+    size = 1 << n
+    values = rng.integers(-(1 << 40), 1 << 40, size=size) * rng.integers(0, 2, size=size)
+    levels = [[] for _ in range(n + 1)]
+    for m, v in enumerate(values.tolist()):
+        levels[bin(m).count("1")].append(v)
+    cases = (
+        (spectrum._by_level(values), [sum(lv) for lv in levels]),
+        (spectrum._by_level(np.abs(values), np.maximum), [max(map(abs, lv)) for lv in levels]),
+        (spectrum._by_level(values != 0), [sum(v != 0 for v in lv) for lv in levels]),
+    )
+    for got, want in cases:
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_butterfly_outputs_are_owned(n):
     spectrum.wht.cache_clear()
