@@ -130,13 +130,15 @@ def _eta_delta_defined(delta):
 
 @cache
 def _delta_max(tol=1e-9):
+    """Where _eta_delta_defined flips, by float bisection whose every step is
+    decided exactly at the float's rational value (about 0.0974)."""
     lo, hi = 0.01, 0.25
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if _eta_delta(mid, tol=1e-13) is None:
-            hi = mid
-        else:
+        if _eta_delta_defined(Fraction(mid)):
             lo = mid
+        else:
+            hi = mid
     return lo
 
 

@@ -55,19 +55,19 @@ def scaled_t_values(f, rho):
     assembled from the limbs.  The library's own consumers read signs through
     spectrum._weighted_signs instead."""
     rho = check_rho(rho)
-    coeffs = wht(f).coeffs
-    width, count, limbs = _limb_plan(coeffs, _rho_weights(f.n, rho))
+    spec = wht(f)
+    width, count, limbs = _limb_plan(spec, _rho_weights(f.n, rho))
     if count == 1:
-        return _weighted_transform(coeffs, next(limbs))
-    out = np.zeros(len(coeffs), dtype=object)
+        return _weighted_transform(spec.coeffs, next(limbs))
+    out = np.zeros(len(spec.coeffs), dtype=object)
     for j, digits in enumerate(limbs):
-        out += _weighted_transform(coeffs, digits).astype(object) << (width * j)
+        out += _weighted_transform(spec.coeffs, digits).astype(object) << (width * j)
     return out
 
 
 def _scaled_signs(f, rho):
     """int64 array with the signs of 2^n q^n T_rho f (see _weighted_signs)."""
-    return _weighted_signs(wht(f).coeffs, _rho_weights(f.n, rho))
+    return _weighted_signs(wht(f), _rho_weights(f.n, rho))
 
 
 def disagreement(values, scaled):

@@ -50,7 +50,8 @@ nonzero entry.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, log, sqrt
+from itertools import count
+from math import comb, factorial, isqrt, log, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -849,42 +850,30 @@ _PI_HI = Fraction(3141592653589794, 10**15)
 
 
 def _sqrt_lower(x):
-    """Rational r >= 0 with r^2 <= x, within ~1e-12 of sqrt(x)."""
-    r = Fraction(int(sqrt(float(x)) * 10**12), 10**12)
-    while r * r > x:
-        r -= Fraction(1, 10**12)
-    return max(r, Fraction(0))
+    """Rational r >= 0 with r^2 <= x < (r + 10^-12)^2, for a rational x >= 0."""
+    return Fraction(isqrt(x.numerator * 10**24 // x.denominator), 10**12)
 
 
 def ltf_approximation(f):
     """Best-effort LTF from the level-1 coefficients, with exact distance.
 
-    The base weights are the scaled level-1 Fourier coefficients; on the
-    zero set of the level-1 form the sign is decided by a small integer
-    perturbation fitted to f there (falling back to a plain offset when the
-    fit cannot match).  Distance bounds target functions whose sign agrees
+    The base weights are the scaled level-1 Fourier coefficients.  On the zero
+    set Z of the level-1 form the sign comes from a perturbation d0 + d.x
+    fitted to f there (restricted Chow parameters: d0 sums f over Z, d_j sums
+    f(v) x_j(v)), shifted by the first offset of 0, 1, -1, 2, -2, ... that no
+    point of Z cancels.  Distance bounds target functions whose sign agrees
     with the level-1 form off its zero set.
     """
-    coeffs = wht(f).coeffs
-    w = [int(coeffs[1 << i]) for i in range(f.n)]
+    w = wht(f).coeffs[1 << np.arange(f.n)].tolist()
     m = sum(1 for c in w if c)
     if m == 0:
         raise InvalidArgument("level-1 spectrum vanishes; no LTF direction")
     zero_set = np.flatnonzero(linear_values(0, w) == 0)
-    # perturbation: restricted Chow fit on the zero set, plus an offset shift
-    d = [0] * f.n
-    d0 = 0
-    for v in zero_set.tolist():
-        fv = f.value_at(v)
-        d0 += fv
-        for j in range(f.n):
-            d[j] += -fv if (v >> j) & 1 else fv
-    for shift in _offset_candidates():
-        if all(
-            _dot_point(d, v) + d0 + shift != 0 for v in zero_set.tolist()
-        ):
-            d0 += shift
-            break
+    fz = f.values[zero_set].astype(np.int64)
+    d0 = int(fz.sum())
+    d = [int(fz @ (1 - 2 * ((zero_set >> j) & 1))) for j in range(f.n)]
+    cancelling = set((-linear_values(d0, d)[zero_set]).tolist())  # offsets Z cancels
+    d0 += next(s for k in count() for s in (k, -k) if s not in cancelling)
     k_scale = sum(abs(c) for c in d) + abs(d0) + 1
     spec = LtfSpec(d0, tuple(k_scale * wi + di for wi, di in zip(w, d)))
     g = construct_ltf(spec)
@@ -892,19 +881,6 @@ def ltf_approximation(f):
     cap = Fraction(comb(m, m // 2), 1 << m)
     bound = _sqrt_lower(2 / (_PI_HI * m))
     return LtfApproximation(spec, distance, cap, bound, len(zero_set))
-
-
-def _offset_candidates():
-    yield 0
-    step = 1
-    while True:
-        yield step
-        yield -step
-        step += 1
-
-
-def _dot_point(d, v):
-    return sum(-dj if (v >> j) & 1 else dj for j, dj in enumerate(d))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ coeffs[m] = 2^n * fhat_S where subset S is encoded by mask m (bit i-1 for
 coordinate i).  |coeffs[m]| <= 2^n and level-restricted evaluations are
 bounded by C(n,k) * 2^n, comfortably inside int64 for n <= 24.
 Per-level sums, maxima and counts of spectra all go through _by_level.  Spectra
-are kept by functions.bytes_lru, up to 256 MiB of them, with their level weights.
+are kept by functions.bytes_lru, up to 256 MiB of them, with their level
+weights and per-level L1 sums.
 """
 
 from dataclasses import dataclass
@@ -62,23 +63,23 @@ def _weighted_transform(spectra, weights):
 _INT64_SAFE = 1 << 62
 
 
-def _limb_plan(spectra, weights):
+def _limb_plan(spec, weights):
     """Split the Python-int weights into int64 digit vectors: (width, count, limbs)
     with limbs a generator of count vectors, low to high, such that weights[k] =
     sum_j limb_j[k] << (width * j).  So the exact weighted transform is
-    sum_j _weighted_transform(spectra, limb_j) << (width * j).
+    sum_j _weighted_transform(spec.coeffs, limb_j) << (width * j).
 
     Every entry of every butterfly stage is a signed sum of a subset of the
     weighted coefficients (the constant-geometry stages of _butterfly only
     hold it at a bit-rotated position), so a limb fits int64 when
-    sum_k limb[k] * L1_k < 2^62, L1_k being the sum of |spectra| on level k.
+    sum_k limb[k] * L1_k < 2^62, L1_k = spec.l1[k] the sum of |coeffs| on level k.
     One limb holding the weights themselves (width 0) is used when that
     bound holds for them and every weight is below 2^62; otherwise the
     digits are base 2^width with
     (2^width - 1) * sum_k L1_k < 2^62, as few as cover the largest weight.
     The digits are cut as they are consumed, so only one limb is held at a
     time."""
-    l1 = _by_level(np.abs(spectra)).tolist()
+    l1 = spec.l1
     top = max(weights)
     if top < _INT64_SAFE and sum(w * a for w, a in zip(weights, l1)) < _INT64_SAFE:
         return 0, 1, iter([np.array(weights, dtype=np.int64)])
@@ -92,10 +93,11 @@ def _limb_plan(spectra, weights):
     return width, len(shifts), limbs
 
 
-def _weighted_signs(spectra, weights):
-    """int64 array with the sign of the exact sum_S weights[|S|] spectra[S] chi_S
-    at every entry (Python-int weights of any size), in O(spectra.size) memory
-    whatever the number of limbs.  On one limb it is that transform itself.
+def _weighted_signs(spec, weights):
+    """int64 array with the sign of the exact sum_S weights[|S|] coeffs[S] chi_S
+    at every entry (Python-int weights of any size) for the spectrum spec, in
+    O(2^n) memory whatever the number of limbs.  On one limb it is that
+    transform itself.
 
     The limbs are streamed from low to high with a carry: cur = limb + carry is
     split into its low digit cur & mask and carry = cur >> width.  The exact
@@ -103,16 +105,16 @@ def _weighted_signs(spectra, weights):
     in [0, 2^(width * (count-1))), so its sign is that of top, or +1 where top
     is 0 and some lower digit is not.  Carries stay below sum L1 + 2, so
     limb + carry < 2^width * sum L1 + 2 < 2^63."""
-    width, count, limbs = _limb_plan(spectra, weights)
+    width, count, limbs = _limb_plan(spec, weights)
     if count == 1:
-        return _weighted_transform(spectra, next(limbs))
+        return _weighted_transform(spec.coeffs, next(limbs))
     mask = (1 << width) - 1
     carry, nonzero = 0, False
     for _ in range(count - 1):
-        cur = _weighted_transform(spectra, next(limbs)) + carry
+        cur = _weighted_transform(spec.coeffs, next(limbs)) + carry
         nonzero = nonzero | ((cur & mask) != 0)
         carry = cur >> width
-    top = _weighted_transform(spectra, next(limbs)) + carry
+    top = _weighted_transform(spec.coeffs, next(limbs)) + carry
     return np.where(top != 0, top, nonzero)
 
 
@@ -129,6 +131,12 @@ class ScaledSpectrum:
         """4^n * W^k for k = 0..n as Python ints (the k-th sums coeffs^2 over
         level k; Parseval makes the total exactly 4^n), built on first read."""
         return tuple(_by_level(self.coeffs**2).tolist())
+
+    @cached_property
+    def l1(self):
+        """2^n times the L1 norm of each level, sum_{|S|=k} |coeffs[S]| for
+        k = 0..n as Python ints, built on first read."""
+        return tuple(_by_level(np.abs(self.coeffs)).tolist())
 
 
 # The bound is on bytes, not entries: one spectrum of n = 24 is 128 MiB.

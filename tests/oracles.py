@@ -8,6 +8,7 @@ boolsp beyond plain truth tables.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, sqrt
 
 import sympy
 
@@ -289,3 +290,47 @@ def functional_graph(succ):
             max_depth = max(max_depth, depth[tail[0]])
     num_fixpoints = sum(1 for v in range(total) if succ[v] == v)
     return num_fixpoints, num_components, max_depth, tuple(cycles)
+
+
+def _linear_form(a0, a):
+    """a0 + sum_j a_j x_j at every point (x_j = -1 where bit j is set)."""
+    vals = [a0]
+    for c in a:
+        vals = [x + c for x in vals] + [x - c for x in vals]
+    return vals
+
+
+def ltf_approximation(values, n):
+    """((a0, a), distance, sperner_cap, bound, zero_set_size, offset) of the LTF
+    fitted to the level-1 coefficients, point by point over the zero set Z of
+    the level-1 form; None when every level-1 coefficient vanishes.  d0 and d
+    are the Chow parameters of f restricted to Z, and the offset is the first
+    of 0, 1, -1, 2, -2, ... that no point of Z cancels in d0 + d.x."""
+    size = 1 << n
+    w = [sum(-v if (u >> j) & 1 else v for u, v in enumerate(values)) for j in range(n)]
+    m = sum(1 for c in w if c)
+    if m == 0:
+        return None
+    zero_set = [u for u, x in enumerate(_linear_form(0, w)) if x == 0]
+    d0 = 0
+    d = [0] * n
+    for u in zero_set:
+        d0 += values[u]
+        for j in range(n):
+            d[j] += -values[u] if (u >> j) & 1 else values[u]
+    perturbation = _linear_form(0, d)
+    offset, step = 0, 0
+    while any(d0 + offset + perturbation[u] == 0 for u in zero_set):
+        step += offset <= 0
+        offset = step if offset <= 0 else -offset
+    d0 += offset
+    scale = sum(abs(c) for c in d) + abs(d0) + 1
+    a = tuple(scale * wj + dj for wj, dj in zip(w, d))
+    signs = [1 if x > 0 else -1 for x in _linear_form(d0, a)]
+    distance = Fraction(sum(s != v for s, v in zip(signs, values)), size)
+    cap = Fraction(comb(m, m // 2), 1 << m)
+    x = 2 / (Fraction(3141592653589794, 10**15) * m)
+    bound = Fraction(int(sqrt(float(x)) * 10**12), 10**12)
+    while bound * bound > x:
+        bound -= Fraction(1, 10**12)
+    return (d0, a), distance, cap, bound, len(zero_set), offset

@@ -286,6 +286,27 @@ def test_level_weights_built_once_per_request(capsys, tmp_path, monkeypatch):
     assert sum(kept) == 1 << 20 and builds == [10, 10]
 
 
+def test_level_l1_built_once_per_spectrum(capsys, tmp_path, monkeypatch):
+    builds = []
+
+    def counted(spec):
+        builds.append(spec.n)
+        return real(spec)
+
+    l1 = spectrum.ScaledSpectrum.l1
+    real = l1.func
+    monkeypatch.setattr(l1, "func", counted)
+    path = write_fn(tmp_path, "rand10.json", random_function(10, 1))
+    spectrum.wht.cache_clear()
+    for rho in ("1/8", "3/8", "1/2", "7/8"):
+        code, _, _ = run(capsys, "predict", "--fn", path, "--rho", rho)
+        assert code == 0
+    assert builds == [10]  # kept with the kept spectrum
+    spectrum.wht.cache_clear()
+    code, _, _ = run(capsys, "predict", "--fn", path, "--rho", "3/8")
+    assert code == 0 and builds == [10, 10]
+
+
 def test_stability_zero_rho_gain_absent(capsys, tmp_path):
     chi = write_fn(tmp_path, "chi.json", construct_named("character", 2, coords=[1, 2]))
     code, out, _ = run(capsys, "stability", "--fn", chi, "--rho", "0")

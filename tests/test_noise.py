@@ -27,7 +27,7 @@ from boolsp import (
 )
 from boolsp.noise import scaled_t_values
 from boolsp.sp import SpDecision
-from boolsp.spectrum import _limb_plan, _weighted_signs
+from boolsp.spectrum import ScaledSpectrum, _limb_plan, _weighted_signs
 
 import oracles
 
@@ -184,9 +184,9 @@ def test_limb_stream_matches_python_ints(n, data, rho):
     f = BooleanFunction(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
     want = level_sums(f, rho)
     signs = [(x > 0) - (x < 0) for x in want]
-    coeffs, w = wht(f).coeffs, rho_weights(n, rho)
-    assert (_limb_plan(coeffs, w)[1] == 1) == int64_rule(f, rho)
-    assert np.sign(_weighted_signs(coeffs, w)).tolist() == signs
+    spec, w = wht(f), rho_weights(n, rho)
+    assert (_limb_plan(spec, w)[1] == 1) == int64_rule(f, rho)
+    assert np.sign(_weighted_signs(spec, w)).tolist() == signs
     assert [int(x) for x in scaled_t_values(f, rho).tolist()] == want
     assert optimal_predictor(f, rho).values.tolist() == signs
     keep = [s or v for s, v in zip(signs, f.values.tolist())]
@@ -217,7 +217,7 @@ def test_limb_signs_across_cancelling_limbs(n, data):
         sum(weights[m.bit_count()] * c * (-1) ** (m & v).bit_count() for m, c in enumerate(coeffs))
         for v in range(1 << n)
     ]
-    got = _weighted_signs(np.array(coeffs, dtype=np.int64), weights)
+    got = _weighted_signs(ScaledSpectrum(n, np.array(coeffs, dtype=np.int64)), weights)
     assert np.sign(got).tolist() == [(x > 0) - (x < 0) for x in exact]
 
 
@@ -226,14 +226,14 @@ def test_one_limb_iff_int64_rule():
     rng = random.Random(48)
     fns = [random_fn(rng, n) for n in range(1, 9)] + [construct_named("majority", 7)]
     for f in fns:
-        coeffs = wht(f).coeffs
+        spec = wht(f)
         lo, hi = 1, 2**62
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if int64_rule(f, Fraction(1, mid)) else (lo, mid)
         for q, limbs in ((lo, 1), (hi, 2)):
             rho = Fraction(1, q)
-            assert _limb_plan(coeffs, rho_weights(f.n, rho))[1] == limbs, (f.n, q)
+            assert _limb_plan(spec, rho_weights(f.n, rho))[1] == limbs, (f.n, q)
             want = [(x > 0) - (x < 0) for x in level_sums(f, rho)]
             assert optimal_predictor(f, rho).values.tolist() == want
 
@@ -241,11 +241,11 @@ def test_one_limb_iff_int64_rule():
 def test_many_limbs_stay_in_linear_memory():
     # the limb stream keeps O(2^n) int64 arrays alive whatever the limb count
     f = construct_ltf(LtfSpec(0, (9, 7, 6, 5, 4, 4, 3, 2, 2, 1, 1, 1)))
-    coeffs = wht(f).coeffs
+    spec = wht(f)
     peaks = []
     for digits in (120, 240):
         rho = Fraction(1, 10**digits)
-        assert _limb_plan(coeffs, rho_weights(f.n, rho))[1] > 100
+        assert _limb_plan(spec, rho_weights(f.n, rho))[1] > 100
         tracemalloc.start()
         stability_report(f, rho)
         closeness_to_sp(f, rho)

@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolsp import (
     BooleanFunction,
+    InvalidArgument,
     LtfSpec,
     PreconditionError,
     chow_gap_bound,
@@ -23,6 +26,7 @@ from boolsp import (
     necessary_checks,
     negate_inputs,
     product_compose,
+    random_function,
     sp_polynomial,
     sp_region,
     spectral_summary,
@@ -30,6 +34,7 @@ from boolsp import (
     sufficient_thresholds,
 )
 from boolsp.noise import disagreement, scaled_t_values
+from boolsp.sp import _sqrt_lower
 
 import oracles
 
@@ -468,6 +473,42 @@ def test_ltf_approximation_needs_level_one_mass():
     f = construct_named("character", 2, coords=[1, 2])
     with pytest.raises(InvalidArgument):
         ltf_approximation(f)
+
+
+def ltf_fits(fns):
+    """Compare ltf_approximation with the per-point loops of the oracle on
+    each function; return the oracle's offsets."""
+    offsets = []
+    for f in fns:
+        want = oracles.ltf_approximation(oracles.table(f), f.n)
+        if want is None:
+            with pytest.raises(InvalidArgument):
+                ltf_approximation(f)
+            continue
+        rep = ltf_approximation(f)
+        got = ((rep.g.a0, rep.g.a), rep.distance, rep.sperner_cap, rep.bound, rep.zero_set_size)
+        assert got == want[:5], (f.n, f.bits)
+        offsets.append(want[5])
+    return offsets
+
+
+def test_ltf_approximation_matches_point_loops_on_small_tables():
+    for n in (1, 2):
+        ltf_fits(BooleanFunction(n, bits) for bits in range(1 << (1 << n)))
+    offsets = ltf_fits(BooleanFunction(3, bits) for bits in range(256))
+    assert sum(s != 0 for s in offsets) == 24  # tables whose offset search skips 0
+
+
+def test_ltf_approximation_matches_point_loops():
+    ltf_fits(random_function(n, s) for n in range(4, 13) for s in range(10))
+    ties = [LtfSpec(1, (1,) * k) for k in range(4, 19, 2)] + [LtfSpec(1, (2, 2, 1, 1, 1, 1, 3, 3))]
+    ltf_fits(construct_ltf(spec) for spec in ties)
+
+
+@given(st.fractions(min_value=0))
+def test_sqrt_lower_is_the_floor_on_the_1e12_grid(x):
+    r = _sqrt_lower(x)
+    assert r >= 0 and r * r <= x < (r + Fraction(1, 10**12)) ** 2
 
 
 def test_sperner_cap_below_analytic_bound():
