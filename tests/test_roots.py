@@ -124,7 +124,7 @@ def test_cell_counts_against_sympy():
                 assert inside == v, (p, a, k, d)
 
 
-def test_isolation_brackets_each_root_once():
+def test_walk_encloses_each_root_once():
     rng = random.Random(1201)
     checked = 0
     while checked < 120:
@@ -209,7 +209,7 @@ def test_repeated_roots_against_sympy():
 HALF_SQRT2 = (-1, 0, 2)  # 2x^2 - 1, root 1/sqrt(2) ~ 0.7071
 
 
-def test_compare_decides_shared_and_close_irrational_roots():
+def test_walk_decides_shared_and_close_irrational_roots():
     """A rising and a falling root in one depth-D cell: split below D until
     they part, or one gcd shows they are one root."""
     # (2x^2-1)(3x-1) is negative on (1/3, 1/sqrt 2), (2x^2-1)(5x-4) on
@@ -235,7 +235,7 @@ def test_compare_decides_shared_and_close_irrational_roots():
             assert lo.hi <= hi.lo and hi.hi - hi.lo < Fraction(1, 1 << 40)
 
 
-def test_compare_defers_gcd_and_keeps_shared_root_enclosure(monkeypatch):
+def test_walk_defers_gcd_and_keeps_shared_root_enclosure(monkeypatch):
     """At epsilon = 1/1000 the shared root 1/sqrt(2) is decided by one gcd,
     taken in its depth-10 cell, which encloses it."""
     gcds = []
@@ -248,7 +248,7 @@ def test_compare_defers_gcd_and_keeps_shared_root_enclosure(monkeypatch):
     assert len(gcds) == 1
 
 
-def test_compare_halving_onto_a_shared_exact_root_is_equal(monkeypatch):
+def test_walk_halving_onto_a_shared_exact_root_is_one_point(monkeypatch):
     """2x - 1 rises and (2x - 1)(5x - 4) falls at 1/2, the first midpoint: an
     exact single-point component, with no gcd."""
     gcds = []
@@ -306,7 +306,7 @@ def test_descartes_count_bounds_roots_in_unit_interval(p):
 
 @settings(max_examples=200, deadline=None)
 @given(unit_polys())
-def test_unit_roots_bracket_each_distinct_root_once(p):
+def test_walk_encloses_each_distinct_unit_root_once(p):
     """The walk over one class, repeated roots included, against sympy."""
     check_region_of(positive_at_one(p), Fraction(1, 1 << 12))
 
