@@ -38,12 +38,11 @@ from .functions import (
     properties,
 )
 from .noise import (
-    _closeness_to_sp,
     _prediction_gain,
-    _scaled_signs,
-    _stability_report,
     check_rho,
+    closeness_to_sp,
     optimal_predictor,
+    stability_report,
 )
 from .sp import (
     DEFAULT_EPSILON,
@@ -171,9 +170,8 @@ def _cmd_classify(args, inputs):
 def _cmd_stability(args, inputs):
     f = _load_function(args, inputs)
     rho = check_rho(ser.parse_rational(args.rho, "rho"))
-    signs = _scaled_signs(f, rho)  # one T_rho sign stream serves all three reports
-    rep = _stability_report(f, rho, signs)
-    close = _closeness_to_sp(f, rho, signs, ties_agree=True)
+    rep = stability_report(f, rho)  # both read the one kept T_rho sign stream
+    close = closeness_to_sp(f, rho, ties_agree=True)
     stability = ser.to_json(rep)
     del stability["rho"]  # the result's own rho carries it
     return {

@@ -10,8 +10,11 @@ Conventions used everywhere in this package:
   output, hence +1 only at the all-(+1) point (index 0).
 * The partial order on points is coordinatewise with -1 < +1, so index v
   is below index u exactly when v's bit set contains u's.
-* Tables and spectra that many calls read are kept by bytes_lru, bounded
-  by bytes: popcounts here, spectrum.wht there.
+* Tables, spectra and T_rho sign streams that many calls read are kept by
+  bytes_lru, bounded by bytes: popcounts here, spectrum.wht and
+  noise._sign_stream there.  Each kept entry is charged its result's nbytes
+  plus a fixed _ENTRY_BYTES for its key, result object and dict slot, so
+  many small entries cannot outgrow the bound.
 """
 
 from collections import OrderedDict
@@ -44,11 +47,21 @@ def index_of_point(point):
     return u
 
 
+# What a kept entry holds besides nbytes(result): its key, the result's
+# Python object and the dict slot.  Per entry, for a 16-byte int8 result
+# keyed by (BooleanFunction(4, .), Fraction) or an n = 4 spectrum keyed by
+# its function: about 0.5 KiB traced by tracemalloc, 0.55-0.65 KiB of RSS.
+# Charged on top of nbytes, it keeps a cache of many small entries within
+# its bound.
+_ENTRY_BYTES = 1 << 10
+
+
 def bytes_lru(limit, nbytes):
-    """functools.lru_cache for one hashable argument, bounded by the total
-    nbytes(result) kept instead of a count: least recently used out first, a
-    result larger than limit returned unkept.  Thread-safe; cache_info() is
-    (kept keys, least recent first; their total bytes)."""
+    """functools.lru_cache for one hashable argument, bounded by the bytes
+    kept instead of a count: each entry is charged nbytes(result) +
+    _ENTRY_BYTES, the least recently used leaves first, and a result whose
+    charge exceeds limit is returned unkept.  Thread-safe; cache_info() is
+    (kept keys, least recent first; their total charge)."""
 
     def decorate(build):
         kept = OrderedDict()
@@ -64,14 +77,14 @@ def bytes_lru(limit, nbytes):
                     kept.move_to_end(key)
                     return value
             value = build(key)
-            size = nbytes(value)
+            size = nbytes(value) + _ENTRY_BYTES
             if size <= limit:
                 with lock:
                     if key not in kept:
                         kept[key] = value
                         total += size
                     while total > limit:
-                        total -= nbytes(kept.popitem(last=False)[1])
+                        total -= nbytes(kept.popitem(last=False)[1]) + _ENTRY_BYTES
             return value
 
         def cache_clear():
@@ -93,8 +106,9 @@ def bytes_lru(limit, nbytes):
 
 # Small on purpose: the many calls per request come at small n, while at
 # large n a table is cheap next to the 2^n work that reads it and a kept one
-# only adds to the peak memory.  The largest table kept is that of n = 17.
-@bytes_lru(1 << 20, lambda table: table.nbytes)
+# only adds to the peak memory.  The largest table kept is that of n = 17,
+# 1 MiB and its entry charge.
+@bytes_lru((1 << 20) + _ENTRY_BYTES, lambda table: table.nbytes)
 def popcounts(n):
     """Hamming weights of 0..2^n-1 as a read-only int64 numpy array, memoised
     per n.  int64 keeps 1 << popcounts(n) exact for every n up to the cap."""

@@ -14,6 +14,11 @@ carry (spectrum._weighted_signs).  Sign questions (prediction, SP checks,
 closeness) read the signs off that stream, and Stab*_rho = <T_rho f, sgn>
 comes from the spectrum of the signs.  All of it is exact and O(2^n) in
 memory whatever rho; the tests check it against direct O(4^n) summation.
+
+The signs are built once per (f, rho) and kept, read-only int8, one byte
+per point, in one functions.bytes_lru of 64 MiB (_sign_stream):
+optimal_predictor (and so each step of experiments.predictor_orbit),
+stability_report, closeness_to_sp and sp.is_sp all read the kept stream.
 """
 
 from dataclasses import dataclass
@@ -22,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidArgument
-from .functions import BooleanFunction
+from .functions import BooleanFunction, bytes_lru
 from .spectrum import (
     _butterfly,
     _by_level,
@@ -66,8 +71,19 @@ def scaled_t_values(f, rho):
 
 
 def _scaled_signs(f, rho):
-    """int64 array with the signs of 2^n q^n T_rho f (see _weighted_signs)."""
-    return _weighted_signs(wht(f), _rho_weights(f.n, rho))
+    """Read-only int8 array of the signs of 2^n q^n T_rho f, for a checked
+    rho; built once per (f, rho) and kept (see _sign_stream)."""
+    return _sign_stream((f, rho))
+
+
+# A stream is one byte per point: 16 MiB at n = 24, an eighth of its spectrum.
+@bytes_lru(64 << 20, lambda signs: signs.nbytes)
+def _sign_stream(key):
+    """The signs of _weighted_signs for the pair key = (f, checked rho)."""
+    f, rho = key
+    signs = np.sign(_weighted_signs(wht(f), _rho_weights(f.n, rho))).astype(np.int8)
+    signs.flags.writeable = False
+    return signs
 
 
 def disagreement(values, scaled):
@@ -111,10 +127,10 @@ def optimal_predictor(f, rho, tie_rule="zero"):
     if tie_rule not in ("zero", "keep"):
         raise InvalidArgument(f"unknown tie rule {tie_rule!r}")
     rho = check_rho(rho)
-    signs = np.sign(_scaled_signs(f, rho)).astype(np.int8)
+    signs = _scaled_signs(f, rho)
     if tie_rule == "keep":
         signs = np.where(signs == 0, f.values, signs)
-    signs.flags.writeable = False
+        signs.flags.writeable = False
     return TernaryFunction(f.n, signs)
 
 
@@ -144,13 +160,10 @@ def stability_report(f, rho):
     Parseval, sum |c_S b_S| <= 4^n); only their weighted total is a Python
     int."""
     rho = check_rho(rho)
-    return _stability_report(f, rho, _scaled_signs(f, rho))
-
-
-def _stability_report(f, rho, signs):
-    """stability_report of f at a checked rho, given _scaled_signs(f, rho)."""
     stab = stability(f, rho)
-    cross = _by_level(wht(f).coeffs * _butterfly(np.sign(signs)))
+    # int64 before the butterfly: its sums of int8 signs would wrap silently
+    signs = _scaled_signs(f, rho).astype(np.int64)
+    cross = _by_level(wht(f).coeffs * _butterfly(signs))
     total = sum(w * c for w, c in zip(_rho_weights(f.n, rho), cross.tolist()))
     stab_star = Fraction(total, (1 << (2 * f.n)) * rho.denominator**f.n)
     return StabilityReport(
@@ -170,11 +183,7 @@ def closeness_to_sp(f, rho, ties_agree=True):
     Ties (T_rho f = 0) count as agreement unless ties_agree is False.
     """
     rho = check_rho(rho)
-    return _closeness_to_sp(f, rho, _scaled_signs(f, rho), ties_agree)
-
-
-def _closeness_to_sp(f, rho, signs, ties_agree):
-    """closeness_to_sp of f at a checked rho, given _scaled_signs(f, rho)."""
+    signs = _scaled_signs(f, rho)
     bad = disagreement(f.values, signs)
     if not ties_agree:
         bad |= signs == 0

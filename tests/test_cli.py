@@ -10,12 +10,13 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolsp import construct_ltf, construct_named, LtfSpec, PtfSpec, random_function
-from boolsp import cli, functions, sp, spectrum
+from boolsp import cli, functions, noise, sp, spectrum
 from boolsp.cli import main
 from boolsp.serialize import (
     canonical_json,
@@ -255,8 +256,46 @@ def test_stability_computes_the_sign_stream_once(capsys, maj3, monkeypatch):
 
     real = noise._weighted_signs
     monkeypatch.setattr(noise, "_weighted_signs", counted)
+    noise._sign_stream.cache_clear()
     code, _, _ = run(capsys, "stability", "--fn", maj3, "--rho", "1/2")
     assert code == 0 and calls == [4]
+
+
+def test_sign_stream_kept_per_function_and_rho(capsys, tmp_path, maj3, monkeypatch):
+    calls = []
+
+    def counted(spectra, weights):
+        calls.append(len(weights))
+        return real(spectra, weights)
+
+    real = noise._weighted_signs
+    monkeypatch.setattr(noise, "_weighted_signs", counted)
+    f = random_function(8, 1)
+    path = write_fn(tmp_path, "rand8.json", f)
+    requests = [
+        ("stability", "--fn", path, "--rho", "3/8"),
+        ("predict", "--fn", path, "--rho", "3/8"),
+        ("orbit", "--fn", path, "--rho", "3/8", "--max-steps", "1"),
+    ]
+    noise._sign_stream.cache_clear()
+    cold = [run(capsys, *argv) for argv in requests]
+    assert all(code == 0 for code, _, _ in cold)
+    assert calls == [9]  # one stream for stability, predict and the first orbit step
+    assert [run(capsys, *argv) for argv in requests] == cold and calls == [9]
+    noise._sign_stream.cache_clear()
+    assert [run(capsys, *argv) for argv in requests] == cold and calls == [9, 9]
+    kept = noise._scaled_signs(f, Fraction(3, 8))
+    assert kept.dtype == np.int8 and not kept.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        kept[0] = 0
+    # maj3 is balanced, so T_0 maj3 = 0 everywhere: every point is a tie
+    code, out, _ = run(capsys, "predict", "--fn", maj3, "--rho", "0", "--tie-rule", "keep")
+    ties = noise._scaled_signs(construct_named("majority", 3), Fraction(0))
+    assert code == 0 and json.loads(out)["result"]["ties"] == 0
+    assert not ties.any() and not ties.flags.writeable
+    keep = noise.optimal_predictor(construct_named("majority", 3), 0, tie_rule="keep")
+    assert not np.shares_memory(keep.values, ties) and not keep.values.flags.writeable
+    assert not ties.any()
 
 
 def test_level_weights_built_once_per_request(capsys, tmp_path, monkeypatch):
@@ -298,11 +337,13 @@ def test_level_l1_built_once_per_spectrum(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(l1, "func", counted)
     path = write_fn(tmp_path, "rand10.json", random_function(10, 1))
     spectrum.wht.cache_clear()
+    noise._sign_stream.cache_clear()
     for rho in ("1/8", "3/8", "1/2", "7/8"):
         code, _, _ = run(capsys, "predict", "--fn", path, "--rho", rho)
         assert code == 0
     assert builds == [10]  # kept with the kept spectrum
     spectrum.wht.cache_clear()
+    noise._sign_stream.cache_clear()
     code, _, _ = run(capsys, "predict", "--fn", path, "--rho", "3/8")
     assert code == 0 and builds == [10, 10]
 

@@ -1,8 +1,10 @@
 """Truth-table core: constructions, structural predicates, boundary sets."""
 
+import gc
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from boolsp import (
     point_of_index,
     properties,
 )
-from boolsp.functions import bytes_lru, popcounts
+from boolsp.functions import _ENTRY_BYTES, bytes_lru, popcounts
 
 # the running 4-variable polynomial threshold example (coefficients x4)
 PTF_EX = PtfSpec(
@@ -123,8 +125,11 @@ def test_popcounts_memoised_and_read_only():
 
 
 def test_bytes_lru_byte_total_holds_under_threads():
-    # keys 0..19 build 1..7 float64 entries; those of 6 and 7 exceed the bound
-    cached = bytes_lru(5 * 8, lambda a: a.nbytes)(lambda k: np.zeros(k % 7 + 1))
+    # keys 0..19 build 1..7 float64 entries, counted as 1..7 entry charges, so
+    # charged 2..8 of them; those of 6 and 7 exceed the bound
+    cached = bytes_lru(6 * _ENTRY_BYTES, lambda a: a.nbytes // 8 * _ENTRY_BYTES)(
+        lambda k: np.zeros(k % 7 + 1)
+    )
 
     def work(seed):
         rng = random.Random(seed)
@@ -144,20 +149,40 @@ def test_bytes_lru_byte_total_holds_under_threads():
     assert not any(t.is_alive() for t in threads)
     keys, total = cached.cache_info()
     assert len(set(keys)) == len(keys)
-    assert total == sum((k % 7 + 1) * 8 for k in keys) <= 5 * 8
+    assert total == sum((k % 7 + 2) * _ENTRY_BYTES for k in keys) <= 6 * _ENTRY_BYTES
 
 
 def test_popcounts_kept_up_to_one_mebibyte():
     popcounts.cache_clear()
     try:
         small, table = popcounts(16), popcounts(17)  # n = 17 alone fills 1 MiB
-        assert popcounts.cache_info() == ((17,), 1 << 20)
+        assert popcounts.cache_info() == ((17,), (1 << 20) + _ENTRY_BYTES)
         assert popcounts(17) is table and popcounts(16) is not small
-        assert popcounts.cache_info() == ((16,), 1 << 19)
+        assert popcounts.cache_info() == ((16,), (1 << 19) + _ENTRY_BYTES)
         assert popcounts(18) is not popcounts(18)  # 2 MiB: returned unkept
-        assert popcounts.cache_info() == ((16,), 1 << 19)
+        assert popcounts.cache_info() == ((16,), (1 << 19) + _ENTRY_BYTES)
     finally:
         popcounts.cache_clear()
+
+
+def test_bytes_lru_bound_holds_on_small_entries():
+    # 16-byte results keyed by (BooleanFunction(4, .), int): what the cache
+    # holds as traced, keys and result objects included, stays within its bound
+    limit = 1 << 18
+    cached = bytes_lru(limit, lambda a: a.nbytes)(lambda key: np.zeros(16, dtype=np.int8))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for bits in range(4000):
+            cached((BooleanFunction(4, bits), bits))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= limit
+    keys, total = cached.cache_info()
+    assert total == len(keys) * (16 + _ENTRY_BYTES) <= limit
 
 
 def test_majority_table():

@@ -22,7 +22,7 @@ from boolsp import (
     wht,
 )
 from boolsp import spectrum
-from boolsp.functions import bytes_lru
+from boolsp.functions import _ENTRY_BYTES, bytes_lru
 
 from oracles import fourier
 
@@ -182,18 +182,19 @@ def test_gap_is_min_positive_level1_value():
 
 
 def test_spectrum_cache_is_bounded_by_bytes():
-    # wht's own builder under a bound of three n=6 spectra
-    cached = bytes_lru(3 * 8 * 64, lambda spec: spec.coeffs.nbytes)(spectrum.wht.__wrapped__)
+    # wht's own builder under a bound of three n=6 spectra and their entry charges
+    bound = 3 * (8 * 64 + _ENTRY_BYTES)
+    cached = bytes_lru(bound, lambda spec: spec.coeffs.nbytes)(spectrum.wht.__wrapped__)
     fs = [random_function(6, seed) for seed in range(4)]
     kept = [cached(f) for f in fs]
-    assert cached.cache_info() == (tuple(fs[1:]), 3 * 8 * 64)  # the least recent left
+    assert cached.cache_info() == (tuple(fs[1:]), bound)  # the least recent left
     assert cached(fs[1]) is kept[1]  # a hit, now the most recent
     again = cached(fs[0])
     assert again is not kept[0] and np.array_equal(again.coeffs, kept[0].coeffs)
-    assert cached.cache_info() == ((fs[3], fs[1], fs[0]), 3 * 8 * 64)
-    big = random_function(8, 0)  # 2 KiB, more than the whole bound
+    assert cached.cache_info() == ((fs[3], fs[1], fs[0]), bound)
+    big = random_function(10, 0)  # 8 KiB, more than the whole bound
     assert cached(big) is not cached(big)
-    assert cached.cache_info() == ((fs[3], fs[1], fs[0]), 3 * 8 * 64)
+    assert cached.cache_info() == ((fs[3], fs[1], fs[0]), bound)
     cached.cache_clear()
     assert cached.cache_info() == ((), 0)
 
@@ -203,7 +204,7 @@ def test_wht_keeps_its_name_and_cache():
     spectrum.wht.cache_clear()
     f = random_function(5, 1)
     assert spectrum.wht(f) is spectrum.wht(f)
-    assert spectrum.wht.cache_info() == ((f,), 8 * 32)
+    assert spectrum.wht.cache_info() == ((f,), 8 * 32 + _ENTRY_BYTES)
 
 
 @st.composite
