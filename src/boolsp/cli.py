@@ -570,7 +570,7 @@ def main(argv=None):
             print(f"input {path} sha256={digest}")
         print("\n".join(_text_lines(result)))
     else:
-        sys.stdout.write(ser.canonical_json(envelope))
+        ser.write_json(envelope, sys.stdout.write)
     return 0
 
 

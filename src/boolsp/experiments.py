@@ -423,16 +423,16 @@ def _functional_graph(succ):
     succ = np.asarray(succ, dtype=np.intp)
     total = len(succ)
     ids = np.arange(total)
-    live = np.ones(total, dtype=bool)  # the image f^depth(V)
-    size, depth = total, 0
+    nodes, depth = ids, 0  # the image f^depth(V), ascending
+    mark = np.zeros(total, dtype=bool)
     while True:
-        image = np.zeros(total, dtype=bool)
-        image[succ[live]] = True
-        count = int(np.count_nonzero(image))
-        if count == size:
+        mark[succ[nodes]] = True
+        image = np.flatnonzero(mark)
+        if len(image) == len(nodes):
             break
-        live, size, depth = image, count, depth + 1
-    on_cycle = live
+        mark[image] = False
+        nodes, depth = image, depth + 1
+    on_cycle = mark
     fixed = succ == ids
     num_fixpoints = int(np.count_nonzero(fixed))
     loop_nodes = np.flatnonzero(on_cycle & ~fixed).tolist()

@@ -12,9 +12,10 @@ Conventions used everywhere in this package:
   is below index u exactly when v's bit set contains u's.
 * Tables, spectra and T_rho sign streams that many calls read are kept by
   bytes_lru, bounded by bytes: popcounts here, spectrum.wht and
-  noise._sign_stream there.  Each kept entry is charged its result's nbytes
-  plus a fixed _ENTRY_BYTES for its key, result object and dict slot, so
-  many small entries cannot outgrow the bound.
+  noise._sign_stream there.  Each kept entry is charged its result's nbytes,
+  the truth tables its key holds and a fixed _ENTRY_BYTES for the key,
+  result object and dict slot, so many small entries cannot outgrow the
+  bound and a kept result cannot keep a large table uncharged.
 """
 
 from collections import OrderedDict
@@ -47,26 +48,37 @@ def index_of_point(point):
     return u
 
 
-# What a kept entry holds besides nbytes(result): its key, the result's
-# Python object and the dict slot.  Per entry, for a 16-byte int8 result
-# keyed by (BooleanFunction(4, .), Fraction) or an n = 4 spectrum keyed by
-# its function: about 0.5 KiB traced by tracemalloc, 0.55-0.65 KiB of RSS.
-# Charged on top of nbytes, it keeps a cache of many small entries within
-# its bound.
+# What a kept entry holds besides nbytes(result) and its key's tables: the
+# key's objects, the result's Python object and the dict slot.  Per entry,
+# for a 16-byte int8 result keyed by (BooleanFunction(4, .), Fraction) or an
+# n = 4 spectrum keyed by its function: about 0.5 KiB traced by tracemalloc,
+# 0.55-0.65 KiB of RSS.  Charged on top of the rest, it keeps a cache of many
+# small entries within its bound.
 _ENTRY_BYTES = 1 << 10
+
+
+def _key_bytes(key):
+    """The table bytes a cache key holds: those of the BooleanFunction that is
+    the key or an item of the tuple key."""
+    items = key if isinstance(key, tuple) else (key,)
+    return sum(x.nbytes for x in items if isinstance(x, BooleanFunction))
 
 
 def bytes_lru(limit, nbytes):
     """functools.lru_cache for one hashable argument, bounded by the bytes
-    kept instead of a count: each entry is charged nbytes(result) +
-    _ENTRY_BYTES, the least recently used leaves first, and a result whose
-    charge exceeds limit is returned unkept.  Thread-safe; cache_info() is
-    (kept keys, least recent first; their total charge)."""
+    kept instead of a count: each entry is charged nbytes(result), the tables
+    of its key (_key_bytes) and _ENTRY_BYTES, the least recently used leaves
+    first, and a result whose charge exceeds limit is returned unkept.  A
+    function that keys two caches is charged in each.  Thread-safe;
+    cache_info() is (kept keys, least recent first; their total charge)."""
 
     def decorate(build):
         kept = OrderedDict()
         total = 0
         lock = Lock()
+
+        def charge(key, value):
+            return nbytes(value) + _key_bytes(key) + _ENTRY_BYTES
 
         @wraps(build)
         def cached(key):
@@ -77,14 +89,14 @@ def bytes_lru(limit, nbytes):
                     kept.move_to_end(key)
                     return value
             value = build(key)
-            size = nbytes(value) + _ENTRY_BYTES
+            size = charge(key, value)
             if size <= limit:
                 with lock:
                     if key not in kept:
                         kept[key] = value
                         total += size
                     while total > limit:
-                        total -= nbytes(kept.popitem(last=False)[1]) + _ENTRY_BYTES
+                        total -= charge(*kept.popitem(last=False))
             return value
 
         def cache_clear():
@@ -120,7 +132,7 @@ def popcounts(n):
 class BooleanFunction:
     """Immutable +-1 valued function given by its dense truth table."""
 
-    __slots__ = ("n", "bits", "_values")
+    __slots__ = ("n", "bits", "_values", "_hash")
 
     def __init__(self, n, bits):
         check_cap(n)
@@ -134,6 +146,8 @@ class BooleanFunction:
         values = (np.unpackbits(raw, bitorder="little")[:size].astype(np.int8) * 2) - 1
         values.flags.writeable = False
         object.__setattr__(self, "_values", values)
+        # kept: hashing bits reads all 2^n of them, and every cache lookup hashes
+        object.__setattr__(self, "_hash", hash((n, bits)))
 
     @property
     def values(self):
@@ -165,7 +179,12 @@ class BooleanFunction:
         )
 
     def __hash__(self):
-        return hash((self.n, self.bits))
+        return self._hash
+
+    @property
+    def nbytes(self):
+        """Bytes of its tables: one per point in values, one bit per point in bits."""
+        return self._values.nbytes + len(self._values) // 8
 
     def __setattr__(self, *_):
         raise AttributeError("BooleanFunction is immutable")
@@ -328,12 +347,21 @@ def properties(f):
         if below:
             monotone = False
             break
-    odd = bool(np.all(vals == -vals[::-1]))
-    even = bool(np.all(vals == vals[::-1]))
-    # swapping x_{j+1}, x_{j+2} exchanges bits (j+1, j) = (0, 1) and (1, 0), and
-    # these neighbouring transpositions generate every permutation
-    quads = (vals.reshape(-1, 2, 2, 1 << j) for j in range(f.n - 1))
-    symmetric = all(np.array_equal(q[:, 0, 1], q[:, 1, 0]) for q in quads)
+    # -x is index 2^n - 1 - u: each low-half point against its mirror in the
+    # high half decides both, f(-x) = -f(x) everywhere or f(-x) = f(x)
+    half = len(vals) // 2
+    same = vals[:half] == vals[:half - 1:-1]
+    odd = not same.any()
+    even = bool(same.all())
+    # the transposition of x_1 and x_2 (bits (1, 0) = (0, 1) against (1, 0))
+    # and the cyclic shift of the coordinates generate every permutation; the
+    # shift takes index 2w + b to b 2^(n-1) + w, the transposed pairs view
+    symmetric = True
+    if f.n >= 2:
+        quads = vals.reshape(-1, 2, 2)
+        symmetric = np.array_equal(quads[:, 0, 1], quads[:, 1, 0]) and np.array_equal(
+            vals.reshape(-1, 2).T, vals.reshape(2, -1)
+        )
     return PropertyRecord(balanced, monotone, odd, even, symmetric)
 
 

@@ -31,7 +31,7 @@ from .functions import BooleanFunction, bytes_lru
 from .spectrum import (
     _butterfly,
     _by_level,
-    _level1_values,
+    _level1_l1,
     _limb_plan,
     _weighted_signs,
     _weighted_transform,
@@ -209,7 +209,7 @@ def _prediction_gain(f, report):
     """prediction_gain of f given its stability_report."""
     if report.stab == 0:
         raise InvalidArgument("stability is zero (balanced f at rho=0); no ratio")
-    l1 = Fraction(int(np.abs(_level1_values(f)).sum()), 1 << (2 * f.n))
+    l1 = Fraction(_level1_l1(f), 1 << (2 * f.n))
     w1 = Fraction(wht(f).weights[1], 1 << (2 * f.n))
     ok = 2 * l1**2 >= w1 and l1**2 <= w1
     return PredictionGain(report.stab_star / report.stab, l1, w1, ok)

@@ -54,18 +54,59 @@ def canonical_json(obj):
     compact text is the indented one with ", " for the separators.  Anything
     else (empty or non-string-keyed containers) is rendered by json.dumps and
     indented to its depth, which is exact because newlines in JSON text only
-    ever separate items (strings escape theirs)."""
+    ever separate items (strings escape theirs).  write_json streams the
+    same text."""
     out = []
     _emit(obj, "", out)
     out.append("\n")
     return "".join(out)
 
 
+def write_json(obj, write):
+    """Pass canonical_json(obj) to write(str) in pieces, never joined whole: a
+    report of a 2^n spectrum holds one block of _int64_items at a time."""
+    sink = _Sink(write)
+    _emit(obj, "", sink)
+    sink.append("\n")
+    sink.flush()
+
+
+# Parts this long go out on their own: every full block of _int64_items.
+_BATCH = 1 << 16
+
+
+class _Sink(list):
+    """The list _emit appends to, writing as it goes.  append is the list's
+    own, so the many small parts cost what they cost in canonical_json; they
+    are gathered and written in one piece.  The parts _emit passes to extend
+    (int64 blocks as _int64_items yields them, and a list of ints) are
+    checked one by one: a part of _BATCH characters or more is written on
+    its own, after the parts gathered before it.  A report without such a
+    part is one write, at flush."""
+
+    def __init__(self, write):
+        super().__init__()
+        self._write = write
+
+    def extend(self, parts):
+        for part in parts:
+            if len(part) >= _BATCH:
+                self.flush()
+                self._write(part)
+            else:
+                self.append(part)
+
+    def flush(self):
+        if self:
+            self._write("".join(self))
+            self.clear()
+
+
 _compact = json.JSONEncoder(allow_nan=False).encode
 
 
 def _emit(obj, pad, out):
-    """Append the text of obj, indented to pad, to the list out."""
+    """Append the text of obj, indented to pad, to the list out (or _Sink)."""
     inner = pad + "  "
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
@@ -76,7 +117,7 @@ def _emit(obj, pad, out):
     elif isinstance(obj, np.ndarray) and obj.dtype == np.int64 and obj.ndim == 1:
         if obj.size:
             out.append("[")
-            _int64_items(obj, inner, out)
+            out.extend(_int64_items(obj, inner))
             out.append(f"\n{pad}]")
         else:
             out.append("[]")
@@ -111,9 +152,10 @@ _BLOCK = 1 << 16
 _TENS = [10**t for t in range(1, 19)]  # |x| < 10^19 for every int64 x
 
 
-def _int64_items(a, inner, out):
-    """Append the items of the non-empty int64 array a as json lays them out
-    at indent inner: "\n" + inner + digits, with "," between items.
+def _int64_items(a, inner):
+    """Yield the items of the non-empty int64 array a as json lays them out
+    at indent inner, "\n" + inner + digits with "," between items, one text
+    per block of _BLOCK items.
 
     Each block is one uint8 buffer of spaces.  Item i takes ",\n", the
     indent, a sign and its digits, at offsets from a cumsum of the int32
@@ -149,7 +191,7 @@ def _int64_items(a, inner, out):
             more = mag > 0
             mag = mag[more]
             pos = pos[more] - 1
-        out.append(str(memoryview(buf)[start == 0:], "ascii"))
+        yield str(memoryview(buf)[start == 0:], "ascii")
 
 
 def check_renderable(x):

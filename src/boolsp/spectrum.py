@@ -199,18 +199,41 @@ def _spectral_summary(f, monotone):
     )
 
 
-def _level1_values(f):
-    """2^n times the level-1 part sum_i fhat_i x_i at every point (int64), the
-    same array as level_values(f, 1) by n doublings instead of a butterfly."""
-    return linear_values(0, wht(f).coeffs[1 << np.arange(f.n)].tolist())
+def _level1_halves(f):
+    """The level-1 form 2^n sum_i fhat_i x_i split in two (meet in the middle,
+    Horowitz and Sahni 1974): (a, b), int64 tables of linear_values over the
+    first n // 2 level-1 coefficients and over the rest, b sorted.  Its value
+    at the point whose low coordinates index a[j] and high ones index b[k] is
+    a[j] + b[k], so every question about the form's 2^n values is one about
+    the sums of two tables of 2^(n/2) entries each."""
+    c = wht(f).coeffs[1 << np.arange(f.n)].tolist()
+    half = f.n // 2
+    return linear_values(0, c[:half]), np.sort(linear_values(0, c[half:]))
 
 
 def _level1_gap(f):
     """Gap[f]: least positive value of sum_i fhat_i x_i over the cube, 0 when
-    that level-1 form is never positive."""
-    lev1 = _level1_values(f)
-    positive = lev1[lev1 > 0]
-    return Fraction(int(positive.min()), 1 << f.n) if len(positive) else Fraction(0)
+    that level-1 form is never positive.  For each a the least b > -a is
+    found by bisection in the sorted b."""
+    a, b = _level1_halves(f)
+    k = np.searchsorted(b, -a, side="right")
+    found = k < len(b)
+    if not found.any():
+        return Fraction(0)
+    return Fraction(int((a[found] + b[k[found]]).min()), 1 << f.n)
+
+
+def _level1_l1(f):
+    """4^n E|sum_i fhat_i y_i|, the sum of |2^n sum_i fhat_i x_i| over the
+    cube, as an exact int: sum_a sum_b |a + b| from the prefix sums of the
+    sorted b.  With k = #{b < -a} and s_k the sum of the k least b, the row of
+    a adds (len(b) - 2k) a + sum(b) - 2 s_k.  Each row fits int64; the rows
+    are summed as Python ints."""
+    a, b = _level1_halves(f)
+    k = np.searchsorted(b, -a, side="left")
+    prefix = np.concatenate(([0], np.cumsum(b)))
+    rows = (len(b) - 2 * k) * a + prefix[-1] - 2 * prefix[k]
+    return sum(rows.tolist())
 
 
 def influences(f):

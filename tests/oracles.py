@@ -300,6 +300,17 @@ def _linear_form(a0, a):
     return vals
 
 
+def linear_gap(a):
+    """Least positive value of sum_j a_j x_j over the cube, 0 when the form is
+    never positive: read off the full table of its 2^n values."""
+    return min((x for x in _linear_form(0, a) if x > 0), default=0)
+
+
+def linear_abs_sum(a):
+    """Sum of |sum_j a_j x_j| over the full table of its 2^n values."""
+    return sum(abs(x) for x in _linear_form(0, a))
+
+
 def ltf_approximation(values, n):
     """((a0, a), distance, sperner_cap, bound, zero_set_size, offset) of the LTF
     fitted to the level-1 coefficients, point by point over the zero set Z of

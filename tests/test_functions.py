@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from boolsp import (
     point_of_index,
     properties,
 )
+from boolsp import noise, spectrum
 from boolsp.functions import _ENTRY_BYTES, bytes_lru, popcounts
 
 # the running 4-variable polynomial threshold example (coefficients x4)
@@ -182,7 +184,34 @@ def test_bytes_lru_bound_holds_on_small_entries():
         tracemalloc.stop()
     assert held <= limit
     keys, total = cached.cache_info()
-    assert total == len(keys) * (16 + _ENTRY_BYTES) <= limit
+    assert total == len(keys) * (16 + (16 + 2) + _ENTRY_BYTES) <= limit
+
+
+def test_bytes_lru_charges_the_tables_of_its_keys():
+    # a kept result is charged the truth tables of a BooleanFunction key and
+    # of one in a tuple key: n = 10 holds 1024 value bytes and 128 of bits
+    f = BooleanFunction.from_values(np.resize([1, -1, -1], 1 << 10))
+    assert f.nbytes == 1024 + 128
+    spectrum.wht.cache_clear()
+    noise._sign_stream.cache_clear()
+    try:
+        noise._scaled_signs(f, Fraction(1, 2))
+        assert spectrum.wht.cache_info() == ((f,), 8 * 1024 + 1152 + _ENTRY_BYTES)
+        assert noise._sign_stream.cache_info() == (
+            ((f, Fraction(1, 2)),), 1024 + 1152 + _ENTRY_BYTES
+        )
+    finally:
+        spectrum.wht.cache_clear()
+        noise._sign_stream.cache_clear()
+
+
+def test_equal_tables_hash_equal():
+    for n, bits in ((1, 2), (4, 0xBEEF), (9, (1 << 511) | 12345)):
+        f = BooleanFunction(n, bits)
+        g = BooleanFunction.from_values(f.values.copy())
+        assert f == g and f is not g and hash(f) == hash(g)
+        assert {f: 1}[g] == 1
+    assert BooleanFunction(3, 5) != BooleanFunction(2, 5)
 
 
 def test_majority_table():
@@ -324,6 +353,37 @@ def test_symmetric_matches_gather_on_permuted_and_negated_inputs():
                 assert properties(g).symmetric == symmetric_by_gather(g)
         assert properties(permute_inputs(f, perm)).symmetric
         assert not properties(negate_inputs(f, [-1] + [1] * (n - 1))).symmetric
+
+
+def parity_by_gather(f):
+    """(odd, even): every point against its negation, index u ^ (2^n - 1)."""
+    vals = f.values
+    mirror = vals[np.arange(1 << f.n) ^ ((1 << f.n) - 1)]
+    return bool(np.array_equal(mirror, -vals)), bool(np.array_equal(mirror, vals))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 10),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("table", "weights", "negated", "odd", "even")),
+)
+def test_parity_and_symmetry_match_gather(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    size = 1 << n
+    if kind == "table":
+        vals = rng.choice((-1, 1), size=size)
+    elif kind in ("weights", "negated"):
+        vals = rng.choice((-1, 1), size=n + 1)[popcounts(n)]
+    else:  # the high half mirrors the low one, negated for "odd"
+        low = rng.choice((-1, 1), size=size // 2)
+        vals = np.concatenate([low, (-1 if kind == "odd" else 1) * low[::-1]])
+    f = BooleanFunction.from_values(vals)
+    if kind == "negated":
+        f = negate_inputs(f, rng.choice((-1, 1), size=n).tolist())
+    rec = properties(f)
+    assert (rec.odd, rec.even) == parity_by_gather(f)
+    assert rec.symmetric == symmetric_by_gather(f)
 
 
 def test_monotone_against_definition():

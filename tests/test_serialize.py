@@ -191,6 +191,13 @@ def assert_same_text(got, want):
                     f"!= {want[i - 30:i + 30]!r}")
 
 
+def streamed(obj):
+    """The pieces write_json passes to its writer for obj."""
+    pieces = []
+    serialize.write_json(obj, pieces.append)
+    return pieces
+
+
 def as_lists(obj):
     """obj with every array replaced by its list."""
     if isinstance(obj, np.ndarray):
@@ -205,7 +212,9 @@ def as_lists(obj):
 @settings(max_examples=100, deadline=None)
 @given(nested(4))
 def test_canonical_json_int64_arrays_match_stdlib(obj):
-    assert_same_text(canonical_json(obj), stdlib_canonical(obj))
+    text = canonical_json(obj)
+    assert_same_text(text, stdlib_canonical(obj))
+    assert_same_text("".join(streamed(obj)), text)
     assert _text_lines(obj) == _text_lines(as_lists(obj))
 
 
@@ -225,6 +234,27 @@ def test_canonical_json_int64_block_maximum(top):
     # magnitude dtype is met at its top and just past it
     a = np.array([top // 10, top, -(top // 3), 0, top // 2], dtype=np.int64)
     assert_same_text(canonical_json(a), stdlib_canonical(a))
+
+
+@pytest.mark.parametrize("depth", range(3))
+def test_streamed_report_equals_canonical_json(depth):
+    # arrays of three blocks and a bit, among small parts before and after
+    rng = np.random.default_rng(depth)
+    a = rng.integers(-(2**63), 2**63, size=3 * serialize._BLOCK + 7, dtype=np.int64)
+    a >>= rng.integers(0, 64, size=a.size)
+    obj = {"a": a, "tail": [1, "x", None, {"b": a[:5]}], "head": "h"}
+    for level in range(depth):
+        obj = {"k": [True, obj, a[::-1].copy()]} if level % 2 else [obj, -1]
+    pieces = streamed(obj)
+    text = canonical_json(obj)
+    assert_same_text("".join(pieces), text)
+    # written as it was laid out: no piece is the text or most of it
+    assert len(pieces) > 3 and max(map(len, pieces)) < len(text) // 2
+
+
+def test_small_report_is_one_write():
+    obj = {"n": 3, "spectrum": np.arange(8, dtype=np.int64), "names": ["a", "b"]}
+    assert streamed(obj) == [canonical_json(obj)]
 
 
 def test_file_digest(tmp_path):

@@ -22,9 +22,9 @@ from boolsp import (
     wht,
 )
 from boolsp import spectrum
-from boolsp.functions import _ENTRY_BYTES, bytes_lru
+from boolsp.functions import _ENTRY_BYTES, bytes_lru, linear_values
 
-from oracles import fourier
+from oracles import fourier, linear_abs_sum, linear_gap
 
 
 def random_function_list(rng, n):
@@ -181,9 +181,52 @@ def test_gap_is_min_positive_level1_value():
         assert s.gap == (min(positive) if positive else 0)
 
 
+@st.composite
+def level1_tables(draw):
+    """(n, +-1 table) for n = 1..12: a random table; an even one, whose
+    level-1 form vanishes (gap 0); one of the Hamming weight, whose level-1
+    coefficients are all equal; or an LTF with small weights, whose half-table
+    sums tie often."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("table", "even", "weight", "ltf")))
+    size = 1 << n
+    if kind == "table":
+        vals = rng.choice((-1, 1), size=size)
+    elif kind == "even":
+        low = rng.choice((-1, 1), size=size // 2)
+        vals = np.concatenate([low, low[::-1]])  # f(-x) = f(x)
+    elif kind == "weight":
+        vals = rng.choice((-1, 1), size=n + 1)[np.bitwise_count(np.arange(size))]
+    else:
+        # odd weights and an offset of the other parity: the form never vanishes
+        a = 2 * rng.integers(0, 4, size=n) + 1
+        vals = np.sign(linear_values((n + 1) % 2, a.tolist()))
+    return n, vals
+
+
+@settings(max_examples=150, deadline=None)
+@given(level1_tables())
+def test_level1_half_tables_match_full_table(case):
+    n, vals = case
+    f = BooleanFunction.from_values(vals)
+    a = wht(f).coeffs[1 << np.arange(n)].tolist()
+    assert spectrum._level1_gap(f) == Fraction(linear_gap(a), 1 << n)
+    assert spectrum._level1_l1(f) == linear_abs_sum(a)
+
+
+def test_level1_half_tables_on_a_vanishing_form():
+    for n in (1, 2, 5):
+        f = construct_named("character", n, coords=[])  # constant: level 1 is zero
+        assert spectrum._level1_gap(f) == 0 and spectrum._level1_l1(f) == 0
+    x1 = construct_named("character", 1, coords=[1])  # n = 1: the form is x_1
+    assert spectrum._level1_gap(x1) == 1 and spectrum._level1_l1(x1) == 4
+
+
 def test_spectrum_cache_is_bounded_by_bytes():
-    # wht's own builder under a bound of three n=6 spectra and their entry charges
-    bound = 3 * (8 * 64 + _ENTRY_BYTES)
+    # wht's own builder under a bound of three n=6 spectra and their entry
+    # charges, each with its key's 64 value bytes and 8 bytes of bits
+    bound = 3 * (8 * 64 + 72 + _ENTRY_BYTES)
     cached = bytes_lru(bound, lambda spec: spec.coeffs.nbytes)(spectrum.wht.__wrapped__)
     fs = [random_function(6, seed) for seed in range(4)]
     kept = [cached(f) for f in fs]
@@ -204,7 +247,7 @@ def test_wht_keeps_its_name_and_cache():
     spectrum.wht.cache_clear()
     f = random_function(5, 1)
     assert spectrum.wht(f) is spectrum.wht(f)
-    assert spectrum.wht.cache_info() == ((f,), 8 * 32 + _ENTRY_BYTES)
+    assert spectrum.wht.cache_info() == ((f,), 8 * 32 + (32 + 4) + _ENTRY_BYTES)
 
 
 @st.composite
