@@ -25,7 +25,7 @@ first use.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import ceil, comb, factorial, log2, sqrt
+from math import comb, factorial, log2, sqrt
 
 import numpy as np
 
@@ -38,8 +38,9 @@ def shell_bias(f, v, d):
     """Fraction of the distance-d shell around v where f disagrees with f(v)."""
     if not 1 <= d <= f.n:
         raise InvalidArgument(f"shell distance must be in 1..{f.n}")
+    center = f.value_at(v)  # InvalidArgument unless v indexes a point
     shell = np.flatnonzero(popcounts(f.n) == d) ^ v
-    disagree = int(np.count_nonzero(f.values[shell] != f.value_at(v)))
+    disagree = int(np.count_nonzero(f.values[shell] != center))
     return Fraction(disagree, comb(f.n, d))
 
 
@@ -57,7 +58,7 @@ def bad_point_detect(f, v, eta, ell=None):
     if not 0 <= eta < Fraction(1, 2):
         raise InvalidArgument("eta must lie in [0, 1/2)")
     if ell is None:
-        ell = max(1, ceil(log2(f.n))) if f.n > 1 else 1
+        ell = max(1, (f.n - 1).bit_length())  # ceil(log2(n)) for n >= 2
     if not 1 <= ell <= f.n:
         raise InvalidArgument(f"ell must be in 1..{f.n}")
     beta = tuple(shell_bias(f, v, d) for d in range(1, ell + 1))

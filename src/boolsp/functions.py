@@ -166,6 +166,8 @@ class BooleanFunction:
         return cls(n, int.from_bytes(packed.tobytes(), "little"))
 
     def value_at(self, u):
+        if not 0 <= u < len(self._values):
+            raise InvalidArgument(f"point index must be in 0..{len(self._values) - 1}, got {u}")
         return int(self._values[u])
 
     def __call__(self, point):
@@ -330,23 +332,25 @@ class PropertyRecord:
     symmetric: bool
 
 
+def coordinate_pairs(a):
+    """For j = 0..n-1, the (upper, lower) view pairs of the 2^n-entry array a
+    across x_{j+1}: upper at the points with bit j clear, lower at the same
+    points with bit j set.  For j <= 3 the 3-D view has runs of 1 to 8 entries,
+    which compare slowly, so its 2^j strided columns are paired one by one."""
+    for j in range(len(a).bit_length() - 1):
+        pair = a.reshape(-1, 2, 1 << j)
+        columns = range(1 << j) if j <= 3 else [slice(None)]
+        yield [(pair[:, 0, t], pair[:, 1, t]) for t in columns]
+
+
 def properties(f):
-    """Structural predicates of f, each decided over the full table."""
+    """Structural predicates of f, each decided over the full table; f is
+    monotone when no lower view of coordinate_pairs exceeds its upper one."""
     vals = f.values
     balanced = int(vals.sum()) == 0
-    monotone = True
-    for j in range(f.n):
-        arr = vals.reshape(-1, 2, 1 << j)
-        # bit j set (x_{j+1} = -1) must not exceed bit j clear (x_{j+1} = +1).
-        # For j <= 3 the runs of the 3-D view are 1 to 8 entries long, so the
-        # 2^j strided columns of each side are compared one at a time instead
-        if j <= 3:
-            below = any(np.any(arr[:, 1, t] > arr[:, 0, t]) for t in range(1 << j))
-        else:
-            below = np.any(arr[:, 1, :] > arr[:, 0, :])
-        if below:
-            monotone = False
-            break
+    monotone = not any(
+        (lower > upper).any() for views in coordinate_pairs(vals) for upper, lower in views
+    )
     # -x is index 2^n - 1 - u: each low-half point against its mirror in the
     # high half decides both, f(-x) = -f(x) everywhere or f(-x) = f(x)
     half = len(vals) // 2
@@ -384,20 +388,18 @@ def _boundary_mask(f):
     """Bool array of the dominating boundary points of the monotone f.
 
     For monotone f it suffices to look at immediate neighbours: an equal pair
-    across x_{j+1} leaves its upper point (bit j clear) not minimal when both
-    are +1, and its lower point not maximal when both are -1.  Once no pair
-    has lower > upper, both +1 is just lower > 0 and both -1 is upper < 0.
+    of coordinate_pairs leaves its upper point not minimal when both are +1,
+    and its lower point not maximal when both are -1.  Once the pair has no
+    lower > upper, both +1 is just lower > 0 and both -1 is upper < 0; the
+    marks go through the same views of the slack array.
     """
-    vals = f.values
     slack = np.zeros(1 << f.n, dtype=bool)
-    for j in range(f.n):
-        pair = vals.reshape(-1, 2, 1 << j)
-        upper, lower = pair[:, 0, :], pair[:, 1, :]
-        if np.any(lower > upper):
-            raise PreconditionError("dominating boundary is defined for monotone f only")
-        out = slack.reshape(-1, 2, 1 << j)
-        out[:, 0, :] |= lower > 0
-        out[:, 1, :] |= upper < 0
+    for views, marks in zip(coordinate_pairs(f.values), coordinate_pairs(slack)):
+        for (upper, lower), (upper_slack, lower_slack) in zip(views, marks):
+            if (lower > upper).any():
+                raise PreconditionError("dominating boundary is defined for monotone f only")
+            upper_slack |= lower > 0
+            lower_slack |= upper < 0
     return ~slack
 
 

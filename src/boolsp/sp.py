@@ -79,10 +79,8 @@ DEFAULT_EPSILON = Fraction(1, 10**9)
 def sp_polynomial(f, v):
     """Coefficients (c_0..c_n) of 2^n T_rho f(v) as a polynomial in rho:
     c_k sums the scaled coefficients 2^n fhat_S * chi_S(v) over |S| = k."""
-    size = 1 << f.n
-    if not 0 <= v < size:
-        raise InvalidArgument(f"point index must be in 0..{size - 1}, got {v}")
-    chi = np.where(np.bitwise_count(np.arange(size) & v) & 1, -1, 1)  # chi_S(v)
+    f.value_at(v)  # InvalidArgument unless v indexes a point
+    chi = np.where(np.bitwise_count(np.arange(1 << f.n) & v) & 1, -1, 1)  # chi_S(v)
     return tuple(_by_level(wht(f).coeffs * chi).tolist())
 
 

@@ -16,7 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidArgument
-from .functions import BooleanFunction, bytes_lru, linear_values, popcounts, properties
+from .functions import BooleanFunction, bytes_lru, coordinate_pairs, linear_values
+from .functions import popcounts, properties
 
 
 def _butterfly(arr):
@@ -237,14 +238,12 @@ def _level1_l1(f):
 
 
 def influences(f):
-    """Flip-count influence of each coordinate (exact, any f)."""
-    vals = f.values
-    out = []
-    for j in range(f.n):
-        arr = vals.reshape(-1, 2, 1 << j)
-        pairs = int(np.count_nonzero(arr[:, 0, :] != arr[:, 1, :]))
-        out.append(Fraction(pairs, 1 << (f.n - 1)))
-    return tuple(out)
+    """Flip-count influence of each coordinate (exact, any f): the share of
+    the pairs of functions.coordinate_pairs whose two values differ."""
+    return tuple(
+        Fraction(sum(int(np.count_nonzero(up != lo)) for up, lo in views), 1 << (f.n - 1))
+        for views in coordinate_pairs(f.values)
+    )
 
 
 def chow_distance(f, g):

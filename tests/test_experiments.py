@@ -86,12 +86,25 @@ def test_shell_bias_validates_distance():
         shell_bias(f, 0, 4)
 
 
+def test_shell_bias_and_bad_point_check_the_point():
+    # -1 read the shell of point 7, and 8 raised a raw IndexError
+    f = construct_named("majority", 3)
+    for v in (-1, 8):
+        with pytest.raises(InvalidArgument):
+            shell_bias(f, v, 1)
+        with pytest.raises(InvalidArgument):
+            bad_point_detect(f, v, Fraction(1, 4))
+
+
 def test_bad_point_or_apex():
     f = construct_named("or", 3)
     rep = bad_point_detect(f, 0, Fraction(1, 4))
     assert rep.ell == 2  # default ceil(log2(3))
     assert rep.beta == (Fraction(1), Fraction(1))
     assert rep.bad
+    for n in range(1, 18):  # the default is the least ell >= 1 with 2^ell >= n
+        ell = bad_point_detect(construct_named("or", n), 0, 0).ell
+        assert ell >= 1 and 1 << ell >= n and (ell == 1 or 1 << (ell - 1) < n)
 
 
 def test_majority_center_not_bad():

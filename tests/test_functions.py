@@ -32,7 +32,7 @@ from boolsp import (
     properties,
 )
 from boolsp import noise, spectrum
-from boolsp.functions import _ENTRY_BYTES, bytes_lru, popcounts
+from boolsp.functions import _ENTRY_BYTES, bytes_lru, dominating_boundary_count, popcounts
 
 # the running 4-variable polynomial threshold example (coefficients x4)
 PTF_EX = PtfSpec(
@@ -412,36 +412,49 @@ def violating_directions(vals, n):
     }
 
 
+def planted_violations(rng, n, j):
+    """A monotone LTF f on n coordinates, its values and the points u (bit j
+    clear) whose swap with u | 2^j leaves that pair the only one out of order.
+
+    Swapping a +1 point u with its -1 lower neighbour u | 2^j does so when
+    every other lower neighbour of u is -1 and every other upper one of
+    u | 2^j is +1; monotone LTFs are drawn until one has such a u."""
+    bit = 1 << j
+    swaps = []
+    while not swaps:
+        a = tuple(2 * rng.randint(0, 3) + 1 for _ in range(n))
+        f = construct_ltf(LtfSpec((n % 2 + 1) % 2, a))
+        vals = f.values.tolist()
+        swaps = [
+            u for u in range(1 << n)
+            if not u & bit and vals[u] == 1 and vals[u | bit] == -1
+            and all(vals[u | 1 << k] == -1
+                    for k in range(n) if k != j and not (u >> k) & 1)
+            and all(vals[(u | bit) & ~(1 << k)] == 1
+                    for k in range(n) if (u >> k) & 1)
+        ]
+    return f, vals, swaps
+
+
+def plant(vals, u, j):
+    """A copy of vals with the +1 at u and the -1 at u | 2^j swapped."""
+    planted = list(vals)
+    planted[u], planted[u | 1 << j] = -1, 1
+    return planted
+
+
 def test_monotone_against_definition_large_n():
     # a single violating pair, planted along each direction j in turn, so
-    # both the column-by-column scan of j <= 3 and the 3-D view of j >= 4
+    # both the column-by-column views of j <= 3 and the 3-D view of j >= 4
     # must find it
     rng = random.Random(17)
     for n in range(5, 10):
         for j in range(n):
-            bit = 1 << j
-            # swapping a +1 point u with its -1 lower neighbour u | 2^j leaves
-            # that pair the only one out of order when every other lower
-            # neighbour of u is -1 and every other upper one of u | 2^j is +1;
-            # draw monotone LTFs until one has such a u
-            swaps = []
-            while not swaps:
-                a = tuple(2 * rng.randint(0, 3) + 1 for _ in range(n))
-                f = construct_ltf(LtfSpec((n % 2 + 1) % 2, a))
-                vals = f.values.tolist()
-                swaps = [
-                    u for u in range(1 << n)
-                    if not u & bit and vals[u] == 1 and vals[u | bit] == -1
-                    and all(vals[u | 1 << k] == -1
-                            for k in range(n) if k != j and not (u >> k) & 1)
-                    and all(vals[(u | bit) & ~(1 << k)] == 1
-                            for k in range(n) if (u >> k) & 1)
-                ]
+            f, vals, swaps = planted_violations(rng, n, j)
             assert properties(f).monotone and not violating_directions(vals, n)
             checked = rng.choice(swaps)
             for u in swaps:
-                planted = list(vals)
-                planted[u], planted[u | bit] = -1, 1
+                planted = plant(vals, u, j)
                 if u == checked:
                     assert violating_directions(planted, n) == {j}
                 assert not properties(BooleanFunction.from_values(planted)).monotone
@@ -460,6 +473,15 @@ def test_dominating_boundary_requires_monotone():
     chi = construct_named("character", 3, coords=[1, 2])
     with pytest.raises(PreconditionError):
         dominating_boundary_points(chi)
+    # one violating pair along each direction, on both sides of the j <= 3 split
+    rng = random.Random(18)
+    for n in range(5, 10):
+        for j in range(n):
+            f, vals, swaps = planted_violations(rng, n, j)
+            assert dominating_boundary_count(f) > 0
+            planted = BooleanFunction.from_values(plant(vals, rng.choice(swaps), j))
+            with pytest.raises(PreconditionError):
+                dominating_boundary_count(planted)
 
 
 def test_dominating_boundary_definition_random():

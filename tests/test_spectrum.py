@@ -134,9 +134,10 @@ def test_weights_sum_to_one():
 
 
 def test_influences_flip_counting():
+    # n up to 8 reaches both sides of the j <= 3 column split
     rng = random.Random(16)
     for _ in range(40):
-        n = rng.randint(1, 4)
+        n = rng.randint(1, 8)
         vals = random_function_list(rng, n)
         f = BooleanFunction.from_values(vals)
         inf = influences(f)
@@ -147,6 +148,18 @@ def test_influences_flip_counting():
                 if not (u >> j) & 1 and vals[u] != vals[u | (1 << j)]
             )
             assert inf[j] == Fraction(pairs, 1 << (n - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda n: st.integers(0, (1 << (1 << n)) - 1).map(lambda bits: BooleanFunction(n, bits))
+    )
+)
+def test_total_influence_is_level_weighted_sum(f):
+    # sum_j Inf_j = sum_k k W^k: the flip counts of the table against the spectrum
+    level_sum = sum(Fraction(k * w, 4**f.n) for k, w in enumerate(wht(f).weights))
+    assert sum(influences(f)) == level_sum
 
 
 def test_monotone_influence_equals_chow():
