@@ -1,7 +1,7 @@
 """Shell biases, bad points, sharp-threshold constants, and whole-space scans.
 
-The n <= 4 scans read every sign of every table off one exact kernel
-(_sign_keys).  For rho = p/q the scaled noise operator is
+The n <= 4 scans read the signs of the tables they need off one exact
+kernel (_sign_keys).  For rho = p/q the scaled noise operator is
 
     2^n q^n T_rho f(u) = sum_v (q+p)^(n-d(u,v)) (q-p)^d(u,v) f(v),
 
@@ -9,17 +9,22 @@ so with a table id split into its low and high halves of 2^(n-1) points the
 value at u is A_u[lo] + B_u[hi], two lists of 2^2^(n-1) exact Python ints.
 Its sign is that of rank(A_u[lo]) - rank(-B_u[hi]) in the sorted union of
 the lists: one int32 comparison per point and table, exact for every rho.
-Both scans read the keep-rule predictor's successor ids off one comparison
-loop (_keep_successors), which takes the low halves whose rows it builds.
-The graph scan reads every successor and hands them to one numpy pass over
-the functional graph (_functional_graph).  The census counts fixpoints (the
-SP tables) over the orbits of the low half only (_low_half_orbits): sgn T_rho
-commutes with permuting and flipping x_1..x_(n-1) and with negation, so
-acting on both halves maps SP tables to SP tables, and the count is
+The keep-rule predictor (ties keep f(u)) commutes with permuting and
+flipping the inputs and with negating f, so both scans work on classes of
+tables under that group (_class_table, one per number of variables).
+The graph scan builds the successors of the class representatives only (222
+at n = 4), maps each to its class and walks that quotient map with one numpy
+pass over the functional graph (_functional_graph).  A table is periodic
+exactly when its class is, so the depths agree; and the only periodic tables
+are fixpoints (the kernel is positive semidefinite, see graph_scan), so the
+fixpoints are the sizes of the classes whose representative is fixed.
+The census counts fixpoints (the SP tables) over the classes of the low
+half only (_class_table(n - 1)): acting on both halves maps SP tables to SP
+tables, and the count is
 sum |orbit| * #{hi : rep + (hi << h) is fixed} over the representatives
-(14 of the 256 low halves at n = 4).  The orbits, the index permutations and
-the keep rule's own bits depend on n alone and are built once per n, on
-first use.
+(14 of the 256 low halves at n = 4), a form that extends to n = 5.  The
+class tables, the index permutations and the keep rule's own bits depend on
+n alone and are built once per n, on first use.
 """
 
 from dataclasses import dataclass
@@ -210,36 +215,47 @@ def _xor_perms(points):
     return perms
 
 
-@cache
-def _low_half_orbits(n):
-    """Least ids and sizes of the orbits of the low half tables (2^(n-1)
-    points; the one point at n = 0) under the permutations and flips of
-    x_1..x_(n-1) and negation.
+def _delta_swap(x, d, lower):
+    """The tables x with bit p and bit p + d swapped for every bit p of lower."""
+    t = (x ^ (x >> d)) & lower
+    return x ^ t ^ (t << d)
 
-    The generators are the flips of each coordinate, the transpositions of
-    neighbouring coordinates and negation, as permutations of the table ids.
-    Every label starts as its own id and takes the least label one generator
-    step away, then the label of its label, until nothing moves: a label is
-    then constant along every generator, so on the orbit, and it is the
-    orbit's least id, which never moves."""
-    m = max(n - 1, 0)
-    j = np.arange(1 << m)
-    flips = [j ^ (1 << i) for i in range(m)]
-    swaps = [j ^ (((j >> i) ^ (j >> (i + 1))) & 1) * (3 << i) for i in range(m - 1)]
-    ids = np.arange(1 << (1 << m))
-    reads = np.array(flips + swaps, dtype=np.intp).reshape(-1, 1 << m)
-    gens = np.vstack([_read_through(reads), ids ^ ids[-1]])
-    label = ids
-    while True:
-        step = np.minimum(label, label[gens].min(axis=0))
-        step = step[step]
-        if np.array_equal(step, label):
-            break
+
+@cache
+def _class_table(m):
+    """(label, reps, sizes) for the tables of m variables (2^m points, ids below
+    2^2^m) under the permutations and flips of the inputs and negation: label
+    holds each table's class as its least id (the narrowest unsigned dtype,
+    uint16 at m = 4), reps the ascending least ids and sizes the class sizes.
+
+    The label is the minimum over the group, taken along a chain of subgroups.
+    Negation and the flips commute, so their minimum takes one step per
+    generator g: label = min(label, label[g]).  The permutations of the
+    coordinates 0..k are those of 0..k-1 after the identity or one
+    transposition (j k), j < k, and the flips are normal, so coordinate k
+    adds the minimum over those k transpositions.  Every generator is a delta
+    swap of table bits: the flip of coordinate i swaps the points p and
+    p + 2^i, the transposition (j k) the points p (bit j set, bit k clear) and
+    p + 2^k - 2^j; each is built on its own and dropped."""
+    dtype = np.min_scalar_type((1 << (1 << m)) - 1)
+    ids = np.arange(1 << (1 << m), dtype=dtype)
+    full = (1 << (1 << m)) - 1
+    # coord[i]: the table whose bit p is set iff bit i of the point p is
+    coord = [sum(1 << p for p in range(1 << m) if p >> i & 1) for i in range(m)]
+    label = np.minimum(ids, ids ^ dtype.type(full))
+    for i in range(m):
+        flip = _delta_swap(ids, 1 << i, dtype.type(full ^ coord[i]))
+        label = np.minimum(label, label[flip])
+    for k in range(1, m):
+        step = label
+        for j in range(k):
+            swap = _delta_swap(ids, (1 << k) - (1 << j), dtype.type(coord[j] & ~coord[k]))
+            step = np.minimum(step, label[swap])
         label = step
     reps = np.flatnonzero(label == ids)
     sizes = np.bincount(label)[reps]
-    reps.flags.writeable = sizes.flags.writeable = False
-    return reps, sizes
+    label.flags.writeable = reps.flags.writeable = sizes.flags.writeable = False
+    return label, reps, sizes
 
 
 def _sign_keys(n, rho):
@@ -332,8 +348,9 @@ def sp_fraction(n, rho, mode="exhaustive", samples=None, seed=None):
         if n > 4:
             raise InvalidArgument("exhaustive census is limited to n <= 4")
         # the SP tables are those the keep rule fixes; every low half of an
-        # orbit has as many SP completions as its representative
-        reps, sizes = _low_half_orbits(n)
+        # orbit has as many SP completions as its representative; the low
+        # half has 2^(n-1) points, the one point at n = 0
+        _, reps, sizes = _class_table(max(n - 1, 0))
         succ = _keep_successors(n, rho, reps).reshape(-1, len(reps))
         tables = reps + (np.arange(len(succ))[:, None] << ((1 << n) >> 1))
         sp_count = int(sizes @ np.count_nonzero(succ == tables, axis=0))
@@ -467,16 +484,36 @@ def _functional_graph(succ):
 
 
 def graph_scan(n, rho):
-    """Functional graph of the keep-rule predictor over all functions (n <= 4)."""
+    """Functional graph of the keep-rule predictor over all functions (n <= 4).
+
+    The map commutes with permuting and flipping the inputs and with negation,
+    so it maps classes to classes (_class_table(n)): only the representatives'
+    successors are built, bit u of the successor of lo + (hi << h) being
+    cols[u, lo] > rows[u, hi] for the keys of _keep_keys, and the quotient map
+    on the classes is walked.  A table is periodic exactly when its class is
+    (succ^k(x) = g x gives succ^(k ord g)(x) = x), so the depths agree.
+
+    Every periodic table is a fixpoint, so each component is one fixpoint with
+    its tree and there are no cycles to list.  With W the integer kernel
+    w_d(u,v) = (q+p)^(n-d) (q-p)^d, the map is x -> sgn(W' x) for W' = W + I/2:
+    W x is integral, so the half only decides its zero entries, as the keep
+    rule does.  W is the n-fold tensor power of [[q+p, q-p], [q-p, q+p]], with
+    eigenvalues (2q)^(n-|S|) (2p)^|S| >= 0 on the characters, so W' is
+    positive definite.  W' x has no zero entry, so y = sgn(W' x) is the one
+    sign vector maximising z^T W' x.  Along x(t) the energy -x(t+1)^T W' x(t)
+    then falls strictly unless x(t+1) = x(t-1) (Goles and Olivos), so a cycle
+    has period 1 or 2; and x -> y -> x with y != x would give
+    y^T W' x > x^T W' x and x^T W' y > y^T W' y, so (x - y)^T W' (x - y) < 0."""
     rho = check_rho(rho)
     if not 0 <= n <= 4:
         raise InvalidArgument("graph scan is limited to 0 <= n <= 4")
-    succ = _keep_successors(n, rho)  # every low half
-    num_fixpoints, num_components, max_depth, cycles = _functional_graph(succ)
-    if num_fixpoints > num_components:
-        raise AssertionError("fixpoints exceed components")
-    if (num_fixpoints == num_components) != (len(cycles) == 0):
-        raise AssertionError("fixpoint/component balance violated")
-    return GraphScan(
-        n, rho, len(succ), num_fixpoints, num_components, max_depth, cycles
-    )
+    label, reps, sizes = _class_table(n)
+    cols, rows = _keep_keys(n, rho)
+    hi, lo = np.divmod(reps, cols.shape[1])
+    succ = (1 << np.arange(len(cols))) @ (cols[:, lo] > rows[:, hi])
+    fixed = succ == reps
+    quotient = np.searchsorted(reps, label[succ])
+    classes, _, max_depth, cycles = _functional_graph(quotient)
+    assert not cycles and classes == np.count_nonzero(fixed), "a non-trivial cycle"
+    num_fixpoints = int(sizes[fixed].sum())
+    return GraphScan(n, rho, 1 << (1 << n), num_fixpoints, num_fixpoints, max_depth, ())

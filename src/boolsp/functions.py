@@ -171,6 +171,8 @@ class BooleanFunction:
         return int(self._values[u])
 
     def __call__(self, point):
+        if len(point) != self.n:
+            raise InvalidArgument(f"point must have {self.n} coordinates, got {len(point)}")
         return self.value_at(index_of_point(point))
 
     def __eq__(self, other):

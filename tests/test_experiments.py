@@ -8,7 +8,7 @@ from math import comb, isclose, sqrt
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from boolsp import (
@@ -25,14 +25,17 @@ from boolsp import (
     sp_fraction,
     threshold_constants,
 )
+from boolsp import experiments
 from boolsp.experiments import (
+    GraphScan,
     _binary_divergence,
     _crossover_level,
     _eta_delta,
     _eta_delta_defined,
     _functional_graph,
     _keep_successors,
-    _low_half_orbits,
+    _class_table,
+    _read_through,
     _sign_keys,
 )
 from boolsp.noise import optimal_predictor, scaled_t_values
@@ -276,18 +279,63 @@ def test_low_half_orbits_partition_the_low_halves():
     # orbits of the functions of n - 1 variables under permutations, flips and
     # negation: 1, 1, 2, 4, 14, 222 (one point, so two tables, at n = 0)
     for n, count in enumerate((1, 1, 2, 4, 14, 222)):
-        reps, sizes = _low_half_orbits(n)
+        _, reps, sizes = _class_table(max(n - 1, 0))
         assert len(reps) == len(sizes) == count
         assert int(sizes.sum()) == 1 << (1 << max(n - 1, 0))
         assert reps[0] == 0 and (np.diff(reps) > 0).all()
     # n = 3: constant, dictator and parity of x_1, x_2, and the eight tables
     # where one point differs from the other three
-    assert _low_half_orbits(3)[0].tolist() == [0, 1, 3, 6]
-    assert _low_half_orbits(3)[1].tolist() == [2, 8, 4, 2]
+    assert _class_table(2)[1].tolist() == [0, 1, 3, 6]
+    assert _class_table(2)[2].tolist() == [2, 8, 4, 2]
+
+
+def test_class_table_is_the_orbit_partition():
+    # classes of the tables of m variables under permutations, flips and
+    # negation (OEIS A000370): a least-id label constant along every
+    # generator, with as many values as there are orbits
+    for m, count in enumerate((1, 2, 4, 14, 222)):
+        label, reps, sizes = _class_table(m)
+        ids = np.arange(1 << (1 << m))
+        assert len(reps) == len(sizes) == count
+        assert int(sizes.sum()) == len(ids) == len(label)
+        assert (label[reps] == reps).all() and (label <= ids).all()
+        assert (np.bincount(label)[reps] == sizes).all()
+        j = np.arange(1 << m)
+        flips = [j ^ (1 << i) for i in range(m)]
+        swaps = [j ^ (((j >> i) ^ (j >> (i + 1))) & 1) * (3 << i) for i in range(m - 1)]
+        gens = [ids ^ ids[-1]]
+        if m:
+            gens += list(_read_through(np.array(flips + swaps).reshape(-1, 1 << m)))
+        for g in gens:
+            assert (label[g] == label).all()
+    assert _class_table(4)[0].dtype == np.uint16
+
+
+def test_class_table_peak_memory():
+    # one generator at a time, in uint16 ids: a few 128 KiB arrays at m = 4
+    _class_table.cache_clear()
+    tracemalloc.start()
+    try:
+        label = _class_table(4)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(label) == 1 << 16 and peak < 2 << 20
 
 
 # from n = 2 (n = 1 for 1/3^40) q^n > 2^62
 BEYOND_INT64 = (Fraction(1, 3**40), Fraction(999999999999, 10**13), Fraction(2**70 - 1, 2**70))
+
+
+def _examples(cases):
+    """Run a hypothesis test on every (n, rho) of cases besides its draws."""
+
+    def wrap(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+
+    return wrap
 
 
 @settings(max_examples=60, deadline=None)
@@ -296,13 +344,19 @@ BEYOND_INT64 = (Fraction(1, 3**40), Fraction(999999999999, 10**13), Fraction(2**
     st.sampled_from(BEYOND_INT64)
     | st.fractions(min_value=0, max_value=1, max_denominator=10**6),
 )
+@_examples(
+    (n, rho)
+    for n in range(5)
+    for rho in [Fraction(k, d) for d in (60, 97) for k in range(d + 1)] + [*BEYOND_INT64]
+)
 def test_orbit_census_matches_every_fixpoint(n, rho):
-    # the census counts over orbits of the low half; the successors of all
-    # tables give the same count
+    # the census counts over orbits of the low half and the graph scan walks
+    # the map on classes; the successors of all tables give the same results
     succ = _keep_successors(n, rho)
     want = int(np.count_nonzero(succ == np.arange(len(succ))))
     rep = sp_fraction(n, rho)
     assert (rep.sp_count, rep.total) == (want, len(succ))
+    assert graph_scan(n, rho) == GraphScan(n, rho, len(succ), *_functional_graph(succ))
 
 
 def test_keep_successors_peak_memory():
@@ -432,9 +486,29 @@ def successor_lists(draw):
 @settings(max_examples=200, deadline=None)
 @given(successor_lists())
 def test_functional_graph_matches_depth_first_walk(succ):
-    # no rho at n <= 4 is known to give a non-trivial cycle: this is the test of
-    # the cycle path, order and rotation included
+    # the keep-rule map has no non-trivial cycle at any rho (see graph_scan):
+    # this is the test of the cycle path, order and rotation included
     assert _functional_graph(succ) == oracles.functional_graph(succ)
+
+
+def test_graph_scan_walks_the_class_map_only(monkeypatch):
+    rho = Fraction(3, 8)
+    succ = _keep_successors(4, rho)
+    want = GraphScan(4, rho, len(succ), *_functional_graph(succ))
+    walked, built = [], []
+
+    def functional_graph(succ):
+        walked.append(len(succ))
+        return _functional_graph(succ)
+
+    def keep_successors(n, rho, lows=None):
+        built.append(lows)
+        return _keep_successors(n, rho, lows)
+
+    monkeypatch.setattr(experiments, "_functional_graph", functional_graph)
+    monkeypatch.setattr(experiments, "_keep_successors", keep_successors)
+    assert graph_scan(4, rho) == want
+    assert walked == [222] and built == []  # the quotient map only
 
 
 def test_graph_scan_n1_all_fixpoints():

@@ -60,6 +60,14 @@ def test_point_index_round_trip():
     assert point_of_index(5, 3) == (-1, 1, -1)
 
 
+def test_call_takes_points_of_n_coordinates_only():
+    f = construct_named("majority", 3)
+    assert f((1, 1, -1)) == 1 and f([-1, -1, 1]) == -1
+    for point in ((1, 1, 1, 1), (-1, -1), ()):
+        with pytest.raises(InvalidArgument):
+            f(point)
+
+
 def test_table_round_trip_and_identity():
     rng = random.Random(42)
     for _ in range(50):
