@@ -12,12 +12,13 @@ the lists: one int32 comparison per point and table, exact for every rho.
 The keep-rule predictor (ties keep f(u)) commutes with permuting and
 flipping the inputs and with negating f, so both scans work on classes of
 tables under that group (_class_table, one per number of variables).
-The graph scan builds the successors of the class representatives only (222
-at n = 4), maps each to its class and walks that quotient map with one numpy
-pass over the functional graph (_functional_graph).  A table is periodic
-exactly when its class is, so the depths agree; and the only periodic tables
-are fixpoints (the kernel is positive semidefinite, see graph_scan), so the
-fixpoints are the sizes of the classes whose representative is fixed.
+The keep-rule map has no periodic point but its fixpoints, at every n and
+rho (the kernel is positive semidefinite, see graph_scan), so every orbit
+ends at an SP function.  The graph scan builds the successors of the class
+representatives only (222 at n = 4), maps each to its class and walks that
+quotient map until nothing moves: a table's steps to its fixpoint are its
+class's, and the fixpoints are the sizes of the classes whose
+representative is fixed.
 The census counts fixpoints (the SP tables) over the classes of the low
 half only (_class_table(n - 1)): acting on both halves maps SP tables to SP
 tables, and the count is
@@ -388,32 +389,26 @@ def sp_fraction(n, rho, mode="exhaustive", samples=None, seed=None):
 @dataclass(frozen=True)
 class OrbitReport:
     rho: Fraction
-    status: str  # "fixpoint" | "cycle" | "budget_exhausted"
-    trajectory_length: int  # distinct functions visited
-    terminal: BooleanFunction  # fixpoint when status == "fixpoint"
-    cycle_start: int
-    cycle_length: int
+    status: str  # "fixpoint" | "budget_exhausted"
+    trajectory_length: int  # functions visited: steps taken + 1
+    terminal: BooleanFunction  # the fixpoint when status == "fixpoint", else None
 
 
 def predictor_orbit(f, rho, max_steps=256):
-    """Iterate g -> sgn T_rho g (keep tie rule) until fixpoint/cycle/budget."""
+    """Iterate g -> sgn T_rho g (keep tie rule) until a fixpoint or the budget
+    of max_steps runs out.  The map has no periodic point but its fixpoints
+    (see graph_scan), so every orbit ends at an SP function and visits each
+    function at most once."""
     rho = check_rho(rho)
     if max_steps < 0:
         raise InvalidArgument(f"max_steps must be >= 0, got {max_steps}")
-    seen = {f: 0}
-    seq = [f]
     g = f
-    for _ in range(max_steps):
+    for steps in range(max_steps):
         nxt = optimal_predictor(g, rho, tie_rule="keep").to_boolean()
         if nxt == g:
-            return OrbitReport(rho, "fixpoint", len(seq), g, None, None)
-        if nxt in seen:
-            start = seen[nxt]
-            return OrbitReport(rho, "cycle", len(seq), None, start, len(seq) - start)
-        seen[nxt] = len(seq)
-        seq.append(nxt)
+            return OrbitReport(rho, "fixpoint", steps + 1, g)
         g = nxt
-    return OrbitReport(rho, "budget_exhausted", len(seq), None, None, None)
+    return OrbitReport(rho, "budget_exhausted", max_steps + 1, None)
 
 
 @dataclass(frozen=True)
@@ -421,66 +416,8 @@ class GraphScan:
     n: int
     rho: Fraction
     num_functions: int
-    num_fixpoints: int
-    num_components: int
-    max_depth: int  # longest distance from any function to its cycle
-    cycles: tuple  # non-trivial cycles as tuples of table-bit integers
-
-
-def _functional_graph(succ):
-    """(fixpoints, components, max depth, non-trivial cycles) of the map
-    v -> succ[v] on 0..len(succ)-1.
-
-    The images V, f(V), f(f(V)), ... shrink until they reach the cycle nodes,
-    and they get there in exactly max-depth steps (the longest distance from a
-    node to its cycle).  Every component holds one cycle.  A cycle tuple is
-    listed in the order of its component's least node and starts at the first
-    cycle node reached from it, the order of a depth-first walk from 0 up.
-    Only the nodes of non-trivial cycles and the paths to them from those
-    least nodes are walked in Python."""
-    succ = np.asarray(succ, dtype=np.intp)
-    total = len(succ)
-    ids = np.arange(total)
-    nodes, depth = ids, 0  # the image f^depth(V), ascending
-    mark = np.zeros(total, dtype=bool)
-    while True:
-        mark[succ[nodes]] = True
-        image = np.flatnonzero(mark)
-        if len(image) == len(nodes):
-            break
-        mark[image] = False
-        nodes, depth = image, depth + 1
-    on_cycle = mark
-    fixed = succ == ids
-    num_fixpoints = int(np.count_nonzero(fixed))
-    loop_nodes = np.flatnonzero(on_cycle & ~fixed).tolist()
-    if not loop_nodes:
-        return num_fixpoints, num_fixpoints, depth, ()
-    step = succ.tolist()
-    label = ids.copy()  # every cycle node labelled by the least node of its cycle
-    loops = []
-    for c in loop_nodes:  # ascending: each cycle is first met at its least node
-        if label[c] != c:
-            continue
-        cycle = [c]
-        while step[cycle[-1]] != c:
-            cycle.append(step[cycle[-1]])
-        label[cycle] = c
-        loops.append(cycle)
-    reach = ids
-    for _ in range(depth):
-        reach = succ[reach]
-    least = np.full(total, total)
-    np.minimum.at(least, label[reach], ids)
-    found = []
-    for cycle in loops:
-        v = start = int(least[cycle[0]])
-        while not on_cycle[v]:
-            v = step[v]
-        i = cycle.index(v)
-        found.append((start, tuple(cycle[i:] + cycle[:i])))
-    found.sort()
-    return num_fixpoints, num_fixpoints + len(found), depth, tuple(c for _, c in found)
+    num_fixpoints: int  # also the components: one fixpoint and its tree each
+    max_depth: int  # most steps any function takes to reach its fixpoint
 
 
 def graph_scan(n, rho):
@@ -490,12 +427,15 @@ def graph_scan(n, rho):
     so it maps classes to classes (_class_table(n)): only the representatives'
     successors are built, bit u of the successor of lo + (hi << h) being
     cols[u, lo] > rows[u, hi] for the keys of _keep_keys, and the quotient map
-    on the classes is walked.  A table is periodic exactly when its class is
-    (succ^k(x) = g x gives succ^(k ord g)(x) = x), so the depths agree.
+    on the classes is walked until no class moves.  A table is fixed exactly
+    when its class's representative is, so its steps to its fixpoint are
+    those of its class; a class that maps to itself has a fixed
+    representative (succ(x) = g x gives succ^(ord g)(x) = x, a periodic point).
 
-    Every periodic table is a fixpoint, so each component is one fixpoint with
-    its tree and there are no cycles to list.  With W the integer kernel
-    w_d(u,v) = (q+p)^(n-d) (q-p)^d, the map is x -> sgn(W' x) for W' = W + I/2:
+    Every periodic table is a fixpoint, at every n and rho, so each component
+    is one fixpoint with its tree and every orbit ends at an SP function.
+    With W the integer kernel w_d(u,v) = (q+p)^(n-d) (q-p)^d, the map is
+    x -> sgn(W' x) for W' = W + I/2:
     W x is integral, so the half only decides its zero entries, as the keep
     rule does.  W is the n-fold tensor power of [[q+p, q-p], [q-p, q+p]], with
     eigenvalues (2q)^(n-|S|) (2p)^|S| >= 0 on the characters, so W' is
@@ -513,7 +453,12 @@ def graph_scan(n, rho):
     succ = (1 << np.arange(len(cols))) @ (cols[:, lo] > rows[:, hi])
     fixed = succ == reps
     quotient = np.searchsorted(reps, label[succ])
-    classes, _, max_depth, cycles = _functional_graph(quotient)
-    assert not cycles and classes == np.count_nonzero(fixed), "a non-trivial cycle"
-    num_fixpoints = int(sizes[fixed].sum())
-    return GraphScan(n, rho, 1 << (1 << n), num_fixpoints, num_fixpoints, max_depth, ())
+    walk, max_depth = np.arange(len(reps)), 0  # walk[c]: the class c reaches
+    for _ in range(len(reps)):  # a path through k classes takes k - 1 steps
+        step = quotient[walk]
+        if np.array_equal(step, walk):
+            break
+        walk, max_depth = step, max_depth + 1
+    # the theorem, checked: every class ends at a class whose representative is fixed
+    assert fixed[walk].all(), "a non-trivial cycle"
+    return GraphScan(n, rho, 1 << (1 << n), int(sizes[fixed].sum()), max_depth)

@@ -21,6 +21,7 @@ from boolsp import (
     graph_scan,
     is_sp,
     predictor_orbit,
+    random_function,
     shell_bias,
     sp_fraction,
     threshold_constants,
@@ -32,7 +33,6 @@ from boolsp.experiments import (
     _crossover_level,
     _eta_delta,
     _eta_delta_defined,
-    _functional_graph,
     _keep_successors,
     _class_table,
     _read_through,
@@ -327,6 +327,18 @@ def test_class_table_peak_memory():
 BEYOND_INT64 = (Fraction(1, 3**40), Fraction(999999999999, 10**13), Fraction(2**70 - 1, 2**70))
 
 
+def _full_map_scan(n, rho):
+    """(successors of all tables, their GraphScan): the whole map is iterated
+    until every table stands at its fixpoint."""
+    succ = _keep_successors(n, rho)
+    x, depth = np.arange(len(succ)), 0
+    while not np.array_equal(succ[x], x):
+        x, depth = succ[x], depth + 1
+        assert depth < len(succ), "a non-trivial cycle"
+    fixpoints = int(np.count_nonzero(succ == np.arange(len(succ))))
+    return succ, GraphScan(n, rho, len(succ), fixpoints, depth)
+
+
 def _examples(cases):
     """Run a hypothesis test on every (n, rho) of cases besides its draws."""
 
@@ -352,11 +364,13 @@ def _examples(cases):
 def test_orbit_census_matches_every_fixpoint(n, rho):
     # the census counts over orbits of the low half and the graph scan walks
     # the map on classes; the successors of all tables give the same results
-    succ = _keep_successors(n, rho)
-    want = int(np.count_nonzero(succ == np.arange(len(succ))))
+    succ, want = _full_map_scan(n, rho)
     rep = sp_fraction(n, rho)
-    assert (rep.sp_count, rep.total) == (want, len(succ))
-    assert graph_scan(n, rho) == GraphScan(n, rho, len(succ), *_functional_graph(succ))
+    assert (rep.sp_count, rep.total) == (want.num_fixpoints, len(succ))
+    assert graph_scan(n, rho) == want
+    if n <= 3:  # the depth-first walk takes about 60 ms at n = 4
+        fixpoints, depth = want.num_fixpoints, want.max_depth
+        assert oracles.functional_graph(succ.tolist()) == (fixpoints, fixpoints, depth, ())
 
 
 def test_keep_successors_peak_memory():
@@ -426,6 +440,39 @@ def test_orbit_budget_must_be_nonnegative():
         predictor_orbit(f, Fraction(1, 4), max_steps=-3)
 
 
+@st.composite
+def rationals_in_unit(draw):
+    q = draw(st.integers(1, 10**6))
+    return Fraction(draw(st.integers(0, q)), q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.builds(random_function, st.sampled_from(range(1, 11)), st.integers(0, 2**32 - 1)),
+    rationals_in_unit(),
+)
+@example(random_function(10, 3), Fraction(7, 10))  # 32 steps
+@example(random_function(9, 4), Fraction(7, 10))  # 25 steps
+def test_orbit_energy_falls_to_the_fixpoint(f, rho):
+    # the key step of the no-cycles proof (see graph_scan), on real orbits: with
+    # W x = scaled_t_values, the keep rule is x -> sgn(2 W x + x) and
+    # 2E(t) = -(2 x(t+1).W x(t) + x(t+1).x(t)) falls by at least 2 a step
+    x = f.values.astype(np.int64)
+    energies = []
+    for _ in range(256):
+        wx = scaled_t_values(BooleanFunction.from_values(x), rho).astype(object)
+        y = np.where(2 * wx + x > 0, 1, -1)  # 2 W x + x is odd: never zero
+        energies.append(-(2 * int(y @ wx) + int(y @ x)))
+        if np.array_equal(y, x):
+            break
+        x = y
+    assert np.array_equal(y, x), "no fixpoint within 256 steps"
+    assert all(b <= a - 2 for a, b in zip(energies, energies[1:])), energies
+    rep = predictor_orbit(f, rho)
+    assert rep.status == "fixpoint" and rep.trajectory_length == len(energies)
+    assert rep.terminal == BooleanFunction.from_values(x)
+
+
 # ---------------------------------------------------------------------------
 # graph scans
 
@@ -469,46 +516,18 @@ def test_batch_signs_match_per_function_values_beyond_int64():
                 assert signs == _value_signs(n, rho, bits), (n, rho, bits)
 
 
-@st.composite
-def successor_lists(draw):
-    """Random maps on 0..size-1 with a few planted cycles of length >= 2."""
-    size = draw(st.integers(1, 512))
-    node = st.integers(0, size - 1)
-    succ = draw(st.lists(node, min_size=size, max_size=size))
-    if size > 1:
-        for _ in range(draw(st.integers(0, 4))):
-            cycle = draw(st.lists(node, min_size=2, max_size=min(size, 12), unique=True))
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                succ[a] = b
-    return succ
-
-
-@settings(max_examples=200, deadline=None)
-@given(successor_lists())
-def test_functional_graph_matches_depth_first_walk(succ):
-    # the keep-rule map has no non-trivial cycle at any rho (see graph_scan):
-    # this is the test of the cycle path, order and rotation included
-    assert _functional_graph(succ) == oracles.functional_graph(succ)
-
-
 def test_graph_scan_walks_the_class_map_only(monkeypatch):
     rho = Fraction(3, 8)
-    succ = _keep_successors(4, rho)
-    want = GraphScan(4, rho, len(succ), *_functional_graph(succ))
-    walked, built = [], []
-
-    def functional_graph(succ):
-        walked.append(len(succ))
-        return _functional_graph(succ)
+    _, want = _full_map_scan(4, rho)
+    built = []
 
     def keep_successors(n, rho, lows=None):
         built.append(lows)
         return _keep_successors(n, rho, lows)
 
-    monkeypatch.setattr(experiments, "_functional_graph", functional_graph)
     monkeypatch.setattr(experiments, "_keep_successors", keep_successors)
     assert graph_scan(4, rho) == want
-    assert walked == [222] and built == []  # the quotient map only
+    assert built == []  # the successors of the class representatives only
 
 
 def test_graph_scan_n1_all_fixpoints():
@@ -516,15 +535,12 @@ def test_graph_scan_n1_all_fixpoints():
         g = graph_scan(1, rho)
         assert g.num_functions == 4
         assert g.num_fixpoints == 4
-        assert g.num_components == 4
         assert g.max_depth == 0
-        assert g.cycles == ()
 
 
 def test_graph_scan_n2_above_threshold():
     g = graph_scan(2, Fraction(1, 2))  # 1/2 > sqrt(2)-1: everything is SP
     assert g.num_fixpoints == 16
-    assert g.num_components == 16
     assert g.max_depth == 0
 
 
@@ -535,11 +551,36 @@ def test_graph_scan_fixpoints_match_census():
             g = graph_scan(n, rho)
             rep = sp_fraction(n, rho)
             assert g.num_fixpoints == rep.sp_count
-            assert g.num_fixpoints <= g.num_components
-            assert g.num_components == g.num_fixpoints + len(g.cycles)
-            # every cycle member maps back within its own cycle
-            for cyc in g.cycles:
-                assert len(set(cyc)) == len(cyc) > 1
+
+
+ORBIT_RHOS = (Fraction(0), Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1))
+
+
+def test_orbit_steps_agree_with_graph_depth():
+    # predictor_orbit (the dense T_rho path) never takes more steps than the
+    # graph scan's depth, and the deepest table takes exactly that many
+    for n in (1, 2, 3):
+        for rho in ORBIT_RHOS:
+            depth = graph_scan(n, rho).max_depth
+            steps = [
+                predictor_orbit(BooleanFunction(n, bits), rho).trajectory_length - 1
+                for bits in range(1 << (1 << n))
+            ]
+            assert max(steps) == depth, (n, rho)
+
+
+@pytest.mark.parametrize("rho", ORBIT_RHOS)
+def test_deepest_n4_table_takes_max_depth_orbit_steps(rho):
+    succ, scan = _full_map_scan(4, rho)
+    x, steps = np.arange(len(succ)), np.zeros(len(succ), dtype=int)
+    for _ in range(scan.max_depth):
+        steps += succ[x] != x
+        x = succ[x]
+    deepest = int(np.argmax(steps))
+    assert steps[deepest] == scan.max_depth == graph_scan(4, rho).max_depth
+    rep = predictor_orbit(BooleanFunction(4, deepest), rho)
+    assert rep.status == "fixpoint" and rep.trajectory_length == scan.max_depth + 1
+    assert rep.terminal.bits == x[deepest]
 
 
 def test_graph_scan_domain():
