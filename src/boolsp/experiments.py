@@ -6,9 +6,13 @@ kernel (_sign_keys).  For rho = p/q the scaled noise operator is
     2^n q^n T_rho f(u) = sum_v (q+p)^(n-d(u,v)) (q-p)^d(u,v) f(v),
 
 so with a table id split into its low and high halves of 2^(n-1) points the
-value at u is A_u[lo] + B_u[hi], two lists of 2^2^(n-1) exact Python ints.
-Its sign is that of rank(A_u[lo]) - rank(-B_u[hi]) in the sorted union of
-the lists: one int32 comparison per point and table, exact for every rho.
+value at u is A_u[lo] + B_u[hi], two sums over the points of a half.  Its
+sign is that of rank(A_u[lo]) - rank(-B_u[hi]) in the sorted union of their
+values: one int32 comparison per point and table, exact for every rho.  A
+half table enters those sums only through its count form, the number of its
++1 points of each weight, so only the exact values of the forms are ranked
+(2 x 64 at n = 4, 2 x 700 at n = 5) and the keys are gathered from the
+ranks through index tables built once per n (_key_index).
 The keep-rule predictor (ties keep f(u)) commutes with permuting and
 flipping the inputs and with negating f, so both scans work on classes of
 tables under that group (_class_table, one per number of variables).
@@ -23,15 +27,17 @@ The census counts fixpoints (the SP tables) over the classes of the low
 half only (_class_table(n - 1)): acting on both halves maps SP tables to SP
 tables, and the count is
 sum |orbit| * #{hi : rep + (hi << h) is fixed} over the representatives
-(14 of the 256 low halves at n = 4), a form that extends to n = 5.  The
-class tables, the index permutations and the keep rule's own bits depend on
-n alone and are built once per n, on first use.
+(14 of the 256 low halves at n = 4), a form that extends to n = 5.  It
+compares the keep-rule bits of all those candidates with their own bits in
+one broadcast of (points, high halves, representatives).  The class tables,
+the key index tables, the keep rule's own bits and the candidates' bits
+depend on n alone and are built once per n, on first use.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, log2, sqrt
+from math import comb, factorial, log2, prod, sqrt
 
 import numpy as np
 
@@ -188,16 +194,6 @@ def threshold_constants(alpha=None, delta=None):
 # whole-space scans (n <= 4)
 
 
-def _half_sums(weights, points, far):
-    """sum_j weights[|j| + far] * f(j) over the points j < points of a half
-    table, for every half table (bit j set: f(j) = +1), built by doubling."""
-    sums = [0]
-    for j in range(points):
-        w = weights[j.bit_count() + far]
-        sums = [s - w for s in sums] + [s + w for s in sums]
-    return sums
-
-
 def _read_through(reads):
     """perms[k, x]: the half table x read through the point map reads[k], that
     is with bit j taken from bit reads[k, j] (bit j of x is the value at point
@@ -206,14 +202,11 @@ def _read_through(reads):
     return sum(((x >> r[:, None]) & 1) << j for j, r in enumerate(reads.T))
 
 
-@cache
 def _xor_perms(points):
     """perms[u, x]: the half table x read at the points j ^ u, that is with bit
-    j taken from bit j ^ u, for every u < points (built once per size)."""
+    j taken from bit j ^ u, for every u < points."""
     j = np.arange(points)
-    perms = _read_through(j[None, :] ^ j[:, None])
-    perms.flags.writeable = False
-    return perms
+    return _read_through(j[None, :] ^ j[:, None])
 
 
 def _delta_swap(x, d, lower):
@@ -259,33 +252,67 @@ def _class_table(m):
     return label, reps, sizes
 
 
+@cache
+def _key_index(n):
+    """(cols, rows): the (2^n, 2^h) form ids, h = 2^(n-1), that _sign_keys reads
+    its ranks at (n >= 1), in the narrowest unsigned dtype (uint8 at n = 4),
+    built once per n.
+
+    A half table x enters A and B only through its count form: k_d(x), the
+    number of its +1 points j of weight |j| = d, for every d < n.  The forms
+    are numbered in mixed radix, form(x) = sum_d k_d(x) prod_(e<d) (C(n-1,e) +
+    1), and B's forms follow A's, offset by their number.  Row u < h reads
+    the half tables through _xor_perms(h)[u]; rows h + u swap A and B; and
+    rows reads rank(-B[x]) as the rank at the complement of x, the form list
+    reversed (see _sign_keys)."""
+    h = 1 << (n - 1)
+    radix = [comb(n - 1, d) + 1 for d in range(n)]
+    stride = [prod(radix[:d]) for d in range(n + 1)]
+    forms = stride[n]
+    dtype = np.min_scalar_type(2 * forms - 1)
+    x = np.arange(1 << h)
+    form = sum(((x >> j) & 1) * stride[j.bit_count()] for j in range(h)).astype(dtype)
+    perms = _xor_perms(h)
+    ahead, mirror = form[perms], form[::-1][perms]
+    cols = np.concatenate([ahead, ahead + forms])
+    rows = np.concatenate([mirror + forms, mirror])
+    cols.flags.writeable = rows.flags.writeable = False
+    return cols, rows
+
+
 def _sign_keys(n, rho):
     """int32 (2^n, 2^h) arrays cols and rows, h = 2^(n-1), such that the sign of
     2^n q^n T_rho f(u) is the sign of cols[u, lo] - rows[u, hi] for the table
-    id = lo + (hi << h): exact for every rho, with no value larger than 2^(h+1).
+    id = lo + (hi << h): exact for every rho, with every value below
+    2 prod_d (C(n-1,d) + 1), the number of count forms (128 at n = 4).
     (At n = 0 the one point is the low half: shapes (1, 2) and (1, 1).)
 
     With w_d = (q+p)^(n-d) (q-p)^d the value is sum_v w_d(u,v) f(v) = A_u[lo] +
     B_u[hi], the sums over the low and the high half of the points.  Its sign
     is that of rank(A_u[lo]) - rank(-B_u[hi]) in the sorted union of the lists.
-    Only A = A_0 and B = B_0 are built: for u < h, A_u and B_u are A and B
+    Only A = A_0 and B = B_0 are needed: for u < h, A_u and B_u are A and B
     read through the index permutation _xor_perms(h)[u]; for u = h + u' the
     halves swap roles, A_u = B_u' and B_u = A_u'.  Negating f negates a sum
     and complements its index, so the union is closed under negation and
-    rank(-B[x]) is the rank of B at the complement of x: the list reversed."""
+    rank(-B[x]) is the rank of B at the complement of x.  And A and B take
+    few values: A[x] = sum_d w_d (2 k_d(x) - C(n-1,d)) and B[x] the same with
+    w_(d+1), for the count form k(x) of x (_key_index).  So only the exact
+    values of the forms are ranked, 2 x 64 at n = 4, and the keys are those
+    ranks gathered through the index tables."""
     if n == 0:  # one point, whose value is f(0): ranks of -1 and +1 against 0
         return np.array([[0, 2]], dtype=np.int32), np.array([[1]], dtype=np.int32)
     p, q = rho.numerator, rho.denominator
     weights = [(q + p) ** (n - d) * (q - p) ** d for d in range(n + 1)]
-    h = 1 << (n - 1)
-    a, b = _half_sums(weights, h, 0), _half_sums(weights, h, 1)
-    rank = {v: r for r, v in enumerate(sorted(set(a).union(b)))}
-    ra = np.array([rank[v] for v in a], dtype=np.int32)
-    rb = np.array([rank[v] for v in b], dtype=np.int32)
-    perms = _xor_perms(h)
-    cols = np.concatenate([ra[perms], rb[perms]])
-    rows = np.concatenate([rb[::-1][perms], ra[::-1][perms]])
-    return cols, rows
+    a, b = [0], [0]  # the values of the forms, k_d the digit of stride len(a)
+    for d in range(n):
+        c, wa, wb = comb(n - 1, d), weights[d], weights[d + 1]
+        a = [s + wa * (2 * k - c) for k in range(c + 1) for s in a]
+        b = [s + wb * (2 * k - c) for k in range(c + 1) for s in b]
+    values = a + b
+    rank = {v: r for r, v in enumerate(sorted(set(values)))}
+    ranks = np.array([rank[v] for v in values], dtype=np.int32)
+    cols, rows = _key_index(n)
+    return ranks.take(cols), ranks.take(rows)
 
 
 @cache
@@ -309,15 +336,11 @@ def _keep_keys(n, rho):
     return cols, rows
 
 
-def _keep_successors(n, rho, lows=None):
-    """The keep-rule successor ids of the tables lo + (hi << h) for the low
-    halves lo in lows (all of them when None) and every high half hi
-    (0 <= n <= 4), hi-major: entry hi * len(lows) + i is the successor of
-    lows[i] + (hi << h), so with all low halves it is the table id.  Bit u of
-    a successor is cols[u, lo] > rows[u, hi] for the keys of _keep_keys."""
+def _keep_successors(n, rho):
+    """The keep-rule successor of every table (0 <= n <= 4), indexed by table
+    id: bit u of the successor of lo + (hi << h) is cols[u, lo] > rows[u, hi]
+    for the keys of _keep_keys."""
     cols, rows = _keep_keys(n, rho)
-    if lows is not None:
-        cols = cols[:, lows]
     dtype = np.min_scalar_type((1 << len(cols)) - 1)
     out = np.zeros((rows.shape[1], cols.shape[1]), dtype=dtype)
     bit = np.empty_like(out)  # the comparison written as 0/1, then shifted
@@ -326,6 +349,18 @@ def _keep_successors(n, rho, lows=None):
         bit <<= u
         out |= bit
     return out.ravel()
+
+
+@cache
+def _candidate_bits(n):
+    """own[u, hi, i]: bit u of the census candidate reps[i] + (hi << h), for
+    the representatives reps of _class_table(n - 1) (the one point at n = 0)
+    and every high half hi, as bools."""
+    reps, h = _class_table(max(n - 1, 0))[1], (1 << n) >> 1
+    tables = reps + (np.arange(1 << h)[:, None] << h)
+    own = (tables >> np.arange(1 << n)[:, None, None]) & 1 == 1
+    own.flags.writeable = False
+    return own
 
 
 @dataclass(frozen=True)
@@ -342,19 +377,30 @@ class SpFraction:
 
 
 def sp_fraction(n, rho, mode="exhaustive", samples=None, seed=None):
+    """The fraction of the n-variable functions that are rho-SP (ties counting
+    as agreement).
+
+    "exhaustive" (n <= 4) counts exactly: the SP tables are the keep rule's
+    fixpoints, and every low half of a class of _class_table(n - 1) has as
+    many SP completions as its representative.  The candidates rep + (hi << h)
+    are compared with their keep-rule successors in one broadcast,
+    cols[:, None, reps] > rows[:, :, None] against _candidate_bits(n); a
+    candidate is fixed when no point moves, and the fixed candidates are
+    weighted by their class sizes.  "sample" tests `samples` random tables
+    drawn from `seed` with is_sp and gives a binomial standard error."""
     rho = check_rho(rho)
     if n < 0:
         raise InvalidArgument(f"n must be >= 0, got {n}")
     if mode == "exhaustive":
         if n > 4:
             raise InvalidArgument("exhaustive census is limited to n <= 4")
-        # the SP tables are those the keep rule fixes; every low half of an
-        # orbit has as many SP completions as its representative; the low
-        # half has 2^(n-1) points, the one point at n = 0
+        # the low half has 2^(n-1) points, the one point at n = 0
         _, reps, sizes = _class_table(max(n - 1, 0))
-        succ = _keep_successors(n, rho, reps).reshape(-1, len(reps))
-        tables = reps + (np.arange(len(succ))[:, None] << ((1 << n) >> 1))
-        sp_count = int(sizes @ np.count_nonzero(succ == tables, axis=0))
+        cols, rows = _keep_keys(n, rho)
+        moved = cols[:, None, reps] > rows[:, :, None]  # the successors' bits
+        moved ^= _candidate_bits(n)  # now: the points where they differ
+        fixed = rows.shape[1] - np.count_nonzero(moved.any(axis=0), axis=0)
+        sp_count = int(sizes @ fixed)
         total = 1 << (1 << n)
         frac = Fraction(sp_count, total)
         return SpFraction(n, rho, mode, total, sp_count, frac, float(frac), 0.0, None)

@@ -269,10 +269,6 @@ def _function_from_json(obj):
     return BooleanFunction(n, bits)
 
 
-def ltf_to_json(spec):
-    return {"format": LTF_FORMAT, "a0": spec.a0, "a": list(spec.a)}
-
-
 def _ltf_from_json(obj):
     try:
         a0 = _expect(obj["a0"], int, "bad LTF file: a0")
@@ -280,14 +276,6 @@ def _ltf_from_json(obj):
         return LtfSpec(a0, tuple(_expect(c, int, "bad LTF file: a") for c in a))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgument(f"bad LTF file: {exc}") from None
-
-
-def ptf_to_json(spec):
-    terms = []
-    for mask, coeff in spec.terms:
-        coords = [j + 1 for j in range(spec.n) if (mask >> j) & 1]
-        terms.append({"coords": coords, "coeff": coeff})
-    return {"format": PTF_FORMAT, "n": spec.n, "terms": terms}
 
 
 def _ptf_from_json(obj):

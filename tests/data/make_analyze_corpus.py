@@ -23,19 +23,17 @@ import io
 import json
 import os
 import random
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from boolsp import BooleanFunction, LtfSpec, cli, construct_named, random_function
-from boolsp.serialize import (
-    FN_FORMAT,
-    LTF_FORMAT,
-    canonical_json,
-    function_to_json,
-    ltf_to_json,
-)
+from boolsp.serialize import FN_FORMAT, LTF_FORMAT, canonical_json, function_to_json
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # tests/, for spec_files
+from spec_files import ltf_to_json
 
 CORPUS = Path(__file__).with_name("analyze_corpus.json")
 

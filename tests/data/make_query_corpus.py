@@ -18,12 +18,16 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 from boolsp import LtfSpec, cli, construct_named, random_function
-from boolsp.serialize import canonical_json, function_to_json, ltf_to_json
+from boolsp.serialize import canonical_json, function_to_json
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # tests/, for spec_files
+from spec_files import ltf_to_json
 
 CORPUS = Path(__file__).with_name("query_corpus.json")
 

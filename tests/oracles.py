@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, sqrt
 
+import numpy as np
 import sympy
 
 
@@ -290,6 +291,42 @@ def functional_graph(succ):
             max_depth = max(max_depth, depth[tail[0]])
     num_fixpoints = sum(1 for v in range(total) if succ[v] == v)
     return num_fixpoints, num_components, max_depth, tuple(cycles)
+
+
+def half_sum_keys(n, rho):
+    """(cols, rows) of experiments._sign_keys as int arrays, from sums built by
+    doubling a list one point at a time.
+
+    A[x] and B[x] are the sums of (q+p)^(n-|j|) (q-p)^|j| f(j) over the points
+    j of the low and the high half, for every half table x (bit k set: f = +1
+    at the half's point k).  For u < h = 2^(n-1), d(u, j) = |u ^ j| on the low
+    half and 1 + |u ^ k| at the point h + k, so A_u and B_u are A and B read
+    with bit k taken from bit k ^ u; for u = h + u' the halves swap roles.
+    cols[u, x] is the rank of A_u[x] and rows[u, x] the rank of -B_u[x] in the
+    sorted union of the values of A and B (at n = 0 the one point is the low
+    half, and the high half's one sum is 0)."""
+    if n == 0:
+        return np.array([[0, 2]]), np.array([[1]])  # ranks of -1, +1 and of 0
+    p, q = rho.numerator, rho.denominator
+    w = [(q + p) ** (n - d) * (q - p) ** d for d in range(n + 1)]
+    h = 1 << (n - 1)
+
+    def half_sums(far):
+        sums = [0]
+        for j in range(h):
+            wj = w[j.bit_count() + far]
+            sums = [s - wj for s in sums] + [s + wj for s in sums]
+        return sums
+
+    a, b = half_sums(0), half_sums(1)
+    rank = {v: r for r, v in enumerate(sorted(set(a).union(b)))}
+    ra, rb = np.array([rank[v] for v in a]), np.array([rank[v] for v in b])
+    rna, rnb = np.array([rank[-v] for v in a]), np.array([rank[-v] for v in b])
+    x = np.arange(1 << h)
+    reads = [sum(((x >> (k ^ u)) & 1) << k for k in range(h)) for u in range(h)]
+    cols = [ra[r] for r in reads] + [rb[r] for r in reads]
+    rows = [rnb[r] for r in reads] + [rna[r] for r in reads]
+    return np.array(cols), np.array(rows)
 
 
 def _linear_form(a0, a):

@@ -18,14 +18,10 @@ from hypothesis import strategies as st
 from boolsp import construct_ltf, construct_named, LtfSpec, PtfSpec, random_function
 from boolsp import cli, functions, noise, sp, spectrum
 from boolsp.cli import main
-from boolsp.serialize import (
-    canonical_json,
-    function_to_json,
-    ltf_to_json,
-    ptf_to_json,
-)
+from boolsp.serialize import canonical_json, function_to_json
 
 import oracles
+from spec_files import ltf_to_json, ptf_to_json
 
 
 def run(capsys, *argv):

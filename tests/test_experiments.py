@@ -387,6 +387,34 @@ def test_keep_successors_peak_memory():
     assert len(succ) == 1 << 16 and peak < 3 * succ.nbytes
 
 
+def test_census_peak_memory():
+    # one bool block of points x candidates (16 x 256 x 14 at n = 4) and the
+    # keys; the class table, key index and candidate bits are built (and
+    # memoised) by the first call
+    rho = Fraction(2, 5)
+    sp_fraction(4, rho)
+    tracemalloc.start()
+    try:
+        rep = sp_fraction(4, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.total == 1 << 16 and peak < 256 << 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.sampled_from(BEYOND_INT64) | st.fractions(min_value=0, max_value=1))
+@_examples(  # at n = 5 the oracle takes about 0.1 s per rho
+    (5, rho) for rho in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), BEYOND_INT64[2])
+)
+def test_sign_keys_match_half_sums(n, rho):
+    # the ranks of the count forms, gathered, are the ranks of the doubled sums
+    cols, rows = _sign_keys(n, rho)
+    want_cols, want_rows = oracles.half_sum_keys(n, rho)
+    assert cols.dtype == rows.dtype == np.int32
+    assert np.array_equal(cols, want_cols) and np.array_equal(rows, want_rows)
+
+
 def test_sp_fraction_domain():
     with pytest.raises(InvalidArgument):
         sp_fraction(5, Fraction(1, 2))
@@ -521,9 +549,9 @@ def test_graph_scan_walks_the_class_map_only(monkeypatch):
     _, want = _full_map_scan(4, rho)
     built = []
 
-    def keep_successors(n, rho, lows=None):
-        built.append(lows)
-        return _keep_successors(n, rho, lows)
+    def keep_successors(n, rho):
+        built.append((n, rho))
+        return _keep_successors(n, rho)
 
     monkeypatch.setattr(experiments, "_keep_successors", keep_successors)
     assert graph_scan(4, rho) == want

@@ -36,9 +36,7 @@ from boolsp.serialize import (
     load_function,
     load_json,
     load_plan,
-    ltf_to_json,
     parse_rational,
-    ptf_to_json,
     rational,
     region_to_json,
     spectrum_to_json,
@@ -46,6 +44,7 @@ from boolsp.serialize import (
 )
 
 import oracles
+from spec_files import ltf_to_json, ptf_to_json
 
 
 # ---------------------------------------------------------------------------
