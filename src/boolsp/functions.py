@@ -280,14 +280,11 @@ def construct_ptf(spec):
     check_cap(spec.n)
     if sum(abs(c) for _, c in spec.terms) >= _SIGN_FORM_BOUND:
         raise InvalidArgument("PTF coefficients too large for exact evaluation")
-    size = 1 << spec.n
-    vals = np.zeros(size, dtype=np.int64)
+    u = np.arange(1 << spec.n, dtype=np.uint32)
+    vals = np.zeros(len(u), dtype=np.int64)
     for mask, coeff in spec.terms:
-        chi = np.array([coeff], dtype=np.int64)
-        for j in range(spec.n):
-            sign = -1 if (mask >> j) & 1 else 1
-            chi = np.concatenate([chi, chi * sign])
-        vals += chi
+        odd = np.bitwise_count(u & np.uint32(mask)) & 1  # x^T = -1 <=> odd overlap
+        vals += np.where(odd, -coeff, coeff)
     return _sign_table_to_function(vals, spec.n, "PTF form")
 
 

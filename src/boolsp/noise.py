@@ -15,10 +15,19 @@ closeness) read the signs off that stream, and Stab*_rho = <T_rho f, sgn>
 comes from the spectrum of the signs.  All of it is exact and O(2^n) in
 memory whatever rho; the tests check it against direct O(4^n) summation.
 
-The signs are built once per (f, rho) and kept, read-only int8, one byte
-per point, in one functions.bytes_lru of 64 MiB (_sign_stream):
-optimal_predictor (and so each step of experiments.predictor_orbit),
-stability_report, closeness_to_sp and sp.is_sp all read the kept stream.
+Kept with each (f, rho), in functions.bytes_lru caches of 64 MiB each:
+
+* _sign_stream: the signs, read-only int8, one byte per point, built once per
+  (f, rho).  optimal_predictor (and so each step of
+  experiments.predictor_orbit), stability_report, closeness_to_sp and
+  sp.is_sp all read the kept stream.
+* _cross_sums: Stab*'s n + 1 level sums sum_{|S|=k} c_S b_S (c = 2^n fhat,
+  b = 2^n times the spectrum of the signs), read-only int64, built by the
+  first stability_report of the pair only; a predictor or an orbit step never
+  builds them.
+
+Everything per f alone (level weights and L1 sums, the level-1 L1 norm) is
+kept with its spectrum (spectrum.ScaledSpectrum).
 """
 
 from dataclasses import dataclass
@@ -31,7 +40,6 @@ from .functions import BooleanFunction, bytes_lru
 from .spectrum import (
     _butterfly,
     _by_level,
-    _level1_l1,
     _limb_plan,
     _weighted_signs,
     _weighted_transform,
@@ -84,6 +92,21 @@ def _sign_stream(key):
     signs = np.sign(_weighted_signs(wht(f), _rho_weights(f.n, rho))).astype(np.int8)
     signs.flags.writeable = False
     return signs
+
+
+# n + 1 int64 sums per pair; the charge is mostly the key's tables.  The bound
+# is the stream's, so the sums of every kept stream can stay kept beside it.
+@bytes_lru(64 << 20, lambda sums: sums.nbytes)
+def _cross_sums(key):
+    """Stab*'s level sums for the pair key = (f, checked rho): entry k is
+    sum_{|S|=k} c_S b_S, c = 2^n fhat and b the butterfly of the kept signs.
+    They fit int64: by Cauchy-Schwarz and Parseval sum |c_S b_S| <= 4^n."""
+    f, rho = key
+    # int64 before the butterfly: its sums of int8 signs would wrap silently
+    signs = _scaled_signs(f, rho).astype(np.int64)
+    sums = _by_level(wht(f).coeffs * _butterfly(signs))
+    sums.flags.writeable = False
+    return sums
 
 
 def disagreement(values, scaled):
@@ -156,15 +179,12 @@ def stability_report(f, rho):
     Stab*_rho = <T_rho f, g> with g = sgn T_rho f, which by Plancherel is
     sum_S rho^|S| fhat_S ghat_S: the same level sums as Stab_rho with
     c_S * b_S in place of c_S^2, where c = 2^n fhat and b = 2^n ghat is one
-    butterfly of the signs.  Those sums fit int64 (by Cauchy-Schwarz and
-    Parseval, sum |c_S b_S| <= 4^n); only their weighted total is a Python
-    int."""
+    butterfly of the signs.  Those sums are kept per (f, rho) (_cross_sums);
+    only their weighted total is a Python int."""
     rho = check_rho(rho)
     stab = stability(f, rho)
-    # int64 before the butterfly: its sums of int8 signs would wrap silently
-    signs = _scaled_signs(f, rho).astype(np.int64)
-    cross = _by_level(wht(f).coeffs * _butterfly(signs))
-    total = sum(w * c for w, c in zip(_rho_weights(f.n, rho), cross.tolist()))
+    cross = _cross_sums((f, rho)).tolist()
+    total = sum(w * c for w, c in zip(_rho_weights(f.n, rho), cross))
     stab_star = Fraction(total, (1 << (2 * f.n)) * rho.denominator**f.n)
     return StabilityReport(
         rho, stab, stab_star, (1 - stab) / 2, (1 - stab_star) / 2
@@ -209,7 +229,8 @@ def _prediction_gain(f, report):
     """prediction_gain of f given its stability_report."""
     if report.stab == 0:
         raise InvalidArgument("stability is zero (balanced f at rho=0); no ratio")
-    l1 = Fraction(_level1_l1(f), 1 << (2 * f.n))
-    w1 = Fraction(wht(f).weights[1], 1 << (2 * f.n))
+    spec = wht(f)
+    l1 = Fraction(spec.level1_l1, 1 << (2 * f.n))
+    w1 = Fraction(spec.weights[1], 1 << (2 * f.n))
     ok = 2 * l1**2 >= w1 and l1**2 <= w1
     return PredictionGain(report.stab_star / report.stab, l1, w1, ok)

@@ -49,7 +49,7 @@ nonzero entry.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import count
 from math import comb, factorial, isqrt, log, sqrt
 from typing import NamedTuple
@@ -67,7 +67,6 @@ from .functions import (
 from .noise import _rho_weights, _scaled_signs, check_rho, disagreement, stability
 from .spectrum import (
     _by_level,
-    _level1_gap,
     chow_distance,
     influences,
     wht,
@@ -750,36 +749,39 @@ class SufficientThresholds:
     sparsity_bound: Endpoint  # SP for rho above the root of sum rho^|S| = s-1
 
 
+# Kept per (n, depth): the polynomial depends on n alone.  A request names one
+# epsilon, and entries are a few hundred bytes at the default depth.
+@lru_cache(maxsize=256)
+def _no_flip(n, depth):
+    """The no-flip threshold of n variables: the root in (0, 1) of
+    sum_{k>=1} C(n,k) rho^k - (2^(n-1) - 1), to depth, or 0 at n = 1."""
+    if n == 1:
+        return Endpoint("exact", value=Fraction(0))
+    poly = (1 - (1 << (n - 1)),) + tuple(comb(n, k) for k in range(1, n + 1))
+    return _bisect(poly, 0, 0, depth, True)
+
+
 def sufficient_thresholds(f, epsilon=DEFAULT_EPSILON):
     """The no-flip and sparsity polynomials have one negative coefficient,
-    the constant, so each rises through one simple root in (0,1) (_bisect)."""
-    n = f.n
-    noflip_poly = rt.trim(
-        tuple((comb(n, k) if k else 1 - (1 << (n - 1))) for k in range(n + 1))
-    )
-    no_flip = (
-        Endpoint("exact", value=Fraction(0))
-        if n == 1
-        else _bisect(noflip_poly, 0, 0, _depth(epsilon), True)
-    )
-
-    coeffs = wht(f).coeffs
-    support_counts = _by_level(coeffs != 0).tolist()
-    d = max(k for k, c in enumerate(support_counts) if c)
+    the constant, so each rises through one simple root in (0,1) (_bisect).
+    The rest reads the kept summaries of f's spectrum."""
+    depth = _depth(epsilon)
+    spec = wht(f)
+    d = spec.degree
     if d == 0:
         degree_bound = Fraction(0)
     else:
-        spectral_norm = Fraction(int(np.abs(coeffs).sum()), 1 << n)
+        spectral_norm = Fraction(sum(spec.l1), 1 << f.n)
         degree_bound = 1 - 1 / (d * min(Fraction(d), spectral_norm))
 
-    sparsity_poly = list(support_counts)
-    sparsity_poly[0] -= sum(support_counts) - 1
+    sparsity_poly = list(spec.support)
+    sparsity_poly[0] -= sum(spec.support) - 1
     sparsity_poly = rt.trim(tuple(sparsity_poly))
     if not sparsity_poly or sparsity_poly[0] >= 0:
         sparsity_bound = Endpoint("exact", value=Fraction(0))
     else:
-        sparsity_bound = _bisect(sparsity_poly, 0, 0, _depth(epsilon), True)
-    return SufficientThresholds(no_flip, degree_bound, sparsity_bound)
+        sparsity_bound = _bisect(sparsity_poly, 0, 0, depth, True)
+    return SufficientThresholds(_no_flip(f.n, depth), degree_bound, sparsity_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -787,8 +789,12 @@ def sufficient_thresholds(f, epsilon=DEFAULT_EPSILON):
 
 
 @cache
-def _exp_minus2_enclosure():
-    """Rational lo < e^-2 < hi with width far below 1e-30 (computed once)."""
+def _exp_minus2_enclosure(d):
+    """Rational lo < e^(-2d) < hi, from one enclosure of e^-2 of width far
+    below 1e-30 raised to d; kept per degree d (at most the cap, 31)."""
+    if d > 1:
+        lo, hi = _exp_minus2_enclosure(1)
+        return lo**d, hi**d
     terms = 41
     partial = sum(Fraction(1 << j, factorial(j)) for j in range(terms))
     # tail of e^2 is below first_term / (1 - 2/(terms+1))
@@ -808,19 +814,22 @@ class NecessaryChecks:
 
 
 def necessary_checks(f, rho):
+    """The single-coefficient and hypercontractive conditions at rho, from
+    the kept level peaks and degree of f's spectrum.  max_S rho^|S| |fhat_S|
+    is max_k p^k q^(n-k) peaks[k] over the common denominator 2^n q^n."""
     rho = check_rho(rho)
+    spec = wht(f)
     stab = stability(f, rho)
-    peaks = _by_level(np.abs(wht(f).coeffs), np.maximum)
-    max_term = max(rho**k * Fraction(m, 1 << f.n) for k, m in enumerate(peaks.tolist()))
+    top = max(w * m for w, m in zip(_rho_weights(f.n, rho), spec.peaks))
+    max_term = Fraction(top, (1 << f.n) * rho.denominator**f.n)
     basic_ok = stab >= max_term
 
-    d = int(np.flatnonzero(peaks).max())
+    d = spec.degree
     stab2 = stability(f, rho * rho)
     if d == 0:
         lo = hi = Fraction(1)
     else:
-        e_lo, e_hi = _exp_minus2_enclosure()
-        lo, hi = e_lo**d, e_hi**d
+        lo, hi = _exp_minus2_enclosure(d)
     lhs = stab * stab
     if lhs >= hi * stab2:
         hyper_ok = True
@@ -965,7 +974,7 @@ def chow_gap_bound(f, g):
         failures.append("f does not depend on all variables")
     if any(x == 0 for x in influences(g)):
         failures.append("g does not depend on all variables")
-    gap = _level1_gap(f)
+    gap = Fraction(wht(f).level1_gap, 1 << f.n)
     if gap == 0:
         failures.append("Gap[f] is zero")
     if failures:

@@ -4,9 +4,22 @@ Coefficients are kept scaled by 2^n so everything stays in int64:
 coeffs[m] = 2^n * fhat_S where subset S is encoded by mask m (bit i-1 for
 coordinate i).  |coeffs[m]| <= 2^n and level-restricted evaluations are
 bounded by C(n,k) * 2^n, comfortably inside int64 for n <= 24.
-Per-level sums, maxima and counts of spectra all go through _by_level.  Spectra
-are kept by functions.bytes_lru, up to 256 MiB of them, with their level
-weights and per-level L1 sums.
+Per-level sums, maxima and counts of spectra all go through _by_level.
+
+Spectra are kept by functions.bytes_lru (wht), up to 256 MiB of them.  Kept
+with each spectrum, built on first read, are its per-level summaries:
+
+* weights: 4^n W^k, the level sums of coeffs^2;
+* l1: the level sums of |coeffs| (their total is 2^n times the spectral norm);
+* peaks: the level maxima of |coeffs|;
+* support: the level counts of nonzero coeffs;
+* degree: the highest level of nonzero weight;
+* level1_l1 and level1_gap: 4^n E|sum_i fhat_i y_i| and 2^n Gap[f], from the
+  level-1 coefficients alone.
+
+Everything the paper asks of one spectrum per rho (Stab_rho, the sufficient
+thresholds, the necessary checks, the prediction gain) reads these, not the
+2^n coefficients.
 """
 
 from dataclasses import dataclass
@@ -45,12 +58,29 @@ def _butterfly(arr):
     return src
 
 
-def _by_level(values, ufunc=np.add):
+# The largest n whose popcount table the popcount cache keeps (1 MiB).
+_SLAB_BITS = 17
+
+
+def _by_level(values, ufunc=np.add, entry=None):
     """int64 vector whose entry k is the ufunc reduction of the subset-indexed
-    values (2^n of them) over level k.  They are cast to int64 first: ufunc.at
-    from bool into int64 takes a casting loop about 20 times slower."""
-    out = np.zeros(len(values).bit_length(), dtype=np.int64)
-    ufunc.at(out, popcounts(len(out) - 1), values.astype(np.int64, copy=False))
+    values (2^n of them), or of entry(values) (np.abs, np.square, ...), over
+    level k.  They are cast to int64 first: ufunc.at from bool into int64
+    takes a casting loop about 20 times slower.
+
+    Above n = _SLAB_BITS the values are reduced one slab of 2^_SLAB_BITS at a
+    time: slab j holds the subsets whose high bits spell j, so their levels
+    are those of popcounts(_SLAB_BITS) moved up by popcount(j), and each slab
+    lands in its own window of the output.  entry is applied slab by slab, so
+    beside the input the work holds that one kept table and a slab or two."""
+    n = len(values).bit_length() - 1
+    out = np.zeros(n + 1, dtype=np.int64)
+    low = popcounts(min(n, _SLAB_BITS))
+    for j, slab in enumerate(values.reshape(-1, len(low))):
+        if entry is not None:
+            slab = entry(slab)
+        top = j.bit_count()
+        ufunc.at(out[top:], low, slab.astype(np.int64, copy=False))
     return out
 
 
@@ -121,6 +151,12 @@ def _weighted_signs(spec, weights):
 
 @dataclass(frozen=True)
 class ScaledSpectrum:
+    """The scaled coefficients of one function and its per-level summaries.
+
+    Each summary is built on first read and kept with the spectrum, so every
+    request that reads the kept spectrum (wht) reads them without another
+    pass over its 2^n coefficients.  _spectrum_bytes bounds what they hold."""
+
     n: int
     coeffs: np.ndarray  # int64, coeffs[m] = 2^n * fhat_{S(m)}
 
@@ -130,18 +166,84 @@ class ScaledSpectrum:
     @cached_property
     def weights(self):
         """4^n * W^k for k = 0..n as Python ints (the k-th sums coeffs^2 over
-        level k; Parseval makes the total exactly 4^n), built on first read."""
-        return tuple(_by_level(self.coeffs**2).tolist())
+        level k; Parseval makes the total exactly 4^n)."""
+        return tuple(_by_level(self.coeffs, entry=np.square).tolist())
 
     @cached_property
     def l1(self):
         """2^n times the L1 norm of each level, sum_{|S|=k} |coeffs[S]| for
-        k = 0..n as Python ints, built on first read."""
-        return tuple(_by_level(np.abs(self.coeffs)).tolist())
+        k = 0..n as Python ints; their total is 2^n times the spectral norm."""
+        return tuple(_by_level(self.coeffs, entry=np.abs).tolist())
+
+    @cached_property
+    def peaks(self):
+        """max_{|S|=k} |coeffs[S]| for k = 0..n as Python ints."""
+        return tuple(_by_level(self.coeffs, np.maximum, np.abs).tolist())
+
+    @cached_property
+    def support(self):
+        """The number of nonzero coeffs[S] with |S| = k, for k = 0..n."""
+        return tuple(_by_level(self.coeffs, entry=np.bool_).tolist())
+
+    @cached_property
+    def degree(self):
+        """The highest level of nonzero weight (Parseval: some level has)."""
+        return max(k for k, w in enumerate(self.weights) if w)
+
+    @cached_property
+    def level1_gap(self):
+        """2^n Gap[f]: the least positive value of the level-1 form
+        2^n sum_i fhat_i x_i over the cube, 0 when it is never positive.  For
+        each a of _level1_halves the least b > -a is found by bisection in
+        the sorted b."""
+        a, b = _level1_halves(self)
+        k = np.searchsorted(b, -a, side="right")
+        found = k < len(b)
+        return int((a[found] + b[k[found]]).min()) if found.any() else 0
+
+    @cached_property
+    def level1_l1(self):
+        """4^n E|sum_i fhat_i y_i|, the sum of |2^n sum_i fhat_i x_i| over the
+        cube, as an exact int: sum_a sum_b |a + b| from the prefix sums of
+        the sorted b of _level1_halves.  With k = #{b < -a} and s_k the sum
+        of the k least b, the row of a adds (len(b) - 2k) a + sum(b) - 2 s_k.
+        Each row fits int64; the rows are summed as Python ints."""
+        a, b = _level1_halves(self)
+        k = np.searchsorted(b, -a, side="left")
+        prefix = np.concatenate(([0], np.cumsum(b)))
+        rows = (len(b) - 2 * k) * a + prefix[-1] - 2 * prefix[k]
+        return sum(rows.tolist())
+
+
+def _level1_halves(spec):
+    """The level-1 form 2^n sum_i fhat_i x_i split in two (meet in the middle,
+    Horowitz and Sahni 1974): (a, b), int64 tables of linear_values over the
+    first n // 2 level-1 coefficients and over the rest, b sorted.  Its value
+    at the point whose low coordinates index a[j] and high ones index b[k] is
+    a[j] + b[k], so every question about the form's 2^n values is one about
+    the sums of two tables of 2^(n/2) entries each."""
+    c = spec.coeffs[1 << np.arange(spec.n)].tolist()
+    half = spec.n // 2
+    return linear_values(0, c[:half]), np.sort(linear_values(0, c[half:]))
+
+
+# What the summaries of one spectrum can hold, level by level: four tuples of
+# n + 1 Python ints below 2^64 (at most 36 bytes each and an 8-byte slot),
+# plus the two level-1 ints, the tuples' headers and the instance dict's
+# growth as they land in it.
+_SUMMARY_BYTES_PER_LEVEL = 4 * (36 + 8)
+_SUMMARY_BYTES = 1 << 10
+
+
+def _spectrum_bytes(spec):
+    """What wht charges for a kept spectrum: its coefficients and a fixed
+    bound on its summaries for that n, built or not, so the charge is known
+    at insertion and cache_info() does not depend on what was read."""
+    return spec.coeffs.nbytes + _SUMMARY_BYTES + _SUMMARY_BYTES_PER_LEVEL * (spec.n + 1)
 
 
 # The bound is on bytes, not entries: one spectrum of n = 24 is 128 MiB.
-@bytes_lru(256 << 20, lambda spec: spec.coeffs.nbytes)
+@bytes_lru(256 << 20, _spectrum_bytes)
 def wht(f):
     """Scaled Fourier coefficients of f (exact, integer), memoised per f."""
     coeffs = _butterfly(f.values.astype(np.int64))
@@ -189,52 +291,14 @@ def _spectral_summary(f, monotone):
     """spectral_summary of f, given whether f is monotone."""
     spec = wht(f)
     weights = tuple(Fraction(w, 1 << (2 * f.n)) for w in spec.weights)
-    nonzero_levels = [k for k, w in enumerate(spec.weights) if w]
-    degree = max(nonzero_levels)
-    level = min(nonzero_levels)
-    spectral_norm = Fraction(int(np.abs(spec.coeffs).sum()), 1 << f.n)
+    level = min(k for k, w in enumerate(spec.weights) if w)
+    spectral_norm = Fraction(sum(spec.l1), 1 << f.n)
     chow = (spec.fraction(0),) + tuple(spec.fraction(1 << i) for i in range(f.n))
     influences = chow[1:] if monotone else None
+    gap = Fraction(spec.level1_gap, 1 << f.n)
     return SpectralSummary(
-        weights, degree, level, spectral_norm, chow, _level1_gap(f), influences
+        weights, spec.degree, level, spectral_norm, chow, gap, influences
     )
-
-
-def _level1_halves(f):
-    """The level-1 form 2^n sum_i fhat_i x_i split in two (meet in the middle,
-    Horowitz and Sahni 1974): (a, b), int64 tables of linear_values over the
-    first n // 2 level-1 coefficients and over the rest, b sorted.  Its value
-    at the point whose low coordinates index a[j] and high ones index b[k] is
-    a[j] + b[k], so every question about the form's 2^n values is one about
-    the sums of two tables of 2^(n/2) entries each."""
-    c = wht(f).coeffs[1 << np.arange(f.n)].tolist()
-    half = f.n // 2
-    return linear_values(0, c[:half]), np.sort(linear_values(0, c[half:]))
-
-
-def _level1_gap(f):
-    """Gap[f]: least positive value of sum_i fhat_i x_i over the cube, 0 when
-    that level-1 form is never positive.  For each a the least b > -a is
-    found by bisection in the sorted b."""
-    a, b = _level1_halves(f)
-    k = np.searchsorted(b, -a, side="right")
-    found = k < len(b)
-    if not found.any():
-        return Fraction(0)
-    return Fraction(int((a[found] + b[k[found]]).min()), 1 << f.n)
-
-
-def _level1_l1(f):
-    """4^n E|sum_i fhat_i y_i|, the sum of |2^n sum_i fhat_i x_i| over the
-    cube, as an exact int: sum_a sum_b |a + b| from the prefix sums of the
-    sorted b.  With k = #{b < -a} and s_k the sum of the k least b, the row of
-    a adds (len(b) - 2k) a + sum(b) - 2 s_k.  Each row fits int64; the rows
-    are summed as Python ints."""
-    a, b = _level1_halves(f)
-    k = np.searchsorted(b, -a, side="left")
-    prefix = np.concatenate(([0], np.cumsum(b)))
-    rows = (len(b) - 2 * k) * a + prefix[-1] - 2 * prefix[k]
-    return sum(rows.tolist())
 
 
 def influences(f):

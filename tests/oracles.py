@@ -348,6 +348,35 @@ def linear_abs_sum(a):
     return sum(abs(x) for x in _linear_form(0, a))
 
 
+def level_summaries(coeffs, n):
+    """(weights, l1, peaks, support, degree) of the scaled spectrum coeffs,
+    one subset at a time: per level k the sum of c_S^2, the sum of |c_S|, the
+    largest |c_S| and the count of nonzero c_S over |S| = k, and the highest
+    level with a nonzero c_S."""
+    weights, l1, peaks, support = ([0] * (n + 1) for _ in range(4))
+    for m, c in enumerate(coeffs):
+        k = bin(m).count("1")
+        weights[k] += c * c
+        l1[k] += abs(c)
+        peaks[k] = max(peaks[k], abs(c))
+        support[k] += c != 0
+    degree = max(k for k in range(n + 1) if support[k])
+    return weights, l1, peaks, support, degree
+
+
+def level_cross_sums(coeffs, signs, n):
+    """sum_{|S|=k} c_S b_S for k = 0..n, one subset at a time, where b_S is
+    the correlation sum_u signs[u] chi_S(u) of the table signs with chi_S."""
+    u = np.arange(1 << n)
+    signs = np.asarray(signs, dtype=np.int64)
+    out = [0] * (n + 1)
+    for m, c in enumerate(coeffs):
+        if c:
+            odd = (np.bitwise_count(u & m) & 1).astype(np.int64)
+            out[bin(m).count("1")] += c * int((1 - 2 * odd) @ signs)
+    return out
+
+
 def ltf_approximation(values, n):
     """((a0, a), distance, sperner_cap, bound, zero_set_size, offset) of the LTF
     fitted to the level-1 coefficients, point by point over the zero set Z of

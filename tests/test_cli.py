@@ -294,6 +294,26 @@ def test_sign_stream_kept_per_function_and_rho(capsys, tmp_path, maj3, monkeypat
     assert not ties.any()
 
 
+def test_stab_star_sums_built_by_stability_only(capsys, tmp_path):
+    f = random_function(8, 1)
+    path = write_fn(tmp_path, "rand8.json", f)
+    rho = Fraction(3, 8)
+    noise._sign_stream.cache_clear()
+    noise._cross_sums.cache_clear()
+    for command in ("predict", "orbit", "thresholds"):
+        code, _, _ = run(capsys, command, "--fn", path, "--rho", "3/8")
+        assert code == 0
+    assert noise._cross_sums.cache_info() == ((), 0)  # a predictor never builds them
+    code, cold, _ = run(capsys, "stability", "--fn", path, "--rho", "3/8")
+    kept = noise._cross_sums((f, rho))
+    assert code == 0 and noise._cross_sums.cache_info()[0] == ((f, rho),)
+    assert run(capsys, "stability", "--fn", path, "--rho", "3/8") == (0, cold, "")
+    assert noise._cross_sums((f, rho)) is kept and not kept.flags.writeable
+    noise._cross_sums.cache_clear()
+    assert run(capsys, "stability", "--fn", path, "--rho", "3/8") == (0, cold, "")
+    assert noise._cross_sums((f, rho)) is not kept
+
+
 def test_level_weights_built_once_per_request(capsys, tmp_path, monkeypatch):
     builds = []
 

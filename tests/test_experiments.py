@@ -327,14 +327,23 @@ def test_class_table_peak_memory():
 BEYOND_INT64 = (Fraction(1, 3**40), Fraction(999999999999, 10**13), Fraction(2**70 - 1, 2**70))
 
 
+# graph_scan's depth is at most 5 at n <= 4 over rho = k/16, k/24, k/40, k/60
+# and k/97, so a walk that has not stood still after this many steps is caught
+# in a cycle (or a fault) and fails at once instead of running on.
+_MAX_MAP_STEPS = 32
+
+
 def _full_map_scan(n, rho):
     """(successors of all tables, their GraphScan): the whole map is iterated
-    until every table stands at its fixpoint."""
+    until every table stands at its fixpoint, within _MAX_MAP_STEPS steps."""
     succ = _keep_successors(n, rho)
-    x, depth = np.arange(len(succ)), 0
-    while not np.array_equal(succ[x], x):
-        x, depth = succ[x], depth + 1
-        assert depth < len(succ), "a non-trivial cycle"
+    x = np.arange(len(succ))
+    for depth in range(_MAX_MAP_STEPS + 1):
+        if np.array_equal(succ[x], x):
+            break
+        x = succ[x]
+    else:
+        raise AssertionError(f"no standstill after {_MAX_MAP_STEPS} steps at n={n}, rho={rho}")
     fixpoints = int(np.count_nonzero(succ == np.arange(len(succ))))
     return succ, GraphScan(n, rho, len(succ), fixpoints, depth)
 

@@ -204,7 +204,8 @@ def test_bytes_lru_charges_the_tables_of_its_keys():
     noise._sign_stream.cache_clear()
     try:
         noise._scaled_signs(f, Fraction(1, 2))
-        assert spectrum.wht.cache_info() == ((f,), 8 * 1024 + 1152 + _ENTRY_BYTES)
+        summaries = (1 << 10) + 4 * (36 + 8) * 11  # wht's bound on them at n = 10
+        assert spectrum.wht.cache_info() == ((f,), 8 * 1024 + summaries + 1152 + _ENTRY_BYTES)
         assert noise._sign_stream.cache_info() == (
             ((f, Fraction(1, 2)),), 1024 + 1152 + _ENTRY_BYTES
         )
@@ -286,6 +287,27 @@ def test_ptf_matches_brute_force():
             s += prod
         assert s != 0
         assert f.value_at(u) == (1 if s > 0 else -1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ptf_matches_per_point_evaluation(data):
+    # random forms, with ties where the terms cancel: the table is the sign of
+    # the form at each point, or TieError names the first point where it is 0
+    n = data.draw(st.integers(1, 8))
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=12))
+    coeffs = data.draw(st.lists(st.integers(-6, 6), min_size=len(masks), max_size=len(masks)))
+    spec = PtfSpec(n, tuple(zip(masks, coeffs)))
+    forms = [
+        sum(c * (-1) ** bin(u & m).count("1") for m, c in spec.terms) for u in range(1 << n)
+    ]
+    zeros = [u for u, v in enumerate(forms) if v == 0]
+    if zeros:
+        with pytest.raises(TieError) as exc:
+            construct_ptf(spec)
+        assert exc.value.witness_index == zeros[0]
+    else:
+        assert construct_ptf(spec).values.tolist() == [1 if v > 0 else -1 for v in forms]
 
 
 def test_ptf_example_is_balanced():

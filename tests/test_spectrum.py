@@ -1,11 +1,12 @@
 """Walsh-Hadamard layer against direct correlation sums and Parseval."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boolsp import (
@@ -21,10 +22,10 @@ from boolsp import (
     spectral_summary,
     wht,
 )
-from boolsp import spectrum
-from boolsp.functions import _ENTRY_BYTES, bytes_lru, linear_values
+from boolsp import noise, spectrum
+from boolsp.functions import _ENTRY_BYTES, bytes_lru, linear_values, popcounts
 
-from oracles import fourier, linear_abs_sum, linear_gap
+from oracles import fourier, level_cross_sums, level_summaries, linear_abs_sum, linear_gap
 
 
 def random_function_list(rng, n):
@@ -223,17 +224,18 @@ def level1_tables(draw):
 def test_level1_half_tables_match_full_table(case):
     n, vals = case
     f = BooleanFunction.from_values(vals)
-    a = wht(f).coeffs[1 << np.arange(n)].tolist()
-    assert spectrum._level1_gap(f) == Fraction(linear_gap(a), 1 << n)
-    assert spectrum._level1_l1(f) == linear_abs_sum(a)
+    spec = wht(f)
+    a = spec.coeffs[1 << np.arange(n)].tolist()
+    assert spec.level1_gap == linear_gap(a)
+    assert spec.level1_l1 == linear_abs_sum(a)
 
 
 def test_level1_half_tables_on_a_vanishing_form():
     for n in (1, 2, 5):
-        f = construct_named("character", n, coords=[])  # constant: level 1 is zero
-        assert spectrum._level1_gap(f) == 0 and spectrum._level1_l1(f) == 0
-    x1 = construct_named("character", 1, coords=[1])  # n = 1: the form is x_1
-    assert spectrum._level1_gap(x1) == 1 and spectrum._level1_l1(x1) == 4
+        spec = wht(construct_named("character", n, coords=[]))  # constant: level 1 is zero
+        assert spec.level1_gap == 0 and spec.level1_l1 == 0
+    x1 = wht(construct_named("character", 1, coords=[1]))  # n = 1: the form is 2 x_1
+    assert x1.level1_gap == 2 and x1.level1_l1 == 4
 
 
 def test_spectrum_cache_is_bounded_by_bytes():
@@ -260,7 +262,44 @@ def test_wht_keeps_its_name_and_cache():
     spectrum.wht.cache_clear()
     f = random_function(5, 1)
     assert spectrum.wht(f) is spectrum.wht(f)
-    assert spectrum.wht.cache_info() == ((f,), 8 * 32 + (32 + 4) + _ENTRY_BYTES)
+    # the coefficients, the summaries' bound for n = 5 (1 KiB and 176 bytes a
+    # level), the key's tables and the entry charge
+    summaries = (1 << 10) + 4 * (36 + 8) * 6
+    assert spectrum.wht.cache_info() == ((f,), 8 * 32 + summaries + (32 + 4) + _ENTRY_BYTES)
+
+
+def _read_summaries(spec):
+    return (spec.weights, spec.l1, spec.peaks, spec.support, spec.degree,
+            spec.level1_gap, spec.level1_l1)
+
+
+def _traced_growth(work):
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kept_summaries_stay_within_the_cache_bound():
+    fs = [random_function(n, seed) for seed in range(40) for n in range(3, 9)]
+    build = spectrum.wht.__wrapped__
+    _read_summaries(build(random_function(9, 0)))  # first-call allocations
+    # the summaries alone hold no more than their part of wht's charge
+    specs = [build(f) for f in fs]
+    grown = _traced_growth(lambda: [_read_summaries(spec) for spec in specs])
+    assert grown <= sum(spectrum._spectrum_bytes(s) - s.coeffs.nbytes for s in specs)
+    del specs
+    # wht's own builder and charge under a 128 KiB bound: many small spectra,
+    # each with every summary built, hold no more than the charge reported
+    # for those kept, and the others are freed as they leave
+    bound = 128 << 10
+    cached = bytes_lru(bound, spectrum._spectrum_bytes)(build)
+    held = _traced_growth(lambda: [_read_summaries(cached(f)) and None for f in fs])
+    kept, charge = cached.cache_info()
+    assert len(kept) < len(set(fs)) and charge <= bound
+    assert held <= charge
 
 
 @st.composite
@@ -291,6 +330,8 @@ def test_butterfly_matches_direct_sums(case):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10), st.integers(0, 2**32 - 1))
+@example(18, 1)  # above 17 the values are reduced in slabs of 2^17
+@example(19, 2)
 def test_by_level_matches_per_level_loop(n, seed):
     rng = np.random.default_rng(seed)
     size = 1 << n
@@ -305,6 +346,81 @@ def test_by_level_matches_per_level_loop(n, seed):
     )
     for got, want in cases:
         assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_by_level_builds_no_table_of_its_input_size():
+    # 2^20 int64 values (8 MiB): the slabs read the kept popcounts(17)
+    values = np.arange(1 << 20, dtype=np.int64)
+    spectrum._by_level(values)  # keeps popcounts(17)
+    tracemalloc.start()
+    try:
+        got = spectrum._by_level(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    pc = popcounts(17)
+    want = [sum(int(values[(j << 17) + np.flatnonzero(pc + j.bit_count() == k)].sum())
+                for j in range(8)) for k in range(21)]
+    assert got.tolist() == want
+
+
+@st.composite
+def summary_tables(draw):
+    """(n, +-1 table, rho) for n = 1..10: a random table, one of the Hamming
+    weight (many zero coefficients) or a character (one nonzero coefficient,
+    its degree the size of its subset)."""
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("table", "weight", "character")))
+    size = 1 << n
+    if kind == "table":
+        vals = rng.choice((-1, 1), size=size)
+    elif kind == "weight":
+        vals = rng.choice((-1, 1), size=n + 1)[np.bitwise_count(np.arange(size))]
+    else:
+        mask = int(rng.integers(0, size))
+        vals = 1 - 2 * (np.bitwise_count(np.arange(size) & mask) & 1).astype(np.int64)
+    rho = draw(st.fractions(min_value=0, max_value=1, max_denominator=40))
+    return n, vals, rho
+
+
+def _random_case(n, seed, rho):
+    return n, np.random.default_rng(seed).choice((-1, 1), size=1 << n), rho
+
+
+@settings(max_examples=60, deadline=None)
+@given(summary_tables())
+@example(_random_case(12, 1, Fraction(3, 8)))
+@example(_random_case(13, 2, Fraction(1, 16)))
+@example(_random_case(14, 3, Fraction(11, 16)))
+def test_kept_summaries_match_per_subset_loops(case):
+    n, vals, rho = case
+    f = BooleanFunction.from_values(vals)
+
+    def check():
+        spec = wht(f)
+        coeffs = spec.coeffs.tolist()
+        weights, l1, peaks, support, degree = level_summaries(coeffs, n)
+        a = [coeffs[1 << j] for j in range(n)]
+        assert (spec.weights, spec.l1, spec.peaks, spec.support) == tuple(
+            map(tuple, (weights, l1, peaks, support))
+        )
+        assert spec.degree == degree
+        assert (spec.level1_gap, spec.level1_l1) == (linear_gap(a), linear_abs_sum(a))
+        signs = noise._scaled_signs(f, rho)
+        cross = noise._cross_sums((f, rho))
+        assert cross.tolist() == level_cross_sums(coeffs, signs, n)
+        assert not cross.flags.writeable
+        return spec, cross
+
+    spec, cross = check()
+    kept, kept_cross = check()
+    assert kept is spec and kept_cross is cross
+    spectrum.wht.cache_clear()
+    noise._cross_sums.cache_clear()
+    again, rebuilt = check()
+    assert again is not spec and rebuilt is not cross
 
 
 @pytest.mark.parametrize("n", [5, 6])
