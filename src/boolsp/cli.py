@@ -31,7 +31,13 @@ from . import serialize as ser
 from .config import VERSION
 from .constructs import character_compose, product_compose
 from .errors import BoolspError, InvalidArgument
-from .experiments import graph_scan, predictor_orbit, sp_fraction, threshold_constants
+from .experiments import (
+    check_census_args,
+    graph_scan,
+    predictor_orbit,
+    sp_fraction,
+    threshold_constants,
+)
 from .functions import (
     dominating_boundary_count,
     dominating_boundary_points,
@@ -286,6 +292,7 @@ def _save_checkpoint(path, meta, rows):
 def _cmd_census(args, inputs):
     if args.mode == "exhaustive" and (args.samples is not None or args.seed is not None):
         raise InvalidArgument("--samples and --seed apply to --mode sample only")
+    check_census_args(args.n, args.mode, args.samples, args.seed)  # before the grid is built
     rhos = []
     if args.grid is not None:
         if args.grid < 1:

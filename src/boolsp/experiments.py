@@ -14,24 +14,19 @@ half table enters those sums only through its count form, the number of its
 (2 x 64 at n = 4, 2 x 700 at n = 5) and the keys are gathered from the
 ranks through index tables built once per n (_key_index).
 The keep-rule predictor (ties keep f(u)) commutes with permuting and
-flipping the inputs and with negating f, so both scans work on classes of
-tables under that group (_class_table, one per number of variables).
-The keep-rule map has no periodic point but its fixpoints, at every n and
-rho (the kernel is positive semidefinite, see graph_scan), so every orbit
-ends at an SP function.  The graph scan builds the successors of the class
-representatives only (222 at n = 4), maps each to its class and walks that
-quotient map until nothing moves: a table's steps to its fixpoint are its
-class's, and the fixpoints are the sizes of the classes whose
-representative is fixed.
-The census counts fixpoints (the SP tables) over the classes of the low
-half only (_class_table(n - 1)): acting on both halves maps SP tables to SP
-tables, and the count is
-sum |orbit| * #{hi : rep + (hi << h) is fixed} over the representatives
-(14 of the 256 low halves at n = 4), a form that extends to n = 5.  It
-compares the keep-rule bits of all those candidates with their own bits in
-one broadcast of (points, high halves, representatives).  The class tables,
-the key index tables, the keep rule's own bits and the candidates' bits
-depend on n alone and are built once per n, on first use.
+flipping the inputs and with negating f, so it maps classes of tables under
+that group to classes (_class_table, one per number of variables).  Both
+scans read one step, _class_successors: the successors of the class
+representatives only (222 at n = 4).  A table is fixed exactly when its
+class's representative is, so the census (the SP tables are the keep rule's
+fixpoints) is the sum of the sizes of the classes whose representative is
+fixed.  The keep-rule map has no periodic point but its fixpoints, at every
+n and rho (the kernel is positive semidefinite, see graph_scan), so every
+orbit ends at an SP function; the graph scan maps each successor to its
+class and walks that quotient map until nothing moves, a table's steps to
+its fixpoint being its class's.  The class tables, the key index tables
+and the keep rule's own bits depend on n alone and are built once per n,
+on first use.
 """
 
 from dataclasses import dataclass
@@ -221,6 +216,8 @@ def _class_table(m):
     2^2^m) under the permutations and flips of the inputs and negation: label
     holds each table's class as its least id (the narrowest unsigned dtype,
     uint16 at m = 4), reps the ascending least ids and sizes the class sizes.
+    Both whole-space scans at n variables read the table of m = n, through
+    _class_successors.
 
     The label is the minimum over the group, taken along a chain of subgroups.
     Negation and the flips commute, so their minimum takes one step per
@@ -336,31 +333,15 @@ def _keep_keys(n, rho):
     return cols, rows
 
 
-def _keep_successors(n, rho):
-    """The keep-rule successor of every table (0 <= n <= 4), indexed by table
-    id: bit u of the successor of lo + (hi << h) is cols[u, lo] > rows[u, hi]
-    for the keys of _keep_keys."""
+def _class_successors(n, rho):
+    """(label, reps, sizes, succ): _class_table(n) and the keep-rule successors
+    of its representatives, bit u of the successor of lo + (hi << h) being
+    cols[u, lo] > rows[u, hi] for the keys of _keep_keys."""
+    label, reps, sizes = _class_table(n)
     cols, rows = _keep_keys(n, rho)
-    dtype = np.min_scalar_type((1 << len(cols)) - 1)
-    out = np.zeros((rows.shape[1], cols.shape[1]), dtype=dtype)
-    bit = np.empty_like(out)  # the comparison written as 0/1, then shifted
-    for u in range(len(cols)):
-        np.greater(cols[u][None, :], rows[u][:, None], out=bit)
-        bit <<= u
-        out |= bit
-    return out.ravel()
-
-
-@cache
-def _candidate_bits(n):
-    """own[u, hi, i]: bit u of the census candidate reps[i] + (hi << h), for
-    the representatives reps of _class_table(n - 1) (the one point at n = 0)
-    and every high half hi, as bools."""
-    reps, h = _class_table(max(n - 1, 0))[1], (1 << n) >> 1
-    tables = reps + (np.arange(1 << h)[:, None] << h)
-    own = (tables >> np.arange(1 << n)[:, None, None]) & 1 == 1
-    own.flags.writeable = False
-    return own
+    hi, lo = np.divmod(reps, cols.shape[1])
+    succ = (1 << np.arange(len(cols))) @ (cols[:, lo] > rows[:, hi])
+    return label, reps, sizes, succ
 
 
 @dataclass(frozen=True)
@@ -376,35 +357,14 @@ class SpFraction:
     seed: int
 
 
-def sp_fraction(n, rho, mode="exhaustive", samples=None, seed=None):
-    """The fraction of the n-variable functions that are rho-SP (ties counting
-    as agreement).
-
-    "exhaustive" (n <= 4) counts exactly: the SP tables are the keep rule's
-    fixpoints, and every low half of a class of _class_table(n - 1) has as
-    many SP completions as its representative.  The candidates rep + (hi << h)
-    are compared with their keep-rule successors in one broadcast,
-    cols[:, None, reps] > rows[:, :, None] against _candidate_bits(n); a
-    candidate is fixed when no point moves, and the fixed candidates are
-    weighted by their class sizes.  "sample" tests `samples` random tables
-    drawn from `seed` with is_sp and gives a binomial standard error."""
-    rho = check_rho(rho)
+def check_census_args(n, mode, samples, seed):
+    """Refuse the census arguments sp_fraction refuses, whatever the rho."""
     if n < 0:
         raise InvalidArgument(f"n must be >= 0, got {n}")
     if mode == "exhaustive":
         if n > 4:
             raise InvalidArgument("exhaustive census is limited to n <= 4")
-        # the low half has 2^(n-1) points, the one point at n = 0
-        _, reps, sizes = _class_table(max(n - 1, 0))
-        cols, rows = _keep_keys(n, rho)
-        moved = cols[:, None, reps] > rows[:, :, None]  # the successors' bits
-        moved ^= _candidate_bits(n)  # now: the points where they differ
-        fixed = rows.shape[1] - np.count_nonzero(moved.any(axis=0), axis=0)
-        sp_count = int(sizes @ fixed)
-        total = 1 << (1 << n)
-        frac = Fraction(sp_count, total)
-        return SpFraction(n, rho, mode, total, sp_count, frac, float(frac), 0.0, None)
-    if mode == "sample":
+    elif mode == "sample":
         if n < 1:
             raise InvalidArgument(f"sample mode needs n >= 1, got {n}")
         if not samples or samples < 1:
@@ -413,19 +373,40 @@ def sp_fraction(n, rho, mode="exhaustive", samples=None, seed=None):
             raise InvalidArgument("sample mode needs a seed for reproducibility")
         if seed < 0:
             raise InvalidArgument(f"seed must be >= 0, got {seed}")
-        from .sp import is_sp
+    else:
+        raise InvalidArgument(f"unknown census mode {mode!r}")
 
-        rng = np.random.Generator(np.random.PCG64(seed))
-        hits = 0
-        for _ in range(samples):
-            bits = rng.integers(0, 2, size=1 << n, dtype=np.uint8)
-            f = BooleanFunction.from_values(2 * bits.astype(np.int8) - 1)
-            if is_sp(f, rho).sp:
-                hits += 1
-        est = hits / samples
-        err = sqrt(est * (1 - est) / samples)
-        return SpFraction(n, rho, mode, samples, hits, None, est, err, seed)
-    raise InvalidArgument(f"unknown census mode {mode!r}")
+
+def sp_fraction(n, rho, mode="exhaustive", samples=None, seed=None):
+    """The fraction of the n-variable functions that are rho-SP (ties counting
+    as agreement).
+
+    "exhaustive" (n <= 4) counts exactly: the SP tables are the keep rule's
+    fixpoints, and a table is fixed exactly when the representative of its
+    class is (_class_successors), so the count is the sum of the sizes of the
+    classes whose representative is its own successor.  "sample" tests
+    `samples` random tables drawn from `seed` with is_sp and gives a binomial
+    standard error."""
+    rho = check_rho(rho)
+    check_census_args(n, mode, samples, seed)
+    if mode == "exhaustive":
+        _, reps, sizes, succ = _class_successors(n, rho)
+        sp_count = int(sizes[succ == reps].sum())
+        total = 1 << (1 << n)
+        frac = Fraction(sp_count, total)
+        return SpFraction(n, rho, mode, total, sp_count, frac, float(frac), 0.0, None)
+    from .sp import is_sp
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    hits = 0
+    for _ in range(samples):
+        bits = rng.integers(0, 2, size=1 << n, dtype=np.uint8)
+        f = BooleanFunction.from_values(2 * bits.astype(np.int8) - 1)
+        if is_sp(f, rho).sp:
+            hits += 1
+    est = hits / samples
+    err = sqrt(est * (1 - est) / samples)
+    return SpFraction(n, rho, mode, samples, hits, None, est, err, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +452,8 @@ def graph_scan(n, rho):
 
     The map commutes with permuting and flipping the inputs and with negation,
     so it maps classes to classes (_class_table(n)): only the representatives'
-    successors are built, bit u of the successor of lo + (hi << h) being
-    cols[u, lo] > rows[u, hi] for the keys of _keep_keys, and the quotient map
-    on the classes is walked until no class moves.  A table is fixed exactly
+    successors are built (_class_successors), and the quotient map on the
+    classes is walked until no class moves.  A table is fixed exactly
     when its class's representative is, so its steps to its fixpoint are
     those of its class; a class that maps to itself has a fixed
     representative (succ(x) = g x gives succ^(ord g)(x) = x, a periodic point).
@@ -493,10 +473,7 @@ def graph_scan(n, rho):
     rho = check_rho(rho)
     if not 0 <= n <= 4:
         raise InvalidArgument("graph scan is limited to 0 <= n <= 4")
-    label, reps, sizes = _class_table(n)
-    cols, rows = _keep_keys(n, rho)
-    hi, lo = np.divmod(reps, cols.shape[1])
-    succ = (1 << np.arange(len(cols))) @ (cols[:, lo] > rows[:, hi])
+    label, reps, sizes, succ = _class_successors(n, rho)
     fixed = succ == reps
     quotient = np.searchsorted(reps, label[succ])
     walk, max_depth = np.arange(len(reps)), 0  # walk[c]: the class c reaches

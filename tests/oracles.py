@@ -329,6 +329,20 @@ def half_sum_keys(n, rho):
     return np.array(cols), np.array(rows)
 
 
+def keep_successors(n, rho):
+    """The keep-rule successor of every table of n variables, indexed by table
+    id, from the keys of half_sum_keys: with s = cols[u, lo] - rows[u, hi] for
+    the table lo + (hi << h), bit u of its successor is s > 0, or the table's
+    own bit u where s == 0."""
+    cols, rows = half_sum_keys(n, rho)
+    ids = np.arange(1 << (1 << n))
+    succ = np.zeros_like(ids)
+    for u, (c, r) in enumerate(zip(cols, rows)):
+        s = (c[None, :] - r[:, None]).ravel()  # entry lo + hi * len(c)
+        succ |= np.where(s == 0, ids >> u & 1, s > 0) << u
+    return succ
+
+
 def _linear_form(a0, a):
     """a0 + sum_j a_j x_j at every point (x_j = -1 where bit j is set)."""
     vals = [a0]

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -664,6 +665,20 @@ def test_census_needs_rhos(capsys):
 def test_census_cap(capsys):
     code, _, err = run(capsys, "census", "--n", "9")
     assert code == 1
+
+
+def test_census_refuses_n_before_building_the_grid(capsys):
+    # the 200,001 rhos of the grid alone would take tens of MB to build and sort
+    tracemalloc.start()
+    try:
+        code = main(["census", "--n", "9", "--grid", "200000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: exhaustive census is limited to n <= 4\n"
+    assert peak < 1 << 20, peak
 
 
 def oracle_graph(succ):

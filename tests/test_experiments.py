@@ -26,14 +26,12 @@ from boolsp import (
     sp_fraction,
     threshold_constants,
 )
-from boolsp import experiments
 from boolsp.experiments import (
     GraphScan,
     _binary_divergence,
     _crossover_level,
     _eta_delta,
     _eta_delta_defined,
-    _keep_successors,
     _class_table,
     _read_through,
     _sign_keys,
@@ -265,6 +263,19 @@ def test_sp_fraction_full_above_universal_threshold():
     assert rep.fraction == 1
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_scans_closed_form_pins(n):
+    # at rho = 0 the keep rule sends f to the sign of its mean, so the fixpoints
+    # are the two constants and the balanced tables (a tie at every point; none
+    # at n = 0), and every other table reaches a constant in one step; at
+    # rho = 1 every table is its own successor
+    total = 1 << (1 << n)
+    balanced = comb(1 << n, 1 << (n - 1)) if n else 0
+    for rho, count, depth in ((Fraction(0), balanced + 2, int(n >= 2)), (Fraction(1), total, 0)):
+        assert sp_fraction(n, rho).sp_count == count
+        assert graph_scan(n, rho) == GraphScan(n, rho, total, count, depth)
+
+
 def test_sp_fraction_sample_mode():
     a = sp_fraction(3, Fraction(1, 2), mode="sample", samples=400, seed=7)
     b = sp_fraction(3, Fraction(1, 2), mode="sample", samples=400, seed=7)
@@ -275,20 +286,6 @@ def test_sp_fraction_sample_mode():
     assert abs(a.estimate - exact) <= 5 * max(a.stderr, 1e-3)
 
 
-def test_low_half_orbits_partition_the_low_halves():
-    # orbits of the functions of n - 1 variables under permutations, flips and
-    # negation: 1, 1, 2, 4, 14, 222 (one point, so two tables, at n = 0)
-    for n, count in enumerate((1, 1, 2, 4, 14, 222)):
-        _, reps, sizes = _class_table(max(n - 1, 0))
-        assert len(reps) == len(sizes) == count
-        assert int(sizes.sum()) == 1 << (1 << max(n - 1, 0))
-        assert reps[0] == 0 and (np.diff(reps) > 0).all()
-    # n = 3: constant, dictator and parity of x_1, x_2, and the eight tables
-    # where one point differs from the other three
-    assert _class_table(2)[1].tolist() == [0, 1, 3, 6]
-    assert _class_table(2)[2].tolist() == [2, 8, 4, 2]
-
-
 def test_class_table_is_the_orbit_partition():
     # classes of the tables of m variables under permutations, flips and
     # negation (OEIS A000370): a least-id label constant along every
@@ -297,6 +294,7 @@ def test_class_table_is_the_orbit_partition():
         label, reps, sizes = _class_table(m)
         ids = np.arange(1 << (1 << m))
         assert len(reps) == len(sizes) == count
+        assert reps[0] == 0 and (np.diff(reps) > 0).all()
         assert int(sizes.sum()) == len(ids) == len(label)
         assert (label[reps] == reps).all() and (label <= ids).all()
         assert (np.bincount(label)[reps] == sizes).all()
@@ -308,6 +306,10 @@ def test_class_table_is_the_orbit_partition():
             gens += list(_read_through(np.array(flips + swaps).reshape(-1, 1 << m)))
         for g in gens:
             assert (label[g] == label).all()
+    # m = 2: constant, dictator and parity of x_1, x_2, and the eight tables
+    # where one point differs from the other three
+    assert _class_table(2)[1].tolist() == [0, 1, 3, 6]
+    assert _class_table(2)[2].tolist() == [2, 8, 4, 2]
     assert _class_table(4)[0].dtype == np.uint16
 
 
@@ -334,9 +336,10 @@ _MAX_MAP_STEPS = 32
 
 
 def _full_map_scan(n, rho):
-    """(successors of all tables, their GraphScan): the whole map is iterated
-    until every table stands at its fixpoint, within _MAX_MAP_STEPS steps."""
-    succ = _keep_successors(n, rho)
+    """(successors of all tables, their GraphScan): the whole map of
+    oracles.keep_successors is iterated until every table stands at its
+    fixpoint, within _MAX_MAP_STEPS steps."""
+    succ = oracles.keep_successors(n, rho)
     x = np.arange(len(succ))
     for depth in range(_MAX_MAP_STEPS + 1):
         if np.array_equal(succ[x], x):
@@ -371,8 +374,8 @@ def _examples(cases):
     for rho in [Fraction(k, d) for d in (60, 97) for k in range(d + 1)] + [*BEYOND_INT64]
 )
 def test_orbit_census_matches_every_fixpoint(n, rho):
-    # the census counts over orbits of the low half and the graph scan walks
-    # the map on classes; the successors of all tables give the same results
+    # both scans read the successors of the class representatives; the
+    # successors of all tables, from keys of their own, give the same results
     succ, want = _full_map_scan(n, rho)
     rep = sp_fraction(n, rho)
     assert (rep.sp_count, rep.total) == (want.num_fixpoints, len(succ))
@@ -382,24 +385,10 @@ def test_orbit_census_matches_every_fixpoint(n, rho):
         assert oracles.functional_graph(succ.tolist()) == (fixpoints, fixpoints, depth, ())
 
 
-def test_keep_successors_peak_memory():
-    # the successor block plus one shift buffer of its size; the keys and
-    # index permutations are built (and memoised) by the first call
-    rho = Fraction(2, 5)
-    _keep_successors(4, rho)
-    tracemalloc.start()
-    try:
-        succ = _keep_successors(4, rho)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(succ) == 1 << 16 and peak < 3 * succ.nbytes
-
-
 def test_census_peak_memory():
-    # one bool block of points x candidates (16 x 256 x 14 at n = 4) and the
-    # keys; the class table, key index and candidate bits are built (and
-    # memoised) by the first call
+    # the keys and the successors of the 222 class representatives at n = 4;
+    # the class table, key index and own bits are built (and memoised) by the
+    # first call.  The successors of all 2^16 tables alone would take 128 KiB.
     rho = Fraction(2, 5)
     sp_fraction(4, rho)
     tracemalloc.start()
@@ -408,7 +397,7 @@ def test_census_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.total == 1 << 16 and peak < 256 << 10
+    assert rep.total == 1 << 16 and peak < 128 << 10
 
 
 @settings(max_examples=60, deadline=None)
@@ -535,7 +524,7 @@ def test_batch_values_match_per_function_values():
         total = 1 << (1 << n)
         for rho in (Fraction(0), Fraction(1, 3), Fraction(3, 8), Fraction(1), Fraction(5, 7)):
             signs = _kernel_signs(n, rho)
-            succ = _keep_successors(n, rho).tolist()
+            succ = oracles.keep_successors(n, rho).tolist()
             assert len(signs) == len(succ) == total
             for bits in range(total):
                 assert signs[bits] == _value_signs(n, rho, bits), (n, rho, bits)
@@ -553,18 +542,21 @@ def test_batch_signs_match_per_function_values_beyond_int64():
                 assert signs == _value_signs(n, rho, bits), (n, rho, bits)
 
 
-def test_graph_scan_walks_the_class_map_only(monkeypatch):
+def test_graph_scan_walks_the_class_map_only():
+    # a warm scan of either kind builds the successors of the 222 class
+    # representatives, not the 2^16 successors of all tables (128 KiB alone)
     rho = Fraction(3, 8)
     _, want = _full_map_scan(4, rho)
-    built = []
-
-    def keep_successors(n, rho):
-        built.append((n, rho))
-        return _keep_successors(n, rho)
-
-    monkeypatch.setattr(experiments, "_keep_successors", keep_successors)
+    for scan in (graph_scan, sp_fraction):
+        scan(4, rho)
+        tracemalloc.start()
+        try:
+            scan(4, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 << 10, (scan.__name__, peak)
     assert graph_scan(4, rho) == want
-    assert built == []  # the successors of the class representatives only
 
 
 def test_graph_scan_n1_all_fixpoints():
