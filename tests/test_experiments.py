@@ -286,6 +286,20 @@ def test_sp_fraction_sample_mode():
     assert abs(a.estimate - exact) <= 5 * max(a.stderr, 1e-3)
 
 
+def test_low_half_orbits_partition_the_low_halves():
+    # orbits of the functions of n - 1 variables under permutations, flips and
+    # negation: 1, 1, 2, 4, 14, 222 (one point, so two tables, at n = 0)
+    for n, count in enumerate((1, 1, 2, 4, 14, 222)):
+        _, reps, sizes = _class_table(max(n - 1, 0))
+        assert len(reps) == len(sizes) == count
+        assert int(sizes.sum()) == 1 << (1 << max(n - 1, 0))
+        assert reps[0] == 0 and (np.diff(reps) > 0).all()
+    # n = 3: constant, dictator and parity of x_1, x_2, and the eight tables
+    # where one point differs from the other three
+    assert _class_table(2)[1].tolist() == [0, 1, 3, 6]
+    assert _class_table(2)[2].tolist() == [2, 8, 4, 2]
+
+
 def test_class_table_is_the_orbit_partition():
     # classes of the tables of m variables under permutations, flips and
     # negation (OEIS A000370): a least-id label constant along every
@@ -306,10 +320,6 @@ def test_class_table_is_the_orbit_partition():
             gens += list(_read_through(np.array(flips + swaps).reshape(-1, 1 << m)))
         for g in gens:
             assert (label[g] == label).all()
-    # m = 2: constant, dictator and parity of x_1, x_2, and the eight tables
-    # where one point differs from the other three
-    assert _class_table(2)[1].tolist() == [0, 1, 3, 6]
-    assert _class_table(2)[2].tolist() == [2, 8, 4, 2]
     assert _class_table(4)[0].dtype == np.uint16
 
 
