@@ -70,10 +70,13 @@ file formats (all JSON):
 census CSV columns:
   exhaustive: rho_num,rho_den,fraction_num,fraction_den
   sample:     rho_num,rho_den,estimate,stderr,samples
+census takes at most 10001 rho values: --grid + 1, plus each --rho.
 
 environment: BOOLSP_CAP_N, the largest n whose dense 2^n tables are built
   (default 24, at most 31).
 """
+
+_CENSUS_MAX_RHOS = 10_001  # about 1 KiB of held rows per rho
 
 
 def _parse_epsilon(text):
@@ -293,13 +296,14 @@ def _cmd_census(args, inputs):
     if args.mode == "exhaustive" and (args.samples is not None or args.seed is not None):
         raise InvalidArgument("--samples and --seed apply to --mode sample only")
     check_census_args(args.n, args.mode, args.samples, args.seed)  # before the grid is built
-    rhos = []
-    if args.grid is not None:
-        if args.grid < 1:
-            raise InvalidArgument("--grid must be >= 1")
-        rhos.extend(Fraction(k, args.grid) for k in range(args.grid + 1))
-    for text in args.rho or []:
-        rhos.append(ser.parse_rational(text, "rho"))
+    if args.grid is not None and args.grid < 1:
+        raise InvalidArgument("--grid must be >= 1")
+    grid = () if args.grid is None else range(args.grid + 1)
+    count = len(grid) + len(args.rho or [])
+    if count > _CENSUS_MAX_RHOS:  # every row is held until the report is written
+        raise InvalidArgument(f"census takes at most {_CENSUS_MAX_RHOS} rho values, got {count}")
+    rhos = [Fraction(k, args.grid) for k in grid]
+    rhos += [ser.parse_rational(text, "rho") for text in args.rho or []]
     rhos = sorted(set(rhos))
     if not rhos:
         raise InvalidArgument("census needs --grid or at least one --rho")

@@ -10,12 +10,12 @@ Conventions used everywhere in this package:
   output, hence +1 only at the all-(+1) point (index 0).
 * The partial order on points is coordinatewise with -1 < +1, so index v
   is below index u exactly when v's bit set contains u's.
-* Tables, spectra and T_rho sign streams that many calls read are kept by
-  bytes_lru, bounded by bytes: popcounts here, spectrum.wht and
-  noise._sign_stream there.  Each kept entry is charged its result's nbytes,
-  the truth tables its key holds and a fixed _ENTRY_BYTES for the key,
-  result object and dict slot, so many small entries cannot outgrow the
-  bound and a kept result cannot keep a large table uncharged.
+* Spectra and T_rho sign streams that many calls read are kept by
+  bytes_lru, bounded by bytes: spectrum.wht and noise._sign_stream.  Each
+  kept entry is charged its result's bytes, the truth tables its key holds
+  and a fixed _ENTRY_BYTES for the key, result object and dict slot, so
+  many small entries cannot outgrow the bound and a kept result cannot
+  keep a large table uncharged.
 """
 
 from collections import OrderedDict
@@ -116,17 +116,11 @@ def bytes_lru(limit, nbytes):
     return decorate
 
 
-# Small on purpose: the many calls per request come at small n, while at
-# large n a table is cheap next to the 2^n work that reads it and a kept one
-# only adds to the peak memory.  The largest table kept is that of n = 17,
-# 1 MiB and its entry charge.
-@bytes_lru((1 << 20) + _ENTRY_BYTES, lambda table: table.nbytes)
 def popcounts(n):
-    """Hamming weights of 0..2^n-1 as a read-only int64 numpy array, memoised
-    per n.  int64 keeps 1 << popcounts(n) exact for every n up to the cap."""
-    table = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
-    table.flags.writeable = False
-    return table
+    """Hamming weights of 0..2^n-1 as a fresh int64 numpy array.  int64
+    because ufunc.at and the gather of level weights index faster with it
+    than with a narrow table."""
+    return np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
 
 
 class BooleanFunction:

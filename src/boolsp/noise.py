@@ -15,13 +15,12 @@ closeness) read the signs off that stream, and Stab*_rho = <T_rho f, sgn>
 comes from the spectrum of the signs.  All of it is exact and O(2^n) in
 memory whatever rho; the tests check it against direct O(4^n) summation.
 
-Kept with each (f, rho), in functions.bytes_lru caches of 64 MiB each:
+Kept per (f, rho) by _sign_stream (functions.bytes_lru, 64 MiB), a SignStream:
 
-* _sign_stream: the signs, read-only int8, one byte per point, built once per
-  (f, rho).  optimal_predictor (and so each step of
-  experiments.predictor_orbit), stability_report, closeness_to_sp and
-  sp.is_sp all read the kept stream.
-* _cross_sums: Stab*'s n + 1 level sums sum_{|S|=k} c_S b_S (c = 2^n fhat,
+* signs: read-only int8, one byte per point, built with the entry.
+  optimal_predictor (and so each step of experiments.predictor_orbit),
+  stability_report, closeness_to_sp and sp.is_sp all read the kept signs.
+* cross_sums: Stab*'s n + 1 level sums sum_{|S|=k} c_S b_S (c = 2^n fhat,
   b = 2^n times the spectrum of the signs), read-only int64, built by the
   first stability_report of the pair only; a predictor or an orbit step never
   builds them.
@@ -32,6 +31,7 @@ kept with its spectrum (spectrum.ScaledSpectrum).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -78,35 +78,33 @@ def scaled_t_values(f, rho):
     return out
 
 
-def _scaled_signs(f, rho):
-    """Read-only int8 array of the signs of 2^n q^n T_rho f, for a checked
-    rho; built once per (f, rho) and kept (see _sign_stream)."""
-    return _sign_stream((f, rho))
+@dataclass(frozen=True)
+class SignStream:
+    """The signs of 2^n q^n T_rho f at one (f, rho), and its Stab* level sums."""
+
+    f: BooleanFunction
+    signs: np.ndarray  # int8, read-only
+
+    @cached_property
+    def cross_sums(self):
+        """Stab*'s level sums: entry k is sum_{|S|=k} c_S b_S, c = 2^n fhat and
+        b the butterfly of the signs.  They fit int64: by Cauchy-Schwarz and
+        Parseval sum |c_S b_S| <= 4^n."""
+        # int64 before the butterfly: its sums of int8 signs would wrap silently
+        signs = self.signs.astype(np.int64)
+        sums = _by_level(wht(self.f).coeffs * _butterfly(signs))
+        sums.flags.writeable = False
+        return sums
 
 
-# A stream is one byte per point: 16 MiB at n = 24, an eighth of its spectrum.
-@bytes_lru(64 << 20, lambda signs: signs.nbytes)
+# Signs are a byte per point (16 MiB at n = 24); the sums are charged built or not.
+@bytes_lru(64 << 20, lambda entry: entry.signs.nbytes + 8 * (entry.f.n + 1))
 def _sign_stream(key):
-    """The signs of _weighted_signs for the pair key = (f, checked rho)."""
+    """The SignStream of the signs of _weighted_signs, key = (f, checked rho)."""
     f, rho = key
     signs = np.sign(_weighted_signs(wht(f), _rho_weights(f.n, rho))).astype(np.int8)
     signs.flags.writeable = False
-    return signs
-
-
-# n + 1 int64 sums per pair; the charge is mostly the key's tables.  The bound
-# is the stream's, so the sums of every kept stream can stay kept beside it.
-@bytes_lru(64 << 20, lambda sums: sums.nbytes)
-def _cross_sums(key):
-    """Stab*'s level sums for the pair key = (f, checked rho): entry k is
-    sum_{|S|=k} c_S b_S, c = 2^n fhat and b the butterfly of the kept signs.
-    They fit int64: by Cauchy-Schwarz and Parseval sum |c_S b_S| <= 4^n."""
-    f, rho = key
-    # int64 before the butterfly: its sums of int8 signs would wrap silently
-    signs = _scaled_signs(f, rho).astype(np.int64)
-    sums = _by_level(wht(f).coeffs * _butterfly(signs))
-    sums.flags.writeable = False
-    return sums
+    return SignStream(f, signs)
 
 
 def disagreement(values, scaled):
@@ -150,7 +148,7 @@ def optimal_predictor(f, rho, tie_rule="zero"):
     if tie_rule not in ("zero", "keep"):
         raise InvalidArgument(f"unknown tie rule {tie_rule!r}")
     rho = check_rho(rho)
-    signs = _scaled_signs(f, rho)
+    signs = _sign_stream((f, rho)).signs
     if tie_rule == "keep":
         signs = np.where(signs == 0, f.values, signs)
         signs.flags.writeable = False
@@ -179,11 +177,11 @@ def stability_report(f, rho):
     Stab*_rho = <T_rho f, g> with g = sgn T_rho f, which by Plancherel is
     sum_S rho^|S| fhat_S ghat_S: the same level sums as Stab_rho with
     c_S * b_S in place of c_S^2, where c = 2^n fhat and b = 2^n ghat is one
-    butterfly of the signs.  Those sums are kept per (f, rho) (_cross_sums);
-    only their weighted total is a Python int."""
+    butterfly of the signs.  Those sums are kept per (f, rho) with the signs
+    (SignStream.cross_sums); only their weighted total is a Python int."""
     rho = check_rho(rho)
     stab = stability(f, rho)
-    cross = _cross_sums((f, rho)).tolist()
+    cross = _sign_stream((f, rho)).cross_sums.tolist()
     total = sum(w * c for w, c in zip(_rho_weights(f.n, rho), cross))
     stab_star = Fraction(total, (1 << (2 * f.n)) * rho.denominator**f.n)
     return StabilityReport(
@@ -203,7 +201,7 @@ def closeness_to_sp(f, rho, ties_agree=True):
     Ties (T_rho f = 0) count as agreement unless ties_agree is False.
     """
     rho = check_rho(rho)
-    signs = _scaled_signs(f, rho)
+    signs = _sign_stream((f, rho)).signs
     bad = disagreement(f.values, signs)
     if not ties_agree:
         bad |= signs == 0

@@ -64,7 +64,7 @@ from .functions import (
     linear_values,
     properties,
 )
-from .noise import _rho_weights, _scaled_signs, check_rho, disagreement, stability
+from .noise import _rho_weights, _sign_stream, check_rho, disagreement, stability
 from .spectrum import (
     _by_level,
     chow_distance,
@@ -107,7 +107,7 @@ class SpDecision:
 def is_sp(f, rho):
     """Is f rho-SP (ties count as agreement)?  witness = least failing index."""
     rho = check_rho(rho)
-    idx = np.flatnonzero(disagreement(f.values, _scaled_signs(f, rho)))
+    idx = np.flatnonzero(disagreement(f.values, _sign_stream((f, rho)).signs))
     if len(idx):
         return SpDecision(False, int(idx[0]))
     return SpDecision(True, None)

@@ -4,7 +4,7 @@ Coefficients are kept scaled by 2^n so everything stays in int64:
 coeffs[m] = 2^n * fhat_S where subset S is encoded by mask m (bit i-1 for
 coordinate i).  |coeffs[m]| <= 2^n and level-restricted evaluations are
 bounded by C(n,k) * 2^n, comfortably inside int64 for n <= 24.
-Per-level sums, maxima and counts of spectra all go through _by_level.
+Per-level sums, maxima and counts go through _by_level, which keeps no table.
 
 Spectra are kept by functions.bytes_lru (wht), up to 256 MiB of them.  Kept
 with each spectrum, built on first read, are its per-level summaries:
@@ -58,7 +58,7 @@ def _butterfly(arr):
     return src
 
 
-# The largest n whose popcount table the popcount cache keeps (1 MiB).
+# Slabs of 2^17: the popcount table of one slab, built per call, is 1 MiB.
 _SLAB_BITS = 17
 
 
@@ -72,7 +72,8 @@ def _by_level(values, ufunc=np.add, entry=None):
     time: slab j holds the subsets whose high bits spell j, so their levels
     are those of popcounts(_SLAB_BITS) moved up by popcount(j), and each slab
     lands in its own window of the output.  entry is applied slab by slab, so
-    beside the input the work holds that one kept table and a slab or two."""
+    beside the input the work holds that one table and a slab or two, and
+    nothing once it returns."""
     n = len(values).bit_length() - 1
     out = np.zeros(n + 1, dtype=np.int64)
     low = popcounts(min(n, _SLAB_BITS))
@@ -125,10 +126,10 @@ def _limb_plan(spec, weights):
 
 
 def _weighted_signs(spec, weights):
-    """int64 array with the sign of the exact sum_S weights[|S|] coeffs[S] chi_S
-    at every entry (Python-int weights of any size) for the spectrum spec, in
-    O(2^n) memory whatever the number of limbs.  On one limb it is that
-    transform itself.
+    """int64 array whose signs are those of the exact sum_S weights[|S|]
+    coeffs[S] chi_S at every entry (Python-int weights of any size) for the
+    spectrum spec, in O(2^n) memory whatever the number of limbs.  On one limb
+    the carry loop runs zero times and the result is that transform itself.
 
     The limbs are streamed from low to high with a carry: cur = limb + carry is
     split into its low digit cur & mask and carry = cur >> width.  The exact
@@ -137,16 +138,15 @@ def _weighted_signs(spec, weights):
     is 0 and some lower digit is not.  Carries stay below sum L1 + 2, so
     limb + carry < 2^width * sum L1 + 2 < 2^63."""
     width, count, limbs = _limb_plan(spec, weights)
-    if count == 1:
-        return _weighted_transform(spec.coeffs, next(limbs))
     mask = (1 << width) - 1
     carry, nonzero = 0, False
     for _ in range(count - 1):
         cur = _weighted_transform(spec.coeffs, next(limbs)) + carry
         nonzero = nonzero | ((cur & mask) != 0)
         carry = cur >> width
-    top = _weighted_transform(spec.coeffs, next(limbs)) + carry
-    return np.where(top != 0, top, nonzero)
+    top = _weighted_transform(spec.coeffs, next(limbs))
+    top += carry
+    return np.bitwise_or(top, nonzero, out=top)  # 0 -> 1 where a lower digit is not
 
 
 @dataclass(frozen=True)

@@ -281,13 +281,13 @@ def test_sign_stream_kept_per_function_and_rho(capsys, tmp_path, maj3, monkeypat
     assert [run(capsys, *argv) for argv in requests] == cold and calls == [9]
     noise._sign_stream.cache_clear()
     assert [run(capsys, *argv) for argv in requests] == cold and calls == [9, 9]
-    kept = noise._scaled_signs(f, Fraction(3, 8))
+    kept = noise._sign_stream((f, Fraction(3, 8))).signs
     assert kept.dtype == np.int8 and not kept.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         kept[0] = 0
     # maj3 is balanced, so T_0 maj3 = 0 everywhere: every point is a tie
     code, out, _ = run(capsys, "predict", "--fn", maj3, "--rho", "0", "--tie-rule", "keep")
-    ties = noise._scaled_signs(construct_named("majority", 3), Fraction(0))
+    ties = noise._sign_stream((construct_named("majority", 3), Fraction(0))).signs
     assert code == 0 and json.loads(out)["result"]["ties"] == 0
     assert not ties.any() and not ties.flags.writeable
     keep = noise.optimal_predictor(construct_named("majority", 3), 0, tie_rule="keep")
@@ -300,19 +300,20 @@ def test_stab_star_sums_built_by_stability_only(capsys, tmp_path):
     path = write_fn(tmp_path, "rand8.json", f)
     rho = Fraction(3, 8)
     noise._sign_stream.cache_clear()
-    noise._cross_sums.cache_clear()
     for command in ("predict", "orbit", "thresholds"):
         code, _, _ = run(capsys, command, "--fn", path, "--rho", "3/8")
         assert code == 0
-    assert noise._cross_sums.cache_info() == ((), 0)  # a predictor never builds them
+    entry = noise._sign_stream((f, rho))
+    assert "cross_sums" not in entry.__dict__  # a predictor never builds them
     code, cold, _ = run(capsys, "stability", "--fn", path, "--rho", "3/8")
-    kept = noise._cross_sums((f, rho))
-    assert code == 0 and noise._cross_sums.cache_info()[0] == ((f, rho),)
+    assert code == 0 and noise._sign_stream((f, rho)) is entry
+    kept = entry.__dict__["cross_sums"]
+    assert not kept.flags.writeable
     assert run(capsys, "stability", "--fn", path, "--rho", "3/8") == (0, cold, "")
-    assert noise._cross_sums((f, rho)) is kept and not kept.flags.writeable
-    noise._cross_sums.cache_clear()
+    assert entry.cross_sums is kept  # read again, not rebuilt
+    noise._sign_stream.cache_clear()
     assert run(capsys, "stability", "--fn", path, "--rho", "3/8") == (0, cold, "")
-    assert noise._cross_sums((f, rho)) is not kept
+    assert noise._sign_stream((f, rho)).cross_sums is not kept
 
 
 def test_level_weights_built_once_per_request(capsys, tmp_path, monkeypatch):
@@ -679,6 +680,22 @@ def test_census_refuses_n_before_building_the_grid(capsys):
     assert code == 1 and captured.out == ""
     assert captured.err == "error: exhaustive census is limited to n <= 4\n"
     assert peak < 1 << 20, peak
+
+
+def test_census_refuses_more_rho_values_than_it_holds(capsys, tmp_path):
+    # every row is held until the report is written, so a census takes at most
+    # 10,001 rho values: --grid + 1, plus each --rho
+    ck = tmp_path / "c.json"
+    code, out, err = run(capsys, "census", "--n", "2", "--grid", "10001", "--checkpoint", str(ck))
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: census takes at most 10001 rho values")
+    assert not ck.exists()
+    code, out, err = run(capsys, "census", "--n", "2", "--grid", "10000", "--rho", "1/3")
+    assert code == 1 and out == "" and err.endswith("got 10002\n")
+    assert "at most 10001 rho values" in cli._EPILOG
+    code, out, _ = run(capsys, "census", "--n", "0", "--grid", "10000", "--format", "csv")
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    assert code == 0 and len(rows) == 10001  # the largest grid still runs
 
 
 def oracle_graph(succ):

@@ -124,16 +124,6 @@ def test_cap_ceiling(monkeypatch):
     assert str(exc.value) == "n=32 exceeds 31, the largest dense-table cap allowed"
 
 
-def test_popcounts_memoised_and_read_only():
-    table = popcounts(6)
-    assert popcounts(6) is table
-    assert table.dtype == np.int64
-    assert table.tolist() == [bin(u).count("1") for u in range(64)]
-    with pytest.raises(ValueError, match="read-only"):
-        table[0] = 1
-    assert popcounts(6)[0] == 0
-
-
 def test_bytes_lru_byte_total_holds_under_threads():
     # keys 0..19 build 1..7 float64 entries, counted as 1..7 entry charges, so
     # charged 2..8 of them; those of 6 and 7 exceed the bound
@@ -160,19 +150,6 @@ def test_bytes_lru_byte_total_holds_under_threads():
     keys, total = cached.cache_info()
     assert len(set(keys)) == len(keys)
     assert total == sum((k % 7 + 2) * _ENTRY_BYTES for k in keys) <= 6 * _ENTRY_BYTES
-
-
-def test_popcounts_kept_up_to_one_mebibyte():
-    popcounts.cache_clear()
-    try:
-        small, table = popcounts(16), popcounts(17)  # n = 17 alone fills 1 MiB
-        assert popcounts.cache_info() == ((17,), (1 << 20) + _ENTRY_BYTES)
-        assert popcounts(17) is table and popcounts(16) is not small
-        assert popcounts.cache_info() == ((16,), (1 << 19) + _ENTRY_BYTES)
-        assert popcounts(18) is not popcounts(18)  # 2 MiB: returned unkept
-        assert popcounts.cache_info() == ((16,), (1 << 19) + _ENTRY_BYTES)
-    finally:
-        popcounts.cache_clear()
 
 
 def test_bytes_lru_bound_holds_on_small_entries():
@@ -203,12 +180,15 @@ def test_bytes_lru_charges_the_tables_of_its_keys():
     spectrum.wht.cache_clear()
     noise._sign_stream.cache_clear()
     try:
-        noise._scaled_signs(f, Fraction(1, 2))
+        entry = noise._sign_stream((f, Fraction(1, 2)))
         summaries = (1 << 10) + 4 * (36 + 8) * 11  # wht's bound on them at n = 10
         assert spectrum.wht.cache_info() == ((f,), 8 * 1024 + summaries + 1152 + _ENTRY_BYTES)
-        assert noise._sign_stream.cache_info() == (
-            ((f, Fraction(1, 2)),), 1024 + 1152 + _ENTRY_BYTES
-        )
+        # the signs and the 11 int64 Stab* level sums, charged before they are built
+        charged = (((f, Fraction(1, 2)),), 1024 + 8 * 11 + 1152 + _ENTRY_BYTES)
+        assert "cross_sums" not in entry.__dict__
+        assert noise._sign_stream.cache_info() == charged
+        assert entry.cross_sums.nbytes == 8 * 11
+        assert noise._sign_stream.cache_info() == charged
     finally:
         spectrum.wht.cache_clear()
         noise._sign_stream.cache_clear()

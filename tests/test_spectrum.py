@@ -1,5 +1,6 @@
 """Walsh-Hadamard layer against direct correlation sums and Parseval."""
 
+import gc
 import random
 import tracemalloc
 from fractions import Fraction
@@ -349,9 +350,8 @@ def test_by_level_matches_per_level_loop(n, seed):
 
 
 def test_by_level_builds_no_table_of_its_input_size():
-    # 2^20 int64 values (8 MiB): the slabs read the kept popcounts(17)
+    # 2^20 int64 values (8 MiB): the slabs read one popcounts(17) of 1 MiB
     values = np.arange(1 << 20, dtype=np.int64)
-    spectrum._by_level(values)  # keeps popcounts(17)
     tracemalloc.start()
     try:
         got = spectrum._by_level(values)
@@ -363,6 +363,28 @@ def test_by_level_builds_no_table_of_its_input_size():
     want = [sum(int(values[(j << 17) + np.flatnonzero(pc + j.bit_count() == k)].sum())
                 for j in range(8)) for k in range(21)]
     assert got.tolist() == want
+
+
+def test_by_level_keeps_no_popcount_table():
+    table = popcounts(6)
+    assert table.dtype == np.int64
+    assert table.tolist() == [bin(u).count("1") for u in range(64)]
+    del table
+    # 2^18 values: reduced in two slabs over a popcount table of 2^17, which
+    # is not kept once the reduction returns
+    values = np.arange(1 << 18, dtype=np.int64)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = spectrum._by_level(values)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 64 << 10, held
+    levels = np.bitwise_count(values)
+    assert got.tolist() == [int(values[levels == k].sum()) for k in range(19)]
 
 
 @st.composite
@@ -408,9 +430,9 @@ def test_kept_summaries_match_per_subset_loops(case):
         )
         assert spec.degree == degree
         assert (spec.level1_gap, spec.level1_l1) == (linear_gap(a), linear_abs_sum(a))
-        signs = noise._scaled_signs(f, rho)
-        cross = noise._cross_sums((f, rho))
-        assert cross.tolist() == level_cross_sums(coeffs, signs, n)
+        entry = noise._sign_stream((f, rho))
+        cross = entry.cross_sums
+        assert cross.tolist() == level_cross_sums(coeffs, entry.signs, n)
         assert not cross.flags.writeable
         return spec, cross
 
@@ -418,7 +440,7 @@ def test_kept_summaries_match_per_subset_loops(case):
     kept, kept_cross = check()
     assert kept is spec and kept_cross is cross
     spectrum.wht.cache_clear()
-    noise._cross_sums.cache_clear()
+    noise._sign_stream.cache_clear()
     again, rebuilt = check()
     assert again is not spec and rebuilt is not cross
 
