@@ -131,13 +131,15 @@ class BooleanFunction:
     def __init__(self, n, bits):
         check_cap(n)
         size = 1 << n
-        if not 0 <= bits < (1 << size):
+        if bits < 0 or bits.bit_length() > size:
             raise InvalidArgument(f"table does not fit 2^{n} bits")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits", bits)
         nbytes = max(1, size // 8)
         raw = np.frombuffer(bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-        values = (np.unpackbits(raw, bitorder="little")[:size].astype(np.int8) * 2) - 1
+        values = np.unpackbits(raw, count=size, bitorder="little").view(np.int8)
+        values += values  # 0, 1 -> -1, +1 in place; int8 <<= has no fast loop
+        values -= 1
         values.flags.writeable = False
         object.__setattr__(self, "_values", values)
         # kept: hashing bits reads all 2^n of them, and every cache lookup hashes

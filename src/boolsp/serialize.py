@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
-_HEX_RE = re.compile(r"[0-9a-fA-F]*\Z")
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
 
 from .config import check_cap
 from .errors import CapacityError, InvalidArgument
@@ -158,15 +158,17 @@ def _int64_items(a, inner):
     per block of _BLOCK items.
 
     Each block is one uint8 buffer of spaces.  Item i takes ",\n", the
-    indent, a sign and its digits, at offsets from a cumsum of the int32
-    widths.  The magnitudes |x| are taken as uint64, so -2^63 is exact, and
-    narrowed to the least unsigned type that holds the block's largest: a
-    block of small coefficients works on uint8 or uint16.  An item has one
-    digit plus one for each power 10^t <= |x|, and only the powers below the
-    block's largest |x| can count: one comparison pass per power, each over
-    a contiguous array.  The digits are filled one place at a time from the
-    right, keeping only the items that have more.  The first block drops its
-    leading comma."""
+    indent, a sign and its digits, at offsets from a cumsum of the intp
+    widths (int32 widths would send the cumsum through a casting loop).  The
+    magnitudes |x| are taken as uint64, so -2^63 is exact, and narrowed to
+    the least unsigned type that holds the block's largest: a block of small
+    coefficients works on uint8 or uint16.  An item has one digit plus one
+    for each power 10^t <= |x|, and only the powers below the block's
+    largest |x| can count: one comparison pass per power, each over a
+    contiguous array.  The digits are filled one place at a time from the
+    right, by floor division and a multiply-subtract (np.divmod on unsigned
+    ints runs about four times slower), keeping only the items that have
+    more.  The first block drops its leading comma."""
     head = 2 + len(inner)  # ",\n" + inner
     for start in range(0, a.size, _BLOCK):
         block = a[start:start + _BLOCK]
@@ -174,11 +176,11 @@ def _int64_items(a, inner):
         mag = np.abs(block).view(np.uint64)
         top = int(mag.max())
         mag = mag.astype(np.min_scalar_type(top))
-        width = neg.astype(np.int32)
+        width = neg.astype(np.intp)  # the scatters below index by its cumsum
         width += head + 1
         for ten in _TENS[:len(str(top)) - 1]:
             width += mag >= ten
-        ends = np.cumsum(width, dtype=np.intp)  # the scatters below index by it
+        ends = np.cumsum(width)
         starts = ends - width
         buf = np.full(int(ends[-1]), ord(" "), dtype=np.uint8)
         buf[starts] = ord(",")
@@ -186,10 +188,11 @@ def _int64_items(a, inner):
         buf[starts[neg] + head] = ord("-")
         pos = ends - 1
         while pos.size:
-            mag, digit = np.divmod(mag, 10)
-            buf[pos] = digit.astype(np.uint8) + ord("0")
-            more = mag > 0
-            mag = mag[more]
+            rest = mag // 10
+            mag -= rest * 10  # the digit, in place
+            buf[pos] = mag.astype(np.uint8) + ord("0")
+            more = rest > 0
+            mag = rest[more]
             pos = pos[more] - 1
         yield str(memoryview(buf)[start == 0:], "ascii")
 
@@ -260,11 +263,12 @@ def _function_from_json(obj):
         raise InvalidArgument(
             f"bad function file: table_hex must be {digits} hex digits for n = {n}"
         )
-    # int() alone would also take "0x", "_", signs and whitespace
-    if not _HEX_RE.match(hexstr):
+    # int() alone would also take "0x", "_", signs, whitespace and non-ASCII
+    # digits; deleting the hex digits must leave nothing
+    if not hexstr.isascii() or hexstr.encode("ascii").translate(None, _HEX_DIGITS):
         raise InvalidArgument("bad function file: table_hex is not hex")
     bits = int(hexstr[::-1], 16)  # digit k holds bits 4k..4k+3
-    if bits >= 1 << (1 << n):
+    if bits.bit_length() > 1 << n:
         raise InvalidArgument("bad function file: stray bits beyond the table")
     return BooleanFunction(n, bits)
 

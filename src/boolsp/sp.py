@@ -18,7 +18,11 @@ of butterflies over 2^n points, with the level as a trailing axis it never
 mixes, so one pass gives every level.  A block of one coordinate is one
 butterfly stage, so a function without symmetry runs the n stages of the
 plain butterfly once for all n + 1 levels.  Majority n=21 has 22 orbits;
-edic n=18 has 2 * 18 = 36.
+edic n=18 has 2 * 18 = 36.  The swaps are tested on the truth table packed
+one bit per point, 2^n / 8 bytes.  Orbits with equal rows form one class:
+at most _ONE_SORT_ORBITS (256) orbits, as a symmetric function has, are
+grouped by one sort of their whole rows, more by an exact refinement that
+sorts one column at a time.
 
 The region comes from one left-to-right walk over the dyadic cells of
 [0,1] (_Walk), carrying each distinct q_v's Bernstein coefficients on the
@@ -121,12 +125,14 @@ def _coordinate_blocks(f):
     transposition, and the conjugate of one by another is again one, so
     interchangeability is an equivalence and j need only be tried against
     one member of each block found so far.  That member is the block's
-    newest, i = block[-1]: the compared views have inner runs of 2^i
-    entries, so trying j against j - 1 reads runs of 2^(j-1), where the
-    least coordinate would give runs of one or two entries for most j.  A
-    plain swap keeps 2^n fhat_{i} = 2^n fhat_{j} and a negated one flips
-    its sign, so only a pair whose level-1 coefficients agree (up to that
-    sign) is compared: one equality of two table views, no index arrays.
+    newest, i = block[-1]: for i >= 3 the compared views have inner runs of
+    2^(i-3) bytes, so trying j against j - 1 reads long runs where the least
+    coordinate would give short ones for most j.  A plain swap keeps
+    2^n fhat_{i} = 2^n fhat_{j} and a negated one flips its sign, so only a
+    pair whose level-1 coefficients agree (up to that sign) is compared, on
+    the table packed one bit per point (_swap_invariant): 2^n / 8 bytes and
+    no index arrays, where the int8 values would take 2^n bytes, in strided
+    runs of 1 to 4 bytes for i < 3.
 
     Returns (blocks, mask): coordinate lists by least member (root), each
     ascending, and bit j of mask set when x_j swaps with its root negated.
@@ -137,20 +143,15 @@ def _coordinate_blocks(f):
     block, so f's point polynomial at v depends only on the per-block
     weights of v ^ mask.
     """
-    values = f.values
     level1 = wht(f).coeffs[1 << np.arange(f.n)].tolist()
+    packed = np.frombuffer(f.bits.to_bytes(max(1, (1 << f.n) >> 3), "little"), np.uint8)
     blocks, mask = [], 0
     for j in range(f.n):
         for block in blocks:
             i = block[-1]
-            view = values.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
-            if level1[i] == level1[j] and np.array_equal(
-                view[:, 0, :, 1], view[:, 1, :, 0]
-            ):
+            if level1[i] == level1[j] and _swap_invariant(packed, i, j, 0):
                 negated = 0
-            elif level1[i] == -level1[j] and np.array_equal(
-                view[:, 0, :, 0], view[:, 1, :, 1]
-            ):
+            elif level1[i] == -level1[j] and _swap_invariant(packed, i, j, 1):
                 negated = 1
             else:
                 continue
@@ -160,6 +161,39 @@ def _coordinate_blocks(f):
         else:
             blocks.append([j])
     return blocks, mask
+
+
+# The in-byte positions t (points 8b + t) with bit c of t clear, for c < 3.
+_CLEAR = (0x55, 0x33, 0x0F)
+
+
+def _swap_invariant(packed, i, j, negated):
+    """Is the table, packed one bit per point (bit t of byte b the point
+    8b + t), invariant under swapping x_i and x_j (i < j), both negated if
+    negated?  Each point with x_i != x_j (plain) or x_i == x_j (negated) is
+    compared with its image, a half of them against the other half.  For
+    i >= 3 both coordinates index bytes: one equality of two byte views.  For
+    i < 3 <= j the half across x_j is the other half of the bytes, and a
+    shift by 2^i brings bit i into place: the points with x_i clear (_CLEAR)
+    of one half against the other half shifted.  For j < 3 both are bits of
+    one byte: one shift by 2^j -+ 2^i and a mask of the points compared."""
+    if i >= 3:
+        view = packed.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << (i - 3))
+        return np.array_equal(view[:, 0, :, 1 - negated], view[:, 1, :, negated])
+    if j >= 3:
+        halves = packed.reshape(-1, 2, 1 << (j - 3))
+        diff = halves[:, negated] >> (1 << i)
+        diff ^= halves[:, 1 - negated]
+        diff &= _CLEAR[i]
+    elif negated:  # x_i = x_j = 0 against x_i = x_j = 1
+        diff = packed >> ((1 << j) + (1 << i))
+        diff ^= packed
+        diff &= _CLEAR[i] & _CLEAR[j]
+    else:  # x_i = 1, x_j = 0 against x_i = 0, x_j = 1
+        diff = packed >> ((1 << j) - (1 << i))
+        diff ^= packed
+        diff &= ~_CLEAR[i] & _CLEAR[j]
+    return not diff.any()
 
 
 def _krawtchouk_transform(mat, sizes):
@@ -233,6 +267,11 @@ def _least_points(block, mask):
     return out
 
 
+# Orbits at or below which _distinct_point_polys finds its classes by one sort
+# of the whole rows instead of a refinement over the columns.
+_ONE_SORT_ORBITS = 256
+
+
 def _distinct_point_polys(f):
     """Deduplicated signed point polynomials f(v) * C[v,:] as classes
     (rows, reps, sizes): the int64 matrix of the rows (one column per level
@@ -258,8 +297,9 @@ def _distinct_point_polys(f):
     themselves, and the n butterfly stages of the plain transform, run once
     for all levels.
 
-    An exact partition refinement then reads the finished matrix one column
-    at a time, k = 0..n.  A class of one orbit can never split, so only the
+    Past _ONE_SORT_ORBITS orbits, an exact partition refinement
+    (_refined_classes) reads the finished matrix one column at a time,
+    k = 0..n.  A class of one orbit can never split, so only the
     orbits of classes that still hold several (open_) are read: each carries
     the int64 label of its class so far, and column k splits the classes by
     the signed column col through the key label * span + (col - min col),
@@ -274,18 +314,33 @@ def _distinct_point_polys(f):
     random functions of 9 to 17 variables nearly every class is one orbit
     after three columns, so the fourth and fifth sort a few thousand keys,
     and the refinement stops once no class holds two orbits; the rows are
-    one gather of an orbit of each class.  A class's representative is
-    the least of its orbits' least points; blocks own disjoint bits, so an
-    orbit's least point is the sum of per-block least parts (_least_points).
-    Its size is the sum of its orbits' sizes prod_i C(|B_i|, w_i).  The rows
-    and sizes carry classify's per-point flags too (_level_flags).
+    one gather of an orbit of each class.
 
-    The key is exact while count * span < 2^63, count being the number of
-    classes so far; this is checked in Python ints and raises CapacityError
-    otherwise.  By Cauchy-Schwarz and Parseval |col| <= 2^n sqrt(C(n,k)), so
-    count * span < 2^24 * 2^37 for n <= 24 (the default cap).  Every
-    intermediate entry of a transform is a signed sum of distinct level-k
-    coefficients, so it obeys the same bound.
+    With at most _ONE_SORT_ORBITS orbits one np.lexsort of the whole rows
+    gives the same classes in the same order (_sorted_classes), with no
+    fused key and so no int64 bound.  A column step is about fifteen numpy
+    calls whatever the number of orbits, and antipodal orbits of a
+    symmetric function share a row, so they never split: its 18 to 36
+    orbits would take all n + 1 steps.  A random table's orbits are its
+    points, and they are single-orbit classes after a few columns, where
+    the sort would read every column: on random n = 6 to 8 the whole call
+    takes 0.6 to 0.85 of its time with the refinement, at n = 9 (2^9
+    orbits) 1.13 times.  (Sorting only the last few hundred open orbits of
+    a larger table, instead, cost random n = 9 to 12 2 to 6 percent against
+    the steps it replaced.)
+
+    A class's representative is the least of its orbits' least points;
+    blocks own disjoint bits, so an orbit's least point is the sum of
+    per-block least parts (_least_points).  Its size is the sum of its
+    orbits' sizes prod_i C(|B_i|, w_i).  The rows and sizes carry
+    classify's per-point flags too (_level_flags).
+
+    The refinement's key is exact while count * span < 2^63, count being
+    the number of classes so far; this is checked in Python ints and raises
+    CapacityError otherwise.  By Cauchy-Schwarz and Parseval
+    |col| <= 2^n sqrt(C(n,k)), so count * span < 2^24 * 2^37 for n <= 24
+    (the default cap).  Every intermediate entry of a transform is a signed
+    sum of distinct level-k coefficients, so it obeys the same bound.
     """
     blocks, mask = _coordinate_blocks(f)
     sizes = [len(block) for block in blocks]
@@ -304,10 +359,37 @@ def _distinct_point_polys(f):
     del subsets, parity  # not held through the transform
     mat = _krawtchouk_transform(mat, sizes)
     mat *= f.values[least][:, None]
+    few = len(mat) <= _ONE_SORT_ORBITS
+    first, labels = (_sorted_classes if few else _refined_classes)(mat)
+    rows = mat[first]
+    del mat  # before the per-class lists, which hold Python ints
+    reps = np.full(len(rows), 1 << f.n, dtype=np.int64)
+    np.minimum.at(reps, labels, least)
+    members = np.zeros(len(rows), dtype=np.int64)
+    np.add.at(members, labels, counts)
+    return rows, reps.tolist(), members.tolist()
+
+
+def _sorted_classes(mat):
+    """The classes of equal rows of mat by one sort: (first, labels), one row
+    of each class in lexicographic order of the rows, and each row's class."""
+    order = np.lexsort(mat.T[::-1])
+    rows = mat[order]
+    head = np.ones(len(mat), dtype=bool)  # where a new class starts
+    np.any(rows[1:] != rows[:-1], axis=1, out=head[1:])
+    labels = np.empty(len(mat), dtype=np.int64)
+    labels[order] = head.cumsum() - 1
+    return order[head], labels
+
+
+def _refined_classes(mat):
+    """_sorted_classes(mat) by the column-at-a-time refinement of
+    _distinct_point_polys, which refuses keys beyond int64 (CapacityError)."""
+    n = mat.shape[1] - 1
     first = np.zeros(1, dtype=np.int64)  # before column 0: one class of every orbit
     open_ = np.arange(len(mat))  # the orbits of classes that still hold several
     parent = np.zeros(len(mat), dtype=np.int64)  # the class of each orbit of open_
-    for k in range(f.n + 1):
+    for k in range(n + 1):
         if not len(open_):  # every class is one orbit: none can split
             break
         col = mat[open_, k]
@@ -315,7 +397,7 @@ def _distinct_point_polys(f):
         span = int(col.max()) - low + 1
         if len(first) * span >= 1 << 63:
             raise CapacityError(
-                f"level {k} of n={f.n}: point polynomial keys would overflow int64"
+                f"level {k} of n={n}: point polynomial keys would overflow int64"
             )
         col -= low  # the key in place: each partial sum is below count * span
         col += parent * span
@@ -333,17 +415,11 @@ def _distinct_point_polys(f):
         first[new] = open_
         keep = ~(start & head[1:])  # the orbits of classes of two or more
         open_, parent = open_[keep], new[keep]
-        del grow, single  # one entry per class: not held through the gather below
+        del grow, single  # one entry per class: not held past the loop
     labels = np.empty(len(mat), dtype=np.int64)
     labels[first] = np.arange(len(first))
     labels[open_] = parent
-    rows = mat[first]
-    del mat  # before the per-class lists, which hold Python ints
-    reps = np.full(len(rows), 1 << f.n, dtype=np.int64)
-    np.minimum.at(reps, labels, least)
-    members = np.zeros(len(rows), dtype=np.int64)
-    np.add.at(members, labels, counts)
-    return rows, reps.tolist(), members.tolist()
+    return first, labels
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,19 @@ def test_distinct_polys_match_dense_unique(f):
     assert reps == want_reps and sizes == want_sizes
 
 
+@pytest.mark.parametrize("bound", [0, 1 << 10])
+def test_distinct_polys_sort_and_refinement_agree(monkeypatch, bound):
+    # bound 0 sends every table through the per-column refinement, 2^10 every
+    # table up to n = 10 through one sort of the whole rows
+    monkeypatch.setattr(sp, "_ONE_SORT_ORBITS", bound)
+    named = [construct_named("majority", 9), construct_named("or", 10), *named_negations()]
+    for f in [random_function(n, seed) for n in range(3, 11) for seed in range(5)] + named:
+        rows, reps, sizes = sp._distinct_point_polys(f)
+        want_rows, want_reps, want_sizes = dense_distinct_polys(f)
+        assert np.array_equal(rows, want_rows), (f.n, f.bits)
+        assert (reps, sizes) == (want_reps, want_sizes), (f.n, f.bits)
+
+
 def test_distinct_polys_peak_memory():
     # the graded transform holds two (2^n, n + 1) buffers, the gathered rows
     # replace them, and no per-level copies are kept: under 2.6 times the rows
@@ -335,15 +348,40 @@ def test_distinct_polys_peak_memory():
 
 
 def test_distinct_polys_refuse_keys_beyond_int64(monkeypatch):
-    # every scaled coefficient 2^61: majority 3 is one block of 4 orbits
-    # (weights w = 0..3, signs + + - -).  Level 0 gives the columns
-    # +-2^61, two classes; level 1 gives (3 - 2w) * 2^61 * sign, that is
-    # 3 * 2^61 or 2^61, so its keys would need 2 * (2^62 + 1) >= 2^63
+    # the per-column key is formed past _ONE_SORT_ORBITS orbits.  A random
+    # n=9 table has no symmetry: 512 orbits, one per point.  With 2^61 at
+    # S = {} and S = {x_0} and zeros elsewhere, level 0 gives the columns
+    # f(v) 2^61, two classes holding every orbit, and level 1 gives +-2^61,
+    # so its keys would need 2 * (2^62 + 1) >= 2^63
+    f = random_function(9, 1)
+    coeffs = np.zeros(1 << f.n, dtype=np.int64)
+    coeffs[[0, 1]] = 1 << 61
+    monkeypatch.setattr(sp, "wht", lambda g: ScaledSpectrum(g.n, coeffs))
+    assert sp._coordinate_blocks(f)[0] == [[j] for j in range(f.n)]
+    assert 1 << f.n > sp._ONE_SORT_ORBITS
+    with pytest.raises(CapacityError, match="level 1 of n=9"):
+        sp._distinct_point_polys(f)
+
+
+def test_distinct_polys_one_sort_takes_keys_beyond_int64(monkeypatch):
+    # every scaled coefficient 2^61: majority 3 is one block of 4 orbits, so
+    # one sort of the whole rows finds the classes and no per-column key is
+    # formed.  Level 1 is (3 - 2w) * 2^61 * sign, whose keys would not fit
+    f = construct_named("majority", 3)
     monkeypatch.setattr(
-        sp, "wht", lambda f: ScaledSpectrum(f.n, np.full(1 << f.n, 1 << 61))
+        sp, "wht", lambda g: ScaledSpectrum(g.n, np.full(1 << g.n, 1 << 61))
     )
-    with pytest.raises(CapacityError, match="level 1 of n=3"):
-        sp._distinct_point_polys(construct_named("majority", 3))
+    u = np.arange(1 << f.n)
+    dense = np.array([
+        [int(f.values[v]) * sum((1 << 61) * (-1) ** (S & v).bit_count()
+                                for S in u.tolist() if S.bit_count() == k)
+         for k in range(f.n + 1)]
+        for v in u.tolist()
+    ], dtype=np.int64)
+    rows, first, counts = np.unique(dense, axis=0, return_index=True, return_counts=True)
+    got_rows, reps, sizes = sp._distinct_point_polys(f)
+    assert np.array_equal(got_rows, rows)
+    assert (reps, sizes) == (first.tolist(), counts.tolist())
 
 
 def krawtchouk(b):
@@ -380,6 +418,27 @@ def test_coordinate_blocks_of_masked_named_functions():
         # a coordinate swaps with its block's root negated when their signs differ
         root = {j: block[0] for block in expected for j in block}
         assert mask == sum(1 << j for j in range(n) if signs[j] != signs[root[j]]), name
+
+
+def test_coordinate_blocks_match_oracle_exhaustive():
+    # the swaps are tested on the table packed one bit per point: every table
+    # of n <= 3 (shorter than a byte at n <= 2) takes each in-byte shift and
+    # mask, and in the named functions coordinates 0-2 join their blocks
+    # within a byte (x_0, x_1, x_2) and across bytes (x_2 with x_3), plainly
+    # (no negation), negated (alternate signs) and under a random mask
+    small = [BooleanFunction(n, b) for n in (1, 2, 3) for b in range(1 << (1 << n))]
+    named = []
+    for n in range(4, 13):
+        rng = np.random.Generator(np.random.PCG64(n))
+        masks = [[1] * n, [(-1) ** j for j in range(n)],
+                 [int(s) for s in rng.choice((-1, 1), size=n)]]
+        for name in ("edic", "majority", "or"):
+            if name == "majority" and n % 2 == 0:
+                continue
+            named += [negate_inputs(construct_named(name, n), signs) for signs in masks]
+    for f in small + named:
+        want = oracles.coordinate_blocks(oracles.table(f), f.n)
+        assert sp._coordinate_blocks(f) == want, (f.n, f.bits)
 
 
 # ---------------------------------------------------------------------------
